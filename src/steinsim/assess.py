@@ -159,11 +159,15 @@ def _lambda_batch_stderr(chunks, kind, theta: float) -> float:
     return float(traces.std(ddof=1) / np.sqrt(len(traces)))
 
 
-def assess(kind: "EstimatorKind | EstimatorFn", theta: float,
-           config: mc.SimulationConfig) -> AssessmentReport:
-    """Full assessment of one cell from a single pass over its stream."""
-    cell = mc.collect_cell_moments(kind, config.with_theta(theta),
-                                   keep_chunks=True)
+def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
+                   cell: mc.CellMoments, config: mc.SimulationConfig) -> AssessmentReport:
+    """Full assessment of one cell from its merged moments.
+
+    ``cell`` must have been collected with ``keep_chunks=True``, since the
+    batch standard error of the scalar information uses the chunk moments.
+    """
+    if cell.chunk_moments is None:
+        raise ValueError("the cell's chunk moments were not kept")
     lam = _lambda_from_moments(cell.moments, kind, theta)
     eff, mean_eff = efficiency(lam, np.eye(config.k))
     eigenvalues = np.linalg.eigvalsh(lam)
@@ -185,3 +189,11 @@ def assess(kind: "EstimatorKind | EstimatorFn", theta: float,
         n_samples=config.n_samples,
         seed=config.seed,
     )
+
+
+def assess(kind: "EstimatorKind | EstimatorFn", theta: float,
+           config: mc.SimulationConfig) -> AssessmentReport:
+    """Full assessment of one cell from a single pass over its stream."""
+    cell = mc.collect_cell_moments(kind, config.with_theta(theta),
+                                   keep_chunks=True)
+    return assess_moments(kind, theta, cell, config)

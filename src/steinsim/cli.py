@@ -12,15 +12,18 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
+import io
 import json
 import sys
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__, hyptest, mc
-from .assess import SingularCovarianceError, assess as assess_cell, mse_with_stderr
+from .assess import SingularCovarianceError, assess_moments
 from .estimators import EstimatorKind, ShrinkageDomainError
 from .hyptest import NullResolutionError
 
@@ -28,6 +31,7 @@ TABLE1_THETAS = (0.0, 0.5, 1.25, 2.0, 2.5)
 TABLE2_THETAS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5)
 TABLE3_THETAS = TABLE1_THETAS
 ALL_FIGURE_THETAS = (0.5, 2.0)
+KINDS = (EstimatorKind.JS, EstimatorKind.ML)
 
 REFERENCE_LINES = {
     "equality": {"slope": 1.0, "intercept": 0.0},
@@ -170,81 +174,103 @@ def _manifest(args, command: str, thetas, alphas, t0: float, **extra) -> dict:
     return manifest
 
 
-def _render_csv(columns, rows) -> str:
-    import io
+class _Report(NamedTuple):
+    """A finished report: its rows, the manifest of the run that produced
+    them, and any extra top-level keys of its JSON payload."""
 
+    command: str
+    columns: tuple
+    rows: list
+    manifest: dict
+    extra: dict | None = None
+
+
+def _render(fmt: str, report: _Report) -> str:
+    if fmt == "json":
+        payload = {"command": report.command, "columns": list(report.columns),
+                   "rows": report.rows, "manifest": report.manifest}
+        payload.update(report.extra or {})
+        return json.dumps(payload, indent=2) + "\n"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    for row in rows:
-        writer.writerow([_fmt(row[c]) for c in columns])
+    writer.writerow(report.columns)
+    for row in report.rows:
+        writer.writerow([_fmt(row[c]) for c in report.columns])
     return buf.getvalue()
 
 
-def _render_json(command, columns, rows, manifest, extra=None) -> str:
-    payload = {"command": command, "columns": list(columns), "rows": rows,
-               "manifest": manifest}
-    if extra:
-        payload.update(extra)
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def _emit(args, command, columns, rows, manifest, extra=None) -> None:
+def _emit(args, report: _Report) -> None:
     """Write one report to stdout or to a file plus manifest sidecar."""
-    if args.format == "json":
-        text = _render_json(command, columns, rows, manifest, extra)
-    else:
-        text = _render_csv(columns, rows)
+    text = _render(args.format, report)
     if args.output == "-":
         sys.stdout.write(text)
         return
     path = Path(args.output)
     path.write_text(text)
     if args.format == "csv":
-        sidecar = dict(manifest)
-        if extra:
-            sidecar.update(extra)
+        sidecar = dict(report.manifest)
+        sidecar.update(report.extra or {})
         Path(str(path) + ".manifest.json").write_text(
             json.dumps(sidecar, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# Report computation
+# Shared passes: each stream is swept once however many reports read it
 # ---------------------------------------------------------------------------
 
 
-def _compute_table1(args, thetas):
+def _cells(args, thetas) -> dict:
+    """Moments of every (estimator, theta) cell from one pass over stream 0."""
+    keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in thetas))
+    _progress(f"sweeping {len(keys)} estimator cells")
+    return dict(zip(keys, mc.collect_cells(keys, _config(args), keep_chunks=True)))
+
+
+def _null_statistics(args) -> dict:
+    """Unsorted JS and ML null statistics from one pass over stream 1."""
+    _progress("simulating the js and ml nulls")
+    return hyptest.null_statistics_by_kind(
+        KINDS, _config(args, theta=hyptest.DEFAULT_MU0))
+
+
+def _calibrations(args, nulls: dict, alphas) -> dict:
+    return {
+        kind: hyptest.calibration_from_statistics(
+            kind, values, alphas, hyptest.DEFAULT_MU0, args.seed)
+        for kind, values in nulls.items()
+    }
+
+
+# ---------------------------------------------------------------------------
+# Reports, each built from the shared passes it reads
+# ---------------------------------------------------------------------------
+
+
+def _table1(args, thetas, cells: dict, t0: float) -> _Report:
+    _progress("table1 mse from the shared cells")
     columns = ("estimator", "theta", "mse", "stderr")
     rows = []
-    for kind in (EstimatorKind.JS, EstimatorKind.ML):
+    for kind in KINDS:
         for theta in thetas:
-            _progress(f"table1 {kind.value} theta={theta:g}")
-            value, stderr = mse_with_stderr(kind, theta, _config(args))
+            cell = cells[kind, float(theta)]
             rows.append({"estimator": kind.value.upper(), "theta": float(theta),
-                         "mse": value, "stderr": stderr})
-    return columns, rows
+                         "mse": cell.mse, "stderr": cell.mse_stderr})
+    return _Report("table1", columns, rows,
+                   _manifest(args, "table1", thetas, None, t0))
 
 
-def _compute_table2(args, thetas, alphas):
+def _table2(args, thetas, alphas, nulls: dict, t0: float) -> _Report:
     columns = ("test", "alpha", "theta", "power", "stderr")
-    null_cfg = _config(args, theta=hyptest.DEFAULT_MU0)
-    calibrations = {}
-    for kind in (EstimatorKind.JS, EstimatorKind.ML):
-        _progress(f"table2 calibrating {kind.value} null")
-        calibrations[kind] = hyptest.calibrate_null(kind, null_cfg, alphas)
-    results = {}
-    for kind in (EstimatorKind.JS, EstimatorKind.ML):
-        for theta in thetas:
-            _progress(f"table2 {kind.value} theta={theta:g}")
-            results[kind, theta] = hyptest.power(kind, theta,
-                                                 calibrations[kind],
-                                                 _config(args))
+    calibrations = _calibrations(args, nulls, alphas)
+    keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in thetas))
+    _progress(f"table2 power of {len(keys)} cells")
+    results = hyptest.power_table(keys, calibrations, _config(args))
     n = args.samples
     rows = []
     for alpha in alphas:
-        for kind in (EstimatorKind.JS, EstimatorKind.ML):
+        for kind in KINDS:
             for theta in thetas:
-                p = results[kind, theta][alpha]
+                p = results[kind, float(theta)][alpha]
                 rows.append({
                     "test": kind.value.upper(),
                     "alpha": float(alpha),
@@ -252,18 +278,20 @@ def _compute_table2(args, thetas, alphas):
                     "power": p,
                     "stderr": float(np.sqrt(p * (1.0 - p) / n)),
                 })
-    return columns, rows
+    return _Report("table2", columns, rows,
+                   _manifest(args, "table2", thetas, alphas, t0))
 
 
-def _compute_table3(args, thetas):
+def _table3(args, thetas, cells: dict, t0: float) -> _Report:
+    _progress("table3 information from the shared cells")
     columns = ("estimator", "theta", "scalar_lambda", "mean_efficiency",
                "eigen_min", "eigen_max")
     rows = []
     eigen_rows = []
-    for kind in (EstimatorKind.JS, EstimatorKind.ML):
+    for kind in KINDS:
         for theta in thetas:
-            _progress(f"table3 {kind.value} theta={theta:g}")
-            report = assess_cell(kind, theta, _config(args))
+            report = assess_moments(kind, theta, cells[kind, float(theta)],
+                                    _config(args))
             rows.append({
                 "estimator": kind.value.upper(),
                 "theta": float(theta),
@@ -279,22 +307,23 @@ def _compute_table3(args, thetas):
                 "lambda_stderr": float(stderr) if np.isfinite(stderr) else None,
                 "eigenvalues": [float(v) for v in report.eigenvalues],
             })
-    return columns, rows, eigen_rows
+    return _Report("table3", columns, rows,
+                   _manifest(args, "table3", thetas, None, t0),
+                   extra={"eigenvalue_report": eigen_rows})
 
 
-def _compute_figure(args, theta: float, points: int):
+def _figure(args, theta: float, points: int, nulls: dict, t0: float) -> _Report:
     columns = ("index", "s_js", "s_ml", "shrinkage")
-    null_cfg = _config(args, theta=hyptest.DEFAULT_MU0)
-    _progress("figure calibrating js null")
-    calib_js = hyptest.calibrate_null(EstimatorKind.JS, null_cfg)
-    _progress("figure calibrating ml null")
-    calib_ml = hyptest.calibrate_null(EstimatorKind.ML, null_cfg)
+    calibrations = _calibrations(args, nulls, hyptest.DEFAULT_ALPHAS)
     _progress(f"figure drawing {points} pairs at theta={theta:g}")
-    pairs = hyptest.paired_semitail(theta, points, calib_js, calib_ml,
-                                    _config(args))
+    pairs = hyptest.paired_semitail(theta, points, calibrations[EstimatorKind.JS],
+                                    calibrations[EstimatorKind.ML], _config(args))
     rows = [{"index": p.sample_index, "s_js": p.s_js, "s_ml": p.s_ml,
              "shrinkage": p.shrinkage} for p in pairs]
-    return columns, rows
+    manifest = _manifest(args, "figure", [theta], None, t0, points=points,
+                         reference_lines=REFERENCE_LINES)
+    return _Report("figure", columns, rows, manifest,
+                   extra={"reference_lines": REFERENCE_LINES})
 
 
 # ---------------------------------------------------------------------------
@@ -304,92 +333,60 @@ def _compute_figure(args, theta: float, points: int):
 
 def cmd_table1(args, t0: float) -> int:
     thetas = args.theta if args.theta else TABLE1_THETAS
-    columns, rows = _compute_table1(args, thetas)
-    _emit(args, "table1", columns, rows,
-          _manifest(args, "table1", thetas, None, t0))
+    _emit(args, _table1(args, thetas, _cells(args, thetas), t0))
     return 0
 
 
 def cmd_table2(args, t0: float) -> int:
     thetas = args.theta if args.theta else TABLE2_THETAS
     alphas = args.alpha if args.alpha else list(hyptest.DEFAULT_ALPHAS)
-    columns, rows = _compute_table2(args, thetas, alphas)
-    _emit(args, "table2", columns, rows,
-          _manifest(args, "table2", thetas, alphas, t0))
+    _emit(args, _table2(args, thetas, alphas, _null_statistics(args), t0))
     return 0
 
 
 def cmd_table3(args, t0: float) -> int:
     thetas = args.theta if args.theta else TABLE3_THETAS
-    columns, rows, eigen_rows = _compute_table3(args, thetas)
-    manifest = _manifest(args, "table3", thetas, None, t0)
-    _emit(args, "table3", columns, rows, manifest,
-          extra={"eigenvalue_report": eigen_rows})
+    _emit(args, _table3(args, thetas, _cells(args, thetas), t0))
     return 0
 
 
 def cmd_figure(args, t0: float) -> int:
-    columns, rows = _compute_figure(args, args.theta, args.points)
-    manifest = _manifest(args, "figure", [args.theta], None, t0,
-                         points=args.points,
-                         reference_lines=REFERENCE_LINES)
-    _emit(args, "figure", columns, rows, manifest,
-          extra={"reference_lines": REFERENCE_LINES})
+    _emit(args, _figure(args, args.theta, args.points, _null_statistics(args), t0))
     return 0
 
 
 def cmd_all(args, t0: float) -> int:
     out_dir = Path(args.output if args.output != "-" else "out")
     out_dir.mkdir(parents=True, exist_ok=True)
-    ext = args.format
+    alphas = args.alpha if args.alpha else list(hyptest.DEFAULT_ALPHAS)
+    # Each stream is swept at most once; a report that fails fails alone.
+    cells = functools.cache(
+        lambda: _cells(args, TABLE1_THETAS + TABLE3_THETAS))
+    nulls = functools.cache(lambda: _null_statistics(args))
+    steps = [
+        ("table1", lambda t: _table1(args, TABLE1_THETAS, cells(), t)),
+        ("table2", lambda t: _table2(args, TABLE2_THETAS, alphas, nulls(), t)),
+        ("table3", lambda t: _table3(args, TABLE3_THETAS, cells(), t)),
+    ] + [
+        (f"figure_theta_{theta:g}",
+         lambda t, theta=theta: _figure(args, theta, args.points, nulls(), t))
+        for theta in ALL_FIGURE_THETAS
+    ]
     failures: list[str] = []
     outputs: list[str] = []
-
-    def run_step(name: str, compute):
+    for name, build in steps:
         try:
-            compute()
-            outputs.append(name)
-        except Exception as exc:  # retain partial outputs, mark the failure
+            report = build(time.perf_counter())
+        except NUMERICAL_ERRORS as exc:  # retain partial outputs, mark the failure
             failures.append(name)
             (out_dir / f"{name}.FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
             _progress(f"{name} FAILED: {exc}")
-
-    def write(name: str, command: str, columns, rows, extra=None):
-        path = out_dir / f"{name}.{ext}"
-        if ext == "json":
-            manifest = _manifest(args, command, [], None, t0)
-            path.write_text(_render_json(command, columns, rows, manifest, extra))
-        else:
-            path.write_text(_render_csv(columns, rows))
-
-    alphas = args.alpha if args.alpha else list(hyptest.DEFAULT_ALPHAS)
-
-    def step_table1():
-        columns, rows = _compute_table1(args, TABLE1_THETAS)
-        write("table1", "table1", columns, rows)
-
-    def step_table2():
-        columns, rows = _compute_table2(args, TABLE2_THETAS, alphas)
-        write("table2", "table2", columns, rows)
-
-    def step_table3():
-        columns, rows, eigen_rows = _compute_table3(args, TABLE3_THETAS)
-        write("table3", "table3", columns, rows)
-        (out_dir / "table3_eigenvalues.json").write_text(
-            json.dumps(eigen_rows, indent=2) + "\n")
-
-    run_step("table1", step_table1)
-    run_step("table2", step_table2)
-    run_step("table3", step_table3)
-    for theta in ALL_FIGURE_THETAS:
-        name = f"figure_theta_{theta:g}"
-
-        def step_figure(theta=theta, name=name):
-            columns, rows = _compute_figure(args, theta, args.points)
-            write(name, "figure", columns, rows,
-                  extra={"reference_lines": REFERENCE_LINES})
-
-        run_step(name, step_figure)
+            continue
+        (out_dir / f"{name}.{args.format}").write_text(_render(args.format, report))
+        if report.command == "table3":
+            (out_dir / "table3_eigenvalues.json").write_text(
+                json.dumps(report.extra["eigenvalue_report"], indent=2) + "\n")
+        outputs.append(name)
 
     manifest = _manifest(
         args, "all",

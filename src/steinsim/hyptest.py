@@ -13,15 +13,20 @@ P0(T >= t)``: one extra unit means the null tail area halved.
 Streams: null calibration, power evaluation, and figure pairs draw from
 the disjoint streams 1, 2 and 3 of the configured seed, so rejection
 fractions are never computed on the draws that set the critical values.
+Each stream is read by one chunk-major sweep (``mc.sweep``): the null
+statistics of several estimators come from one pass over stream 1, and
+every power cell shares one pass over stream 2, counting exceedances of
+its critical values chunk by chunk.  The last cell of each chunk gets the
+draws with its theta added in place; no cell's result depends on which
+other cells share its pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.stats import chi2, ncx2
 
 from . import mc
 from .estimators import EstimatorKind, estimate_batch
@@ -86,25 +91,31 @@ def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
     return np.einsum("ij,ij->i", diff, diff)
 
 
+def _statistic_fold(kind: EstimatorKind, mu0: float):
+    return lambda y, start: statistics_batch(kind, y, mu0, index_offset=start)
+
+
+def null_statistics_by_kind(kinds: Sequence[EstimatorKind],
+                            config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
+    """Unsorted null statistics of each estimator, from one pass over the
+    calibration stream at config.theta."""
+    mu0 = config.theta
+    columns = mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds],
+                       stream=NULL_STREAM)
+    return {kind: np.concatenate(parts) for kind, parts in zip(kinds, columns)}
+
+
 def null_statistics(kind: EstimatorKind, config: mc.SimulationConfig) -> np.ndarray:
     """Unsorted null-statistic values drawn on the calibration stream."""
-    return mc.map_samples(
-        config,
-        lambda y, start: statistics_batch(kind, y, config.theta, index_offset=start),
-        stream=NULL_STREAM,
-    )
+    return null_statistics_by_kind([kind], config)[kind]
 
 
 def alternative_statistics(kind: EstimatorKind, theta_alt: float,
                            config: mc.SimulationConfig,
                            mu0: float = DEFAULT_MU0) -> np.ndarray:
     """Statistic values under the alternative, on the evaluation stream."""
-    cfg = config.with_theta(theta_alt)
-    return mc.map_samples(
-        cfg,
-        lambda y, start: statistics_batch(kind, y, mu0, index_offset=start),
-        stream=ALT_STREAM,
-    )
+    return mc.map_samples(config.with_theta(theta_alt), _statistic_fold(kind, mu0),
+                          stream=ALT_STREAM)
 
 
 def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
@@ -139,22 +150,50 @@ def calibrate_null(kind: EstimatorKind, config: mc.SimulationConfig,
     )
 
 
+def power_table(cells: Sequence[tuple[EstimatorKind, float]],
+                calibrations: dict[EstimatorKind, NullCalibration],
+                config: mc.SimulationConfig) -> dict[tuple[EstimatorKind, float],
+                                                     dict[float, float]]:
+    """Power of every (estimator, theta_alt) cell from one pass over the
+    evaluation stream.
+
+    Each cell counts, chunk by chunk, the draws whose statistic strictly
+    exceeds each critical value of its estimator's calibration; the power
+    is the total count over n_samples.  The alternative draws are shared by
+    all cells (common random numbers) and disjoint from the calibration
+    draws.
+    """
+    for kind, _ in cells:
+        if calibrations[kind].kind is not kind:
+            raise ValueError(
+                f"calibration is for {calibrations[kind].kind}, not {kind}"
+            )
+
+    def fold(calibration: NullCalibration):
+        critical = list(calibration.critical_values.values())
+
+        def chunk(y: np.ndarray, start: int) -> list[int]:
+            stats = statistics_batch(calibration.kind, y, calibration.mu0,
+                                     index_offset=start)
+            return [int(np.count_nonzero(stats > crit)) for crit in critical]
+        return chunk
+
+    columns = mc.sweep(config, [(theta, fold(calibrations[kind])) for kind, theta in cells],
+                       stream=ALT_STREAM)
+    return {
+        (kind, theta): {
+            alpha: count / config.n_samples
+            for alpha, count in zip(calibrations[kind].critical_values,
+                                    map(sum, zip(*parts)))
+        }
+        for (kind, theta), parts in zip(cells, columns)
+    }
+
+
 def power(kind: EstimatorKind, theta_alt: float, calibration: NullCalibration,
           config: mc.SimulationConfig) -> dict[float, float]:
-    """Fraction of alternative draws strictly exceeding each critical value.
-
-    The alternative draws share one stream across estimators and thetas
-    (common random numbers); they are disjoint from the calibration draws.
-    """
-    if calibration.kind is not kind:
-        raise ValueError(
-            f"calibration is for {calibration.kind}, not {kind}"
-        )
-    stats = alternative_statistics(kind, theta_alt, config, calibration.mu0)
-    return {
-        alpha: float((stats > crit).mean())
-        for alpha, crit in calibration.critical_values.items()
-    }
+    """Fraction of alternative draws strictly exceeding each critical value."""
+    return power_table([(kind, theta_alt)], {kind: calibration}, config)[kind, theta_alt]
 
 
 def semitail(t, calibration: NullCalibration):
@@ -219,6 +258,8 @@ def ml_power_oracle(theta_alt: float, alpha: float, k: int,
     noncentrality k * (theta - mu0)^2; its exceedance of the central
     (1 - alpha) quantile is the power.
     """
+    from scipy.stats import chi2, ncx2  # deferred: slow to import, only needed here
+
     if not 0 < alpha < 1:
         raise ValueError("alpha must lie strictly in (0, 1)")
     ncp = k * (theta_alt - mu0) ** 2

@@ -23,6 +23,14 @@ depends on chunking or worker count:
   ``CHUNK_SAMPLES``; partial moments are merged on the coordinator in
   chunk order, so the floating-point reduction order is independent of
   ``n_workers``.
+* chunk-major sweep: every pass over a stream goes through ``sweep``.
+  Each chunk's ``z`` is drawn once and every requested cell is folded
+  into it, in the order the cells were given; a single-cell pass is the
+  one-cell case of the same sweep.  Cell ``i`` sees ``y = theta_i + z``;
+  the last (or only) cell of a chunk gets ``z`` with its theta added in
+  place, which is bit-identical to ``theta + z`` and spares a copy, so a
+  one-cell pass never holds ``z`` and ``y`` together.  A cell's result
+  therefore does not depend on which other cells share its pass.
 """
 
 from __future__ import annotations
@@ -59,24 +67,39 @@ class SimulationConfig:
     n_workers: int = 1
 
     def __post_init__(self):
-        if int(self.k) != self.k or self.k < 1:
+        k = _integer(self.k)
+        if k is None or k < 1:
             raise ValueError("k must be a positive integer")
         if not np.isfinite(self.theta):
             raise ValueError("theta must be finite")
-        if int(self.n_samples) != self.n_samples or self.n_samples < 1:
+        n_samples = _integer(self.n_samples)
+        if n_samples is None or n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
-        if int(self.seed) != self.seed or not 0 <= self.seed < 2**64:
+        seed = _integer(self.seed)
+        if seed is None or not 0 <= seed < 2**64:
             raise ValueError("seed must be a 64-bit unsigned integer")
-        if int(self.n_workers) != self.n_workers or self.n_workers < 1:
+        n_workers = _integer(self.n_workers)
+        if n_workers is None or n_workers < 1:
             raise ValueError("n_workers must be a positive integer")
-        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "k", k)
         object.__setattr__(self, "theta", float(self.theta))
-        object.__setattr__(self, "n_samples", int(self.n_samples))
-        object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "n_workers", int(self.n_workers))
+        object.__setattr__(self, "n_samples", n_samples)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_workers", n_workers)
 
     def with_theta(self, theta: float) -> "SimulationConfig":
         return replace(self, theta=theta)
+
+
+def _integer(value) -> int | None:
+    """``value`` as an int if it is a non-boolean integral number, else None."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return as_int if as_int == value else None
 
 
 def _words_per_sample(k: int) -> int:
@@ -107,7 +130,7 @@ def draw_block(config: SimulationConfig, start: int, count: int,
             f"[0, {config.n_samples})"
         )
     z = standard_normal_block(config.seed, stream, start, count, config.k)
-    return config.theta + z
+    return np.add(z, config.theta, out=z)
 
 
 def draw_sample(config: SimulationConfig, index: int,
@@ -239,6 +262,31 @@ def _map_ordered(fn: Callable[[int, int], object],
         return list(pool.map(lambda rc: fn(*rc), ranges))
 
 
+def sweep(config: SimulationConfig,
+          cells: Sequence[tuple[float, Callable[[np.ndarray, int], object]]],
+          stream: int = 0) -> list[list]:
+    """One chunk-major pass over a stream, folding every cell into each chunk.
+
+    ``config`` supplies k, n_samples, seed and n_workers; each cell is a
+    ``(theta, fn)`` pair and sees ``fn(theta * 1 + z, start)`` for every
+    chunk.  Each chunk's ``z`` is drawn once; the last cell receives it with
+    theta added in place (see the module contract).  Returns, per cell, its
+    chunk results in chunk order, so the caller's merge order is fixed.
+    """
+    if not cells:
+        raise ValueError("a sweep needs at least one cell")
+    origin = config.with_theta(0.0)
+    last = len(cells) - 1
+
+    def chunk(start: int, count: int) -> list:
+        z = draw_block(origin, start, count, stream)
+        return [fn(np.add(z, theta, out=z) if i == last else theta + z, start)
+                for i, (theta, fn) in enumerate(cells)]
+
+    parts = _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
+    return [list(column) for column in zip(*parts)]
+
+
 def map_samples(config: SimulationConfig,
                 fn: Callable[[np.ndarray, int], np.ndarray],
                 stream: int = 0) -> np.ndarray:
@@ -247,12 +295,7 @@ def map_samples(config: SimulationConfig,
     Rows of the concatenated result keep sample order, so the output is
     identical for every worker count.
     """
-    parts = _map_ordered(
-        lambda start, count: np.asarray(fn(draw_block(config, start, count, stream), start)),
-        _chunk_ranges(config.n_samples),
-        config.n_workers,
-    )
-    return np.concatenate(parts, axis=0)
+    return np.concatenate(sweep(config, [(config.theta, fn)], stream)[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -282,29 +325,36 @@ class CellMoments:
         return float(np.sqrt(max(var, 0.0) / n))
 
 
-def collect_cell_moments(kind: "EstimatorKind | EstimatorFn",
-                         config: SimulationConfig, stream: int = 0,
-                         keep_chunks: bool = False) -> CellMoments:
-    """One pass over a cell's stream: estimates, scores, error norms.
+def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
+                  config: SimulationConfig, stream: int = 0,
+                  keep_chunks: bool = False) -> list[CellMoments]:
+    """Moments of every (estimator, theta) cell from one pass over a stream.
 
-    Estimator domain errors abort the run and carry the offending sample
-    index.
+    Per-chunk moments are merged in chunk order (Chan, Golub & LeVeque
+    1979), so each cell's result is independent of the worker count and of
+    the other cells in the pass.  Estimator domain errors abort the run and
+    carry the offending sample index.
     """
-    mu = config.theta
 
-    def chunk(start: int, count: int):
-        y = draw_block(config, start, count, stream)
-        est = estimate_batch(kind, y, index_offset=start)
-        score = y - mu
-        err = est - mu
-        err_sq = np.einsum("ij,ij->i", err, err)
-        return (
-            StreamingMoments.from_batch(est, score),
-            float(err_sq.sum()),
-            float((err_sq * err_sq).sum()),
-        )
+    def fold(kind, mu: float):
+        def chunk(y: np.ndarray, start: int):
+            est = estimate_batch(kind, y, index_offset=start)
+            score = y - mu
+            err = est - mu
+            err_sq = np.einsum("ij,ij->i", err, err)
+            return (
+                StreamingMoments.from_batch(est, score),
+                float(err_sq.sum()),
+                float((err_sq * err_sq).sum()),
+            )
+        return chunk
 
-    parts = _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
+    columns = sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells],
+                    stream)
+    return [_merge_cell(parts, keep_chunks) for parts in columns]
+
+
+def _merge_cell(parts, keep_chunks: bool) -> CellMoments:
     total, err_sum, err_sumsq = parts[0]
     for mom, s1, s2 in parts[1:]:
         total = total.merge(mom)
@@ -316,6 +366,13 @@ def collect_cell_moments(kind: "EstimatorKind | EstimatorFn",
         err_sumsq,
         tuple(p[0] for p in parts) if keep_chunks else None,
     )
+
+
+def collect_cell_moments(kind: "EstimatorKind | EstimatorFn",
+                         config: SimulationConfig, stream: int = 0,
+                         keep_chunks: bool = False) -> CellMoments:
+    """One pass over a cell's stream: estimates, scores, error norms."""
+    return collect_cells([(kind, config.theta)], config, stream, keep_chunks)[0]
 
 
 def cross_covariance(kind: "EstimatorKind | EstimatorFn",

@@ -1,10 +1,15 @@
+import collections
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+from steinsim import cli, mc
 from steinsim.cli import main
 
 SMALL = ["--samples", "30000", "--seed", "42"]
@@ -213,3 +218,96 @@ def test_all_marks_failed_steps_and_exits_2(tmp_path, capsys):
     assert (out_dir / "manifest.json").exists()
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert "table2" in manifest["failures"]
+
+
+def test_all_singular_covariance_fails_table3_only(tmp_path, monkeypatch, capsys):
+    # table1 and table3 share the stream-0 cells; only table3 inverts V
+    assess = sys.modules["steinsim.assess"]  # the package re-exports a function of that name
+
+    def singular(moments, kind, theta):
+        raise assess.SingularCovarianceError(kind, theta, float("inf"))
+
+    monkeypatch.setattr(assess, "_lambda_from_moments", singular)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, ["all", "--samples", "20000", "--output", str(out_dir)])
+    assert code == 2
+    assert (out_dir / "table3.FAILED").exists()
+    assert not (out_dir / "table1.FAILED").exists()
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["failures"] == ["table3"]
+    assert "table1" in manifest["outputs"]
+
+def test_all_lets_programming_errors_propagate(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise TypeError("not a numerical failure")
+
+    monkeypatch.setattr(cli, "_table1", broken)
+    with pytest.raises(TypeError, match="not a numerical failure"):
+        main(["all", "--samples", "20000", "--output", str(tmp_path / "run")])
+    assert not (tmp_path / "run" / "table1.FAILED").exists()
+
+
+def test_all_json_manifests_record_their_parameters(tmp_path, capsys):
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, ["all", "--samples", "20000", "--seed", "42",
+                              "--alpha", "0.05", "--format", "json",
+                              "--output", str(out_dir)])
+    assert code == 0
+    expected = {
+        "table1": (list(cli.TABLE1_THETAS), None),
+        "table2": (list(cli.TABLE2_THETAS), [0.05]),
+        "table3": (list(cli.TABLE3_THETAS), None),
+        "figure_theta_0.5": ([0.5], None),
+        "figure_theta_2": ([2.0], None),
+    }
+    for name, (thetas, alphas) in expected.items():
+        manifest = json.loads((out_dir / f"{name}.json").read_text())["manifest"]
+        assert manifest["thetas"] == thetas, name
+        assert manifest["alphas"] == alphas, name
+        assert manifest["samples"] == 20000 and manifest["seed"] == 42, name
+
+
+@pytest.mark.parametrize("workers", ["1", "2", "8"])
+def test_all_equals_the_single_report_commands(tmp_path, capsys, workers):
+    # 70,000 samples span two chunks, so the shared sweep's merge order counts
+    common = ["--samples", "70000", "--seed", "42", "--workers", workers]
+    out_dir = tmp_path / "all"
+    assert run(capsys, ["all", *common, "--output", str(out_dir)])[0] == 0
+    singles = {
+        "table1.csv": ["table1"],
+        "table2.csv": ["table2"],
+        "table3.csv": ["table3"],
+        "figure_theta_0.5.csv": ["figure", "--theta", "0.5"],
+        "figure_theta_2.csv": ["figure", "--theta", "2"],
+    }
+    for name, argv in singles.items():
+        code, out, _ = run(capsys, [*argv, *common])
+        assert code == 0, name
+        assert (out_dir / name).read_text() == out, name
+
+
+def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
+    calls = collections.Counter()
+    draw = mc.draw_block
+
+    def counting(config, start, count, stream=0):
+        calls[stream, start, count] += 1
+        return draw(config, start, count, stream)
+
+    monkeypatch.setattr(mc, "draw_block", counting)
+    code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "42",
+                              "--workers", "2", "--output", str(tmp_path / "run")])
+    assert code == 0
+    shared = {key: n for key, n in calls.items() if key[0] in (0, 1, 2)}
+    assert sorted(shared) == [(stream, start, count) for stream in (0, 1, 2)
+                              for start, count in ((0, 65536), (65536, 4464))]
+    assert set(shared.values()) == {1}
+
+
+def test_importing_the_cli_does_not_load_scipy_stats():
+    probe = "import sys, steinsim.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == "False"

@@ -21,6 +21,8 @@ from steinsim.hyptest import (
     alternative_statistics,
     calibration_from_statistics,
     null_statistics,
+    null_statistics_by_kind,
+    power_table,
 )
 
 JS, ML = EstimatorKind.JS, EstimatorKind.ML
@@ -269,3 +271,29 @@ def test_power_and_semitail_invariant_under_increasing_maps():
             p_t = float((np.exp(alt) > calib_t.critical_values[alpha]).mean())
             assert p == p_t
         assert np.array_equal(semitail(alt, calib), semitail(np.exp(alt), calib_t))
+
+
+# ---------------------------------------------------------------------------
+# Shared passes over the null and evaluation streams
+# ---------------------------------------------------------------------------
+
+
+def test_shared_passes_match_one_cell_passes_bitwise():
+    # two chunks per stream; shared passes must reproduce the per-cell
+    # results exactly, and power must equal the exceedance fraction
+    cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=70_000, seed=8,
+                           n_workers=2)
+    nulls = null_statistics_by_kind([JS, ML], cfg)
+    calibrations = {}
+    for kind in (JS, ML):
+        assert np.array_equal(nulls[kind], null_statistics(kind, cfg))
+        calibrations[kind] = calibration_from_statistics(
+            kind, nulls[kind], (0.01, 0.05), DEFAULT_MU0, cfg.seed)
+    cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 1.25, 2.5)]
+    table = power_table(cells, calibrations, cfg)
+    for kind, theta in cells:
+        alt = alternative_statistics(kind, theta, cfg)
+        expected = {alpha: float((alt > crit).mean())
+                    for alpha, crit in calibrations[kind].critical_values.items()}
+        assert table[kind, theta] == expected
+        assert power(kind, theta, calibrations[kind], cfg) == expected

@@ -8,6 +8,7 @@ from steinsim.estimators import EstimatorKind
 from steinsim.mc import (
     CHUNK_SAMPLES,
     collect_cell_moments,
+    collect_cells,
     cross_covariance,
     draw_block,
     draw_sample,
@@ -98,6 +99,22 @@ def test_config_validation():
         SimulationConfig(k=3, theta=0.0, seed=2**64)
     with pytest.raises(ValueError):
         SimulationConfig(k=3, theta=0.0, n_workers=0)
+
+
+@pytest.mark.parametrize("field", ["k", "n_samples", "seed", "n_workers"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, np.True_, 2.5, "3"])
+def test_config_rejects_non_integers(field, bad):
+    kw = dict(k=3, theta=0.0)
+    kw[field] = bad
+    with pytest.raises(ValueError):
+        SimulationConfig(**kw)
+
+
+def test_config_accepts_integral_numbers():
+    cfg = SimulationConfig(k=np.int64(3), theta=0, n_samples=10.0, seed=np.uint64(7),
+                           n_workers=2.0)
+    assert (cfg.k, cfg.n_samples, cfg.seed, cfg.n_workers) == (3, 10, 7, 2)
+    assert all(type(v) is int for v in (cfg.k, cfg.n_samples, cfg.seed, cfg.n_workers))
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +238,27 @@ def test_cell_moments_error_norms():
     chunked = collect_cell_moments(EstimatorKind.ML, cfg, keep_chunks=True)
     assert chunked.chunk_moments is not None
     assert sum(m.count for m in chunked.chunk_moments) == 50_000
+
+
+def _same_cell(a, b):
+    return (np.array_equal(a.moments.mean_a, b.moments.mean_a)
+            and np.array_equal(a.moments.m_aa, b.moments.m_aa)
+            and np.array_equal(a.moments.mean_b, b.moments.mean_b)
+            and np.array_equal(a.moments.m_ab, b.moments.m_ab)
+            and a.err_sum == b.err_sum and a.err_sumsq == b.err_sumsq)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
+    # two chunks, so the in-order merge is exercised; a cell's moments must
+    # not depend on its position in the sweep or on the other cells in it
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
+    cells = [(EstimatorKind.JS, 0.0), (EstimatorKind.ML, 0.5), (EstimatorKind.JS, 2.0)]
+    forward = collect_cells(cells, cfg, stream=5)
+    backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
+    for (kind, theta), a, b in zip(cells, forward, backward):
+        alone = collect_cell_moments(kind, cfg.with_theta(theta), stream=5)
+        assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
 # ---------------------------------------------------------------------------
