@@ -4,108 +4,11 @@ The library simulates k independent unit-variance normal observations,
 compares the maximum-likelihood and James-Stein estimators by mean squared
 error, mean KL divergence, test power, semi-tail standardization, and
 information, and backs a CLI that writes the corresponding batch reports.
-"""
 
-from .assess import (
-    AssessmentReport,
-    SingularCovarianceError,
-    assess,
-    efficiency,
-    lambda_matrix,
-    lambda_scalar_univariate,
-    mkl,
-    mse,
-    mse_with_stderr,
-    scalar_lambda,
-)
-from .estimators import (
-    EstimatorKind,
-    GeneralizedEstimatorCurve,
-    NoCrossingError,
-    ShrinkageDomainError,
-    build_generalized,
-    js_estimate,
-    ml_estimate,
-    shrinkage_factor,
-    zero_crossing,
-)
-from .hyptest import (
-    NullCalibration,
-    NullResolutionError,
-    SemiTailPair,
-    calibrate_null,
-    ml_power_oracle,
-    paired_semitail,
-    power,
-    semitail,
-    test_statistic,
-)
-from .mc import (
-    DEFAULT_SAMPLES,
-    DEFAULT_SEED,
-    SimulationConfig,
-    StreamingMoments,
-    accumulate,
-    cross_covariance,
-    draw_block,
-    draw_sample,
-    tabulate_mean_function,
-)
-from .model import (
-    ModelPoint,
-    SubfamilyPoint,
-    embed,
-    fisher_information,
-    kl,
-    log_density,
-    score,
-)
+The submodules are the API: ``mc`` (draws, moments and sweeps),
+``estimators``, ``assess``, ``hyptest`` and ``cli``.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssessmentReport",
-    "DEFAULT_SAMPLES",
-    "DEFAULT_SEED",
-    "EstimatorKind",
-    "GeneralizedEstimatorCurve",
-    "ModelPoint",
-    "NoCrossingError",
-    "NullCalibration",
-    "NullResolutionError",
-    "SemiTailPair",
-    "ShrinkageDomainError",
-    "SimulationConfig",
-    "SingularCovarianceError",
-    "StreamingMoments",
-    "SubfamilyPoint",
-    "accumulate",
-    "assess",
-    "build_generalized",
-    "calibrate_null",
-    "cross_covariance",
-    "draw_block",
-    "draw_sample",
-    "efficiency",
-    "embed",
-    "fisher_information",
-    "js_estimate",
-    "kl",
-    "lambda_matrix",
-    "lambda_scalar_univariate",
-    "log_density",
-    "mkl",
-    "ml_estimate",
-    "ml_power_oracle",
-    "mse",
-    "mse_with_stderr",
-    "paired_semitail",
-    "power",
-    "scalar_lambda",
-    "score",
-    "semitail",
-    "shrinkage_factor",
-    "tabulate_mean_function",
-    "test_statistic",
-    "zero_crossing",
-]
+from . import assess, estimators, hyptest, mc  # noqa: E402

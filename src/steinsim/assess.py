@@ -42,36 +42,9 @@ def _kind_label(kind) -> str:
         kind, "__name__", repr(kind))
 
 
-def mse(kind: "EstimatorKind | EstimatorFn", theta: float,
-        config: mc.SimulationConfig) -> float:
-    """Monte Carlo estimate of E ||estimate - theta * 1||^2."""
-    return mc.collect_cell_moments(kind, config.with_theta(theta)).mse
-
-
-def mse_with_stderr(kind: "EstimatorKind | EstimatorFn", theta: float,
-                    config: mc.SimulationConfig) -> tuple[float, float]:
-    cell = mc.collect_cell_moments(kind, config.with_theta(theta))
-    return cell.mse, cell.mse_stderr
-
-
-def mkl(kind: "EstimatorKind | EstimatorFn", theta: float,
-        config: mc.SimulationConfig) -> float:
-    """Mean KL divergence from the estimated to the true distribution.
-
-    Uses the family's closed form KL = ||mu1 - mu2||^2 / 2, which makes it
-    exactly half the MSE computed on the same stream.
-    """
-    return 0.5 * mse(kind, theta, config)
-
-
-def lambda_scalar_univariate(mean_slope: float, variance: float) -> float:
-    """Scalar information of a statistic: squared mean slope over variance."""
-    if not variance > 0:
-        raise ValueError("variance must be positive")
-    return mean_slope**2 / variance
-
-
 def _lambda_from_moments(moments: mc.StreamingMoments, kind, theta: float) -> np.ndarray:
+    """Information matrix D^T V^{-1} D of the estimator at theta * 1,
+    symmetrized since sampling noise breaks exact symmetry."""
     v = moments.cov_aa
     d = moments.cov_ab
     v = 0.5 * (v + v.T)
@@ -81,25 +54,6 @@ def _lambda_from_moments(moments: mc.StreamingMoments, kind, theta: float) -> np
         raise SingularCovarianceError(kind, theta, condition)
     lam = d.T @ np.linalg.solve(v, d)
     return 0.5 * (lam + lam.T)
-
-
-def lambda_matrix(kind: "EstimatorKind | EstimatorFn", theta: float,
-                  config: mc.SimulationConfig) -> np.ndarray:
-    """Information matrix D^T V^{-1} D of the estimator at theta * 1.
-
-    Symmetrized before being returned, since sampling noise breaks exact
-    symmetry.
-    """
-    cell = mc.collect_cell_moments(kind, config.with_theta(theta))
-    return _lambda_from_moments(cell.moments, kind, theta)
-
-
-def scalar_lambda(lam: np.ndarray) -> float:
-    """Trace of an information matrix (the sum of its eigenvalues)."""
-    lam = np.asarray(lam, dtype=np.float64)
-    if lam.ndim != 2 or lam.shape[0] != lam.shape[1]:
-        raise ValueError("lambda must be a square matrix")
-    return float(np.trace(lam))
 
 
 def efficiency(lam: np.ndarray, fisher: np.ndarray) -> tuple[np.ndarray, float]:
@@ -163,11 +117,9 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
                    cell: mc.CellMoments, config: mc.SimulationConfig) -> AssessmentReport:
     """Full assessment of one cell from its merged moments.
 
-    ``cell`` must have been collected with ``keep_chunks=True``, since the
-    batch standard error of the scalar information uses the chunk moments.
+    The batch standard error of the scalar information uses the cell's
+    chunk moments.
     """
-    if cell.chunk_moments is None:
-        raise ValueError("the cell's chunk moments were not kept")
     lam = _lambda_from_moments(cell.moments, kind, theta)
     eff, mean_eff = efficiency(lam, np.eye(config.k))
     eigenvalues = np.linalg.eigvalsh(lam)
@@ -177,7 +129,7 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
         theta=float(theta),
         mse=mse_value,
         mse_stderr=cell.mse_stderr,
-        mkl=0.5 * mse_value,
+        mkl=0.5 * mse_value,  # KL = ||mu1 - mu2||^2 / 2 in this family
         lambda_matrix=lam,
         scalar_lambda=float(np.trace(lam)),
         lambda_stderr=_lambda_batch_stderr(cell.chunk_moments, kind, theta),
@@ -190,10 +142,3 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
         seed=config.seed,
     )
 
-
-def assess(kind: "EstimatorKind | EstimatorFn", theta: float,
-           config: mc.SimulationConfig) -> AssessmentReport:
-    """Full assessment of one cell from a single pass over its stream."""
-    cell = mc.collect_cell_moments(kind, config.with_theta(theta),
-                                   keep_chunks=True)
-    return assess_moments(kind, theta, cell, config)

@@ -131,14 +131,10 @@ def build_parser() -> _Parser:
 
 
 def _validate(args) -> None:
-    if args.k < 1:
-        raise UsageError("--k must be a positive integer")
-    if args.samples < 1:
-        raise UsageError("--samples must be a positive integer")
-    if not 0 <= args.seed < 2**64:
-        raise UsageError("--seed must be a 64-bit unsigned integer")
-    if args.workers < 1:
-        raise UsageError("--workers must be a positive integer")
+    try:
+        _config(args)  # checks --k, --samples, --seed and --workers
+    except ValueError as exc:
+        raise UsageError(f"invalid settings: {exc}") from None
     thetas = getattr(args, "theta", None)
     if isinstance(thetas, list):
         if any(not np.isfinite(t) for t in thetas):
@@ -201,13 +197,16 @@ def _render(fmt: str, report: _Report) -> str:
 
 def _emit(args, report: _Report) -> None:
     """Write one report to stdout or to a file plus manifest sidecar."""
-    text = _render(args.format, report)
     if args.output == "-":
-        sys.stdout.write(text)
-        return
-    path = Path(args.output)
-    path.write_text(text)
-    if args.format == "csv":
+        sys.stdout.write(_render(args.format, report))
+    else:
+        _write(Path(args.output), args.format, report)
+
+
+def _write(path: Path, fmt: str, report: _Report) -> None:
+    """Write one report to a file; a CSV gets a JSON manifest sidecar."""
+    path.write_text(_render(fmt, report))
+    if fmt == "csv":
         sidecar = dict(report.manifest)
         sidecar.update(report.extra or {})
         Path(str(path) + ".manifest.json").write_text(
@@ -223,11 +222,11 @@ def _cells(args, thetas) -> dict:
     """Moments of every (estimator, theta) cell from one pass over stream 0."""
     keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in thetas))
     _progress(f"sweeping {len(keys)} estimator cells")
-    return dict(zip(keys, mc.collect_cells(keys, _config(args), keep_chunks=True)))
+    return dict(zip(keys, mc.collect_cells(keys, _config(args))))
 
 
 def _null_statistics(args) -> dict:
-    """Unsorted JS and ML null statistics from one pass over stream 1."""
+    """Ascending JS and ML null statistics from one pass over stream 1."""
     _progress("simulating the js and ml nulls")
     return hyptest.null_statistics_by_kind(
         KINDS, _config(args, theta=hyptest.DEFAULT_MU0))
@@ -382,7 +381,7 @@ def cmd_all(args, t0: float) -> int:
             (out_dir / f"{name}.FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
             _progress(f"{name} FAILED: {exc}")
             continue
-        (out_dir / f"{name}.{args.format}").write_text(_render(args.format, report))
+        _write(out_dir / f"{name}.{args.format}", args.format, report)
         if report.command == "table3":
             (out_dir / "table3_eigenvalues.json").write_text(
                 json.dumps(report.extra["eigenvalue_report"], indent=2) + "\n")

@@ -53,54 +53,11 @@ class NoCrossingError(ValueError):
         )
 
 
-def _as_observation(y) -> np.ndarray:
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("y must be a 1-D vector with at least one entry")
-    return y
+def shrinkage_factor_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
+    """Row-wise multipliers 1 - (k - 2) / ||y||^2 for an (n, k) array.
 
-
-def ml_estimate(y) -> np.ndarray:
-    """Maximum-likelihood estimate of the mean: the observation itself."""
-    return _as_observation(y).copy()
-
-
-def shrinkage_factor(y, k: int | None = None) -> float:
-    """The scalar multiplier 1 - (k - 2) / ||y||^2.
-
-    Negative whenever ||y||^2 < k - 2, in which case shrinkage overshoots
-    the origin and flips every component's sign.
-    """
-    y = _as_observation(y)
-    if k is None:
-        k = y.shape[0]
-    elif k != y.shape[0]:
-        raise ValueError(f"k={k} does not match observation length {y.shape[0]}")
-    norm_sq = float(y @ y)
-    if norm_sq < NORM_SQ_FLOOR:
-        raise ShrinkageDomainError(norm_sq)
-    return 1.0 - (k - 2.0) / norm_sq
-
-
-def js_estimate(y, k: int | None = None) -> np.ndarray:
-    """James-Stein estimate (1 - (k - 2) / ||y||^2) * y.
-
-    The classical risk-dominance guarantee needs k >= 3; smaller k is
-    accepted because the formula stays well defined and is useful in tests.
-    """
-    y = _as_observation(y)
-    return shrinkage_factor(y, k) * y
-
-
-def ml_estimate_batch(y: np.ndarray) -> np.ndarray:
-    """Row-wise ML estimates for an (n, k) observation array."""
-    y = np.asarray(y, dtype=np.float64)
-    return y.copy()
-
-
-def js_estimate_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
-    """Row-wise James-Stein estimates for an (n, k) observation array.
-
+    A factor is negative whenever ||y||^2 < k - 2, in which case shrinkage
+    overshoots the origin and flips every component's sign.
     ``index_offset`` shifts the sample index reported when a row's squared
     norm underflows the shrinkage domain.
     """
@@ -111,8 +68,17 @@ def js_estimate_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
     if bad.any():
         row = int(np.argmax(bad))
         raise ShrinkageDomainError(float(norm_sq[row]), index=index_offset + row)
-    factor = 1.0 - (k - 2.0) / norm_sq
-    return factor[:, None] * y
+    return 1.0 - (k - 2.0) / norm_sq
+
+
+def js_estimate_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
+    """Row-wise James-Stein estimates for an (n, k) observation array.
+
+    The classical risk-dominance guarantee needs k >= 3; smaller k is
+    accepted because the formula stays well defined and is useful in tests.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    return shrinkage_factor_batch(y, index_offset)[:, None] * y
 
 
 EstimatorFn = Callable[[np.ndarray], np.ndarray]
@@ -124,15 +90,22 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
 
     ``kind`` may also be a callable mapping an (n, k) array to an (n, k)
     array, which lets tests push synthetic estimators (e.g. constants)
-    through the same pipelines.
+    through the same pipelines.  A callable that returns NaN or inf fails
+    with the index of the first such sample (``index_offset`` plus its row).
     """
     if kind is EstimatorKind.ML:
-        return ml_estimate_batch(y)
+        return np.array(y, dtype=np.float64)  # the observation itself, copied
     if kind is EstimatorKind.JS:
         return js_estimate_batch(y, index_offset=index_offset)
-    if callable(kind):
-        return np.asarray(kind(np.asarray(y, dtype=np.float64)), dtype=np.float64)
-    raise TypeError(f"unknown estimator kind: {kind!r}")
+    if not callable(kind):
+        raise TypeError(f"unknown estimator kind: {kind!r}")
+    est = np.asarray(kind(np.asarray(y, dtype=np.float64)), dtype=np.float64)
+    finite = np.isfinite(est).all(axis=1)
+    if not finite.all():
+        row = int(np.argmin(finite))
+        raise ValueError(f"estimator returned a non-finite estimate at sample "
+                         f"index {index_offset + row}")
+    return est
 
 
 @dataclass(frozen=True)

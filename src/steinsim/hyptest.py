@@ -18,7 +18,8 @@ statistics of several estimators come from one pass over stream 1, and
 every power cell shares one pass over stream 2, counting exceedances of
 its critical values chunk by chunk.  The last cell of each chunk gets the
 draws with its theta added in place; no cell's result depends on which
-other cells share its pass.
+other cells share its pass.  Each null is sorted once, when its pass
+ends; every calibration built from it reads the sorted values.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mc
-from .estimators import EstimatorKind, estimate_batch
+from .estimators import EstimatorKind, estimate_batch, shrinkage_factor_batch
 
 DEFAULT_MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
@@ -70,19 +71,6 @@ class NullCalibration:
         object.__setattr__(self, "sorted_null", values)
 
 
-def test_statistic(kind: EstimatorKind, y, mu0: float) -> float:
-    """Squared distance between the point estimate and the null mean."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim != 1 or y.size < 1:
-        raise ValueError("y must be a 1-D vector")
-    if not np.isfinite(mu0):
-        raise ValueError("mu0 must be finite")
-    return float(statistics_batch(kind, y[None, :], mu0)[0])
-
-
-test_statistic.__test__ = False  # API name, not a pytest case
-
-
 def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
                      index_offset: int = 0) -> np.ndarray:
     """Row-wise test statistics for an (n, k) observation array."""
@@ -97,17 +85,12 @@ def _statistic_fold(kind: EstimatorKind, mu0: float):
 
 def null_statistics_by_kind(kinds: Sequence[EstimatorKind],
                             config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
-    """Unsorted null statistics of each estimator, from one pass over the
+    """Ascending null statistics of each estimator, from one pass over the
     calibration stream at config.theta."""
     mu0 = config.theta
     columns = mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds],
                        stream=NULL_STREAM)
-    return {kind: np.concatenate(parts) for kind, parts in zip(kinds, columns)}
-
-
-def null_statistics(kind: EstimatorKind, config: mc.SimulationConfig) -> np.ndarray:
-    """Unsorted null-statistic values drawn on the calibration stream."""
-    return null_statistics_by_kind([kind], config)[kind]
+    return {kind: np.sort(np.concatenate(parts)) for kind, parts in zip(kinds, columns)}
 
 
 def alternative_statistics(kind: EstimatorKind, theta_alt: float,
@@ -127,11 +110,12 @@ def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
 def calibration_from_statistics(kind: EstimatorKind, values: np.ndarray,
                                 alphas: Iterable[float], mu0: float,
                                 seed: int) -> NullCalibration:
-    """Build a calibration from raw (unsorted) null-statistic values."""
+    """Build a calibration from ascending null-statistic values, as
+    ``null_statistics_by_kind`` returns them."""
     alphas = [float(a) for a in alphas]
     if not alphas or any(not 0 < a < 1 for a in alphas):
         raise ValueError("significance levels must lie strictly in (0, 1)")
-    values = np.sort(np.asarray(values, dtype=np.float64))
+    values = np.asarray(values, dtype=np.float64)
     if values.size < 100 / min(alphas):
         raise NullResolutionError(
             f"insufficient null resolution: {values.size} samples cannot "
@@ -140,14 +124,6 @@ def calibration_from_statistics(kind: EstimatorKind, values: np.ndarray,
         )
     critical = {a: _critical_value(values, a) for a in alphas}
     return NullCalibration(kind, float(mu0), values, critical, values.size, seed)
-
-
-def calibrate_null(kind: EstimatorKind, config: mc.SimulationConfig,
-                   alphas: Iterable[float] = DEFAULT_ALPHAS) -> NullCalibration:
-    """Simulate the null distribution at config.theta and fix critical values."""
-    return calibration_from_statistics(
-        kind, null_statistics(kind, config), alphas, config.theta, config.seed
-    )
 
 
 def power_table(cells: Sequence[tuple[EstimatorKind, float]],
@@ -190,12 +166,6 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     }
 
 
-def power(kind: EstimatorKind, theta_alt: float, calibration: NullCalibration,
-          config: mc.SimulationConfig) -> dict[float, float]:
-    """Fraction of alternative draws strictly exceeding each critical value."""
-    return power_table([(kind, theta_alt)], {kind: calibration}, config)[kind, theta_alt]
-
-
 def semitail(t, calibration: NullCalibration):
     """Semi-tail value s = -log2(p) with p = (#{null >= t} + 1) / (n + 1).
 
@@ -234,16 +204,14 @@ def paired_semitail(theta_alt: float, n_points: int,
     if n_points < 1:
         raise ValueError("n_points must be positive")
     mu0 = calib_js.mu0
-    k = config.k
-    cfg = mc.SimulationConfig(k=k, theta=theta_alt, n_samples=n_points,
+    cfg = mc.SimulationConfig(k=config.k, theta=theta_alt, n_samples=n_points,
                               seed=config.seed, n_workers=config.n_workers)
     y = mc.map_samples(cfg, lambda block, start: block, stream=PAIR_STREAM)
     t_js = statistics_batch(EstimatorKind.JS, y, mu0)
     t_ml = statistics_batch(EstimatorKind.ML, y, mu0)
     s_js = semitail(t_js, calib_js)
     s_ml = semitail(t_ml, calib_ml)
-    norm_sq = np.einsum("ij,ij->i", y, y)
-    shrink = 1.0 - (k - 2.0) / norm_sq
+    shrink = shrinkage_factor_batch(y)
     return [
         SemiTailPair(i, float(s_js[i]), float(s_ml[i]), float(shrink[i]))
         for i in range(n_points)

@@ -58,7 +58,12 @@ MEAN_FUNCTION_STREAM_BASE = 1000
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """Full determinism contract for one simulation cell."""
+    """Determinism contract of a pass: k, n_samples, seed and n_workers.
+
+    A sweep reads every cell's theta from the cell itself; ``theta`` is the
+    mean of the single-cell passes ``map_samples`` and
+    ``hyptest.null_statistics_by_kind``.
+    """
 
     k: int
     theta: float
@@ -133,14 +138,6 @@ def draw_block(config: SimulationConfig, start: int, count: int,
     return np.add(z, config.theta, out=z)
 
 
-def draw_sample(config: SimulationConfig, index: int,
-                stream: int = 0) -> np.ndarray:
-    """The single observation with the given sample index."""
-    if not 0 <= index < config.n_samples:
-        raise IndexError(f"sample index {index} outside [0, {config.n_samples})")
-    return draw_block(config, index, 1, stream=stream)[0]
-
-
 # ---------------------------------------------------------------------------
 # Streaming moments
 # ---------------------------------------------------------------------------
@@ -148,7 +145,7 @@ def draw_sample(config: SimulationConfig, index: int,
 
 @dataclass(frozen=True)
 class StreamingMoments:
-    """Means and centered cross-product sums of one or two paired streams.
+    """Means and centered cross-product sums of two paired streams.
 
     ``m_aa`` and ``m_ab`` hold sums of centered outer products, so
     covariances are ``m / (count - 1)``.  Merging follows the pairwise
@@ -158,41 +155,35 @@ class StreamingMoments:
     count: int
     mean_a: np.ndarray
     m_aa: np.ndarray
-    mean_b: np.ndarray | None = None
-    m_ab: np.ndarray | None = None
+    mean_b: np.ndarray
+    m_ab: np.ndarray
 
     @classmethod
-    def from_batch(cls, a: np.ndarray, b: np.ndarray | None = None) -> "StreamingMoments":
+    def from_batch(cls, a: np.ndarray, b: np.ndarray) -> "StreamingMoments":
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ValueError("a must be a nonempty (n, k) array")
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim != 2 or b.shape[0] != a.shape[0]:
+            raise ValueError("b must be an (n, m) array paired with a")
         mean_a = a.mean(axis=0)
         ca = a - mean_a
         m_aa = ca.T @ ca
-        mean_b = m_ab = None
-        if b is not None:
-            b = np.asarray(b, dtype=np.float64)
-            if b.ndim != 2 or b.shape[0] != a.shape[0]:
-                raise ValueError("b must be an (n, m) array paired with a")
-            mean_b = b.mean(axis=0)
-            m_ab = ca.T @ (b - mean_b)
+        mean_b = b.mean(axis=0)
+        m_ab = ca.T @ (b - mean_b)
         return cls(a.shape[0], mean_a, m_aa, mean_b, m_ab)
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine with a later block; ``self`` precedes ``other``."""
-        if (self.mean_b is None) != (other.mean_b is None):
-            raise ValueError("cannot merge single-stream with paired moments")
         n = self.count + other.count
         frac = other.count / n
         weight = self.count * frac  # n_a * n_b / n
         da = other.mean_a - self.mean_a
         mean_a = self.mean_a + da * frac
         m_aa = self.m_aa + other.m_aa + np.outer(da, da) * weight
-        mean_b = m_ab = None
-        if self.mean_b is not None:
-            db = other.mean_b - self.mean_b
-            mean_b = self.mean_b + db * frac
-            m_ab = self.m_ab + other.m_ab + np.outer(da, db) * weight
+        db = other.mean_b - self.mean_b
+        mean_b = self.mean_b + db * frac
+        m_ab = self.m_ab + other.m_ab + np.outer(da, db) * weight
         return StreamingMoments(n, mean_a, m_aa, mean_b, m_ab)
 
     def _require_pairs(self) -> None:
@@ -207,38 +198,7 @@ class StreamingMoments:
     @property
     def cov_ab(self) -> np.ndarray:
         self._require_pairs()
-        if self.m_ab is None:
-            raise ValueError("moments were accumulated without a second stream")
         return self.m_ab / (self.count - 1)
-
-
-def accumulate(pairs, block: int = 8192) -> StreamingMoments:
-    """One-pass moments of an iterable of (a, b) vector pairs.
-
-    Buffers ``block`` pairs at a time and merges the buffered moments in
-    arrival order, so the result is deterministic for a given iterable.
-    """
-    total: StreamingMoments | None = None
-    buf_a: list[np.ndarray] = []
-    buf_b: list[np.ndarray] = []
-
-    def flush(total):
-        if not buf_a:
-            return total
-        part = StreamingMoments.from_batch(np.asarray(buf_a), np.asarray(buf_b))
-        buf_a.clear()
-        buf_b.clear()
-        return part if total is None else total.merge(part)
-
-    for a, b in pairs:
-        buf_a.append(np.asarray(a, dtype=np.float64))
-        buf_b.append(np.asarray(b, dtype=np.float64))
-        if len(buf_a) >= block:
-            total = flush(total)
-    total = flush(total)
-    if total is None:
-        raise ValueError("cannot accumulate an empty stream")
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -301,12 +261,13 @@ def map_samples(config: SimulationConfig,
 @dataclass(frozen=True)
 class CellMoments:
     """Moments of (estimate, score) pairs plus squared-error norms for one
-    (estimator, theta) simulation cell, all from a single sample stream."""
+    (estimator, theta) simulation cell, all from a single sample stream.
+    ``chunk_moments`` keeps each chunk's moments, in chunk order."""
 
     moments: StreamingMoments  # a = estimate, b = score
     err_sum: float
     err_sumsq: float
-    chunk_moments: tuple[StreamingMoments, ...] | None = None
+    chunk_moments: tuple[StreamingMoments, ...]
 
     @property
     def count(self) -> int:
@@ -326,8 +287,7 @@ class CellMoments:
 
 
 def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
-                  config: SimulationConfig, stream: int = 0,
-                  keep_chunks: bool = False) -> list[CellMoments]:
+                  config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
     Per-chunk moments are merged in chunk order (Chan, Golub & LeVeque
@@ -351,44 +311,16 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
 
     columns = sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells],
                     stream)
-    return [_merge_cell(parts, keep_chunks) for parts in columns]
+    return [_merge_cell(parts) for parts in columns]
 
 
-def _merge_cell(parts, keep_chunks: bool) -> CellMoments:
+def _merge_cell(parts) -> CellMoments:
     total, err_sum, err_sumsq = parts[0]
     for mom, s1, s2 in parts[1:]:
         total = total.merge(mom)
         err_sum += s1
         err_sumsq += s2
-    return CellMoments(
-        total,
-        err_sum,
-        err_sumsq,
-        tuple(p[0] for p in parts) if keep_chunks else None,
-    )
-
-
-def collect_cell_moments(kind: "EstimatorKind | EstimatorFn",
-                         config: SimulationConfig, stream: int = 0,
-                         keep_chunks: bool = False) -> CellMoments:
-    """One pass over a cell's stream: estimates, scores, error norms."""
-    return collect_cells([(kind, config.theta)], config, stream, keep_chunks)[0]
-
-
-def cross_covariance(kind: "EstimatorKind | EstimatorFn",
-                     config: SimulationConfig, stream: int = 0
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sample Cov(estimate, score), Cov(estimate, estimate), and the mean
-    estimate, all from the same seeded stream.
-
-    The covariance with the score is the derivative-free estimate of the
-    Jacobian of the estimator's mean map (sample counterparts of
-    d E[est_i] / d mu_j), so no numerical differentiation is needed.
-    Covariances use the 1/(n-1) normalization; callers wanting stable
-    results should use at least ~10^4 samples.
-    """
-    cell = collect_cell_moments(kind, config, stream=stream)
-    return cell.moments.cov_ab, cell.moments.cov_aa, cell.moments.mean_a.copy()
+    return CellMoments(total, err_sum, err_sumsq, tuple(p[0] for p in parts))
 
 
 def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
@@ -403,8 +335,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
         raise ValueError("grid must be a nonempty 1-D vector")
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
-        cell_cfg = config.with_theta(float(theta))
-        cell = collect_cell_moments(kind, cell_cfg,
-                                    stream=MEAN_FUNCTION_STREAM_BASE + i)
+        cell, = collect_cells([(kind, float(theta))], config,
+                              stream=MEAN_FUNCTION_STREAM_BASE + i)
         rows[i] = cell.moments.mean_a
     return rows

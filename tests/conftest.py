@@ -1,17 +1,23 @@
 """Shared fixtures: full-scale (N = 10^6) runs are expensive, so null
 calibrations, assessment reports, and power evaluations at the default
-seed are computed once per session."""
+seed are computed once per session, each from one shared pass over its
+stream."""
 
 import pytest
 
-from steinsim import SimulationConfig, calibrate_null, power
-from steinsim.assess import assess
+from steinsim.assess import assess_moments
 from steinsim.estimators import EstimatorKind
-from steinsim.mc import DEFAULT_SEED
+from steinsim.hyptest import (
+    calibration_from_statistics,
+    null_statistics_by_kind,
+    power_table,
+)
+from steinsim.mc import DEFAULT_SEED, SimulationConfig, collect_cells
 
 K = 14
 FULL_N = 1_000_000
 MU0 = 1.25
+KINDS = (EstimatorKind.JS, EstimatorKind.ML)
 ASSESS_THETAS = (0.0, 0.5, 1.25, 2.0, 2.5)
 POWER_THETAS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5)
 ALPHAS = (0.01, 0.05)
@@ -26,25 +32,25 @@ def full_config():
 @pytest.fixture(scope="session")
 def full_calibrations(full_config):
     null_cfg = full_config.with_theta(MU0)
+    nulls = null_statistics_by_kind(KINDS, null_cfg)
     return {
-        kind: calibrate_null(kind, null_cfg, ALPHAS)
-        for kind in (EstimatorKind.JS, EstimatorKind.ML)
+        kind: calibration_from_statistics(kind, nulls[kind], ALPHAS, MU0,
+                                          null_cfg.seed)
+        for kind in KINDS
     }
 
 
 @pytest.fixture(scope="session")
 def full_reports(full_config):
+    keys = [(kind, theta) for kind in KINDS for theta in ASSESS_THETAS]
+    cells = collect_cells(keys, full_config)
     return {
-        (kind, theta): assess(kind, theta, full_config)
-        for kind in (EstimatorKind.JS, EstimatorKind.ML)
-        for theta in ASSESS_THETAS
+        (kind, theta): assess_moments(kind, theta, cell, full_config)
+        for (kind, theta), cell in zip(keys, cells)
     }
 
 
 @pytest.fixture(scope="session")
 def full_powers(full_config, full_calibrations):
-    return {
-        (kind, theta): power(kind, theta, full_calibrations[kind], full_config)
-        for kind in (EstimatorKind.JS, EstimatorKind.ML)
-        for theta in POWER_THETAS
-    }
+    keys = [(kind, theta) for kind in KINDS for theta in POWER_THETAS]
+    return power_table(keys, full_calibrations, full_config)

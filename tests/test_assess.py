@@ -1,20 +1,9 @@
 import numpy as np
 import pytest
 
-from steinsim import (
-    SimulationConfig,
-    SingularCovarianceError,
-    efficiency,
-    fisher_information,
-    lambda_matrix,
-    lambda_scalar_univariate,
-    mkl,
-    mse,
-    mse_with_stderr,
-    scalar_lambda,
-)
-from steinsim.assess import assess
+from steinsim.assess import SingularCovarianceError, assess_moments, efficiency
 from steinsim.estimators import EstimatorKind
+from steinsim.mc import SimulationConfig, collect_cells
 
 
 def _cfg(n=100_000, seed=42, workers=1):
@@ -22,29 +11,14 @@ def _cfg(n=100_000, seed=42, workers=1):
                             n_workers=workers)
 
 
-def test_lambda_scalar_univariate_unbiased_case():
-    # slope 1 collapses to the reciprocal-variance rule
-    assert lambda_scalar_univariate(1.0, 0.25) == pytest.approx(4.0)
-
-
-def test_lambda_scalar_univariate_constant_statistic():
-    assert lambda_scalar_univariate(0.0, 3.0) == 0.0
-
-
-def test_lambda_scalar_univariate_score_attains_fisher():
-    # the score of a unit-variance normal mean: slope 1, variance 1
-    assert lambda_scalar_univariate(1.0, 1.0) == 1.0
-
-
-def test_lambda_scalar_univariate_rejects_bad_variance():
-    with pytest.raises(ValueError):
-        lambda_scalar_univariate(1.0, 0.0)
-    with pytest.raises(ValueError):
-        lambda_scalar_univariate(1.0, -2.0)
+def _assess(kind, theta, cfg):
+    cell, = collect_cells([(kind, theta)], cfg)
+    return assess_moments(kind, theta, cell, cfg)
 
 
 def test_ml_mse_matches_dimension():
-    value, stderr = mse_with_stderr(EstimatorKind.ML, 0.7, _cfg())
+    cell, = collect_cells([(EstimatorKind.ML, 0.7)], _cfg())
+    value, stderr = cell.mse, cell.mse_stderr
     assert abs(value - 14.0) <= 3 * stderr
     assert value == pytest.approx(14.0, abs=0.1)
 
@@ -53,31 +27,24 @@ def test_mkl_is_half_mse_bitwise():
     cfg = _cfg(n=50_000)
     for kind in (EstimatorKind.ML, EstimatorKind.JS):
         for theta in (0.0, 1.25):
-            assert mkl(kind, theta, cfg) == mse(kind, theta, cfg) / 2.0
+            cell, = collect_cells([(kind, theta)], cfg)
+            assert assess_moments(kind, theta, cell, cfg).mkl == cell.mse / 2.0
 
 
 def test_ml_mkl_value():
-    assert mkl(EstimatorKind.ML, 1.25, _cfg()) == pytest.approx(7.0, abs=0.05)
+    assert _assess(EstimatorKind.ML, 1.25, _cfg()).mkl == pytest.approx(7.0, abs=0.05)
 
 
-def test_lambda_matrix_ml_attains_fisher_information():
-    cfg = SimulationConfig(k=14, theta=1.25, n_samples=1_000_000, seed=42,
-                           n_workers=2)
-    lam = lambda_matrix(EstimatorKind.ML, 1.25, cfg)
+def test_lambda_matrix_ml_attains_fisher_information(full_reports):
+    # k = 14, N = 10^6, seed 42, 2 workers, theta = 1.25 on stream 0
+    lam = full_reports[EstimatorKind.ML, 1.25].lambda_matrix
     assert np.abs(lam - np.eye(14)).max() <= 0.01
 
 
 def test_lambda_matrix_constant_estimator_is_singular():
     with pytest.raises(SingularCovarianceError) as err:
-        lambda_matrix(lambda y: np.full_like(y, 2.0), 0.5, _cfg(n=20_000))
+        _assess(lambda y: np.full_like(y, 2.0), 0.5, _cfg(n=20_000))
     assert "theta=0.5" in str(err.value)
-
-
-def test_scalar_lambda_is_the_exact_trace():
-    lam = np.arange(16.0).reshape(4, 4)
-    assert scalar_lambda(lam) == np.trace(lam)
-    with pytest.raises(ValueError):
-        scalar_lambda(np.ones((2, 3)))
 
 
 def test_efficiency_with_identity_fisher_is_lambda():
@@ -143,14 +110,8 @@ def test_js_scalar_information_increases_with_theta(full_reports):
 
 
 def test_assess_accepts_custom_estimators():
-    report = assess(lambda y: 0.5 * y, 0.7, _cfg(n=20_000))
+    report = _assess(lambda y: 0.5 * y, 0.7, _cfg(n=20_000))
     # halving the data halves the slope and quarters the variance, so the
     # information matrix stays at the identity
     assert np.abs(report.lambda_matrix - np.eye(14)).max() <= 0.05
     assert report.estimator is None
-
-
-def test_fisher_information_helper_feeds_efficiency():
-    lam = np.eye(14) * 0.5
-    eff, mean_eff = efficiency(lam, fisher_information(14))
-    assert mean_eff == pytest.approx(0.5)

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from steinsim import cli, mc
+import steinsim
+from steinsim import assess, cli, estimators, hyptest, mc
 from steinsim.cli import main
 
 SMALL = ["--samples", "30000", "--seed", "42"]
@@ -133,6 +134,8 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["figure", "--theta", "2", "--points", "0"])[0] == 1
     assert run(capsys, ["table2", "--alpha", "1.5"])[0] == 1
     assert run(capsys, ["table1", "--k", "0"])[0] == 1
+    assert run(capsys, ["table1", "--seed", "-1"])[0] == 1
+    assert run(capsys, ["table1", "--workers", "0"])[0] == 1
     assert run(capsys, ["no-such-command"])[0] == 1
     assert run(capsys, ["figure"])[0] == 1  # --theta is required
 
@@ -168,12 +171,26 @@ def test_all_writes_six_data_files_and_manifest(tmp_path, capsys):
     out_dir = tmp_path / "run"
     code, _, _ = run(capsys, ["all", *SMALL, "--output", str(out_dir)])
     assert code == 0
-    for name in DATA_FILES:
-        assert (out_dir / name).exists(), name
+    sidecars = {f"{name}.manifest.json" for name in DATA_FILES if name.endswith(".csv")}
+    assert {p.name for p in out_dir.iterdir()} == {*DATA_FILES, "manifest.json", *sidecars}
+    assert len(sidecars) == 5
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["command"] == "all"
     assert manifest["failures"] == []
-    assert len(list(out_dir.iterdir())) == 7
+    # each CSV's sidecar records the parameters of its own report
+    expected = {
+        "table1": (list(cli.TABLE1_THETAS), None),
+        "table2": (list(cli.TABLE2_THETAS), [0.01, 0.05]),
+        "table3": (list(cli.TABLE3_THETAS), None),
+        "figure_theta_0.5": ([0.5], None),
+        "figure_theta_2": ([2.0], None),
+    }
+    for name, (thetas, alphas) in expected.items():
+        sidecar = json.loads((out_dir / f"{name}.csv.manifest.json").read_text())
+        assert (sidecar["command"], sidecar["thetas"], sidecar["alphas"]) == (
+            name.split("_")[0], thetas, alphas), name
+    assert json.loads((out_dir / "table3.csv.manifest.json").read_text())[
+        "eigenvalue_report"] == json.loads((out_dir / "table3_eigenvalues.json").read_text())
 
 
 def test_all_rerun_is_byte_identical(tmp_path, capsys):
@@ -222,8 +239,6 @@ def test_all_marks_failed_steps_and_exits_2(tmp_path, capsys):
 
 def test_all_singular_covariance_fails_table3_only(tmp_path, monkeypatch, capsys):
     # table1 and table3 share the stream-0 cells; only table3 inverts V
-    assess = sys.modules["steinsim.assess"]  # the package re-exports a function of that name
-
     def singular(moments, kind, theta):
         raise assess.SingularCovarianceError(kind, theta, float("inf"))
 
@@ -311,3 +326,17 @@ def test_importing_the_cli_does_not_load_scipy_stats():
                             text=True, check=True, timeout=60,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == "False"
+
+
+def test_package_attributes_are_the_submodules():
+    for name, module in (("assess", assess), ("mc", mc), ("hyptest", hyptest),
+                         ("estimators", estimators)):
+        assert getattr(steinsim, name) is module is sys.modules[f"steinsim.{name}"]
+    # and so right after a bare `import steinsim`, in a fresh interpreter
+    probe = ("import steinsim; print([type(getattr(steinsim, n)).__name__ for n in "
+             "('assess', 'mc', 'hyptest', 'estimators')])")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    assert result.stdout.strip() == str(["module"] * 4)

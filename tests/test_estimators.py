@@ -3,75 +3,93 @@ import math
 import numpy as np
 import pytest
 
-from steinsim import (
+from steinsim.estimators import (
     EstimatorKind,
     GeneralizedEstimatorCurve,
     NoCrossingError,
     ShrinkageDomainError,
-    SimulationConfig,
     build_generalized,
-    js_estimate,
-    ml_estimate,
-    shrinkage_factor,
-    tabulate_mean_function,
+    estimate_batch,
+    js_estimate_batch,
+    shrinkage_factor_batch,
     zero_crossing,
 )
-from steinsim.estimators import estimate_batch, js_estimate_batch
-from steinsim.mc import cross_covariance, draw_sample
+from steinsim.mc import (
+    CHUNK_SAMPLES,
+    SimulationConfig,
+    collect_cells,
+    draw_block,
+    tabulate_mean_function,
+)
+
+
+def _ml_estimate(y):
+    return estimate_batch(EstimatorKind.ML, np.asarray(y, dtype=np.float64)[None])[0]
+
+
+def _js_estimate(y):
+    return js_estimate_batch(np.asarray(y, dtype=np.float64)[None])[0]
+
+
+def _js_formula(y):
+    """(1 - (k - 2) / ||y||^2) * y, written out for one observation."""
+    k = len(y)
+    return (1.0 - (k - 2.0) / float(y @ y)) * y
+
+
+def _shrinkage_factor(y):
+    return float(shrinkage_factor_batch(y[None])[0])
 
 
 def test_ml_estimate_is_the_observation():
-    assert np.array_equal(ml_estimate(np.zeros(3)), np.zeros(3))
+    assert np.array_equal(_ml_estimate(np.zeros(3)), np.zeros(3))
     y = np.array([1.1, -0.3])
-    assert np.array_equal(ml_estimate(y), y)
+    assert np.array_equal(_ml_estimate(y), y)
 
 
 def test_ml_estimate_returns_a_copy():
-    y = np.array([1.0, 2.0])
-    est = ml_estimate(y)
-    est[0] = 99.0
-    assert y[0] == 1.0
+    y = np.array([[1.0, 2.0]])
+    est = estimate_batch(EstimatorKind.ML, y)
+    est[0, 0] = 99.0
+    assert y[0, 0] == 1.0
 
 
 def test_ml_estimate_is_unbiased_monte_carlo():
     # law-of-large-numbers oracle at the default scale
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=1_000_000, seed=11, n_workers=2)
-    _, _, mean_est = cross_covariance(EstimatorKind.ML, cfg)
+    cell, = collect_cells([(EstimatorKind.ML, 1.25)], cfg)
+    mean_est = cell.moments.mean_a
     assert np.abs(mean_est - 1.25).max() <= 0.004
 
 
 def test_shrinkage_factor_zero_at_k_minus_2():
     y = np.zeros(14)
     y[0] = math.sqrt(12.0)
-    assert shrinkage_factor(y) == pytest.approx(0.0, abs=1e-12)
+    assert _shrinkage_factor(y) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_shrinkage_factor_negative_regime():
     y = np.zeros(14)
     y[0] = math.sqrt(6.0)
-    assert shrinkage_factor(y, 14) == pytest.approx(-1.0, abs=1e-12)
-
-
-def test_shrinkage_factor_k_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        shrinkage_factor(np.ones(5), 14)
+    assert _shrinkage_factor(y) == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_js_estimate_zero_when_factor_vanishes():
     y = np.full(14, math.sqrt(12.0 / 14.0))
-    assert np.allclose(js_estimate(y), 0.0, atol=1e-12)
+    assert np.allclose(_js_estimate(y), 0.0, atol=1e-12)
+    assert np.allclose(_js_estimate(y), _js_formula(y), atol=1e-12)
 
 
 def test_js_estimate_halves_at_double_norm():
     y = np.full(14, math.sqrt(24.0 / 14.0))
-    assert np.allclose(js_estimate(y, 14), y / 2.0, atol=1e-12)
+    assert np.allclose(_js_estimate(y), y / 2.0, atol=1e-12)
 
 
 def test_js_estimate_flips_all_signs_inside_the_ball():
     rng = np.random.default_rng(3)
     y = rng.normal(size=14)
     y *= math.sqrt(6.0) / np.linalg.norm(y)  # ||y||^2 = 6 < k - 2
-    est = js_estimate(y)
+    est = _js_estimate(y)
     assert np.all(np.sign(est) == -np.sign(y))
 
 
@@ -79,9 +97,10 @@ def test_js_estimate_is_a_scalar_multiple_of_y():
     rng = np.random.default_rng(4)
     for _ in range(25):
         y = rng.normal(size=9) * rng.uniform(0.1, 5)
-        est = js_estimate(y)
-        factor = shrinkage_factor(y)
+        est = _js_estimate(y)
+        factor = _shrinkage_factor(y)
         assert np.allclose(est, factor * y, rtol=1e-14)
+        assert np.allclose(est, _js_formula(y), rtol=1e-14)
         # strict contraction whenever the factor is inside (0, 1)
         if 0 < factor < 1:
             assert np.linalg.norm(est) < np.linalg.norm(y)
@@ -90,14 +109,14 @@ def test_js_estimate_is_a_scalar_multiple_of_y():
 def test_js_estimate_small_k_still_defined():
     # dominance needs k >= 3, but the formula itself is fine below that:
     # k = 1 gives factor 1 - (-1)/4 = 1.25
-    assert np.allclose(js_estimate(np.array([2.0])), np.array([2.5]))
+    assert np.allclose(_js_estimate(np.array([2.0])), np.array([2.5]))
 
 
 def test_js_domain_error_at_zero():
     with pytest.raises(ShrinkageDomainError):
-        js_estimate(np.zeros(14))
+        _js_estimate(np.zeros(14))
     with pytest.raises(ShrinkageDomainError):
-        shrinkage_factor(np.full(14, 1e-160))  # squared norm underflows the guard
+        _shrinkage_factor(np.full(14, 1e-160))  # squared norm underflows the guard
 
 
 def test_js_batch_matches_single_and_reports_index():
@@ -105,7 +124,7 @@ def test_js_batch_matches_single_and_reports_index():
     y = rng.normal(size=(40, 14))
     batch = js_estimate_batch(y)
     for i in (0, 17, 39):
-        assert np.allclose(batch[i], js_estimate(y[i]), rtol=1e-14)
+        assert np.allclose(batch[i], _js_formula(y[i]), rtol=1e-14)
     y[23] = 0.0
     with pytest.raises(ShrinkageDomainError) as err:
         js_estimate_batch(y, index_offset=1000)
@@ -120,6 +139,25 @@ def test_estimate_batch_dispatch():
     assert np.all(const == 1.0)
     with pytest.raises(TypeError):
         estimate_batch("nope", y)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_custom_estimate_fails_with_its_sample_index(bad):
+    # one bad row in the second chunk of a 70,000-sample cell (one worker,
+    # so chunks arrive in order): the error names its absolute index
+    calls = []
+
+    def poisoned(y):
+        calls.append(len(y))
+        est = y.copy()
+        if len(calls) == 2:
+            est[10, 1] = bad
+        return est
+
+    cfg = SimulationConfig(k=4, theta=0.0, n_samples=70_000, seed=3)
+    with pytest.raises(ValueError, match=f"sample index {CHUNK_SAMPLES + 10}$"):
+        collect_cells([(poisoned, 0.0)], cfg)
+    assert calls == [CHUNK_SAMPLES, 70_000 - CHUNK_SAMPLES]
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +245,7 @@ def test_ml_subfamily_curve_recovers_the_sample_mean():
     cfg = SimulationConfig(k=k, theta=2.0, n_samples=200_000, seed=21)
     grid = np.arange(1.0, 3.0 + 1e-9, 0.05)
     mean_fn = tabulate_mean_function(EstimatorKind.ML, grid, cfg).mean(axis=1)
-    y = draw_sample(cfg, 0)
+    y = draw_block(cfg, 0, 1)[0]
     curve = build_generalized(lambda v: float(v.mean()), y, grid, mean_fn,
                               provenance=f"seed={cfg.seed} n={cfg.n_samples}")
     assert abs(zero_crossing(curve) - y.mean()) <= 0.02
@@ -221,8 +259,8 @@ def test_js_component_curve_from_tabulated_means():
     grid = np.arange(0.0, 2.5 + 1e-9, 0.25)
     mean_fn = tabulate_mean_function(EstimatorKind.JS, grid, cfg)[:, 0]
     assert np.all(np.diff(mean_fn) > 0)
-    y = draw_sample(cfg, 3)
-    curve = build_generalized(lambda v: float(js_estimate(v)[0]), y, grid, mean_fn)
+    y = draw_block(cfg, 3, 1)[0]
+    curve = build_generalized(lambda v: float(_js_estimate(v)[0]), y, grid, mean_fn)
     assert np.all(np.diff(curve.values) < 0)
     crossing = zero_crossing(curve)
     assert 0.0 <= crossing <= 2.5

@@ -4,49 +4,46 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from steinsim import (
-    NullCalibration,
-    NullResolutionError,
-    SimulationConfig,
-    calibrate_null,
-    ml_power_oracle,
-    paired_semitail,
-    power,
-    semitail,
-    test_statistic,
-)
 from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import (
     DEFAULT_MU0,
+    NullCalibration,
+    NullResolutionError,
     alternative_statistics,
     calibration_from_statistics,
-    null_statistics,
+    ml_power_oracle,
     null_statistics_by_kind,
+    paired_semitail,
     power_table,
+    semitail,
+    statistics_batch,
 )
+from steinsim.mc import SimulationConfig
 
 JS, ML = EstimatorKind.JS, EstimatorKind.ML
 
 
+def _statistic(kind, y, mu0):
+    return float(statistics_batch(kind, y[None], mu0)[0])
+
+
+def _calibrate_null(kind, config, alphas):
+    nulls = null_statistics_by_kind([kind], config)[kind]
+    return calibration_from_statistics(kind, nulls, alphas, config.theta, config.seed)
+
+
 def test_statistic_vanishes_at_the_null_for_ml():
-    assert test_statistic(ML, np.full(14, 1.25), 1.25) == 0.0
+    assert _statistic(ML, np.full(14, 1.25), 1.25) == 0.0
 
 
 def test_statistic_ml_arithmetic():
-    assert test_statistic(ML, np.full(14, 2.0), 1.25) == pytest.approx(7.875, abs=1e-12)
+    assert _statistic(ML, np.full(14, 2.0), 1.25) == pytest.approx(7.875, abs=1e-12)
 
 
 def test_statistic_js_through_the_zero_estimate():
     # squared norm k - 2 shrinks the estimate to zero, leaving k * mu0^2
     y = np.full(14, math.sqrt(12.0 / 14.0))
-    assert test_statistic(JS, y, 1.25) == pytest.approx(21.875, abs=1e-10)
-
-
-def test_statistic_input_checks():
-    with pytest.raises(ValueError):
-        test_statistic(ML, np.ones((2, 2)), 1.25)
-    with pytest.raises(ValueError):
-        test_statistic(ML, np.ones(3), np.inf)
+    assert _statistic(JS, y, 1.25) == pytest.approx(21.875, abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -80,15 +77,15 @@ def test_js_critical_values_finite_positive(full_calibrations):
 def test_insufficient_null_resolution():
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=5000, seed=1)
     with pytest.raises(NullResolutionError, match="insufficient null resolution"):
-        calibrate_null(ML, cfg, alphas=(0.01, 0.05))
+        _calibrate_null(ML, cfg, alphas=(0.01, 0.05))
 
 
 def test_calibration_rejects_bad_alphas():
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=20_000, seed=1)
     with pytest.raises(ValueError):
-        calibrate_null(ML, cfg, alphas=(0.0,))
+        _calibrate_null(ML, cfg, alphas=(0.0,))
     with pytest.raises(ValueError):
-        calibrate_null(ML, cfg, alphas=())
+        _calibrate_null(ML, cfg, alphas=())
 
 
 def test_calibration_validates_sorted_null():
@@ -110,7 +107,7 @@ def test_power_at_the_null_equals_alpha(full_powers):
 
 def test_power_requires_matching_calibration(full_calibrations, full_config):
     with pytest.raises(ValueError, match="calibration is for"):
-        power(ML, 2.0, full_calibrations[JS], full_config)
+        power_table([(ML, 2.0)], {ML: full_calibrations[JS]}, full_config)
 
 
 def test_ml_power_is_symmetric_about_the_null(full_powers):
@@ -260,7 +257,7 @@ def test_power_and_semitail_invariant_under_increasing_maps():
     n = 100_000
     cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=n, seed=42)
     for kind in (JS, ML):
-        nulls = null_statistics(kind, cfg)
+        nulls = null_statistics_by_kind([kind], cfg)[kind]
         alt = alternative_statistics(kind, 2.0, cfg)
         calib = calibration_from_statistics(kind, nulls, (0.01, 0.05),
                                             DEFAULT_MU0, cfg.seed)
@@ -286,7 +283,8 @@ def test_shared_passes_match_one_cell_passes_bitwise():
     nulls = null_statistics_by_kind([JS, ML], cfg)
     calibrations = {}
     for kind in (JS, ML):
-        assert np.array_equal(nulls[kind], null_statistics(kind, cfg))
+        assert np.array_equal(nulls[kind], null_statistics_by_kind([kind], cfg)[kind])
+        assert np.all(np.diff(nulls[kind]) >= 0)
         calibrations[kind] = calibration_from_statistics(
             kind, nulls[kind], (0.01, 0.05), DEFAULT_MU0, cfg.seed)
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 1.25, 2.5)]
@@ -296,4 +294,5 @@ def test_shared_passes_match_one_cell_passes_bitwise():
         expected = {alpha: float((alt > crit).mean())
                     for alpha, crit in calibrations[kind].critical_values.items()}
         assert table[kind, theta] == expected
-        assert power(kind, theta, calibrations[kind], cfg) == expected
+        alone = power_table([(kind, theta)], {kind: calibrations[kind]}, cfg)
+        assert alone[kind, theta] == expected

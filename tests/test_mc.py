@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from steinsim import SimulationConfig, StreamingMoments, accumulate
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from steinsim.estimators import EstimatorKind
 from steinsim.mc import (
     CHUNK_SAMPLES,
-    collect_cell_moments,
+    SimulationConfig,
+    StreamingMoments,
     collect_cells,
-    cross_covariance,
     draw_block,
-    draw_sample,
     map_samples,
     standard_normal_block,
     tabulate_mean_function,
@@ -24,6 +25,24 @@ def _cfg(**kw):
     return SimulationConfig(**base)
 
 
+def _draw_sample(config, index, stream=0):
+    return draw_block(config, index, 1, stream)[0]
+
+
+def _cell(kind, config, stream=0):
+    cell, = collect_cells([(kind, config.theta)], config, stream)
+    return cell
+
+
+def _accumulate(a, b, block):
+    """Moments of paired rows, merged block by block in row order."""
+    total = StreamingMoments.from_batch(a[:block], b[:block])
+    for start in range(block, len(a), block):
+        total = total.merge(StreamingMoments.from_batch(a[start:start + block],
+                                                        b[start:start + block]))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Determinism
 # ---------------------------------------------------------------------------
@@ -31,22 +50,22 @@ def _cfg(**kw):
 
 def test_same_seed_and_index_give_identical_draws():
     cfg = _cfg()
-    a = draw_sample(cfg, 12345)
-    b = draw_sample(cfg, 12345)
+    a = _draw_sample(cfg, 12345)
+    b = _draw_sample(cfg, 12345)
     assert np.array_equal(a, b)
 
 
 def test_different_indices_and_streams_differ():
     cfg = _cfg()
-    assert not np.array_equal(draw_sample(cfg, 0), draw_sample(cfg, 1))
-    assert not np.array_equal(draw_sample(cfg, 0, stream=0), draw_sample(cfg, 0, stream=1))
+    assert not np.array_equal(_draw_sample(cfg, 0), _draw_sample(cfg, 1))
+    assert not np.array_equal(_draw_sample(cfg, 0, stream=0), _draw_sample(cfg, 0, stream=1))
 
 
 def test_draws_do_not_depend_on_block_boundaries():
     cfg = _cfg()
     whole = draw_block(cfg, 1000, 50)
     for index in (1000, 1017, 1049):
-        assert np.array_equal(draw_sample(cfg, index), whole[index - 1000])
+        assert np.array_equal(_draw_sample(cfg, index), whole[index - 1000])
     split = np.concatenate([draw_block(cfg, 1000, 13), draw_block(cfg, 1013, 37)])
     assert np.array_equal(whole, split)
 
@@ -56,15 +75,15 @@ def test_block_straddling_chunk_sized_offsets():
     start = CHUNK_SAMPLES - 2
     blk = draw_block(cfg, start, 4)
     for j in range(4):
-        assert np.array_equal(blk[j], draw_sample(cfg, start + j))
+        assert np.array_equal(blk[j], _draw_sample(cfg, start + j))
 
 
 def test_index_out_of_range():
     cfg = _cfg(n_samples=100)
     with pytest.raises(IndexError):
-        draw_sample(cfg, 100)
+        draw_block(cfg, 100, 1)
     with pytest.raises(IndexError):
-        draw_sample(cfg, -1)
+        draw_block(cfg, -1, 1)
     with pytest.raises(IndexError):
         draw_block(cfg, 90, 11)
 
@@ -75,8 +94,7 @@ def test_results_identical_across_worker_counts():
     for workers in (1, 2, 8):
         cfg = _cfg(n_workers=workers)
         stats[workers] = map_samples(cfg, lambda y, s: y.sum(axis=1), stream=9)
-        cell = collect_cell_moments(EstimatorKind.JS, cfg)
-        moments[workers] = cell
+        moments[workers] = _cell(EstimatorKind.JS, cfg)
     for workers in (2, 8):
         assert np.array_equal(stats[1], stats[workers])
         assert np.array_equal(moments[1].moments.mean_a, moments[workers].moments.mean_a)
@@ -149,32 +167,32 @@ def test_normals_are_inside_the_open_interval():
 
 
 def test_accumulate_identical_pairs_has_zero_covariance():
-    a = np.array([1.0, -2.0, 3.0])
-    moments = accumulate((a, a) for _ in range(10))
+    a = np.tile([1.0, -2.0, 3.0], (10, 1))
+    moments = _accumulate(a, a, block=4)
     assert np.array_equal(moments.cov_aa, np.zeros((3, 3)))
     assert np.array_equal(moments.cov_ab, np.zeros((3, 3)))
 
 
 def test_accumulate_equal_streams_share_covariance():
     rng = np.random.default_rng(8)
-    rows = [rng.normal(size=4) for _ in range(500)]
-    moments = accumulate((r, r) for r in rows)
+    rows = rng.normal(size=(500, 4))
+    moments = _accumulate(rows, rows, block=64)
     assert np.allclose(moments.cov_ab, moments.cov_aa, rtol=1e-12, atol=1e-12)
 
 
 def test_accumulate_needs_two_samples_for_covariance():
-    moments = accumulate([(np.ones(2), np.ones(2))])
+    moments = StreamingMoments.from_batch(np.ones((1, 2)), np.ones((1, 2)))
     with pytest.raises(ValueError, match="at least two"):
         _ = moments.cov_aa
     with pytest.raises(ValueError):
-        accumulate([])
+        StreamingMoments.from_batch(np.ones((0, 2)), np.ones((0, 2)))
 
 
 def test_accumulate_matches_direct_covariance():
     rng = np.random.default_rng(9)
     a = rng.normal(size=(5000, 3))
     b = rng.normal(size=(5000, 2)) + 0.5 * a[:, :2]
-    moments = accumulate(zip(a, b))
+    moments = _accumulate(a, b, block=512)
     direct = np.cov(a, rowvar=False)
     assert np.allclose(moments.cov_aa, direct, rtol=1e-9)
     cross = np.cov(np.hstack([a, b]), rowvar=False)[:3, 3:]
@@ -194,11 +212,31 @@ def test_merge_of_halves_matches_full_accumulation():
         assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
-def test_merge_rejects_mismatched_shapes():
-    a_only = StreamingMoments.from_batch(np.ones((3, 2)))
-    paired = StreamingMoments.from_batch(np.ones((3, 2)), np.ones((3, 2)))
-    with pytest.raises(ValueError):
-        a_only.merge(paired)
+# Tolerance fixed before the property was written: float64 sums over at most
+# 400 rows of entries below 1e3 in magnitude.
+MERGE_RTOL, MERGE_ATOL = 1e-9, 1e-9
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 400), cuts=st.lists(st.floats(0, 1), min_size=1, max_size=6),
+       seed=st.integers(0, 2**32 - 1), shift=st.floats(-500, 500))
+def test_merge_of_any_in_order_partition_matches_one_batch(n, cuts, seed, shift):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 3)) * 2.0 + shift
+    b = rng.normal(size=(n, 2)) + 0.3 * a[:, :2]
+    bounds = sorted({int(c * (n - 2)) + 1 for c in cuts})  # inside [1, n - 1]
+    edges = [0, *bounds, n]
+    parts = [StreamingMoments.from_batch(a[lo:hi], b[lo:hi])
+             for lo, hi in zip(edges, edges[1:])]
+    assert len(parts) >= 2
+    merged = parts[0]
+    for part in parts[1:]:
+        merged = merged.merge(part)
+    whole = StreamingMoments.from_batch(a, b)
+    assert merged.count == whole.count == n
+    for attr in ("mean_a", "mean_b", "m_aa", "m_ab"):
+        np.testing.assert_allclose(getattr(merged, attr), getattr(whole, attr),
+                                   rtol=MERGE_RTOL, atol=MERGE_ATOL)
 
 
 def test_sample_covariance_is_positive_semidefinite():
@@ -215,7 +253,8 @@ def test_score_cross_covariance_is_identity():
     # Cov(y, y - mu) has identity covariance under the model
     n = 1_000_000
     cfg = SimulationConfig(k=14, theta=0.5, n_samples=n, seed=15, n_workers=2)
-    d, v, mean_est = cross_covariance(EstimatorKind.ML, cfg)
+    moments = _cell(EstimatorKind.ML, cfg).moments
+    d, v, mean_est = moments.cov_ab, moments.cov_aa, moments.mean_a
     assert np.abs(d - np.eye(14)).max() <= 0.01
     assert np.abs(v - np.eye(14)).max() <= 0.01
     assert np.abs(mean_est - 0.5).max() <= 0.005
@@ -223,7 +262,8 @@ def test_score_cross_covariance_is_identity():
 
 def test_cross_covariance_constant_estimator_is_degenerate():
     cfg = _cfg(n_samples=10_000)
-    d, v, mean_est = cross_covariance(lambda y: np.full_like(y, 2.0), cfg)
+    moments = _cell(lambda y: np.full_like(y, 2.0), cfg).moments
+    d, v, mean_est = moments.cov_ab, moments.cov_aa, moments.mean_a
     assert np.array_equal(d, np.zeros((14, 14)))
     assert np.array_equal(v, np.zeros((14, 14)))
     assert np.all(mean_est == 2.0)
@@ -231,13 +271,11 @@ def test_cross_covariance_constant_estimator_is_degenerate():
 
 def test_cell_moments_error_norms():
     cfg = _cfg(n_samples=50_000)
-    cell = collect_cell_moments(EstimatorKind.ML, cfg)
+    cell = _cell(EstimatorKind.ML, cfg)
     # E||y - mu||^2 = k for the ML estimator
     assert cell.mse == pytest.approx(14.0, abs=0.15)
     assert 0.0 < cell.mse_stderr < 0.1
-    chunked = collect_cell_moments(EstimatorKind.ML, cfg, keep_chunks=True)
-    assert chunked.chunk_moments is not None
-    assert sum(m.count for m in chunked.chunk_moments) == 50_000
+    assert sum(m.count for m in cell.chunk_moments) == 50_000
 
 
 def _same_cell(a, b):
@@ -257,7 +295,7 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
     forward = collect_cells(cells, cfg, stream=5)
     backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = collect_cell_moments(kind, cfg.with_theta(theta), stream=5)
+        alone = _cell(kind, cfg.with_theta(theta), stream=5)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
