@@ -74,6 +74,10 @@ class NullCalibration:
 def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
                      index_offset: int = 0) -> np.ndarray:
     """Row-wise test statistics for an (n, k) observation array."""
+    if np.ndim(y) != 2:
+        raise ValueError("y must be an (n, k) array")
+    if not np.isfinite(mu0):
+        raise ValueError("mu0 must be finite")
     est = estimate_batch(kind, y, index_offset=index_offset)
     diff = est - mu0
     return np.einsum("ij,ij->i", diff, diff)

@@ -175,6 +175,8 @@ class StreamingMoments:
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine with a later block; ``self`` precedes ``other``."""
+        if self.m_ab.shape != other.m_ab.shape:
+            raise ValueError("cannot merge moments of different shapes")
         n = self.count + other.count
         frac = other.count / n
         weight = self.count * frac  # n_a * n_b / n

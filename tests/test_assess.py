@@ -3,7 +3,7 @@ import pytest
 
 from steinsim.assess import SingularCovarianceError, assess_moments, efficiency
 from steinsim.estimators import EstimatorKind
-from steinsim.mc import SimulationConfig, collect_cells
+from steinsim.mc import CellMoments, SimulationConfig, StreamingMoments, collect_cells
 
 
 def _cfg(n=100_000, seed=42, workers=1):
@@ -14,6 +14,39 @@ def _cfg(n=100_000, seed=42, workers=1):
 def _assess(kind, theta, cfg):
     cell, = collect_cells([(kind, theta)], cfg)
     return assess_moments(kind, theta, cell, cfg)
+
+
+def _report_from_covariances(d, v):
+    """Report of a cell whose covariances are exactly D = Cov(est, score)
+    and V = Cov(est): with two samples the sums equal the covariances."""
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    k = d.shape[0]
+    moments = StreamingMoments(2, np.zeros(k), v, np.zeros(k), d)
+    cell = CellMoments(moments, err_sum=0.0, err_sumsq=0.0, chunk_moments=())
+    cfg = SimulationConfig(k=k, theta=0.0, n_samples=2)
+    return assess_moments(EstimatorKind.ML, 0.0, cell, cfg)
+
+
+def test_lambda_scalar_univariate_unbiased_case():
+    # slope 1 collapses to the reciprocal-variance rule
+    assert _report_from_covariances(1.0, 0.25).scalar_lambda == pytest.approx(4.0)
+
+
+def test_lambda_scalar_univariate_constant_statistic():
+    assert _report_from_covariances(0.0, 3.0).scalar_lambda == 0.0
+
+
+def test_lambda_scalar_univariate_score_attains_fisher():
+    # the score of a unit-variance normal mean: slope 1, variance 1
+    assert _report_from_covariances(1.0, 1.0).scalar_lambda == 1.0
+
+
+def test_lambda_scalar_univariate_rejects_bad_variance():
+    with pytest.raises(SingularCovarianceError):
+        _report_from_covariances(1.0, 0.0)
+    with pytest.raises(SingularCovarianceError):
+        _report_from_covariances(1.0, -2.0)
 
 
 def test_ml_mse_matches_dimension():
@@ -60,6 +93,21 @@ def test_efficiency_whitens_by_fisher():
     eff, mean_eff = efficiency(lam, fisher)
     assert np.allclose(eff, np.diag([0.5, 2.0]), atol=1e-12)
     assert mean_eff == pytest.approx(1.25)
+
+
+def test_scalar_lambda_is_the_exact_trace():
+    rng = np.random.default_rng(5)
+    d = rng.normal(size=(4, 4))
+    report = _report_from_covariances(d, np.diag([1.0, 2.0, 3.0, 4.0]))
+    assert report.scalar_lambda == np.trace(report.lambda_matrix)
+    with pytest.raises(ValueError):
+        efficiency(np.ones((2, 3)), np.eye(2))
+
+
+def test_fisher_information_helper_feeds_efficiency():
+    # the unit Fisher information of N(theta, I_k) whitens nothing
+    report = _report_from_covariances(np.eye(14) * np.sqrt(0.5), np.eye(14))
+    assert report.mean_efficiency == pytest.approx(0.5)
 
 
 def test_efficiency_rejects_bad_fisher():

@@ -46,6 +46,13 @@ def test_statistic_js_through_the_zero_estimate():
     assert _statistic(JS, y, 1.25) == pytest.approx(21.875, abs=1e-10)
 
 
+def test_statistic_input_checks():
+    with pytest.raises(ValueError):
+        statistics_batch(ML, np.ones(3), 1.25)
+    with pytest.raises(ValueError):
+        statistics_batch(ML, np.ones((2, 3)), np.inf)
+
+
 # ---------------------------------------------------------------------------
 # Null calibration
 # ---------------------------------------------------------------------------

@@ -212,6 +212,13 @@ def test_merge_of_halves_matches_full_accumulation():
         assert np.allclose(lhs, rhs, rtol=1e-10)
 
 
+def test_merge_rejects_mismatched_shapes():
+    narrow = StreamingMoments.from_batch(np.ones((3, 1)), np.ones((3, 1)))
+    wide = StreamingMoments.from_batch(np.ones((3, 2)), np.ones((3, 2)))
+    with pytest.raises(ValueError):
+        narrow.merge(wide)
+
+
 # Tolerance fixed before the property was written: float64 sums over at most
 # 400 rows of entries below 1e3 in magnitude.
 MERGE_RTOL, MERGE_ATOL = 1e-9, 1e-9
