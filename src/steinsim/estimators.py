@@ -90,8 +90,9 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
 
     ``kind`` may also be a callable mapping an (n, k) array to an (n, k)
     array, which lets tests push synthetic estimators (e.g. constants)
-    through the same pipelines.  A callable that returns NaN or inf fails
-    with the index of the first such sample (``index_offset`` plus its row).
+    through the same pipelines.  A callable that returns another shape
+    fails, and one that returns NaN or inf fails with the index of the
+    first such sample (``index_offset`` plus its row).
     """
     if kind is EstimatorKind.ML:
         return np.array(y, dtype=np.float64)  # the observation itself, copied
@@ -100,6 +101,9 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     if not callable(kind):
         raise TypeError(f"unknown estimator kind: {kind!r}")
     est = np.asarray(kind(np.asarray(y, dtype=np.float64)), dtype=np.float64)
+    if est.shape != np.shape(y):
+        raise ValueError(f"estimator returned shape {est.shape} for observations "
+                         f"of shape {np.shape(y)}")
     finite = np.isfinite(est).all(axis=1)
     if not finite.all():
         row = int(np.argmin(finite))

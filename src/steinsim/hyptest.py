@@ -19,7 +19,8 @@ every power cell shares one pass over stream 2, counting exceedances of
 its critical values chunk by chunk.  The last cell of each chunk gets the
 draws with its theta added in place; no cell's result depends on which
 other cells share its pass.  Each null is sorted once, when its pass
-ends; every calibration built from it reads the sorted values.
+ends, and made read-only; every calibration built from it shares those
+sorted values instead of copying them.
 """
 
 from __future__ import annotations
@@ -61,13 +62,17 @@ class NullCalibration:
     seed: int
 
     def __post_init__(self):
-        values = np.asarray(self.sorted_null, dtype=np.float64)
+        values = self.sorted_null
+        # a read-only float64 array that owns its data cannot change under
+        # the calibration, so it is shared; anything else is copied
+        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
+                and values.flags.owndata and not values.flags.writeable):
+            values = np.array(values, dtype=np.float64)
+            values.flags.writeable = False
         if values.ndim != 1 or values.size != self.n_null:
             raise ValueError("sorted_null must be 1-D with n_null entries")
-        if np.any(np.diff(values) < 0):
+        if np.any(values[1:] < values[:-1]):
             raise ValueError("sorted_null must be ascending")
-        values = values.copy()
-        values.flags.writeable = False
         object.__setattr__(self, "sorted_null", values)
 
 
@@ -89,12 +94,16 @@ def _statistic_fold(kind: EstimatorKind, mu0: float):
 
 def null_statistics_by_kind(kinds: Sequence[EstimatorKind],
                             config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
-    """Ascending null statistics of each estimator, from one pass over the
-    calibration stream at config.theta."""
+    """Ascending, read-only null statistics of each estimator, from one pass
+    over the calibration stream at config.theta.  Every calibration built
+    from a returned null shares its memory."""
     mu0 = config.theta
     columns = mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds],
                        stream=NULL_STREAM)
-    return {kind: np.sort(np.concatenate(parts)) for kind, parts in zip(kinds, columns)}
+    nulls = {kind: np.sort(np.concatenate(parts)) for kind, parts in zip(kinds, columns)}
+    for values in nulls.values():
+        values.flags.writeable = False
+    return nulls
 
 
 def alternative_statistics(kind: EstimatorKind, theta_alt: float,

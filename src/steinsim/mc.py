@@ -22,7 +22,10 @@ depends on chunking or worker count:
 * accumulation: samples are processed in fixed chunks of
   ``CHUNK_SAMPLES``; partial moments are merged on the coordinator in
   chunk order, so the floating-point reduction order is independent of
-  ``n_workers``.
+  ``n_workers``.  The mean-function table runs a mean-only pass: each
+  chunk yields its count and estimate mean, merged in chunk order by the
+  same pooled-mean update (``_pooled_mean``) that ``StreamingMoments.merge``
+  applies, so each row equals the moments pass's ``mean_a`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``.
   Each chunk's ``z`` is drawn once and every requested cell is folded
   into it, in the order the cells were given; a single-cell pass is the
@@ -143,6 +146,20 @@ def draw_block(config: SimulationConfig, start: int, count: int,
 # ---------------------------------------------------------------------------
 
 
+def _pooled_mean(count: int, mean: np.ndarray, other_count: int,
+                 other_mean: np.ndarray) -> tuple[int, float, np.ndarray, np.ndarray]:
+    """Pooled mean of a block followed by a later one (Chan et al.).
+
+    Returns ``(n, frac, delta, mean)``: the pooled count, the later block's
+    share ``other_count / n``, the difference ``other_mean - mean`` and the
+    pooled mean ``mean + delta * frac``.
+    """
+    n = count + other_count
+    frac = other_count / n
+    delta = other_mean - mean
+    return n, frac, delta, mean + delta * frac
+
+
 @dataclass(frozen=True)
 class StreamingMoments:
     """Means and centered cross-product sums of two paired streams.
@@ -177,14 +194,12 @@ class StreamingMoments:
         """Combine with a later block; ``self`` precedes ``other``."""
         if self.m_ab.shape != other.m_ab.shape:
             raise ValueError("cannot merge moments of different shapes")
-        n = self.count + other.count
-        frac = other.count / n
+        n, frac, da, mean_a = _pooled_mean(self.count, self.mean_a,
+                                           other.count, other.mean_a)
+        _, _, db, mean_b = _pooled_mean(self.count, self.mean_b,
+                                        other.count, other.mean_b)
         weight = self.count * frac  # n_a * n_b / n
-        da = other.mean_a - self.mean_a
-        mean_a = self.mean_a + da * frac
         m_aa = self.m_aa + other.m_aa + np.outer(da, da) * weight
-        db = other.mean_b - self.mean_b
-        mean_b = self.mean_b + db * frac
         m_ab = self.m_ab + other.m_ab + np.outer(da, db) * weight
         return StreamingMoments(n, mean_a, m_aa, mean_b, m_ab)
 
@@ -237,6 +252,8 @@ def sweep(config: SimulationConfig,
     """
     if not cells:
         raise ValueError("a sweep needs at least one cell")
+    if not all(np.isfinite(theta) for theta, _ in cells):
+        raise ValueError("every cell theta must be finite")
     origin = config.with_theta(0.0)
     last = len(cells) - 1
 
@@ -330,14 +347,28 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     """Monte Carlo estimate of E[estimate] at each theta of ``grid``.
 
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
-    so rows are mutually independent and reproducible individually.
+    so rows are mutually independent and reproducible individually.  Each
+    row is a mean-only pass: per chunk, the count and the mean of the
+    estimates, merged in chunk order by ``_pooled_mean`` (the update
+    ``StreamingMoments.merge`` applies), so a row equals the ``mean_a`` of
+    ``collect_cells`` on the same stream bit for bit without computing any
+    covariance.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-D vector")
+    if not np.isfinite(grid).all():  # before any row's pass runs
+        raise ValueError("grid values must be finite")
+
+    def chunk(y: np.ndarray, start: int):
+        return len(y), estimate_batch(kind, y, index_offset=start).mean(axis=0)
+
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
-        cell, = collect_cells([(kind, float(theta))], config,
-                              stream=MEAN_FUNCTION_STREAM_BASE + i)
-        rows[i] = cell.moments.mean_a
+        parts, = sweep(config, [(float(theta), chunk)],
+                       stream=MEAN_FUNCTION_STREAM_BASE + i)
+        count, mean = parts[0]
+        for other_count, other_mean in parts[1:]:
+            count, _, _, mean = _pooled_mean(count, mean, other_count, other_mean)
+        rows[i] = mean
     return rows

@@ -158,6 +158,21 @@ def test_non_finite_custom_estimate_fails_with_its_sample_index(bad):
     with pytest.raises(ValueError, match=f"sample index {CHUNK_SAMPLES + 10}$"):
         collect_cells([(poisoned, 0.0)], cfg)
     assert calls == [CHUNK_SAMPLES, 70_000 - CHUNK_SAMPLES]
+    calls.clear()  # the mean-only pass of the mean-function table checks too
+    with pytest.raises(ValueError, match=f"sample index {CHUNK_SAMPLES + 10}$"):
+        tabulate_mean_function(poisoned, [0.5], cfg)
+    assert calls == [CHUNK_SAMPLES, 70_000 - CHUNK_SAMPLES]
+
+
+@pytest.mark.parametrize("reshape", [lambda b: b[:-1], lambda b: b[:, :2], lambda b: b[:, 0]],
+                         ids=["fewer-rows", "fewer-columns", "one-dimensional"])
+def test_custom_estimate_of_another_shape_fails(reshape):
+    y = np.random.default_rng(7).normal(size=(8, 4))
+    with pytest.raises(ValueError, match="shape"):
+        estimate_batch(reshape, y)
+    cfg = SimulationConfig(k=4, theta=0.0, n_samples=1000, seed=3)
+    with pytest.raises(ValueError, match="shape"):
+        tabulate_mean_function(reshape, [0.5], cfg)
 
 
 # ---------------------------------------------------------------------------

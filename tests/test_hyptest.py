@@ -100,6 +100,25 @@ def test_calibration_validates_sorted_null():
         NullCalibration(ML, 1.25, np.array([2.0, 1.0]), {0.5: 1.5}, 2, 0)
 
 
+def test_calibrations_share_the_read_only_null():
+    cfg = SimulationConfig(k=5, theta=1.25, n_samples=20_000, seed=2)
+    nulls = null_statistics_by_kind([JS, ML], cfg)
+    for kind, values in nulls.items():
+        assert not values.flags.writeable
+        for alphas in ((0.01, 0.05), (0.05,)):
+            calib = calibration_from_statistics(kind, values, alphas, 1.25, cfg.seed)
+            assert np.shares_memory(calib.sorted_null, values)
+
+
+def test_calibration_copies_a_writable_null():
+    values = np.arange(1.0, 201.0)
+    calib = NullCalibration(ML, 1.25, values, {}, 200, seed=0)
+    values[:] = 0.0
+    assert not np.shares_memory(calib.sorted_null, values)
+    assert np.array_equal(calib.sorted_null, np.arange(1.0, 201.0))
+    assert not calib.sorted_null.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # Power
 # ---------------------------------------------------------------------------
@@ -115,6 +134,14 @@ def test_power_at_the_null_equals_alpha(full_powers):
 def test_power_requires_matching_calibration(full_calibrations, full_config):
     with pytest.raises(ValueError, match="calibration is for"):
         power_table([(ML, 2.0)], {ML: full_calibrations[JS]}, full_config)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_power_table_rejects_a_non_finite_theta(bad):
+    calib = NullCalibration(ML, 1.25, np.arange(1.0, 201.0), {0.05: 190.0}, 200, seed=0)
+    cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
+    with pytest.raises(ValueError, match="finite"):
+        power_table([(ML, 0.5), (ML, bad)], {ML: calib}, cfg)
 
 
 def test_ml_power_is_symmetric_about_the_null(full_powers):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from steinsim import mc
 from steinsim.estimators import EstimatorKind
 from steinsim.mc import (
     CHUNK_SAMPLES,
@@ -68,6 +69,19 @@ def test_draws_do_not_depend_on_block_boundaries():
         assert np.array_equal(_draw_sample(cfg, index), whole[index - 1000])
     split = np.concatenate([draw_block(cfg, 1000, 13), draw_block(cfg, 1013, 37)])
     assert np.array_equal(whole, split)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(1, 70), start=st.integers(0, 3 * CHUNK_SAMPLES - 1),
+       count=st.integers(1, 300), cuts=st.lists(st.floats(0, 1), max_size=5))
+def test_draws_are_invariant_under_any_split_of_a_range(k, start, count, cuts):
+    # any in-order split into at most 6 pieces, concatenated, equals one call
+    cfg = SimulationConfig(k=k, theta=0.0, n_samples=3 * CHUNK_SAMPLES + 300, seed=7)
+    edges = [0, *sorted({int(c * count) for c in cuts}), count]
+    pieces = [draw_block(cfg, start + lo, hi - lo, stream=4)
+              for lo, hi in zip(edges, edges[1:])]
+    assert len(pieces) <= 6
+    assert np.array_equal(np.concatenate(pieces), draw_block(cfg, start, count, stream=4))
 
 
 def test_block_straddling_chunk_sized_offsets():
@@ -346,3 +360,64 @@ def test_tabulate_rows_are_reproducible_independently():
     second_only = tabulate_mean_function(EstimatorKind.ML, [0.1, 0.9], cfg)
     # row streams are keyed by grid position, not by the grid values
     assert np.array_equal(both[1], second_only[1])
+
+
+def _custom_estimate(y):
+    return np.tanh(y) + 0.25 * y
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", [EstimatorKind.ML, EstimatorKind.JS, _custom_estimate],
+                         ids=["ml", "js", "callable"])
+def test_tabulated_rows_equal_the_moments_pass_mean_bitwise(kind, workers):
+    # a partial last chunk, so the pooled-mean merge sees unequal counts
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=CHUNK_SAMPLES + 4000, seed=19,
+                           n_workers=workers)
+    grid = [0.0, 0.7, 2.0]
+    rows = tabulate_mean_function(kind, grid, cfg)
+    for i, theta in enumerate(grid):
+        cell, = collect_cells([(kind, theta)], cfg,
+                              stream=mc.MEAN_FUNCTION_STREAM_BASE + i)
+        assert np.array_equal(rows[i], cell.moments.mean_a), (i, theta)
+
+
+def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
+    draws, batches = [], []
+    draw, from_batch = mc.draw_block, mc.StreamingMoments.from_batch.__func__
+
+    def counting_draw(config, start, count, stream=0):
+        draws.append((stream, start, count))
+        return draw(config, start, count, stream)
+
+    def counting_from_batch(cls, a, b):
+        batches.append(len(a))
+        return from_batch(cls, a, b)
+
+    monkeypatch.setattr(mc, "draw_block", counting_draw)
+    monkeypatch.setattr(mc.StreamingMoments, "from_batch", classmethod(counting_from_batch))
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=CHUNK_SAMPLES + 4000, seed=20,
+                           n_workers=2)
+    tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0, 2.0], cfg)
+    assert batches == []
+    base = mc.MEAN_FUNCTION_STREAM_BASE
+    assert sorted(draws) == [(base + row, start, count) for row in range(3)
+                             for start, count in ((0, CHUNK_SAMPLES), (CHUNK_SAMPLES, 4000))]
+    collect_cells([(EstimatorKind.JS, 0.0)], cfg)
+    assert sorted(batches) == [4000, CHUNK_SAMPLES]  # the wrapper sees the moments pass
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_sweeps_reject_a_non_finite_cell_theta(bad):
+    cfg = _cfg(n_samples=1000)
+    with pytest.raises(ValueError, match="finite"):
+        collect_cells([(EstimatorKind.ML, 0.0), (EstimatorKind.ML, bad)], cfg)
+    with pytest.raises(ValueError, match="finite"):
+        tabulate_mean_function(EstimatorKind.JS, [0.0, bad], cfg)
+
+
+def test_tabulate_checks_the_grid_before_any_pass(monkeypatch):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
+    with pytest.raises(ValueError, match="finite"):
+        tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0, math.nan], _cfg(n_samples=1000))
+    assert draws == []
