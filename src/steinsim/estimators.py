@@ -71,21 +71,23 @@ def shrinkage_factor_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
     return 1.0 - (k - 2.0) / norm_sq
 
 
-def js_estimate_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
-    """Row-wise James-Stein estimates for an (n, k) observation array.
+def js_estimate_batch(y: np.ndarray, index_offset: int = 0,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise James-Stein estimates for an (n, k) observation array,
+    written into ``out`` if given.
 
     The classical risk-dominance guarantee needs k >= 3; smaller k is
     accepted because the formula stays well defined and is useful in tests.
     """
     y = np.asarray(y, dtype=np.float64)
-    return shrinkage_factor_batch(y, index_offset)[:, None] * y
+    return np.multiply(shrinkage_factor_batch(y, index_offset)[:, None], y, out=out)
 
 
 EstimatorFn = Callable[[np.ndarray], np.ndarray]
 
 
 def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
-                   index_offset: int = 0) -> np.ndarray:
+                   index_offset: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Dispatch an (n, k) observation array to the chosen estimator.
 
     ``kind`` may also be a callable mapping an (n, k) array to an (n, k)
@@ -93,11 +95,24 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     through the same pipelines.  A callable that returns another shape
     fails, and one that returns NaN or inf fails with the index of the
     first such sample (``index_offset`` plus its row).
+
+    ``out``, a float64 array of ``y``'s shape, receives the estimate and is
+    returned.  The ML estimate is the observation itself: without ``out``
+    it is a fresh copy, and ``out=y`` returns ``y`` as is.  The sweep folds
+    (``mc.collect_cells``, ``hyptest.null_statistics_by_kind`` and
+    ``hyptest.power_table``) pass ``out=y`` for ML and a buffer of their
+    chunk's workspace otherwise; they never write to or keep ``y``, which
+    every cell at one theta shares read-only (see ``mc.sweep``), so a
+    callable that writes into its input fails there.
     """
     if kind is EstimatorKind.ML:
-        return np.array(y, dtype=np.float64)  # the observation itself, copied
+        if out is None:
+            return np.array(y, dtype=np.float64)  # the observation itself, copied
+        if out is not y:
+            np.copyto(out, y)
+        return out
     if kind is EstimatorKind.JS:
-        return js_estimate_batch(y, index_offset=index_offset)
+        return js_estimate_batch(y, index_offset=index_offset, out=out)
     if not callable(kind):
         raise TypeError(f"unknown estimator kind: {kind!r}")
     est = np.asarray(kind(np.asarray(y, dtype=np.float64)), dtype=np.float64)
@@ -109,7 +124,10 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
         row = int(np.argmin(finite))
         raise ValueError(f"estimator returned a non-finite estimate at sample "
                          f"index {index_offset + row}")
-    return est
+    if out is None:
+        return est
+    np.copyto(out, est)
+    return out
 
 
 @dataclass(frozen=True)

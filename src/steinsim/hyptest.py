@@ -16,11 +16,14 @@ fractions are never computed on the draws that set the critical values.
 Each stream is read by one chunk-major sweep (``mc.sweep``): the null
 statistics of several estimators come from one pass over stream 1, and
 every power cell shares one pass over stream 2, counting exceedances of
-its critical values chunk by chunk.  The last cell of each chunk gets the
-draws with its theta added in place; no cell's result depends on which
-other cells share its pass.  Each null is sorted once, when its pass
-ends, and made read-only; every calibration built from it shares those
-sorted values instead of copying them.
+its critical values chunk by chunk.  The sweep forms each chunk's draws
+at a theta once, read-only, for every cell at that theta (the last theta
+gets the draws with its theta added in place), and each cell writes the
+difference of its estimate from mu0 into a buffer of the chunk's
+workspace; no cell's result depends on which other cells share its pass.
+Each null is sorted once, when its pass ends, and made read-only; every
+calibration built from it shares those sorted values instead of copying
+them.
 """
 
 from __future__ import annotations
@@ -77,19 +80,27 @@ class NullCalibration:
 
 
 def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
-                     index_offset: int = 0) -> np.ndarray:
-    """Row-wise test statistics for an (n, k) observation array."""
+                     index_offset: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise test statistics for an (n, k) observation array.
+
+    ``out``, a float64 array of ``y``'s shape, receives the estimate minus
+    mu0 (the statistic is its squared row norm); without it that difference
+    is a fresh array.  The ML estimate is ``y`` itself and is never copied.
+    """
     if np.ndim(y) != 2:
         raise ValueError("y must be an (n, k) array")
     if not np.isfinite(mu0):
         raise ValueError("mu0 must be finite")
-    est = estimate_batch(kind, y, index_offset=index_offset)
-    diff = est - mu0
+    y = np.asarray(y, dtype=np.float64)
+    est = estimate_batch(kind, y, index_offset=index_offset,
+                         out=y if kind is EstimatorKind.ML else out)
+    diff = np.subtract(est, mu0, out=out)
     return np.einsum("ij,ij->i", diff, diff)
 
 
 def _statistic_fold(kind: EstimatorKind, mu0: float):
-    return lambda y, start: statistics_batch(kind, y, mu0, index_offset=start)
+    return lambda y, start, workspace: statistics_batch(
+        kind, y, mu0, index_offset=start, out=workspace.buffer("difference"))
 
 
 def null_statistics_by_kind(kinds: Sequence[EstimatorKind],
@@ -110,7 +121,8 @@ def alternative_statistics(kind: EstimatorKind, theta_alt: float,
                            config: mc.SimulationConfig,
                            mu0: float = DEFAULT_MU0) -> np.ndarray:
     """Statistic values under the alternative, on the evaluation stream."""
-    return mc.map_samples(config.with_theta(theta_alt), _statistic_fold(kind, mu0),
+    return mc.map_samples(config.with_theta(theta_alt),
+                          lambda y, start: statistics_batch(kind, y, mu0, index_offset=start),
                           stream=ALT_STREAM)
 
 
@@ -152,7 +164,9 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     all cells (common random numbers) and disjoint from the calibration
     draws.
     """
-    for kind, _ in cells:
+    for kind, _ in cells:  # before any draw
+        if kind not in calibrations:
+            raise ValueError(f"no calibration for the {kind.name} estimator")
         if calibrations[kind].kind is not kind:
             raise ValueError(
                 f"calibration is for {calibrations[kind].kind}, not {kind}"
@@ -160,10 +174,10 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
 
     def fold(calibration: NullCalibration):
         critical = list(calibration.critical_values.values())
+        statistic = _statistic_fold(calibration.kind, calibration.mu0)
 
-        def chunk(y: np.ndarray, start: int) -> list[int]:
-            stats = statistics_batch(calibration.kind, y, calibration.mu0,
-                                     index_offset=start)
+        def chunk(y: np.ndarray, start: int, workspace: mc.Workspace) -> list[int]:
+            stats = statistic(y, start, workspace)
             return [int(np.count_nonzero(stats > crit)) for crit in critical]
         return chunk
 

@@ -28,12 +28,20 @@ depends on chunking or worker count:
   applies, so each row equals the moments pass's ``mean_a`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``.
   Each chunk's ``z`` is drawn once and every requested cell is folded
-  into it, in the order the cells were given; a single-cell pass is the
-  one-cell case of the same sweep.  Cell ``i`` sees ``y = theta_i + z``;
-  the last (or only) cell of a chunk gets ``z`` with its theta added in
-  place, which is bit-identical to ``theta + z`` and spares a copy, so a
-  one-cell pass never holds ``z`` and ``y`` together.  A cell's result
-  therefore does not depend on which other cells share its pass.
+  into it; a single-cell pass is the one-cell case of the same sweep.
+  The cells are grouped by theta (in order of first appearance, keeping
+  their given order inside a group), and ``y = theta + z`` is formed once
+  per distinct theta, read-only, and handed to every cell at that theta.
+  The last distinct theta gets ``z`` with its theta added in place, which
+  is bit-identical to ``theta + z`` and spares a copy, so a one-cell pass
+  never holds ``z`` and ``y`` together.  Each chunk also carries a
+  ``Workspace``: scratch buffers allocated on first use and reused by the
+  later cells of the chunk (and values such as the score ``y - theta``
+  computed once per theta), so a cell writes its temporaries with
+  ``out=`` instead of allocating them.  Every chunk owns its workspace, so
+  workers never share one.  Forming ``y`` once and reusing buffers changes
+  no floating-point operation, so a cell's result does not depend on which
+  other cells share its pass.
 """
 
 from __future__ import annotations
@@ -239,28 +247,72 @@ def _map_ordered(fn: Callable[[int, int], object],
         return list(pool.map(lambda rc: fn(*rc), ranges))
 
 
-def sweep(config: SimulationConfig,
-          cells: Sequence[tuple[float, Callable[[np.ndarray, int], object]]],
+class Workspace:
+    """Scratch buffers of one sweep chunk, reused by the cells folded into it.
+
+    ``buffer(name)`` is the chunk's array of that name, allocated on first
+    use and handed to every later request, so it holds whatever its last
+    user wrote.  ``per_theta(name, fill)`` fills the named buffer with
+    ``fill(buffer)`` for the first cell at a theta and hands that result to
+    the later cells at the same theta.
+    """
+
+    def __init__(self, shape: tuple[int, int]):
+        self.shape = shape  # the chunk's (count, k)
+        self._buffers: dict = {}
+        self._of_theta: dict = {}
+
+    def buffer(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+        key = (name, self.shape if shape is None else shape)
+        if key not in self._buffers:
+            self._buffers[key] = np.empty(key[1])
+        return self._buffers[key]
+
+    def per_theta(self, name: str, fill: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+        if name not in self._of_theta:
+            self._of_theta[name] = fill(self.buffer(name))
+        return self._of_theta[name]
+
+    def _next_theta(self) -> None:
+        self._of_theta.clear()
+
+
+Fold = Callable[[np.ndarray, int, Workspace], object]
+
+
+def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
           stream: int = 0) -> list[list]:
     """One chunk-major pass over a stream, folding every cell into each chunk.
 
     ``config`` supplies k, n_samples, seed and n_workers; each cell is a
-    ``(theta, fn)`` pair and sees ``fn(theta * 1 + z, start)`` for every
-    chunk.  Each chunk's ``z`` is drawn once; the last cell receives it with
-    theta added in place (see the module contract).  Returns, per cell, its
-    chunk results in chunk order, so the caller's merge order is fixed.
+    ``(theta, fn)`` pair and sees ``fn(y, start, workspace)`` for every
+    chunk, with ``y = theta * 1 + z`` read-only and shared by the cells at
+    its theta, and ``workspace`` the chunk's ``Workspace`` (see the module
+    contract).  Returns, per cell, its chunk results in chunk order, so the
+    caller's merge order is fixed.
     """
     if not cells:
         raise ValueError("a sweep needs at least one cell")
     if not all(np.isfinite(theta) for theta, _ in cells):
         raise ValueError("every cell theta must be finite")
     origin = config.with_theta(0.0)
-    last = len(cells) - 1
+    groups: dict[str, list[int]] = {}
+    for i, (theta, _) in enumerate(cells):  # keyed by the bits: 0.0 and -0.0 stay apart
+        groups.setdefault(float(theta).hex(), []).append(i)
+    last = len(groups) - 1
 
     def chunk(start: int, count: int) -> list:
         z = draw_block(origin, start, count, stream)
-        return [fn(np.add(z, theta, out=z) if i == last else theta + z, start)
-                for i, (theta, fn) in enumerate(cells)]
+        workspace = Workspace(z.shape)
+        results = [None] * len(cells)
+        for g, members in enumerate(groups.values()):
+            theta = cells[members[0]][0]
+            y = np.add(z, theta, out=z) if g == last else theta + z
+            y.flags.writeable = False
+            workspace._next_theta()
+            for i in members:
+                results[i] = cells[i][1](y, start, workspace)
+        return results
 
     parts = _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
     return [list(column) for column in zip(*parts)]
@@ -274,7 +326,8 @@ def map_samples(config: SimulationConfig,
     Rows of the concatenated result keep sample order, so the output is
     identical for every worker count.
     """
-    return np.concatenate(sweep(config, [(config.theta, fn)], stream)[0], axis=0)
+    cell = (config.theta, lambda y, start, _: fn(y, start))
+    return np.concatenate(sweep(config, [cell], stream)[0], axis=0)
 
 
 @dataclass(frozen=True)
@@ -316,16 +369,19 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     """
 
     def fold(kind, mu: float):
-        def chunk(y: np.ndarray, start: int):
-            est = estimate_batch(kind, y, index_offset=start)
-            score = y - mu
-            err = est - mu
-            err_sq = np.einsum("ij,ij->i", err, err)
-            return (
-                StreamingMoments.from_batch(est, score),
-                float(err_sq.sum()),
-                float((err_sq * err_sq).sum()),
-            )
+        def chunk(y: np.ndarray, start: int, workspace: Workspace):
+            score = workspace.per_theta("score", lambda out: np.subtract(y, mu, out=out))
+            est = estimate_batch(kind, y, index_offset=start,
+                                 out=y if kind is EstimatorKind.ML
+                                 else workspace.buffer("estimate"))
+            moments = StreamingMoments.from_batch(est, score)
+            # the ML estimate is y itself, so its error is the score; any
+            # other estimate is replaced by its error in its own buffer
+            err = score if est is y else np.subtract(est, mu, out=est)
+            err_sq = np.einsum("ij,ij->i", err, err,
+                               out=workspace.buffer("err_sq", (len(y),)))
+            err_sum = float(err_sq.sum())
+            return moments, err_sum, float(np.multiply(err_sq, err_sq, out=err_sq).sum())
         return chunk
 
     columns = sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells],
@@ -360,7 +416,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     if not np.isfinite(grid).all():  # before any row's pass runs
         raise ValueError("grid values must be finite")
 
-    def chunk(y: np.ndarray, start: int):
+    def chunk(y: np.ndarray, start: int, _: Workspace):
         return len(y), estimate_batch(kind, y, index_offset=start).mean(axis=0)
 
     rows = np.empty((grid.size, config.k))

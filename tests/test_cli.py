@@ -1,5 +1,6 @@
 import collections
 import csv
+import hashlib
 import json
 import math
 import os
@@ -14,6 +15,18 @@ from steinsim import assess, cli, estimators, hyptest, mc
 from steinsim.cli import main
 
 SMALL = ["--samples", "30000", "--seed", "42"]
+
+# sha256 of the five data CSVs of `all --samples 70000 --seed 7 --workers 1`,
+# recorded before the sweep formed each theta's draws once and gave each
+# chunk a workspace (on x86-64 with numpy 2.4 and scipy-openblas 0.3.31;
+# another BLAS may round the moment GEMMs differently)
+GOLDEN_CSV_SHA256 = {
+    "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
+    "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
+    "table3.csv": "cae1ab91103b3e53e60383be19e4ec05024ed09b19f412cd653289790fb19449",
+    "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
+    "figure_theta_2.csv": "85eeb8787459872da758b8d7f607c80dda93f41e50e92e00e2e6d6af85c2b54f",
+}
 
 
 def run(capsys, argv):
@@ -299,6 +312,18 @@ def test_all_equals_the_single_report_commands(tmp_path, capsys, workers):
         code, out, _ = run(capsys, [*argv, *common])
         assert code == 0, name
         assert (out_dir / name).read_text() == out, name
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
+    # the byte-identity contract: refactors and worker counts change no byte
+    out_dir = tmp_path / "all"
+    code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "7",
+                              "--workers", workers, "--output", str(out_dir)])
+    assert code == 0
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in GOLDEN_CSV_SHA256}
+    assert digests == GOLDEN_CSV_SHA256
 
 
 def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):

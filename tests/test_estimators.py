@@ -54,6 +54,21 @@ def test_ml_estimate_returns_a_copy():
     assert y[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("kind", [EstimatorKind.ML, EstimatorKind.JS, lambda b: 2.0 * b],
+                         ids=["ml", "js", "callable"])
+def test_estimate_batch_writes_into_out(kind):
+    y = np.random.default_rng(4).normal(size=(16, 5))
+    out = np.empty_like(y)
+    assert estimate_batch(kind, y, out=out) is out
+    assert np.array_equal(out, estimate_batch(kind, y))
+
+
+def test_ml_estimate_into_its_own_input_is_the_input():
+    y = np.array([[1.0, 2.0]])
+    y.flags.writeable = False
+    assert estimate_batch(EstimatorKind.ML, y, out=y) is y
+
+
 def test_ml_estimate_is_unbiased_monte_carlo():
     # law-of-large-numbers oracle at the default scale
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=1_000_000, seed=11, n_workers=2)

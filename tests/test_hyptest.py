@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from steinsim.estimators import EstimatorKind
+from steinsim import mc
+from steinsim.estimators import EstimatorKind, estimate_batch
 from steinsim.hyptest import (
     DEFAULT_MU0,
     NullCalibration,
@@ -44,6 +45,15 @@ def test_statistic_js_through_the_zero_estimate():
     # squared norm k - 2 shrinks the estimate to zero, leaving k * mu0^2
     y = np.full(14, math.sqrt(12.0 / 14.0))
     assert _statistic(JS, y, 1.25) == pytest.approx(21.875, abs=1e-10)
+
+
+def test_statistics_through_a_buffer_are_bit_identical():
+    y = np.random.default_rng(5).normal(1.0, 1.0, size=(64, 6))
+    for kind in (JS, ML):
+        out = np.empty_like(y)
+        assert np.array_equal(statistics_batch(kind, y, 1.25, out=out),
+                              statistics_batch(kind, y, 1.25))
+        assert np.array_equal(out, estimate_batch(kind, y) - 1.25)
 
 
 def test_statistic_input_checks():
@@ -134,6 +144,16 @@ def test_power_at_the_null_equals_alpha(full_powers):
 def test_power_requires_matching_calibration(full_calibrations, full_config):
     with pytest.raises(ValueError, match="calibration is for"):
         power_table([(ML, 2.0)], {ML: full_calibrations[JS]}, full_config)
+
+
+def test_power_table_names_a_missing_calibration(monkeypatch):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
+    calib = NullCalibration(JS, 1.25, np.arange(1.0, 201.0), {0.05: 190.0}, 200, seed=0)
+    cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
+    with pytest.raises(ValueError, match="no calibration for the ML estimator"):
+        power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, cfg)
+    assert draws == []  # before any draw
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

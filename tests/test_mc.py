@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from steinsim import mc
 from steinsim.estimators import EstimatorKind
+from steinsim.hyptest import calibration_from_statistics, null_statistics_by_kind, power_table
 from steinsim.mc import (
     CHUNK_SAMPLES,
     SimulationConfig,
@@ -318,6 +319,62 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
     for (kind, theta), a, b in zip(cells, forward, backward):
         alone = _cell(kind, cfg.with_theta(theta), stream=5)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
+    # cells at one theta share a read-only y, its score and the chunk's
+    # workspace; neither that, nor a duplicate cell, nor the order may
+    # change a bit of any cell
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
+    js, ml = EstimatorKind.JS, EstimatorKind.ML
+    cells = [(js, 0.5), (ml, 0.5), (js, 2.0), (ml, 2.0), (js, 0.5)]
+    forward = collect_cells(cells, cfg, stream=5)
+    backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
+    for (kind, theta), a, b in zip(cells, forward, backward):
+        alone = _cell(kind, cfg.with_theta(theta), stream=5)
+        assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
+
+
+def _writes_into_its_input(y):
+    y += 1.0
+    return y
+
+
+@pytest.mark.parametrize("cells", [
+    [(_writes_into_its_input, 0.5)],
+    [(_writes_into_its_input, 0.5), (EstimatorKind.ML, 2.0)],
+    [(EstimatorKind.JS, 0.5), (_writes_into_its_input, 0.5)],
+], ids=["only-cell", "earlier-theta", "shared-theta"])
+def test_an_estimator_cannot_write_into_the_shared_draws(cells):
+    # cells at one theta share y, so a write would change its siblings'
+    # draws; y is read-only whether it is z itself or theta + z
+    cfg = _cfg(n_samples=1000)
+    with pytest.raises(ValueError, match="read-only"):
+        collect_cells(cells, cfg)
+    with pytest.raises(ValueError, match="read-only"):
+        tabulate_mean_function(_writes_into_its_input, [0.5], cfg)
+
+
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(k=st.integers(2, 6), n=st.integers(CHUNK_SAMPLES + 1, CHUNK_SAMPLES + 5000),
+       cells=st.lists(st.tuples(st.sampled_from([EstimatorKind.JS, EstimatorKind.ML]),
+                                st.sampled_from([0.0, 0.5, 1.25, 2.0])),
+                      min_size=1, max_size=6))
+def test_sweeps_do_not_depend_on_the_worker_count(k, n, cells):
+    # random cell lists repeat thetas (and whole cells); moments and power
+    # must be bit-identical at 1, 2 and 3 workers
+    null_cfg = SimulationConfig(k=k, theta=1.25, n_samples=2000, seed=21)
+    nulls = null_statistics_by_kind([EstimatorKind.JS, EstimatorKind.ML], null_cfg)
+    calibrations = {kind: calibration_from_statistics(kind, values, (0.05,), 1.25, 21)
+                    for kind, values in nulls.items()}
+    results = {}
+    for workers in (1, 2, 3):
+        cfg = SimulationConfig(k=k, theta=0.0, n_samples=n, seed=22, n_workers=workers)
+        results[workers] = (collect_cells(cells, cfg), power_table(cells, calibrations, cfg))
+    for workers in (2, 3):
+        assert all(_same_cell(a, b) for a, b in zip(results[1][0], results[workers][0]))
+        assert results[workers][1] == results[1][1]
 
 
 # ---------------------------------------------------------------------------
