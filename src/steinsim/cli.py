@@ -135,6 +135,8 @@ def _validate(args) -> None:
         _config(args)  # checks --k, --samples, --seed and --workers
     except ValueError as exc:
         raise UsageError(f"invalid settings: {exc}") from None
+    if args.command in ("table3", "all") and args.samples < 2:
+        raise UsageError("--samples must be at least 2 for table3's covariances")
     thetas = getattr(args, "theta", None)
     if isinstance(thetas, list):
         if any(not np.isfinite(t) for t in thetas):

@@ -54,7 +54,8 @@ class NullCalibration:
 
     ``critical_values[alpha]`` is the empirical (1 - alpha) quantile of
     ``sorted_null`` under the order-statistic rule
-    ``sorted[ceil((1 - alpha) * (n + 1)) - 1]``.
+    ``sorted[ceil((1 - alpha) * (n + 1)) - 1]``, evaluated exactly for the
+    binary value of ``alpha``.
     """
 
     kind: EstimatorKind
@@ -127,8 +128,12 @@ def alternative_statistics(kind: EstimatorKind, theta_alt: float,
 
 
 def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
+    # ceil((1 - alpha)(n + 1)) - 1 = n - floor(alpha (n + 1)), in exact
+    # integer arithmetic on alpha's binary value: float rounding of the
+    # product can land on the integer below the exact one
     n = sorted_values.size
-    idx = int(np.ceil((1.0 - alpha) * (n + 1))) - 1
+    num, den = float(alpha).as_integer_ratio()
+    idx = n - num * (n + 1) // den
     return float(sorted_values[min(max(idx, 0), n - 1)])
 
 

@@ -22,10 +22,15 @@ depends on chunking or worker count:
 * accumulation: samples are processed in fixed chunks of
   ``CHUNK_SAMPLES``; partial moments are merged on the coordinator in
   chunk order, so the floating-point reduction order is independent of
-  ``n_workers``.  The mean-function table runs a mean-only pass: each
-  chunk yields its count and estimate mean, merged in chunk order by the
-  same pooled-mean update (``_pooled_mean``) that ``StreamingMoments.merge``
-  applies, so each row equals the moments pass's ``mean_a`` bit for bit.
+  ``n_workers``.  A cell's moments pair its estimate with the observation
+  ``y`` rather than the score ``y - theta``: a constant shift of ``b``
+  changes neither ``m_ab`` nor the differences of ``mean_b`` that the
+  merge reads, so Cov(estimate, score) is read off unchanged and no score
+  is formed for the moments.  The mean-function table runs a mean-only
+  pass: each chunk yields its count and estimate mean, merged in chunk
+  order by the same pooled-mean update (``_pooled_mean``) that
+  ``StreamingMoments.merge`` applies, so each row equals the moments
+  pass's ``mean_a`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``.
   Each chunk's ``z`` is drawn once and every requested cell is folded
   into it; a single-cell pass is the one-cell case of the same sweep.
@@ -36,11 +41,11 @@ depends on chunking or worker count:
   is bit-identical to ``theta + z`` and spares a copy, so a one-cell pass
   never holds ``z`` and ``y`` together.  Each chunk also carries a
   ``Workspace``: scratch buffers allocated on first use and reused by the
-  later cells of the chunk (and values such as the score ``y - theta``
-  computed once per theta), so a cell writes its temporaries with
-  ``out=`` instead of allocating them.  Every chunk owns its workspace, so
-  workers never share one.  Forming ``y`` once and reusing buffers changes
-  no floating-point operation, so a cell's result does not depend on which
+  later cells of the chunk, so a cell writes its temporaries (the
+  estimate, then its error in the same buffer) with ``out=`` instead of
+  allocating them.  Every chunk owns its workspace, so workers never
+  share one.  Forming ``y`` once and reusing buffers changes no
+  floating-point operation, so a cell's result does not depend on which
   other cells share its pass.
 """
 
@@ -185,18 +190,25 @@ class StreamingMoments:
 
     @classmethod
     def from_batch(cls, a: np.ndarray, b: np.ndarray) -> "StreamingMoments":
+        """Moments of one block of paired rows.
+
+        ``m_ab`` is ``caᵀ b`` with ``ca = a - mean_a`` and ``b`` uncentered:
+        the columns of ``ca`` sum to zero, so centering ``b`` would subtract
+        nothing.  When ``b is a``, the ``b`` half repeats ``mean_a`` and
+        ``m_aa`` without a second mean or product.
+        """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ValueError("a must be a nonempty (n, k) array")
-        b = np.asarray(b, dtype=np.float64)
-        if b.ndim != 2 or b.shape[0] != a.shape[0]:
-            raise ValueError("b must be an (n, m) array paired with a")
         mean_a = a.mean(axis=0)
         ca = a - mean_a
         m_aa = ca.T @ ca
-        mean_b = b.mean(axis=0)
-        m_ab = ca.T @ (b - mean_b)
-        return cls(a.shape[0], mean_a, m_aa, mean_b, m_ab)
+        if b is a:
+            return cls(a.shape[0], mean_a, m_aa, mean_a, m_aa)
+        b = np.asarray(b, dtype=np.float64)
+        if b.ndim != 2 or b.shape[0] != a.shape[0]:
+            raise ValueError("b must be an (n, m) array paired with a")
+        return cls(a.shape[0], mean_a, m_aa, b.mean(axis=0), ca.T @ b)
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine with a later block; ``self`` precedes ``other``."""
@@ -252,29 +264,18 @@ class Workspace:
 
     ``buffer(name)`` is the chunk's array of that name, allocated on first
     use and handed to every later request, so it holds whatever its last
-    user wrote.  ``per_theta(name, fill)`` fills the named buffer with
-    ``fill(buffer)`` for the first cell at a theta and hands that result to
-    the later cells at the same theta.
+    user wrote.
     """
 
     def __init__(self, shape: tuple[int, int]):
         self.shape = shape  # the chunk's (count, k)
         self._buffers: dict = {}
-        self._of_theta: dict = {}
 
     def buffer(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
         key = (name, self.shape if shape is None else shape)
         if key not in self._buffers:
             self._buffers[key] = np.empty(key[1])
         return self._buffers[key]
-
-    def per_theta(self, name: str, fill: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-        if name not in self._of_theta:
-            self._of_theta[name] = fill(self.buffer(name))
-        return self._of_theta[name]
-
-    def _next_theta(self) -> None:
-        self._of_theta.clear()
 
 
 Fold = Callable[[np.ndarray, int, Workspace], object]
@@ -309,7 +310,6 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
             theta = cells[members[0]][0]
             y = np.add(z, theta, out=z) if g == last else theta + z
             y.flags.writeable = False
-            workspace._next_theta()
             for i in members:
                 results[i] = cells[i][1](y, start, workspace)
         return results
@@ -332,11 +332,11 @@ def map_samples(config: SimulationConfig,
 
 @dataclass(frozen=True)
 class CellMoments:
-    """Moments of (estimate, score) pairs plus squared-error norms for one
-    (estimator, theta) simulation cell, all from a single sample stream.
-    ``chunk_moments`` keeps each chunk's moments, in chunk order."""
+    """Moments of (estimate, observation) pairs, whose cross covariance is
+    Cov(estimate, score), and squared-error norms of one (estimator, theta)
+    cell from one stream; ``chunk_moments`` keeps each chunk's, in order."""
 
-    moments: StreamingMoments  # a = estimate, b = score
+    moments: StreamingMoments  # a = estimate, b = observation y
     err_sum: float
     err_sumsq: float
     chunk_moments: tuple[StreamingMoments, ...]
@@ -370,14 +370,14 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
 
     def fold(kind, mu: float):
         def chunk(y: np.ndarray, start: int, workspace: Workspace):
-            score = workspace.per_theta("score", lambda out: np.subtract(y, mu, out=out))
+            buffer = workspace.buffer("estimate")
             est = estimate_batch(kind, y, index_offset=start,
-                                 out=y if kind is EstimatorKind.ML
-                                 else workspace.buffer("estimate"))
-            moments = StreamingMoments.from_batch(est, score)
-            # the ML estimate is y itself, so its error is the score; any
-            # other estimate is replaced by its error in its own buffer
-            err = score if est is y else np.subtract(est, mu, out=est)
+                                 out=y if kind is EstimatorKind.ML else buffer)
+            # b = y: the moments do not change under the shift to the score
+            moments = StreamingMoments.from_batch(est, y)
+            # the error replaces the estimate in its buffer; the ML estimate
+            # is y itself, so its error is the score y - theta
+            err = np.subtract(est, mu, out=buffer)
             err_sq = np.einsum("ij,ij->i", err, err,
                                out=workspace.buffer("err_sq", (len(y),)))
             err_sum = float(err_sq.sum())

@@ -153,6 +153,18 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["figure"])[0] == 1  # --theta is required
 
 
+@pytest.mark.parametrize("command", ["table3", "all"])
+def test_one_sample_is_a_usage_error_for_covariance_reports(tmp_path, capsys, command):
+    # table3's covariances need two samples; a single one used to end in a
+    # raw ValueError traceback after `all` had written table1 and table2
+    target = tmp_path / "out"
+    code, out, err = run(capsys, [command, "--samples", "1", "--output", str(target)])
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "--samples must be at least 2" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_numerical_failures_exit_2(capsys):
     code, _, err = run(capsys, ["table2", "--samples", "5000"])
     assert code == 2

@@ -1,7 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from steinsim import mc
@@ -10,6 +13,7 @@ from steinsim.hyptest import (
     DEFAULT_MU0,
     NullCalibration,
     NullResolutionError,
+    _critical_value,
     alternative_statistics,
     calibration_from_statistics,
     ml_power_oracle,
@@ -89,6 +93,26 @@ def test_rejection_fraction_matches_alpha(full_calibrations):
 def test_js_critical_values_finite_positive(full_calibrations):
     for crit in full_calibrations[JS].critical_values.values():
         assert np.isfinite(crit) and crit > 0
+
+
+def _order_statistic_rank(n, alpha):
+    """Smallest rank j in 1..n with j >= (1 - alpha)(n + 1), found by search
+    in exact arithmetic on alpha's binary value (n when none is)."""
+    bound = (1 - Fraction(alpha)) * (n + 1)
+    return next((j for j in range(1, n + 1) if j >= bound), n)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(n=st.integers(1, 2000),
+       alpha=st.floats(0, 1, exclude_min=True, exclude_max=True))
+# (1 - alpha)(n + 1) lies a hair above an integer that the float product
+# rounds onto; the float formula picked the rank below in these cases
+@example(n=9, alpha=0.3)
+@example(n=199, alpha=0.015)
+@example(n=999, alpha=0.009)
+def test_critical_value_is_the_exact_order_statistic(n, alpha):
+    values = np.arange(n, dtype=np.float64)  # value i sits at rank i + 1
+    assert _critical_value(values, alpha) == _order_statistic_rank(n, alpha) - 1
 
 
 def test_insufficient_null_resolution():
@@ -234,6 +258,25 @@ def test_semitail_monotone_and_nonnegative(full_calibrations):
     assert np.all(np.diff(ss) >= 0)
     assert np.all(ss >= 0)
     assert np.all(np.isfinite(ss))
+
+
+# Tolerance fixed before the property was written: -log2(1 / (n + 1))
+# rounds 1 / (n + 1) and the logarithm, so the largest value may exceed
+# log2(n + 1) by a few units in the last place.
+SEMITAIL_TOP_RTOL = 4 * np.finfo(np.float64).eps
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(null=st.lists(st.floats(allow_nan=False), min_size=1, max_size=300),
+       ts=st.lists(st.floats(allow_nan=False), min_size=1, max_size=50))
+def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
+    values = np.sort(np.array(null))
+    n = values.size
+    calib = NullCalibration(ML, 1.25, values, {}, n, seed=0)
+    ss = semitail(np.sort(np.array(ts)), calib)
+    assert np.all(np.diff(ss) >= 0)
+    assert np.all(ss >= 0)
+    assert np.all(ss <= np.log2(n + 1) * (1 + SEMITAIL_TOP_RTOL))
 
 
 # ---------------------------------------------------------------------------

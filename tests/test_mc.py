@@ -261,6 +261,57 @@ def test_merge_of_any_in_order_partition_matches_one_batch(n, cuts, seed, shift)
                                    rtol=MERGE_RTOL, atol=MERGE_ATOL)
 
 
+# Tolerance fixed before the property was written: float64 products over at
+# most 400 rows of entries below 1e3 in magnitude (b shifted by |c| <= 1e3,
+# a by |shift| <= 100). The columns of a - mean_a then sum to at most about
+# 400 * 100 * 2.2e-16 each, so the shift adds under 1e-8 to any entry of m_ab.
+SHIFT_RTOL, SHIFT_ATOL = 1e-9, 1e-7
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(n=st.integers(2, 400), cut=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
+       shift=st.floats(-100, 100), c=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
+def test_cross_moments_do_not_change_under_a_shift_of_b(n, cut, seed, shift, c):
+    # from_batch takes m_ab against the uncentered b, and collect_cells pairs
+    # the estimate with y instead of the score y - theta: both rest on m_ab
+    # and the merge being invariant under a constant shift of b
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, 3)) * 2.0 + shift
+    b = rng.normal(size=(n, 2)) + 0.3 * a[:, :2]
+    shifted = b + np.asarray(c)
+    two_pass = (a - a.mean(axis=0)).T @ (b - b.mean(axis=0))
+    lo = int(cut * (n - 2)) + 1  # split inside [1, n - 1]
+    for moments in (StreamingMoments.from_batch(a, b),
+                    StreamingMoments.from_batch(a, shifted),
+                    StreamingMoments.from_batch(a[:lo], shifted[:lo]).merge(
+                        StreamingMoments.from_batch(a[lo:], shifted[lo:]))):
+        np.testing.assert_allclose(moments.m_ab, two_pass,
+                                   rtol=SHIFT_RTOL, atol=SHIFT_ATOL)
+
+
+def test_moments_of_a_stream_with_itself_share_their_halves_bitwise():
+    rng = np.random.default_rng(12)
+    a = rng.normal(size=(3000, 5)) + 7.0
+    moments = StreamingMoments.from_batch(a, a)
+    assert np.array_equal(moments.m_ab, moments.m_aa)
+    assert np.array_equal(moments.mean_b, moments.mean_a)
+    parts = [a[start:start + 700] for start in range(0, len(a), 700)]
+    merged = StreamingMoments.from_batch(parts[0], parts[0])
+    for part in parts[1:]:
+        merged = merged.merge(StreamingMoments.from_batch(part, part))
+    assert np.array_equal(merged.m_ab, merged.m_aa)
+    assert np.array_equal(merged.mean_b, merged.mean_a)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ml_cell_cross_covariance_equals_its_covariance_bitwise(workers):
+    # the ML estimate is y itself, so its cell pairs y with y
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
+    cell, = collect_cells([(EstimatorKind.ML, 0.5)], cfg, stream=5)
+    assert np.array_equal(cell.moments.cov_ab, cell.moments.cov_aa)
+    assert np.array_equal(cell.moments.mean_b, cell.moments.mean_a)
+
+
 def test_sample_covariance_is_positive_semidefinite():
     rng = np.random.default_rng(11)
     # heavy-tailed, correlated stream
