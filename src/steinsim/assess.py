@@ -6,9 +6,11 @@ covariances of the same stream,
     Lambda = D^T V^{-1} D,   D = Cov(estimate, score),  V = Cov(estimate),
 
 where D is the derivative-free estimate of the Jacobian of the estimator's
-mean map.  Its trace is the scalar information; relative to the Fisher
-information it yields the efficiency matrix, whose eigenvalues are bounded
-by one up to Monte Carlo noise.
+mean map.  Its trace is the scalar information.  Efficiency is Lambda
+whitened by the Fisher information, which for N(theta * 1, I) is the
+identity, so the efficiency matrix is Lambda itself: its eigenvalues are
+bounded by one up to Monte Carlo noise, and the mean efficiency is the
+scalar information over k.
 """
 
 from __future__ import annotations
@@ -56,26 +58,6 @@ def _lambda_from_moments(moments: mc.StreamingMoments, kind, theta: float) -> np
     return 0.5 * (lam + lam.T)
 
 
-def efficiency(lam: np.ndarray, fisher: np.ndarray) -> tuple[np.ndarray, float]:
-    """Efficiency matrix I^{-1/2} Lambda I^{-1/2} and its trace over k.
-
-    The second value is the mean efficiency across the k eigendirections.
-    """
-    lam = np.asarray(lam, dtype=np.float64)
-    fisher = np.asarray(fisher, dtype=np.float64)
-    if fisher.shape != lam.shape or fisher.ndim != 2:
-        raise ValueError("fisher and lambda must be square matrices of equal size")
-    if not np.allclose(fisher, fisher.T):
-        raise ValueError("fisher information must be symmetric")
-    w, u = np.linalg.eigh(fisher)
-    if w[0] <= 0:
-        raise ValueError("fisher information must be positive definite")
-    inv_sqrt = (u / np.sqrt(w)) @ u.T
-    eff = inv_sqrt @ lam @ inv_sqrt
-    eff = 0.5 * (eff + eff.T)
-    return eff, float(np.trace(eff) / lam.shape[0])
-
-
 @dataclass(frozen=True)
 class AssessmentReport:
     """Every assessment quantity for one (estimator, theta) cell."""
@@ -88,7 +70,6 @@ class AssessmentReport:
     lambda_matrix: np.ndarray
     scalar_lambda: float
     lambda_stderr: float
-    efficiency_matrix: np.ndarray
     mean_efficiency: float
     eigenvalues: np.ndarray
     eigen_min: float
@@ -121,7 +102,7 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
     chunk moments.
     """
     lam = _lambda_from_moments(cell.moments, kind, theta)
-    eff, mean_eff = efficiency(lam, np.eye(config.k))
+    scalar_lambda = float(np.trace(lam))
     eigenvalues = np.linalg.eigvalsh(lam)
     mse_value = cell.mse
     return AssessmentReport(
@@ -131,10 +112,9 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
         mse_stderr=cell.mse_stderr,
         mkl=0.5 * mse_value,  # KL = ||mu1 - mu2||^2 / 2 in this family
         lambda_matrix=lam,
-        scalar_lambda=float(np.trace(lam)),
+        scalar_lambda=scalar_lambda,
         lambda_stderr=_lambda_batch_stderr(cell.chunk_moments, kind, theta),
-        efficiency_matrix=eff,
-        mean_efficiency=mean_eff,
+        mean_efficiency=scalar_lambda / config.k,
         eigenvalues=eigenvalues,
         eigen_min=float(eigenvalues[0]),
         eigen_max=float(eigenvalues[-1]),

@@ -118,15 +118,6 @@ def null_statistics_by_kind(kinds: Sequence[EstimatorKind],
     return nulls
 
 
-def alternative_statistics(kind: EstimatorKind, theta_alt: float,
-                           config: mc.SimulationConfig,
-                           mu0: float = DEFAULT_MU0) -> np.ndarray:
-    """Statistic values under the alternative, on the evaluation stream."""
-    return mc.map_samples(config.with_theta(theta_alt),
-                          lambda y, start: statistics_batch(kind, y, mu0, index_offset=start),
-                          stream=ALT_STREAM)
-
-
 def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
     # ceil((1 - alpha)(n + 1)) - 1 = n - floor(alpha (n + 1)), in exact
     # integer arithmetic on alpha's binary value: float rounding of the
@@ -202,12 +193,14 @@ def semitail(t, calibration: NullCalibration):
     """Semi-tail value s = -log2(p) with p = (#{null >= t} + 1) / (n + 1).
 
     The add-one rule keeps p positive, so statistics beyond the largest
-    null draw still get a finite value.  Accepts scalars or arrays.
+    null draw still get a finite value, exactly log2(n + 1).  Accepts
+    scalars or arrays.
     """
     t = np.asarray(t, dtype=np.float64)
     n = calibration.n_null
     count_ge = n - np.searchsorted(calibration.sorted_null, t, side="left")
-    s = -np.log2((count_ge + 1.0) / (n + 1.0))
+    # the rounded ratio can put -log2 one ulp above its bound log2(n + 1)
+    s = np.minimum(-np.log2((count_ge + 1.0) / (n + 1.0)), np.log2(n + 1.0))
     return float(s) if s.ndim == 0 else s
 
 
@@ -226,8 +219,10 @@ def paired_semitail(theta_alt: float, n_points: int,
                     config: mc.SimulationConfig) -> list[SemiTailPair]:
     """Per-sample (s_js, s_ml) pairs at the alternative theta.
 
-    Both statistics are computed on the same draws; each is standardized
-    against its own null calibration.
+    The draws are the first ``n_points`` samples of the pair stream (3),
+    read by a single one-cell sweep at ``theta_alt``.  Both statistics are
+    computed on the same draws; each is standardized against its own null
+    calibration.
     """
     if calib_js.kind is not EstimatorKind.JS or calib_ml.kind is not EstimatorKind.ML:
         raise ValueError("calibrations must be (JS, ML) in that order")
@@ -238,7 +233,8 @@ def paired_semitail(theta_alt: float, n_points: int,
     mu0 = calib_js.mu0
     cfg = mc.SimulationConfig(k=config.k, theta=theta_alt, n_samples=n_points,
                               seed=config.seed, n_workers=config.n_workers)
-    y = mc.map_samples(cfg, lambda block, start: block, stream=PAIR_STREAM)
+    parts, = mc.sweep(cfg, [(theta_alt, lambda y, start, _: y)], stream=PAIR_STREAM)
+    y = np.concatenate(parts)
     t_js = statistics_batch(EstimatorKind.JS, y, mu0)
     t_ml = statistics_batch(EstimatorKind.ML, y, mu0)
     s_js = semitail(t_js, calib_js)

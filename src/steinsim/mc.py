@@ -77,7 +77,7 @@ class SimulationConfig:
     """Determinism contract of a pass: k, n_samples, seed and n_workers.
 
     A sweep reads every cell's theta from the cell itself; ``theta`` is the
-    mean of the single-cell passes ``map_samples`` and
+    mean that ``draw_block`` adds and the null mean of
     ``hyptest.null_statistics_by_kind``.
     """
 
@@ -316,18 +316,6 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
 
     parts = _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
     return [list(column) for column in zip(*parts)]
-
-
-def map_samples(config: SimulationConfig,
-                fn: Callable[[np.ndarray, int], np.ndarray],
-                stream: int = 0) -> np.ndarray:
-    """Evaluate ``fn(y_chunk, start)`` over all samples of a stream.
-
-    Rows of the concatenated result keep sample order, so the output is
-    identical for every worker count.
-    """
-    cell = (config.theta, lambda y, start, _: fn(y, start))
-    return np.concatenate(sweep(config, [cell], stream)[0], axis=0)
 
 
 @dataclass(frozen=True)

@@ -10,18 +10,20 @@ import math
 
 import numpy as np
 
+from steinsim import mc
 from steinsim.cli import main as cli_main
 from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import (
+    ALT_STREAM,
     DEFAULT_MU0,
-    alternative_statistics,
     calibration_from_statistics,
     ml_power_oracle,
     null_statistics_by_kind,
     paired_semitail,
     semitail,
+    statistics_batch,
 )
-from steinsim.mc import DEFAULT_SEED, SimulationConfig, map_samples, tabulate_mean_function
+from steinsim.mc import DEFAULT_SEED, SimulationConfig, tabulate_mean_function
 
 JS, ML = EstimatorKind.JS, EstimatorKind.ML
 
@@ -185,7 +187,7 @@ def test_08a_mkl_is_half_mse_exactly(full_reports):
 def test_08b_efficiency_eigenvalues_bounded(full_reports):
     failures = []
     for (kind, theta), report in full_reports.items():
-        top = float(np.linalg.eigvalsh(report.efficiency_matrix)[-1])
+        top = float(np.linalg.eigvalsh(report.lambda_matrix)[-1])
         if top > EFFICIENCY_EIGEN_LIMIT:
             failures.append(f"{kind.value} theta={theta}: eigenvalue {top:.4f}")
     _finish("8b information-bound", failures)
@@ -204,7 +206,8 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
 
     from steinsim.estimators import js_estimate_batch
 
-    y = map_samples(cfg, lambda blk, s: blk)
+    parts, = mc.sweep(cfg, [(theta, lambda y, start, _: y)])
+    y = np.concatenate(parts)
     first = js_estimate_batch(y)[:, 0]
     subfamily_score = (y - theta).sum(axis=1)
     cov = float(np.cov(first, subfamily_score)[0, 1])
@@ -227,7 +230,9 @@ def test_08d_monotone_transform_invariance():
     failures = []
     for kind in (JS, ML):
         nulls = null_statistics_by_kind([kind], cfg)[kind]
-        alt = alternative_statistics(kind, 2.0, cfg)
+        parts, = mc.sweep(cfg, [(2.0, lambda y, start, _: statistics_batch(
+            kind, y, DEFAULT_MU0, index_offset=start))], stream=ALT_STREAM)
+        alt = np.concatenate(parts)
         plain = calibration_from_statistics(kind, nulls, (0.01, 0.05),
                                             DEFAULT_MU0, cfg.seed)
         mapped = calibration_from_statistics(kind, np.exp(nulls), (0.01, 0.05),

@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
 
-from steinsim.assess import SingularCovarianceError, assess_moments, efficiency
+from steinsim.assess import SingularCovarianceError, assess_moments
 from steinsim.estimators import EstimatorKind
-from steinsim.mc import CellMoments, SimulationConfig, StreamingMoments, collect_cells
+from steinsim.mc import (
+    CellMoments,
+    SimulationConfig,
+    StreamingMoments,
+    collect_cells,
+    draw_block,
+)
 
 
 def _cfg(n=100_000, seed=42, workers=1):
@@ -81,18 +87,13 @@ def test_lambda_matrix_constant_estimator_is_singular():
 
 
 def test_efficiency_with_identity_fisher_is_lambda():
+    # V = I and D = diag(sqrt(lam)) give Lambda = diag(lam); the unit
+    # Fisher information whitens nothing, so the efficiency is Lambda
     lam = np.diag([0.2, 0.5, 0.9])
-    eff, mean_eff = efficiency(lam, np.eye(3))
-    assert np.allclose(eff, lam, atol=1e-14)
-    assert mean_eff == pytest.approx(lam.trace() / 3)
-
-
-def test_efficiency_whitens_by_fisher():
-    lam = np.diag([2.0, 2.0])
-    fisher = np.diag([4.0, 1.0])
-    eff, mean_eff = efficiency(lam, fisher)
-    assert np.allclose(eff, np.diag([0.5, 2.0]), atol=1e-12)
-    assert mean_eff == pytest.approx(1.25)
+    report = _report_from_covariances(np.sqrt(lam), np.eye(3))
+    assert np.allclose(report.lambda_matrix, lam, atol=1e-14)
+    assert report.mean_efficiency == report.scalar_lambda / 3
+    assert report.mean_efficiency == pytest.approx(lam.trace() / 3)
 
 
 def test_scalar_lambda_is_the_exact_trace():
@@ -100,8 +101,6 @@ def test_scalar_lambda_is_the_exact_trace():
     d = rng.normal(size=(4, 4))
     report = _report_from_covariances(d, np.diag([1.0, 2.0, 3.0, 4.0]))
     assert report.scalar_lambda == np.trace(report.lambda_matrix)
-    with pytest.raises(ValueError):
-        efficiency(np.ones((2, 3)), np.eye(2))
 
 
 def test_fisher_information_helper_feeds_efficiency():
@@ -110,25 +109,14 @@ def test_fisher_information_helper_feeds_efficiency():
     assert report.mean_efficiency == pytest.approx(0.5)
 
 
-def test_efficiency_rejects_bad_fisher():
-    lam = np.eye(2)
-    with pytest.raises(ValueError):
-        efficiency(lam, np.diag([1.0, 0.0]))
-    with pytest.raises(ValueError):
-        efficiency(lam, np.array([[1.0, 0.5], [0.0, 1.0]]))
-    with pytest.raises(ValueError):
-        efficiency(lam, np.eye(3))
-
-
 def test_component_slopes_respect_the_information_bound():
     # along the equal-means line the scalar score is sum(y - theta) with
     # information k; each component statistic's standardized slope is
     # bounded by sqrt(k)
     from steinsim.estimators import estimate_batch
-    from steinsim.mc import map_samples
 
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=100_000, seed=23)
-    y = map_samples(cfg, lambda blk, s: blk)
+    y = draw_block(cfg, 0, cfg.n_samples)
     subfamily_score = (y - 1.25).sum(axis=1)
     for kind in (EstimatorKind.ML, EstimatorKind.JS):
         est = estimate_batch(kind, y)
@@ -146,8 +134,7 @@ def test_assess_report_consistency(full_reports):
         assert np.allclose(report.lambda_matrix, report.lambda_matrix.T)
         assert report.n_samples == 1_000_000
         # identity Fisher information makes efficiency equal information
-        assert np.allclose(report.efficiency_matrix, report.lambda_matrix,
-                           atol=1e-12)
+        assert report.mean_efficiency == report.scalar_lambda / 14
         assert np.isfinite(report.lambda_stderr)
 
 

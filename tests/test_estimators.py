@@ -5,20 +5,15 @@ import pytest
 
 from steinsim.estimators import (
     EstimatorKind,
-    GeneralizedEstimatorCurve,
-    NoCrossingError,
     ShrinkageDomainError,
-    build_generalized,
     estimate_batch,
     js_estimate_batch,
     shrinkage_factor_batch,
-    zero_crossing,
 )
 from steinsim.mc import (
     CHUNK_SAMPLES,
     SimulationConfig,
     collect_cells,
-    draw_block,
     tabulate_mean_function,
 )
 
@@ -191,106 +186,14 @@ def test_custom_estimate_of_another_shape_fails(reshape):
 
 
 # ---------------------------------------------------------------------------
-# Generalized-estimator curves
+# Tabulated mean functions
 # ---------------------------------------------------------------------------
 
 
-def test_curve_validation():
-    with pytest.raises(ValueError):
-        GeneralizedEstimatorCurve(np.array([0.0, 1.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        GeneralizedEstimatorCurve(np.array([0.0]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        GeneralizedEstimatorCurve(np.array([0.0, 0.0]), np.array([1.0, -1.0]))
-
-
-def test_build_generalized_unbiased_statistic_crosses_at_its_value():
-    grid = np.linspace(0.0, 3.0, 31)
-    curve = build_generalized(lambda y: float(y.mean()), np.full(4, 1.7), grid, grid)
-    assert zero_crossing(curve) == pytest.approx(1.7, abs=1e-12)
-
-
-def test_build_generalized_constant_statistic_ignores_y():
-    grid = np.linspace(0.0, 2.0, 5)
-    mean_fn = grid**2
-    c1 = build_generalized(lambda y: 0.8, np.zeros(3), grid, mean_fn)
-    c2 = build_generalized(lambda y: 0.8, np.full(3, 42.0), grid, mean_fn)
-    assert np.array_equal(c1.values, c2.values)
-
-
-def test_build_generalized_length_mismatch():
-    with pytest.raises(ValueError, match="does not match"):
-        build_generalized(lambda y: 0.0, np.zeros(2), np.array([0.0, 1.0]),
-                          np.array([0.0, 0.5, 1.0]))
-
-
-def test_zero_crossing_exact_zero():
-    curve = GeneralizedEstimatorCurve(np.array([0.0, 1.0, 2.0, 3.0]),
-                                      np.array([2.0, 1.0, 0.0, -1.0]))
-    assert zero_crossing(curve) == 2.0
-
-
-def test_zero_crossing_linear_interpolation():
-    curve = GeneralizedEstimatorCurve(np.array([0.0, 1.0]), np.array([1.0, -1.0]))
-    assert zero_crossing(curve) == pytest.approx(0.5, abs=1e-15)
-
-
-def test_zero_crossing_missing_raises_with_end_values():
-    curve = GeneralizedEstimatorCurve(np.array([0.0, 1.0, 2.0]),
-                                      np.array([3.0, 2.0, 1.0]))
-    with pytest.raises(NoCrossingError) as err:
-        zero_crossing(curve)
-    assert err.value.first_value == 3.0
-    assert err.value.last_value == 1.0
-
-
-def test_zero_crossing_stable_under_grid_refinement():
-    def f(g):
-        return 1.3 - g**3  # strictly decreasing, crossing at 1.3 ** (1/3)
-
-    coarse_grid = np.linspace(0.0, 2.0, 9)
-    fine_grid = np.linspace(0.0, 2.0, 17)
-    coarse = GeneralizedEstimatorCurve(coarse_grid, f(coarse_grid))
-    fine = GeneralizedEstimatorCurve(fine_grid, f(fine_grid))
-    step = coarse_grid[1] - coarse_grid[0]
-    assert abs(zero_crossing(coarse) - zero_crossing(fine)) <= step
-
-
-def test_curve_values_invariant_under_grid_relabeling():
-    # the same statistic against the same distributions, with the grid
-    # relabeled by a strictly increasing map, gives identical values
-    grid = np.linspace(0.1, 2.1, 21)
-    mean_fn = np.tanh(grid)
-    stat = lambda y: float(y.sum())
-    y = np.array([0.4, 0.9])
-    original = build_generalized(stat, y, grid, mean_fn)
-    relabeled = build_generalized(stat, y, np.exp(grid), mean_fn)
-    assert np.array_equal(original.values, relabeled.values)
-
-
-def test_ml_subfamily_curve_recovers_the_sample_mean():
-    # tabulated-mean-function oracle at modest N; the unbiased scalar
-    # summary of y is its mean, so the crossing must land there
-    k = 14
-    cfg = SimulationConfig(k=k, theta=2.0, n_samples=200_000, seed=21)
-    grid = np.arange(1.0, 3.0 + 1e-9, 0.05)
-    mean_fn = tabulate_mean_function(EstimatorKind.ML, grid, cfg).mean(axis=1)
-    y = draw_block(cfg, 0, 1)[0]
-    curve = build_generalized(lambda v: float(v.mean()), y, grid, mean_fn,
-                              provenance=f"seed={cfg.seed} n={cfg.n_samples}")
-    assert abs(zero_crossing(curve) - y.mean()) <= 0.02
-
-
 def test_js_component_curve_from_tabulated_means():
-    # JS first-component mean function rises with theta, so the curve is
-    # strictly decreasing and crosses inside a grid spanning the estimate
+    # the JS first-component mean function rises strictly with theta
     k = 14
     cfg = SimulationConfig(k=k, theta=1.25, n_samples=200_000, seed=22)
     grid = np.arange(0.0, 2.5 + 1e-9, 0.25)
     mean_fn = tabulate_mean_function(EstimatorKind.JS, grid, cfg)[:, 0]
     assert np.all(np.diff(mean_fn) > 0)
-    y = draw_block(cfg, 3, 1)[0]
-    curve = build_generalized(lambda v: float(_js_estimate(v)[0]), y, grid, mean_fn)
-    assert np.all(np.diff(curve.values) < 0)
-    crossing = zero_crossing(curve)
-    assert 0.0 <= crossing <= 2.5

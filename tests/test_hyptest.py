@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from steinsim import mc
-from steinsim.estimators import EstimatorKind, estimate_batch
+from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_factor_batch
 from steinsim.hyptest import (
+    ALT_STREAM,
     DEFAULT_MU0,
+    PAIR_STREAM,
     NullCalibration,
     NullResolutionError,
     _critical_value,
-    alternative_statistics,
     calibration_from_statistics,
     ml_power_oracle,
     null_statistics_by_kind,
@@ -30,6 +31,13 @@ JS, ML = EstimatorKind.JS, EstimatorKind.ML
 
 def _statistic(kind, y, mu0):
     return float(statistics_batch(kind, y[None], mu0)[0])
+
+
+def _alternative_statistics(kind, theta, config):
+    """Statistics at theta from one pass over the evaluation stream."""
+    parts, = mc.sweep(config, [(theta, lambda y, start, _: statistics_batch(
+        kind, y, DEFAULT_MU0, index_offset=start))], stream=ALT_STREAM)
+    return np.concatenate(parts)
 
 
 def _calibrate_null(kind, config, alphas):
@@ -279,6 +287,14 @@ def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
     assert np.all(ss <= np.log2(n + 1) * (1 + SEMITAIL_TOP_RTOL))
 
 
+@pytest.mark.parametrize("n", [105, 111])
+def test_semitail_beyond_every_null_draw_is_exactly_the_bound(n):
+    # sizes where -log2(1 / (n + 1)) rounds one ulp above log2(n + 1)
+    calib = _linear_calibration(n)
+    assert semitail(np.inf, calib) == np.log2(n + 1)
+    assert semitail(np.array([np.inf]), calib)[0] == np.log2(n + 1)
+
+
 # ---------------------------------------------------------------------------
 # Paired semi-tail samples
 # ---------------------------------------------------------------------------
@@ -307,6 +323,24 @@ def test_paired_semitail_is_deterministic(full_calibrations, full_config):
     second = paired_semitail(2.0, 25, full_calibrations[JS], full_calibrations[ML],
                              full_config)
     assert first == second
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, workers):
+    # two chunks: every pair comes from the same sample of stream 3 as a
+    # direct draw of the whole range
+    theta, n_points = 2.0, mc.CHUNK_SAMPLES + 300
+    config = SimulationConfig(k=14, theta=0.0, seed=42, n_workers=workers)
+    pairs = paired_semitail(theta, n_points, full_calibrations[JS],
+                            full_calibrations[ML], config)
+    y = mc.draw_block(SimulationConfig(k=14, theta=theta, n_samples=n_points, seed=42),
+                      0, n_points, PAIR_STREAM)
+    s_js = semitail(statistics_batch(JS, y, DEFAULT_MU0), full_calibrations[JS])
+    s_ml = semitail(statistics_batch(ML, y, DEFAULT_MU0), full_calibrations[ML])
+    assert [p.sample_index for p in pairs] == list(range(n_points))
+    assert np.array_equal([p.s_js for p in pairs], s_js)
+    assert np.array_equal([p.s_ml for p in pairs], s_ml)
+    assert np.array_equal([p.shrinkage for p in pairs], shrinkage_factor_batch(y))
 
 
 def test_visible_pairs_thin_out_as_theta_grows(full_calibrations, full_config):
@@ -355,7 +389,7 @@ def test_power_and_semitail_invariant_under_increasing_maps():
     cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=n, seed=42)
     for kind in (JS, ML):
         nulls = null_statistics_by_kind([kind], cfg)[kind]
-        alt = alternative_statistics(kind, 2.0, cfg)
+        alt = _alternative_statistics(kind, 2.0, cfg)
         calib = calibration_from_statistics(kind, nulls, (0.01, 0.05),
                                             DEFAULT_MU0, cfg.seed)
         calib_t = calibration_from_statistics(kind, np.exp(nulls), (0.01, 0.05),
@@ -387,7 +421,7 @@ def test_shared_passes_match_one_cell_passes_bitwise():
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 1.25, 2.5)]
     table = power_table(cells, calibrations, cfg)
     for kind, theta in cells:
-        alt = alternative_statistics(kind, theta, cfg)
+        alt = _alternative_statistics(kind, theta, cfg)
         expected = {alpha: float((alt > crit).mean())
                     for alpha, crit in calibrations[kind].critical_values.items()}
         assert table[kind, theta] == expected

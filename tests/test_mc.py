@@ -15,7 +15,6 @@ from steinsim.mc import (
     StreamingMoments,
     collect_cells,
     draw_block,
-    map_samples,
     standard_normal_block,
     tabulate_mean_function,
 )
@@ -108,7 +107,8 @@ def test_results_identical_across_worker_counts():
     moments = {}
     for workers in (1, 2, 8):
         cfg = _cfg(n_workers=workers)
-        stats[workers] = map_samples(cfg, lambda y, s: y.sum(axis=1), stream=9)
+        parts, = mc.sweep(cfg, [(cfg.theta, lambda y, s, _: y.sum(axis=1))], stream=9)
+        stats[workers] = np.concatenate(parts)
         moments[workers] = _cell(EstimatorKind.JS, cfg)
     for workers in (2, 8):
         assert np.array_equal(stats[1], stats[workers])
@@ -158,7 +158,8 @@ def test_config_accepts_integral_numbers():
 def test_draw_moments_match_the_model():
     n = 1_000_000
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=n, seed=13, n_workers=2)
-    y = map_samples(cfg, lambda blk, s: blk)
+    parts, = mc.sweep(cfg, [(cfg.theta, lambda y, s, _: y)])
+    y = np.concatenate(parts)
     mean = y.mean(axis=0)
     assert np.abs(mean - 1.25).max() <= 0.004
     var = y.var(axis=0, ddof=1)
