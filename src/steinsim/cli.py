@@ -151,8 +151,8 @@ def _validate(args) -> None:
         raise UsageError("--points must be a positive integer")
 
 
-def _config(args, theta: float = 0.0) -> mc.SimulationConfig:
-    return mc.SimulationConfig(k=args.k, theta=theta, n_samples=args.samples,
+def _config(args) -> mc.SimulationConfig:
+    return mc.SimulationConfig(k=args.k, theta=0.0, n_samples=args.samples,
                                seed=args.seed, n_workers=args.workers)
 
 
@@ -227,19 +227,10 @@ def _cells(args, thetas) -> dict:
     return dict(zip(keys, mc.collect_cells(keys, _config(args))))
 
 
-def _null_statistics(args) -> dict:
-    """Ascending JS and ML null statistics from one pass over stream 1."""
+def _calibrations(args) -> dict:
+    """JS and ML null calibrations at mu0 from one pass over stream 1."""
     _progress("simulating the js and ml nulls")
-    return hyptest.null_statistics_by_kind(
-        KINDS, _config(args, theta=hyptest.DEFAULT_MU0))
-
-
-def _calibrations(args, nulls: dict, alphas) -> dict:
-    return {
-        kind: hyptest.calibration_from_statistics(
-            kind, values, alphas, hyptest.DEFAULT_MU0, args.seed)
-        for kind, values in nulls.items()
-    }
+    return hyptest.null_calibrations(KINDS, hyptest.DEFAULT_MU0, _config(args))
 
 
 # ---------------------------------------------------------------------------
@@ -260,12 +251,11 @@ def _table1(args, thetas, cells: dict, t0: float) -> _Report:
                    _manifest(args, "table1", thetas, None, t0))
 
 
-def _table2(args, thetas, alphas, nulls: dict, t0: float) -> _Report:
+def _table2(args, thetas, alphas, calibrations: dict, t0: float) -> _Report:
     columns = ("test", "alpha", "theta", "power", "stderr")
-    calibrations = _calibrations(args, nulls, alphas)
     keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in thetas))
     _progress(f"table2 power of {len(keys)} cells")
-    results = hyptest.power_table(keys, calibrations, _config(args))
+    results = hyptest.power_table(keys, calibrations, alphas, _config(args))
     n = args.samples
     rows = []
     for alpha in alphas:
@@ -313,9 +303,8 @@ def _table3(args, thetas, cells: dict, t0: float) -> _Report:
                    extra={"eigenvalue_report": eigen_rows})
 
 
-def _figure(args, theta: float, points: int, nulls: dict, t0: float) -> _Report:
+def _figure(args, theta: float, points: int, calibrations: dict, t0: float) -> _Report:
     columns = ("index", "s_js", "s_ml", "shrinkage")
-    calibrations = _calibrations(args, nulls, hyptest.DEFAULT_ALPHAS)
     _progress(f"figure drawing {points} pairs at theta={theta:g}")
     pairs = hyptest.paired_semitail(theta, points, calibrations[EstimatorKind.JS],
                                     calibrations[EstimatorKind.ML], _config(args))
@@ -341,7 +330,7 @@ def cmd_table1(args, t0: float) -> int:
 def cmd_table2(args, t0: float) -> int:
     thetas = args.theta if args.theta else TABLE2_THETAS
     alphas = args.alpha if args.alpha else list(hyptest.DEFAULT_ALPHAS)
-    _emit(args, _table2(args, thetas, alphas, _null_statistics(args), t0))
+    _emit(args, _table2(args, thetas, alphas, _calibrations(args), t0))
     return 0
 
 
@@ -352,7 +341,7 @@ def cmd_table3(args, t0: float) -> int:
 
 
 def cmd_figure(args, t0: float) -> int:
-    _emit(args, _figure(args, args.theta, args.points, _null_statistics(args), t0))
+    _emit(args, _figure(args, args.theta, args.points, _calibrations(args), t0))
     return 0
 
 
@@ -363,14 +352,14 @@ def cmd_all(args, t0: float) -> int:
     # Each stream is swept at most once; a report that fails fails alone.
     cells = functools.cache(
         lambda: _cells(args, TABLE1_THETAS + TABLE3_THETAS))
-    nulls = functools.cache(lambda: _null_statistics(args))
+    calibrations = functools.cache(lambda: _calibrations(args))
     steps = [
         ("table1", lambda t: _table1(args, TABLE1_THETAS, cells(), t)),
-        ("table2", lambda t: _table2(args, TABLE2_THETAS, alphas, nulls(), t)),
+        ("table2", lambda t: _table2(args, TABLE2_THETAS, alphas, calibrations(), t)),
         ("table3", lambda t: _table3(args, TABLE3_THETAS, cells(), t)),
     ] + [
         (f"figure_theta_{theta:g}",
-         lambda t, theta=theta: _figure(args, theta, args.points, nulls(), t))
+         lambda t, theta=theta: _figure(args, theta, args.points, calibrations(), t))
         for theta in ALL_FIGURE_THETAS
     ]
     failures: list[str] = []

@@ -13,22 +13,23 @@ P0(T >= t)``: one extra unit means the null tail area halved.
 Streams: null calibration, power evaluation, and figure pairs draw from
 the disjoint streams 1, 2 and 3 of the configured seed, so rejection
 fractions are never computed on the draws that set the critical values.
-Each stream is read by one chunk-major sweep (``mc.sweep``): the null
-statistics of several estimators come from one pass over stream 1, and
-every power cell shares one pass over stream 2, counting exceedances of
-its critical values chunk by chunk.  The sweep forms each chunk's draws
-at a theta once, read-only, for every cell at that theta (the last theta
-gets the draws with its theta added in place), and each cell writes the
-difference of its estimate from mu0 into a buffer of the chunk's
-workspace; no cell's result depends on which other cells share its pass.
-Each null is sorted once, when its pass ends, and made read-only; every
-calibration built from it shares those sorted values instead of copying
+Each stream is read by one chunk-major sweep (``mc.sweep``): one pass over
+stream 1 at an explicit mu0 yields the calibration of every estimator
+(``null_calibrations``), and every power cell shares one pass over stream
+2, counting exceedances of the critical values that ``power_table`` reads
+off each calibration for the requested alphas.  The sweep forms each
+chunk's draws at a theta once, read-only, for every cell at that theta
+(the last theta gets the draws with its theta added in place), and each
+cell writes the difference of its estimate from mu0 into a buffer of the
+chunk's workspace; no cell's result depends on which other cells share
+its pass.  Each null is sorted once, when its pass ends, and made
+read-only; its calibration shares those sorted values instead of copying
 them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -50,20 +51,13 @@ class NullResolutionError(ValueError):
 
 @dataclass(frozen=True)
 class NullCalibration:
-    """Empirical null distribution of a test statistic.
-
-    ``critical_values[alpha]`` is the empirical (1 - alpha) quantile of
-    ``sorted_null`` under the order-statistic rule
-    ``sorted[ceil((1 - alpha) * (n + 1)) - 1]``, evaluated exactly for the
-    binary value of ``alpha``.
-    """
+    """Empirical null distribution of one estimator's test statistic at
+    ``mu0``: the ascending ``sorted_null`` that ``power_table`` reads its
+    critical values off and ``semitail`` its tail areas."""
 
     kind: EstimatorKind
     mu0: float
     sorted_null: np.ndarray
-    critical_values: dict[float, float]
-    n_null: int
-    seed: int
 
     def __post_init__(self):
         values = self.sorted_null
@@ -73,8 +67,8 @@ class NullCalibration:
                 and values.flags.owndata and not values.flags.writeable):
             values = np.array(values, dtype=np.float64)
             values.flags.writeable = False
-        if values.ndim != 1 or values.size != self.n_null:
-            raise ValueError("sorted_null must be 1-D with n_null entries")
+        if values.ndim != 1:
+            raise ValueError("sorted_null must be 1-D")
         if np.any(values[1:] < values[:-1]):
             raise ValueError("sorted_null must be ascending")
         object.__setattr__(self, "sorted_null", values)
@@ -104,18 +98,20 @@ def _statistic_fold(kind: EstimatorKind, mu0: float):
         kind, y, mu0, index_offset=start, out=workspace.buffer("difference"))
 
 
-def null_statistics_by_kind(kinds: Sequence[EstimatorKind],
-                            config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
-    """Ascending, read-only null statistics of each estimator, from one pass
-    over the calibration stream at config.theta.  Every calibration built
-    from a returned null shares its memory."""
-    mu0 = config.theta
+def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
+                      config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
+    """The calibration of each estimator at ``mu0``, from one pass over the
+    calibration stream.  Each null is sorted once and made read-only, and
+    its calibration shares that memory."""
+    mu0 = float(mu0)
     columns = mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds],
                        stream=NULL_STREAM)
-    nulls = {kind: np.sort(np.concatenate(parts)) for kind, parts in zip(kinds, columns)}
-    for values in nulls.values():
+    calibrations = {}
+    for kind, parts in zip(kinds, columns):
+        values = np.sort(np.concatenate(parts))
         values.flags.writeable = False
-    return nulls
+        calibrations[kind] = NullCalibration(kind, mu0, values)
+    return calibrations
 
 
 def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
@@ -128,63 +124,57 @@ def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
     return float(sorted_values[min(max(idx, 0), n - 1)])
 
 
-def calibration_from_statistics(kind: EstimatorKind, values: np.ndarray,
-                                alphas: Iterable[float], mu0: float,
-                                seed: int) -> NullCalibration:
-    """Build a calibration from ascending null-statistic values, as
-    ``null_statistics_by_kind`` returns them."""
-    alphas = [float(a) for a in alphas]
-    if not alphas or any(not 0 < a < 1 for a in alphas):
-        raise ValueError("significance levels must lie strictly in (0, 1)")
-    values = np.asarray(values, dtype=np.float64)
-    if values.size < 100 / min(alphas):
-        raise NullResolutionError(
-            f"insufficient null resolution: {values.size} samples cannot "
-            f"calibrate alpha={min(alphas):g} (need at least "
-            f"{int(np.ceil(100 / min(alphas)))})"
-        )
-    critical = {a: _critical_value(values, a) for a in alphas}
-    return NullCalibration(kind, float(mu0), values, critical, values.size, seed)
-
-
 def power_table(cells: Sequence[tuple[EstimatorKind, float]],
                 calibrations: dict[EstimatorKind, NullCalibration],
+                alphas: Iterable[float],
                 config: mc.SimulationConfig) -> dict[tuple[EstimatorKind, float],
                                                      dict[float, float]]:
-    """Power of every (estimator, theta_alt) cell from one pass over the
-    evaluation stream.
+    """Power at each alpha of every (estimator, theta_alt) cell, from one
+    pass over the evaluation stream.
 
-    Each cell counts, chunk by chunk, the draws whose statistic strictly
-    exceeds each critical value of its estimator's calibration; the power
-    is the total count over n_samples.  The alternative draws are shared by
-    all cells (common random numbers) and disjoint from the calibration
-    draws.
+    Before any draw, each cell's calibration must hold at least
+    100 / min(alpha) null draws (else ``NullResolutionError``).  Its
+    critical value at alpha is the order statistic
+    ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
+    binary value.  Each cell counts, chunk by chunk, the draws whose
+    statistic strictly exceeds each critical value; the power is the total
+    count over n_samples.  The alternative draws are shared by all cells
+    (common random numbers) and disjoint from the calibration draws.
     """
-    for kind, _ in cells:  # before any draw
+    alphas = list(dict.fromkeys(float(a) for a in alphas))
+    if not alphas or any(not 0 < a < 1 for a in alphas):
+        raise ValueError("significance levels must lie strictly in (0, 1)")
+    for kind, _ in cells:
         if kind not in calibrations:
             raise ValueError(f"no calibration for the {kind.name} estimator")
         if calibrations[kind].kind is not kind:
             raise ValueError(
                 f"calibration is for {calibrations[kind].kind}, not {kind}"
             )
+    need = 100 / min(alphas)
+    critical = {}
+    for kind in dict.fromkeys(kind for kind, _ in cells):
+        values = calibrations[kind].sorted_null
+        if values.size < need:  # need may be inf: format it, never int() it
+            raise NullResolutionError(
+                f"insufficient null resolution: {values.size} samples cannot "
+                f"calibrate alpha={min(alphas):g} (need at least {np.ceil(need):.15g})")
+        critical[kind] = [_critical_value(values, a) for a in alphas]
 
-    def fold(calibration: NullCalibration):
-        critical = list(calibration.critical_values.values())
-        statistic = _statistic_fold(calibration.kind, calibration.mu0)
+    def fold(kind: EstimatorKind):
+        crits = critical[kind]
+        statistic = _statistic_fold(kind, calibrations[kind].mu0)
 
         def chunk(y: np.ndarray, start: int, workspace: mc.Workspace) -> list[int]:
             stats = statistic(y, start, workspace)
-            return [int(np.count_nonzero(stats > crit)) for crit in critical]
+            return [int(np.count_nonzero(stats > crit)) for crit in crits]
         return chunk
 
-    columns = mc.sweep(config, [(theta, fold(calibrations[kind])) for kind, theta in cells],
+    columns = mc.sweep(config, [(theta, fold(kind)) for kind, theta in cells],
                        stream=ALT_STREAM)
     return {
-        (kind, theta): {
-            alpha: count / config.n_samples
-            for alpha, count in zip(calibrations[kind].critical_values,
-                                    map(sum, zip(*parts)))
-        }
+        (kind, theta): {alpha: count / config.n_samples
+                        for alpha, count in zip(alphas, map(sum, zip(*parts)))}
         for (kind, theta), parts in zip(cells, columns)
     }
 
@@ -197,7 +187,7 @@ def semitail(t, calibration: NullCalibration):
     scalars or arrays.
     """
     t = np.asarray(t, dtype=np.float64)
-    n = calibration.n_null
+    n = calibration.sorted_null.size
     count_ge = n - np.searchsorted(calibration.sorted_null, t, side="left")
     # the rounded ratio can put -log2 one ulp above its bound log2(n + 1)
     s = np.minimum(-np.log2((count_ge + 1.0) / (n + 1.0)), np.log2(n + 1.0))
@@ -231,9 +221,8 @@ def paired_semitail(theta_alt: float, n_points: int,
     if n_points < 1:
         raise ValueError("n_points must be positive")
     mu0 = calib_js.mu0
-    cfg = mc.SimulationConfig(k=config.k, theta=theta_alt, n_samples=n_points,
-                              seed=config.seed, n_workers=config.n_workers)
-    parts, = mc.sweep(cfg, [(theta_alt, lambda y, start, _: y)], stream=PAIR_STREAM)
+    parts, = mc.sweep(replace(config, n_samples=n_points),
+                      [(theta_alt, lambda y, start, _: y)], stream=PAIR_STREAM)
     y = np.concatenate(parts)
     t_js = statistics_batch(EstimatorKind.JS, y, mu0)
     t_ml = statistics_batch(EstimatorKind.ML, y, mu0)

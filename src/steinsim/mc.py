@@ -76,9 +76,9 @@ MEAN_FUNCTION_STREAM_BASE = 1000
 class SimulationConfig:
     """Determinism contract of a pass: k, n_samples, seed and n_workers.
 
-    A sweep reads every cell's theta from the cell itself; ``theta`` is the
-    mean that ``draw_block`` adds and the null mean of
-    ``hyptest.null_statistics_by_kind``.
+    ``theta`` is only the mean that ``draw_block`` adds: a sweep reads every
+    cell's theta from the cell itself, and the null pass takes its mean as
+    an argument.
     """
 
     k: int
@@ -107,9 +107,6 @@ class SimulationConfig:
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_workers", n_workers)
-
-    def with_theta(self, theta: float) -> "SimulationConfig":
-        return replace(self, theta=theta)
 
 
 def _integer(value) -> int | None:
@@ -192,10 +189,11 @@ class StreamingMoments:
     def from_batch(cls, a: np.ndarray, b: np.ndarray) -> "StreamingMoments":
         """Moments of one block of paired rows.
 
-        ``m_ab`` is ``caᵀ b`` with ``ca = a - mean_a`` and ``b`` uncentered:
-        the columns of ``ca`` sum to zero, so centering ``b`` would subtract
-        nothing.  When ``b is a``, the ``b`` half repeats ``mean_a`` and
-        ``m_aa`` without a second mean or product.
+        ``m_ab`` is ``caᵀ b - (Σ ca) mean_bᵀ`` with ``ca = a - mean_a`` and
+        ``b`` uncentered: the rank-one term removes the rounding residue of
+        ``Σ ca`` times a large ``mean_b`` without a centering copy of ``b``.
+        When ``b is a``, the ``b`` half repeats ``mean_a`` and ``m_aa``
+        without a second mean or product.
         """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1:
@@ -208,7 +206,9 @@ class StreamingMoments:
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ValueError("b must be an (n, m) array paired with a")
-        return cls(a.shape[0], mean_a, m_aa, b.mean(axis=0), ca.T @ b)
+        mean_b = b.mean(axis=0)
+        m_ab = ca.T @ b - np.outer(ca.sum(axis=0), mean_b)
+        return cls(a.shape[0], mean_a, m_aa, mean_b, m_ab)
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine with a later block; ``self`` precedes ``other``."""
@@ -296,7 +296,7 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
         raise ValueError("a sweep needs at least one cell")
     if not all(np.isfinite(theta) for theta, _ in cells):
         raise ValueError("every cell theta must be finite")
-    origin = config.with_theta(0.0)
+    origin = replace(config, theta=0.0)
     groups: dict[str, list[int]] = {}
     for i, (theta, _) in enumerate(cells):  # keyed by the bits: 0.0 and -0.0 stay apart
         groups.setdefault(float(theta).hex(), []).append(i)

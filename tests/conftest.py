@@ -7,11 +7,7 @@ import pytest
 
 from steinsim.assess import assess_moments
 from steinsim.estimators import EstimatorKind
-from steinsim.hyptest import (
-    calibration_from_statistics,
-    null_statistics_by_kind,
-    power_table,
-)
+from steinsim.hyptest import null_calibrations, power_table
 from steinsim.mc import DEFAULT_SEED, SimulationConfig, collect_cells
 
 K = 14
@@ -31,13 +27,7 @@ def full_config():
 
 @pytest.fixture(scope="session")
 def full_calibrations(full_config):
-    null_cfg = full_config.with_theta(MU0)
-    nulls = null_statistics_by_kind(KINDS, null_cfg)
-    return {
-        kind: calibration_from_statistics(kind, nulls[kind], ALPHAS, MU0,
-                                          null_cfg.seed)
-        for kind in KINDS
-    }
+    return null_calibrations(KINDS, MU0, full_config)
 
 
 @pytest.fixture(scope="session")
@@ -53,4 +43,4 @@ def full_reports(full_config):
 @pytest.fixture(scope="session")
 def full_powers(full_config, full_calibrations):
     keys = [(kind, theta) for kind in KINDS for theta in POWER_THETAS]
-    return power_table(keys, full_calibrations, full_config)
+    return power_table(keys, full_calibrations, ALPHAS, full_config)

@@ -16,9 +16,10 @@ from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import (
     ALT_STREAM,
     DEFAULT_MU0,
-    calibration_from_statistics,
+    NullCalibration,
+    _critical_value,
     ml_power_oracle,
-    null_statistics_by_kind,
+    null_calibrations,
     paired_semitail,
     semitail,
     statistics_batch,
@@ -229,17 +230,14 @@ def test_08d_monotone_transform_invariance():
                            seed=DEFAULT_SEED)
     failures = []
     for kind in (JS, ML):
-        nulls = null_statistics_by_kind([kind], cfg)[kind]
+        plain = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
         parts, = mc.sweep(cfg, [(2.0, lambda y, start, _: statistics_batch(
             kind, y, DEFAULT_MU0, index_offset=start))], stream=ALT_STREAM)
         alt = np.concatenate(parts)
-        plain = calibration_from_statistics(kind, nulls, (0.01, 0.05),
-                                            DEFAULT_MU0, cfg.seed)
-        mapped = calibration_from_statistics(kind, np.exp(nulls), (0.01, 0.05),
-                                             DEFAULT_MU0, cfg.seed)
+        mapped = NullCalibration(kind, DEFAULT_MU0, np.exp(plain.sorted_null))
         for alpha in (0.01, 0.05):
-            p1 = int((alt > plain.critical_values[alpha]).sum())
-            p2 = int((np.exp(alt) > mapped.critical_values[alpha]).sum())
+            p1 = int((alt > _critical_value(plain.sorted_null, alpha)).sum())
+            p2 = int((np.exp(alt) > _critical_value(mapped.sorted_null, alpha)).sum())
             if p1 != p2:
                 failures.append(f"{kind.value} alpha={alpha}: {p1} != {p2}")
         if not np.array_equal(semitail(alt, plain), semitail(np.exp(alt), mapped)):

@@ -150,3 +150,15 @@ def test_assess_accepts_custom_estimators():
     # information matrix stays at the identity
     assert np.abs(report.lambda_matrix - np.eye(14)).max() <= 0.05
     assert report.estimator is None
+
+
+@pytest.mark.parametrize("theta", [1e5, 1e7])
+def test_js_information_matches_ml_far_from_the_origin(theta):
+    # far from 0 the JS shrinkage is ~1e-10 or less, so JS and ML carry the
+    # same information; the moments pair the estimate with y ~ theta, and
+    # the rounding residue of the centered estimate's column sums, times
+    # theta, must not leak into Cov(estimate, score)
+    cfg = _cfg(n=70_000, seed=7)
+    js = _assess(EstimatorKind.JS, theta, cfg).scalar_lambda
+    ml = _assess(EstimatorKind.ML, theta, cfg).scalar_lambda
+    assert js == pytest.approx(ml, rel=1e-9)

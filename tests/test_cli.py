@@ -171,6 +171,25 @@ def test_numerical_failures_exit_2(capsys):
     assert "insufficient null resolution" in err
 
 
+@pytest.mark.parametrize("alpha", ["1e-300", "1e-310"])
+def test_a_tiny_alpha_fails_on_null_resolution(capsys, alpha):
+    # 100 / alpha has 302 digits at 1e-300 and is infinite at 1e-310
+    code, out, err = run(capsys, ["table2", "--alpha", alpha, "--samples", "20000"])
+    assert code == 2 and out == ""
+    failures = [line for line in err.splitlines() if not line.startswith("[steinsim]")]
+    assert len(failures) == 1 and len(failures[0]) < 160
+    assert failures[0].startswith("steinsim: numerical failure: insufficient null resolution")
+
+
+def test_figure_reads_no_critical_value(capsys):
+    # the semi-tail reads the sorted null only, so no alpha bounds --samples
+    code, out, _ = run(capsys, ["figure", "--samples", "5000", "--theta", "2",
+                                "--points", "10"])
+    assert code == 0
+    header, rows = parse_csv(out)
+    assert header == ["index", "s_js", "s_ml", "shrinkage"] and len(rows) == 10
+
+
 def test_file_output_with_manifest_sidecar(tmp_path, capsys):
     out_file = tmp_path / "t1.csv"
     code, _, _ = run(capsys, ["table1", *SMALL, "--theta", "0",
@@ -253,10 +272,12 @@ def test_all_marks_failed_steps_and_exits_2(tmp_path, capsys):
     code, _, _ = run(capsys, ["all", "--samples", "6000", "--seed", "42",
                               "--output", str(out_dir)])
     assert code == 2
-    # table1 needs no calibration and survives; the rest fail on null
-    # resolution at this sample count
+    # only table2 reads critical values, so only it fails on null
+    # resolution at this sample count; the figures read the sorted nulls
     assert (out_dir / "table1.csv").exists()
     assert (out_dir / "table2.FAILED").exists()
+    assert (out_dir / "figure_theta_0.5.csv").exists()
+    assert (out_dir / "figure_theta_2.csv").exists()
     assert (out_dir / "manifest.json").exists()
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert "table2" in manifest["failures"]
@@ -354,6 +375,22 @@ def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
     assert sorted(shared) == [(stream, start, count) for stream in (0, 1, 2)
                               for start, count in ((0, 65536), (65536, 4464))]
     assert set(shared.values()) == {1}
+
+
+def test_all_builds_one_calibration_per_estimator(tmp_path, monkeypatch, capsys):
+    # table2 and both figures read the same two calibrations
+    built = []
+    post_init = hyptest.NullCalibration.__post_init__
+
+    def counting(self):
+        built.append(self.kind)
+        post_init(self)
+
+    monkeypatch.setattr(hyptest.NullCalibration, "__post_init__", counting)
+    code, _, _ = run(capsys, ["all", "--samples", "20000", "--seed", "42",
+                              "--output", str(tmp_path / "run")])
+    assert code == 0
+    assert sorted(kind.value for kind in built) == ["js", "ml"]
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():

@@ -16,9 +16,8 @@ from steinsim.hyptest import (
     NullCalibration,
     NullResolutionError,
     _critical_value,
-    calibration_from_statistics,
     ml_power_oracle,
-    null_statistics_by_kind,
+    null_calibrations,
     paired_semitail,
     power_table,
     semitail,
@@ -40,9 +39,10 @@ def _alternative_statistics(kind, theta, config):
     return np.concatenate(parts)
 
 
-def _calibrate_null(kind, config, alphas):
-    nulls = null_statistics_by_kind([kind], config)[kind]
-    return calibration_from_statistics(kind, nulls, alphas, config.theta, config.seed)
+def _powers(kind, config, alphas):
+    """Power at mu0 from a calibration of its own null pass."""
+    calibrations = null_calibrations([kind], DEFAULT_MU0, config)
+    return power_table([(kind, DEFAULT_MU0)], calibrations, alphas, config)
 
 
 def test_statistic_vanishes_at_the_null_for_ml():
@@ -83,23 +83,25 @@ def test_statistic_input_checks():
 def test_ml_critical_values_match_chi_square(full_calibrations):
     # t_ML under the null is a central chi-square with k degrees of freedom
     calib = full_calibrations[ML]
-    n = calib.n_null
+    n = calib.sorted_null.size
     for alpha in (0.01, 0.05):
         q = chi2.ppf(1.0 - alpha, 14)
         quantile_se = math.sqrt(alpha * (1 - alpha) / n) / chi2.pdf(q, 14)
-        assert abs(calib.critical_values[alpha] - q) <= 3 * quantile_se
+        assert abs(_critical_value(calib.sorted_null, alpha) - q) <= 3 * quantile_se
 
 
 def test_rejection_fraction_matches_alpha(full_calibrations):
     for calib in full_calibrations.values():
-        n = calib.n_null
-        for alpha, crit in calib.critical_values.items():
+        n = calib.sorted_null.size
+        for alpha in (0.01, 0.05):
+            crit = _critical_value(calib.sorted_null, alpha)
             fraction = float((calib.sorted_null > crit).mean())
             assert alpha - 2 / math.sqrt(n) <= fraction <= alpha + 2 / math.sqrt(n)
 
 
 def test_js_critical_values_finite_positive(full_calibrations):
-    for crit in full_calibrations[JS].critical_values.values():
+    for alpha in (0.01, 0.05):
+        crit = _critical_value(full_calibrations[JS].sorted_null, alpha)
         assert np.isfinite(crit) and crit > 0
 
 
@@ -126,35 +128,34 @@ def test_critical_value_is_the_exact_order_statistic(n, alpha):
 def test_insufficient_null_resolution():
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=5000, seed=1)
     with pytest.raises(NullResolutionError, match="insufficient null resolution"):
-        _calibrate_null(ML, cfg, alphas=(0.01, 0.05))
+        _powers(ML, cfg, alphas=(0.01, 0.05))
 
 
 def test_calibration_rejects_bad_alphas():
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=20_000, seed=1)
     with pytest.raises(ValueError):
-        _calibrate_null(ML, cfg, alphas=(0.0,))
+        _powers(ML, cfg, alphas=(0.0,))
     with pytest.raises(ValueError):
-        _calibrate_null(ML, cfg, alphas=())
+        _powers(ML, cfg, alphas=())
 
 
 def test_calibration_validates_sorted_null():
     with pytest.raises(ValueError, match="ascending"):
-        NullCalibration(ML, 1.25, np.array([2.0, 1.0]), {0.5: 1.5}, 2, 0)
+        NullCalibration(ML, 1.25, np.array([2.0, 1.0]))
 
 
 def test_calibrations_share_the_read_only_null():
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=20_000, seed=2)
-    nulls = null_statistics_by_kind([JS, ML], cfg)
-    for kind, values in nulls.items():
+    for kind, values in null_calibrations([JS, ML], 1.25, cfg).items():
+        values = values.sorted_null
         assert not values.flags.writeable
-        for alphas in ((0.01, 0.05), (0.05,)):
-            calib = calibration_from_statistics(kind, values, alphas, 1.25, cfg.seed)
-            assert np.shares_memory(calib.sorted_null, values)
+        calib = NullCalibration(kind, 1.25, values)
+        assert np.shares_memory(calib.sorted_null, values)
 
 
 def test_calibration_copies_a_writable_null():
     values = np.arange(1.0, 201.0)
-    calib = NullCalibration(ML, 1.25, values, {}, 200, seed=0)
+    calib = NullCalibration(ML, 1.25, values)
     values[:] = 0.0
     assert not np.shares_memory(calib.sorted_null, values)
     assert np.array_equal(calib.sorted_null, np.arange(1.0, 201.0))
@@ -175,25 +176,35 @@ def test_power_at_the_null_equals_alpha(full_powers):
 
 def test_power_requires_matching_calibration(full_calibrations, full_config):
     with pytest.raises(ValueError, match="calibration is for"):
-        power_table([(ML, 2.0)], {ML: full_calibrations[JS]}, full_config)
+        power_table([(ML, 2.0)], {ML: full_calibrations[JS]}, (0.05,), full_config)
 
 
 def test_power_table_names_a_missing_calibration(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(JS, 1.25, np.arange(1.0, 201.0), {0.05: 190.0}, 200, seed=0)
+    calib = NullCalibration(JS, 1.25, np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="no calibration for the ML estimator"):
-        power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, cfg)
+        power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, (0.05,), cfg)
     assert draws == []  # before any draw
+
+
+def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
+    calib = NullCalibration(ML, 1.25, np.arange(1.0, 201.0))
+    cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
+    with pytest.raises(NullResolutionError, match=r"alpha=0\.05 \(need at least 2000\)"):
+        power_table([(ML, 0.5)], {ML: calib}, (0.5, 0.05), cfg)
+    assert draws == []
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_power_table_rejects_a_non_finite_theta(bad):
-    calib = NullCalibration(ML, 1.25, np.arange(1.0, 201.0), {0.05: 190.0}, 200, seed=0)
+    calib = NullCalibration(ML, 1.25, np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="finite"):
-        power_table([(ML, 0.5), (ML, bad)], {ML: calib}, cfg)
+        power_table([(ML, 0.5), (ML, bad)], {ML: calib}, (0.5,), cfg)
 
 
 def test_ml_power_is_symmetric_about_the_null(full_powers):
@@ -226,7 +237,7 @@ def test_js_power_asymmetry_at_equal_divergence(full_powers):
 
 def _linear_calibration(n=99_999):
     values = np.arange(1.0, n + 1.0)
-    return NullCalibration(ML, 1.25, values, {}, n, seed=0)
+    return NullCalibration(ML, 1.25, values)
 
 
 def test_semitail_add_one_rule_exact():
@@ -252,7 +263,7 @@ def test_semitail_at_the_median_is_about_one(full_calibrations):
 def test_semitail_unit_difference_halves_the_tail():
     calib = _linear_calibration(n=4095)
     t1, t2 = 3000.0, 3500.0
-    n = calib.n_null
+    n = calib.sorted_null.size
     count1 = int((calib.sorted_null >= t1).sum())
     count2 = int((calib.sorted_null >= t2).sum())
     expected = -math.log2((count2 + 1) / (count1 + 1))
@@ -280,7 +291,7 @@ SEMITAIL_TOP_RTOL = 4 * np.finfo(np.float64).eps
 def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
     values = np.sort(np.array(null))
     n = values.size
-    calib = NullCalibration(ML, 1.25, values, {}, n, seed=0)
+    calib = NullCalibration(ML, 1.25, values)
     ss = semitail(np.sort(np.array(ts)), calib)
     assert np.all(np.diff(ss) >= 0)
     assert np.all(ss >= 0)
@@ -388,15 +399,12 @@ def test_power_and_semitail_invariant_under_increasing_maps():
     n = 100_000
     cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=n, seed=42)
     for kind in (JS, ML):
-        nulls = null_statistics_by_kind([kind], cfg)[kind]
+        calib = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
         alt = _alternative_statistics(kind, 2.0, cfg)
-        calib = calibration_from_statistics(kind, nulls, (0.01, 0.05),
-                                            DEFAULT_MU0, cfg.seed)
-        calib_t = calibration_from_statistics(kind, np.exp(nulls), (0.01, 0.05),
-                                              DEFAULT_MU0, cfg.seed)
+        calib_t = NullCalibration(kind, DEFAULT_MU0, np.exp(calib.sorted_null))
         for alpha in (0.01, 0.05):
-            p = float((alt > calib.critical_values[alpha]).mean())
-            p_t = float((np.exp(alt) > calib_t.critical_values[alpha]).mean())
+            p = float((alt > _critical_value(calib.sorted_null, alpha)).mean())
+            p_t = float((np.exp(alt) > _critical_value(calib_t.sorted_null, alpha)).mean())
             assert p == p_t
         assert np.array_equal(semitail(alt, calib), semitail(np.exp(alt), calib_t))
 
@@ -411,19 +419,19 @@ def test_shared_passes_match_one_cell_passes_bitwise():
     # results exactly, and power must equal the exceedance fraction
     cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=70_000, seed=8,
                            n_workers=2)
-    nulls = null_statistics_by_kind([JS, ML], cfg)
-    calibrations = {}
+    calibrations = null_calibrations([JS, ML], DEFAULT_MU0, cfg)
     for kind in (JS, ML):
-        assert np.array_equal(nulls[kind], null_statistics_by_kind([kind], cfg)[kind])
-        assert np.all(np.diff(nulls[kind]) >= 0)
-        calibrations[kind] = calibration_from_statistics(
-            kind, nulls[kind], (0.01, 0.05), DEFAULT_MU0, cfg.seed)
+        nulls = calibrations[kind].sorted_null
+        alone = null_calibrations([kind], DEFAULT_MU0, cfg)[kind].sorted_null
+        assert np.array_equal(nulls, alone)
+        assert np.all(np.diff(nulls) >= 0)
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 1.25, 2.5)]
-    table = power_table(cells, calibrations, cfg)
+    table = power_table(cells, calibrations, (0.01, 0.05), cfg)
     for kind, theta in cells:
         alt = _alternative_statistics(kind, theta, cfg)
-        expected = {alpha: float((alt > crit).mean())
-                    for alpha, crit in calibrations[kind].critical_values.items()}
+        expected = {alpha: float((alt > _critical_value(calibrations[kind].sorted_null,
+                                                        alpha)).mean())
+                    for alpha in (0.01, 0.05)}
         assert table[kind, theta] == expected
-        alone = power_table([(kind, theta)], {kind: calibrations[kind]}, cfg)
+        alone = power_table([(kind, theta)], {kind: calibrations[kind]}, (0.01, 0.05), cfg)
         assert alone[kind, theta] == expected

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from steinsim import mc
 from steinsim.estimators import EstimatorKind
-from steinsim.hyptest import calibration_from_statistics, null_statistics_by_kind, power_table
+from steinsim.hyptest import null_calibrations, power_table
 from steinsim.mc import (
     CHUNK_SAMPLES,
     SimulationConfig,
@@ -369,7 +370,7 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
     forward = collect_cells(cells, cfg, stream=5)
     backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = _cell(kind, cfg.with_theta(theta), stream=5)
+        alone = _cell(kind, replace(cfg, theta=theta), stream=5)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
@@ -384,7 +385,7 @@ def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
     forward = collect_cells(cells, cfg, stream=5)
     backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = _cell(kind, cfg.with_theta(theta), stream=5)
+        alone = _cell(kind, replace(cfg, theta=theta), stream=5)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
@@ -417,13 +418,12 @@ def test_sweeps_do_not_depend_on_the_worker_count(k, n, cells):
     # random cell lists repeat thetas (and whole cells); moments and power
     # must be bit-identical at 1, 2 and 3 workers
     null_cfg = SimulationConfig(k=k, theta=1.25, n_samples=2000, seed=21)
-    nulls = null_statistics_by_kind([EstimatorKind.JS, EstimatorKind.ML], null_cfg)
-    calibrations = {kind: calibration_from_statistics(kind, values, (0.05,), 1.25, 21)
-                    for kind, values in nulls.items()}
+    calibrations = null_calibrations([EstimatorKind.JS, EstimatorKind.ML], 1.25, null_cfg)
     results = {}
     for workers in (1, 2, 3):
         cfg = SimulationConfig(k=k, theta=0.0, n_samples=n, seed=22, n_workers=workers)
-        results[workers] = (collect_cells(cells, cfg), power_table(cells, calibrations, cfg))
+        results[workers] = (collect_cells(cells, cfg),
+                            power_table(cells, calibrations, (0.05,), cfg))
     for workers in (2, 3):
         assert all(_same_cell(a, b) for a, b in zip(results[1][0], results[workers][0]))
         assert results[workers][1] == results[1][1]
