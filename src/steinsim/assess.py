@@ -46,9 +46,12 @@ def _kind_label(kind) -> str:
 
 def _lambda_from_moments(moments: mc.StreamingMoments, kind, theta: float) -> np.ndarray:
     """Information matrix D^T V^{-1} D of the estimator at theta * 1,
-    symmetrized since sampling noise breaks exact symmetry."""
+    symmetrized since sampling noise breaks exact symmetry.  Moments that
+    overflowed (V or D not finite) count as singular."""
     v = moments.cov_aa
     d = moments.cov_ab
+    if not (np.isfinite(v).all() and np.isfinite(d).all()):
+        raise SingularCovarianceError(kind, theta, float("inf"))
     v = 0.5 * (v + v.T)
     eigs = np.linalg.eigvalsh(v)
     if eigs[0] <= 0 or eigs[-1] / eigs[0] > V_CONDITION_LIMIT:

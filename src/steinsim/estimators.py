@@ -84,11 +84,12 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     ``out``, a float64 array of ``y``'s shape, receives the estimate and is
     returned.  The ML estimate is the observation itself: without ``out``
     it is a fresh copy, and ``out=y`` returns ``y`` as is.  The sweep folds
-    (``mc.collect_cells``, ``hyptest.null_calibrations`` and
-    ``hyptest.power_table``) pass ``out=y`` for ML and a buffer of their
-    chunk's workspace otherwise; they never write to or keep ``y``, which
-    every cell at one theta shares read-only (see ``mc.sweep``), so a
-    callable that writes into its input fails there.
+    (``mc.collect_cells``, ``mc.tabulate_mean_function``,
+    ``hyptest.null_calibrations`` and ``hyptest.power_table``) pass
+    ``out=y`` for ML and a buffer of the worker's workspace otherwise; they
+    never write to or keep ``y``, which every cell at one theta shares
+    read-only (see ``mc.sweep``), so a callable that writes into its input
+    fails there.
     """
     if kind is EstimatorKind.ML:
         if out is None:

@@ -21,10 +21,10 @@ off each calibration for the requested alphas.  The sweep forms each
 chunk's draws at a theta once, read-only, for every cell at that theta
 (the last theta gets the draws with its theta added in place), and each
 cell writes the difference of its estimate from mu0 into a buffer of the
-chunk's workspace; no cell's result depends on which other cells share
-its pass.  Each null is sorted once, when its pass ends, and made
-read-only; its calibration shares those sorted values instead of copying
-them.
+workspace that its worker reuses for every chunk of the pass; no cell's
+result depends on which other cells share its pass.  Each null is sorted
+once, when its pass ends, and made read-only; its calibration shares those
+sorted values instead of copying them.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
 
 def _statistic_fold(kind: EstimatorKind, mu0: float):
     return lambda y, start, workspace: statistics_batch(
-        kind, y, mu0, index_offset=start, out=workspace.buffer("difference"))
+        kind, y, mu0, index_offset=start, out=workspace.buffer("difference", y.shape))
 
 
 def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
@@ -210,7 +210,8 @@ def paired_semitail(theta_alt: float, n_points: int,
     """Per-sample (s_js, s_ml) pairs at the alternative theta.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
-    read by a single one-cell sweep at ``theta_alt``.  Both statistics are
+    read by a single one-cell sweep at ``theta_alt`` whose fold copies each
+    chunk's draws, since a fold may not keep its ``y``.  Both statistics are
     computed on the same draws; each is standardized against its own null
     calibration.
     """
@@ -222,7 +223,8 @@ def paired_semitail(theta_alt: float, n_points: int,
         raise ValueError("n_points must be positive")
     mu0 = calib_js.mu0
     parts, = mc.sweep(replace(config, n_samples=n_points),
-                      [(theta_alt, lambda y, start, _: y)], stream=PAIR_STREAM)
+                      [(theta_alt, lambda y, start, _: y.copy())],
+                      stream=PAIR_STREAM)
     y = np.concatenate(parts)
     t_js = statistics_batch(EstimatorKind.JS, y, mu0)
     t_ml = statistics_batch(EstimatorKind.ML, y, mu0)

@@ -18,7 +18,11 @@ depends on chunking or worker count:
   ``u = (top 53 bits + 0.5) / 2**53`` and through the inverse normal CDF
   (``scipy.special.ndtri``); the first ``k`` of the ``w`` words are used.
   The inverse-CDF map is part of the contract: it consumes a fixed number
-  of words per sample and reproduces the normal tails exactly.
+  of words per sample and reproduces the normal tails exactly.  A draw
+  fetches the words of ``_DRAW_ROWS`` samples at a time and maps them in
+  place into its result (shift, exact conversion, add, scale, ``ndtri``),
+  so it holds its result plus one block of words; the operations and their
+  order are those of the one-shot formula, so the bits are too.
 * accumulation: samples are processed in fixed chunks of
   ``CHUNK_SAMPLES``; partial moments are merged on the coordinator in
   chunk order, so the floating-point reduction order is independent of
@@ -39,18 +43,26 @@ depends on chunking or worker count:
   per distinct theta, read-only, and handed to every cell at that theta.
   The last distinct theta gets ``z`` with its theta added in place, which
   is bit-identical to ``theta + z`` and spares a copy, so a one-cell pass
-  never holds ``z`` and ``y`` together.  Each chunk also carries a
-  ``Workspace``: scratch buffers allocated on first use and reused by the
-  later cells of the chunk, so a cell writes its temporaries (the
-  estimate, then its error in the same buffer) with ``out=`` instead of
-  allocating them.  Every chunk owns its workspace, so workers never
-  share one.  Forming ``y`` once and reusing buffers changes no
-  floating-point operation, so a cell's result does not depend on which
-  other cells share its pass.
+  never holds ``z`` and ``y`` together.  Every other theta's ``y`` is
+  written into the ``y`` buffer of the worker's ``Workspace``.
+* workspaces: each worker thread of a sweep gets one ``Workspace`` on its
+  first chunk and reuses it for every later chunk of the pass.  Its named
+  buffers are allocated on first use and grown only for a larger request,
+  so a cell writes its temporaries (the estimate, then its error in the
+  same buffer) with ``out=`` into the same memory chunk after chunk, and
+  a pass holds a fixed set of buffers per worker instead of fresh arrays
+  per chunk.  Workers never share one.  A fold must not keep ``y`` or a
+  workspace buffer after it returns: the next theta or chunk overwrites
+  them, so a fold that needs them later returns a copy.  Forming ``y``
+  once and reusing buffers changes no floating-point operation, so a
+  cell's result does not depend on which other cells share its pass or
+  on which worker folds its chunks.
 """
 
 from __future__ import annotations
 
+import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -70,6 +82,10 @@ CHUNK_SAMPLES = 65536
 
 # Mean-function tabulation reserves one stream per grid row.
 MEAN_FUNCTION_STREAM_BASE = 1000
+
+# Samples drawn per Philox call: the words of one block are mapped to
+# normals in place, so a draw holds its result plus one block of words.
+_DRAW_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -134,9 +150,18 @@ def standard_normal_block(seed: int, stream: int, start: int, count: int,
     words = _words_per_sample(k)
     bg = Philox(key=[seed, stream])
     bg.advance(start * words // 4)
-    raw = bg.random_raw(count * words).reshape(count, words)[:, :k]
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
-    return ndtri(u)
+    z = np.empty((count, k))
+    for lo in range(0, count, _DRAW_ROWS):
+        part = z[lo:lo + _DRAW_ROWS]
+        # w is a multiple of 4, so each call ends on a counter block and the
+        # next one continues the stream where this one stopped
+        raw = bg.random_raw(len(part) * words).reshape(len(part), words)
+        np.right_shift(raw, 11, out=raw)
+        np.copyto(part, raw[:, :k], casting="unsafe")  # exact below 2**53
+        np.add(part, 0.5, out=part)
+        np.multiply(part, 2.0**-53, out=part)
+        ndtri(part, out=part)
+    return z
 
 
 def draw_block(config: SimulationConfig, start: int, count: int,
@@ -260,22 +285,23 @@ def _map_ordered(fn: Callable[[int, int], object],
 
 
 class Workspace:
-    """Scratch buffers of one sweep chunk, reused by the cells folded into it.
+    """Scratch buffers of one worker, reused by every cell of every chunk it
+    folds in one sweep.
 
-    ``buffer(name)`` is the chunk's array of that name, allocated on first
-    use and handed to every later request, so it holds whatever its last
-    user wrote.
+    ``buffer(name, shape)`` is a view of the worker's flat array of that
+    name, grown to the largest request so far, so a short last chunk reuses
+    the buffer of a full one.  It holds whatever its last user wrote.
     """
 
-    def __init__(self, shape: tuple[int, int]):
-        self.shape = shape  # the chunk's (count, k)
-        self._buffers: dict = {}
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
 
-    def buffer(self, name: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-        key = (name, self.shape if shape is None else shape)
-        if key not in self._buffers:
-            self._buffers[key] = np.empty(key[1])
-        return self._buffers[key]
+    def buffer(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        size = math.prod(shape)
+        flat = self._buffers.get(name)
+        if flat is None or flat.size < size:
+            flat = self._buffers[name] = np.empty(size)
+        return flat[:size].reshape(shape)
 
 
 Fold = Callable[[np.ndarray, int, Workspace], object]
@@ -288,7 +314,9 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
     ``config`` supplies k, n_samples, seed and n_workers; each cell is a
     ``(theta, fn)`` pair and sees ``fn(y, start, workspace)`` for every
     chunk, with ``y = theta * 1 + z`` read-only and shared by the cells at
-    its theta, and ``workspace`` the chunk's ``Workspace`` (see the module
+    its theta, and ``workspace`` the ``Workspace`` of the worker thread
+    that folds the chunk, one per worker for the whole pass.  A fold must
+    not keep ``y`` or a workspace buffer after it returns (see the module
     contract).  Returns, per cell, its chunk results in chunk order, so the
     caller's merge order is fixed.
     """
@@ -301,14 +329,17 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
     for i, (theta, _) in enumerate(cells):  # keyed by the bits: 0.0 and -0.0 stay apart
         groups.setdefault(float(theta).hex(), []).append(i)
     last = len(groups) - 1
+    local = threading.local()
 
     def chunk(start: int, count: int) -> list:
+        workspace = getattr(local, "workspace", None)
+        if workspace is None:
+            workspace = local.workspace = Workspace()
         z = draw_block(origin, start, count, stream)
-        workspace = Workspace(z.shape)
         results = [None] * len(cells)
         for g, members in enumerate(groups.values()):
             theta = cells[members[0]][0]
-            y = np.add(z, theta, out=z) if g == last else theta + z
+            y = np.add(z, theta, out=z if g == last else workspace.buffer("y", z.shape))
             y.flags.writeable = False
             for i in members:
                 results[i] = cells[i][1](y, start, workspace)
@@ -358,7 +389,7 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
 
     def fold(kind, mu: float):
         def chunk(y: np.ndarray, start: int, workspace: Workspace):
-            buffer = workspace.buffer("estimate")
+            buffer = workspace.buffer("estimate", y.shape)
             est = estimate_batch(kind, y, index_offset=start,
                                  out=y if kind is EstimatorKind.ML else buffer)
             # b = y: the moments do not change under the shift to the score
@@ -393,7 +424,9 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass: per chunk, the count and the mean of the
-    estimates, merged in chunk order by ``_pooled_mean`` (the update
+    estimates, written into the ``estimate`` buffer of the worker's
+    workspace (``y`` itself for ML) as ``collect_cells`` writes them, and
+    merged in chunk order by ``_pooled_mean`` (the update
     ``StreamingMoments.merge`` applies), so a row equals the ``mean_a`` of
     ``collect_cells`` on the same stream bit for bit without computing any
     covariance.
@@ -404,8 +437,9 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     if not np.isfinite(grid).all():  # before any row's pass runs
         raise ValueError("grid values must be finite")
 
-    def chunk(y: np.ndarray, start: int, _: Workspace):
-        return len(y), estimate_batch(kind, y, index_offset=start).mean(axis=0)
+    def chunk(y: np.ndarray, start: int, workspace: Workspace):
+        out = y if kind is EstimatorKind.ML else workspace.buffer("estimate", y.shape)
+        return len(y), estimate_batch(kind, y, index_offset=start, out=out).mean(axis=0)
 
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):

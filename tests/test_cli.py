@@ -171,6 +171,21 @@ def test_numerical_failures_exit_2(capsys):
     assert "insufficient null resolution" in err
 
 
+def test_overflowing_moments_are_a_numerical_failure():
+    # at theta = 1e170 the centered cross products overflow to inf, which
+    # must fail as a singular covariance, not as a LinAlgError traceback
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run(
+        [sys.executable, "-m", "steinsim.cli", "table3", "--samples", "2000",
+         "--theta", "1e170"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert result.returncode == 2 and result.stdout == ""
+    failures = [line for line in result.stderr.splitlines() if "numerical failure" in line]
+    assert failures == ["steinsim: numerical failure: covariance of the JS estimate at "
+                        "theta=1e+170 is singular or ill-conditioned (condition number ~ inf)"]
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("alpha", ["1e-300", "1e-310"])
 def test_a_tiny_alpha_fails_on_null_resolution(capsys, alpha):
     # 100 / alpha has 302 digits at 1e-300 and is infinite at 1e-310

@@ -1,11 +1,14 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.random import Philox
+from scipy.special import ndtri
 
 from steinsim import mc
 from steinsim.estimators import EstimatorKind
@@ -83,6 +86,75 @@ def test_draws_are_invariant_under_any_split_of_a_range(k, start, count, cuts):
               for lo, hi in zip(edges, edges[1:])]
     assert len(pieces) <= 6
     assert np.array_equal(np.concatenate(pieces), draw_block(cfg, start, count, stream=4))
+
+
+def _one_shot_normals(seed, stream, start, count, k):
+    # the contract's formula in one call: all words of the range at once,
+    # the top 53 bits of the first k of each sample's w as an open-interval
+    # uniform, mapped through the inverse normal CDF
+    words = 4 * ((k + 3) // 4)
+    bg = Philox(key=[seed, stream])
+    bg.advance(start * words // 4)
+    raw = bg.random_raw(count * words).reshape(count, words)[:, :k]
+    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(k=st.integers(1, 70), start=st.integers(0, 3 * CHUNK_SAMPLES - 1),
+       count=st.integers(0, 3 * mc._DRAW_ROWS + 17))
+@example(k=14, start=CHUNK_SAMPLES - 1, count=0)
+@example(k=1, start=0, count=1)
+@example(k=64, start=5, count=mc._DRAW_ROWS - 1)
+@example(k=70, start=3 * CHUNK_SAMPLES - 1, count=mc._DRAW_ROWS + 1)
+def test_blocked_draws_equal_the_one_shot_formula(k, start, count):
+    # the draw maps its words block by block and in place; every bit must
+    # be that of the one-shot formula (compared as integers, so -0.0 and
+    # NaN payloads count)
+    z = standard_normal_block(7, 4, start, count, k)
+    expected = _one_shot_normals(7, 4, start, count, k)
+    assert z.shape == (count, k) and z.dtype == np.float64
+    assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
+
+
+def _peak_bytes(fn) -> int:
+    """Peak of the memory traced while fn runs (numpy reports its buffers)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
+    nbytes = CHUNK_SAMPLES * 64 * 8
+    peak = _peak_bytes(lambda: standard_normal_block(3, 0, 0, CHUNK_SAMPLES, 64))
+    assert peak <= 1.25 * nbytes
+
+
+def test_a_mean_pass_holds_about_two_chunk_arrays():
+    # z and the worker's estimate buffer, which the second chunk reuses
+    # (each row's pass frees its own), plus one block of words and some
+    # row vectors
+    cfg = SimulationConfig(k=64, theta=0.0, n_samples=2 * CHUNK_SAMPLES, seed=3)
+    peak = _peak_bytes(lambda: tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0], cfg))
+    assert peak <= 2.25 * CHUNK_SAMPLES * 64 * 8
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
+    built = []
+    init = mc.Workspace.__init__
+
+    def counting(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(mc.Workspace, "__init__", counting)
+    cfg = SimulationConfig(k=3, theta=0.0, n_samples=3 * CHUNK_SAMPLES + 123, seed=24,
+                           n_workers=workers)
+    collect_cells([(EstimatorKind.JS, 0.0), (EstimatorKind.ML, 1.0)], cfg)
+    assert 1 <= len(built) <= workers
 
 
 def test_block_straddling_chunk_sized_offsets():
@@ -530,3 +602,38 @@ def test_tabulate_checks_the_grid_before_any_pass(monkeypatch):
     with pytest.raises(ValueError, match="finite"):
         tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0, math.nan], _cfg(n_samples=1000))
     assert draws == []
+
+
+FOUR_CHUNKS = 3 * CHUNK_SAMPLES + 123
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
+    # four chunks, the last one short: every worker folds several chunks
+    # into its one workspace, and the short chunk reuses full-size buffers.
+    # Shared passes at `workers` must equal one-cell passes at one worker.
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=FOUR_CHUNKS, seed=23,
+                           n_workers=workers)
+    single = replace(cfg, n_workers=1)
+    js, ml = EstimatorKind.JS, EstimatorKind.ML
+    cells = [(js, 0.5), (ml, 0.5), (js, 2.0), (ml, 2.0), (js, 0.0), (ml, 1.25)]
+    for (kind, theta), cell in zip(cells, collect_cells(cells, cfg, stream=5)):
+        alone, = collect_cells([(kind, theta)], single, stream=5)
+        assert _same_cell(cell, alone), (kind, theta)
+
+    calibrations = null_calibrations([js, ml], 1.25, cfg)
+    for kind in (js, ml):
+        alone = null_calibrations([kind], 1.25, single)[kind]
+        assert np.array_equal(calibrations[kind].sorted_null, alone.sorted_null)
+    table = power_table(cells, calibrations, (0.01, 0.05), cfg)
+    for kind, theta in cells:
+        alone = power_table([(kind, theta)], calibrations, (0.01, 0.05), single)
+        assert table[kind, theta] == alone[kind, theta], (kind, theta)
+
+    grid = [0.0, 0.7, 2.0]
+    for kind in (js, ml):
+        rows = tabulate_mean_function(kind, grid, cfg)
+        for i, theta in enumerate(grid):
+            cell, = collect_cells([(kind, theta)], single,
+                                  stream=mc.MEAN_FUNCTION_STREAM_BASE + i)
+            assert np.array_equal(rows[i], cell.moments.mean_a), (kind, theta)
