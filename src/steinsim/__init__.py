@@ -2,8 +2,8 @@
 
 The library simulates k independent unit-variance normal observations,
 compares the maximum-likelihood and James-Stein estimators by mean squared
-error, mean KL divergence, test power, semi-tail standardization, and
-information, and backs a CLI that writes the corresponding batch reports.
+error, test power, semi-tail standardization, and information, and backs
+a CLI that writes the corresponding batch reports.
 
 The submodules are the API: ``mc`` (draws, moments and sweeps),
 ``estimators``, ``assess``, ``hyptest`` and ``cli``.

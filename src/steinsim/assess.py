@@ -1,4 +1,4 @@
-"""Estimator assessment: MSE, mean KL divergence, and information.
+"""Estimator assessment by information: the report is Lambda only.
 
 The information matrix of an estimator is built from two sample
 covariances of the same stream,
@@ -10,7 +10,8 @@ mean map.  Its trace is the scalar information.  Efficiency is Lambda
 whitened by the Fisher information, which for N(theta * 1, I) is the
 identity, so the efficiency matrix is Lambda itself: its eigenvalues are
 bounded by one up to Monte Carlo noise, and the mean efficiency is the
-scalar information over k.
+scalar information over k.  The MSE is no part of the report: it is read
+off the cell (``mc.CellMoments.mse``).
 """
 
 from __future__ import annotations
@@ -63,13 +64,8 @@ def _lambda_from_moments(moments: mc.StreamingMoments, kind, theta: float) -> np
 
 @dataclass(frozen=True)
 class AssessmentReport:
-    """Every assessment quantity for one (estimator, theta) cell."""
+    """The information of one (estimator, theta) cell, as table3 reports it."""
 
-    estimator: EstimatorKind
-    theta: float
-    mse: float
-    mse_stderr: float
-    mkl: float
     lambda_matrix: np.ndarray
     scalar_lambda: float
     lambda_stderr: float
@@ -77,8 +73,6 @@ class AssessmentReport:
     eigenvalues: np.ndarray
     eigen_min: float
     eigen_max: float
-    n_samples: int
-    seed: int
 
 
 def _lambda_batch_stderr(chunks, kind, theta: float) -> float:
@@ -98,30 +92,23 @@ def _lambda_batch_stderr(chunks, kind, theta: float) -> float:
 
 
 def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
-                   cell: mc.CellMoments, config: mc.SimulationConfig) -> AssessmentReport:
-    """Full assessment of one cell from its merged moments.
+                   cell: mc.CellMoments) -> AssessmentReport:
+    """Information of one cell from its merged moments.
 
-    The batch standard error of the scalar information uses the cell's
-    chunk moments.
+    ``kind`` and ``theta`` only name the cell in a
+    ``SingularCovarianceError``.  The batch standard error of the scalar
+    information uses the cell's chunk moments.
     """
     lam = _lambda_from_moments(cell.moments, kind, theta)
     scalar_lambda = float(np.trace(lam))
     eigenvalues = np.linalg.eigvalsh(lam)
-    mse_value = cell.mse
     return AssessmentReport(
-        estimator=kind if isinstance(kind, EstimatorKind) else None,
-        theta=float(theta),
-        mse=mse_value,
-        mse_stderr=cell.mse_stderr,
-        mkl=0.5 * mse_value,  # KL = ||mu1 - mu2||^2 / 2 in this family
         lambda_matrix=lam,
         scalar_lambda=scalar_lambda,
         lambda_stderr=_lambda_batch_stderr(cell.chunk_moments, kind, theta),
-        mean_efficiency=scalar_lambda / config.k,
+        mean_efficiency=scalar_lambda / len(lam),  # Lambda is k x k
         eigenvalues=eigenvalues,
         eigen_min=float(eigenvalues[0]),
         eigen_max=float(eigenvalues[-1]),
-        n_samples=config.n_samples,
-        seed=config.seed,
     )
 

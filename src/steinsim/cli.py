@@ -6,6 +6,12 @@ manifest, under full determinism control (--seed, --samples, --workers).
 Progress goes to stderr; data streams stay clean.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
+
+Validity domain: k >= 3 for the James-Stein risk claims (smaller k is
+accepted for tests); finite theta with |theta| < 2**43 (``mc.THETA_LIMIT``;
+beyond it a numerical failure before any draw); N >= 2 for table3 and all,
+and N >= 100 / alpha for table2 (else a numerical failure); alpha strictly
+in (0, 1); points >= 1.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ REFERENCE_LINES = {
 }
 
 NUMERICAL_ERRORS = (NullResolutionError, SingularCovarianceError,
-                    ShrinkageDomainError)
+                    ShrinkageDomainError, mc.ThetaResolutionError)
 
 
 class UsageError(ValueError):
@@ -149,6 +155,9 @@ def _validate(args) -> None:
     points = getattr(args, "points", None)
     if points is not None and points < 1:
         raise UsageError("--points must be a positive integer")
+    for theta in np.atleast_1d(thetas if thetas is not None else []):
+        if abs(theta) >= mc.THETA_LIMIT:  # before any draw, the figure's null pass too
+            raise mc.ThetaResolutionError(float(theta))
 
 
 def _config(args) -> mc.SimulationConfig:
@@ -281,8 +290,7 @@ def _table3(args, thetas, cells: dict, t0: float) -> _Report:
     eigen_rows = []
     for kind in KINDS:
         for theta in thetas:
-            report = assess_moments(kind, theta, cells[kind, float(theta)],
-                                    _config(args))
+            report = assess_moments(kind, theta, cells[kind, float(theta)])
             rows.append({
                 "estimator": kind.value.upper(),
                 "theta": float(theta),
@@ -306,8 +314,7 @@ def _table3(args, thetas, cells: dict, t0: float) -> _Report:
 def _figure(args, theta: float, points: int, calibrations: dict, t0: float) -> _Report:
     columns = ("index", "s_js", "s_ml", "shrinkage")
     _progress(f"figure drawing {points} pairs at theta={theta:g}")
-    pairs = hyptest.paired_semitail(theta, points, calibrations[EstimatorKind.JS],
-                                    calibrations[EstimatorKind.ML], _config(args))
+    pairs = hyptest.paired_semitail(theta, points, calibrations, _config(args))
     rows = [{"index": p.sample_index, "s_js": p.s_js, "s_ml": p.s_ml,
              "shrinkage": p.shrinkage} for p in pairs]
     manifest = _manifest(args, "figure", [theta], None, t0, points=points,

@@ -81,22 +81,15 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     fails, and one that returns NaN or inf fails with the index of the
     first such sample (``index_offset`` plus its row).
 
-    ``out``, a float64 array of ``y``'s shape, receives the estimate and is
-    returned.  The ML estimate is the observation itself: without ``out``
-    it is a fresh copy, and ``out=y`` returns ``y`` as is.  The sweep folds
-    (``mc.collect_cells``, ``mc.tabulate_mean_function``,
-    ``hyptest.null_calibrations`` and ``hyptest.power_table``) pass
-    ``out=y`` for ML and a buffer of the worker's workspace otherwise; they
-    never write to or keep ``y``, which every cell at one theta shares
-    read-only (see ``mc.sweep``), so a callable that writes into its input
-    fails there.
+    Every estimate but ML is written into ``out`` (a float64 array of
+    ``y``'s shape) if given, and returned.  The ML estimate is ``y`` itself
+    as a float64 array, and ``out`` is left untouched, so callers pass the
+    same buffer whatever the estimator.  The sweep folds never write to or
+    keep ``y``, which every cell at one theta shares read-only (see
+    ``mc.sweep``), so a callable that writes into its input fails there.
     """
     if kind is EstimatorKind.ML:
-        if out is None:
-            return np.array(y, dtype=np.float64)  # the observation itself, copied
-        if out is not y:
-            np.copyto(out, y)
-        return out
+        return np.asarray(y, dtype=np.float64)
     if kind is EstimatorKind.JS:
         return js_estimate_batch(y, index_offset=index_offset, out=out)
     if not callable(kind):

@@ -53,9 +53,9 @@ class NullResolutionError(ValueError):
 class NullCalibration:
     """Empirical null distribution of one estimator's test statistic at
     ``mu0``: the ascending ``sorted_null`` that ``power_table`` reads its
-    critical values off and ``semitail`` its tail areas."""
+    critical values off and ``semitail`` its tail areas.  Its estimator is
+    its key in the mapping that ``null_calibrations`` returns."""
 
-    kind: EstimatorKind
     mu0: float
     sorted_null: np.ndarray
 
@@ -80,15 +80,16 @@ def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
 
     ``out``, a float64 array of ``y``'s shape, receives the estimate minus
     mu0 (the statistic is its squared row norm); without it that difference
-    is a fresh array.  The ML estimate is ``y`` itself and is never copied.
+    is a fresh array.  ``out`` is passed on to ``estimate_batch`` whatever
+    the estimator: it writes the estimate there first, except that the ML
+    estimate is ``y`` itself, never copied.
     """
     if np.ndim(y) != 2:
         raise ValueError("y must be an (n, k) array")
     if not np.isfinite(mu0):
         raise ValueError("mu0 must be finite")
     y = np.asarray(y, dtype=np.float64)
-    est = estimate_batch(kind, y, index_offset=index_offset,
-                         out=y if kind is EstimatorKind.ML else out)
+    est = estimate_batch(kind, y, index_offset=index_offset, out=out)
     diff = np.subtract(est, mu0, out=out)
     return np.einsum("ij,ij->i", diff, diff)
 
@@ -110,7 +111,7 @@ def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
     for kind, parts in zip(kinds, columns):
         values = np.sort(np.concatenate(parts))
         values.flags.writeable = False
-        calibrations[kind] = NullCalibration(kind, mu0, values)
+        calibrations[kind] = NullCalibration(mu0, values)
     return calibrations
 
 
@@ -147,10 +148,6 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     for kind, _ in cells:
         if kind not in calibrations:
             raise ValueError(f"no calibration for the {kind.name} estimator")
-        if calibrations[kind].kind is not kind:
-            raise ValueError(
-                f"calibration is for {calibrations[kind].kind}, not {kind}"
-            )
     need = 100 / min(alphas)
     critical = {}
     for kind in dict.fromkeys(kind for kind, _ in cells):
@@ -205,18 +202,18 @@ class SemiTailPair:
 
 
 def paired_semitail(theta_alt: float, n_points: int,
-                    calib_js: NullCalibration, calib_ml: NullCalibration,
+                    calibrations: dict[EstimatorKind, NullCalibration],
                     config: mc.SimulationConfig) -> list[SemiTailPair]:
     """Per-sample (s_js, s_ml) pairs at the alternative theta.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
     read by a single one-cell sweep at ``theta_alt`` whose fold copies each
     chunk's draws, since a fold may not keep its ``y``.  Both statistics are
-    computed on the same draws; each is standardized against its own null
-    calibration.
+    computed on the same draws; each is standardized against its own entry
+    of ``calibrations``, keyed by estimator as ``null_calibrations`` returns
+    them (the JS and ML entries must share mu0).
     """
-    if calib_js.kind is not EstimatorKind.JS or calib_ml.kind is not EstimatorKind.ML:
-        raise ValueError("calibrations must be (JS, ML) in that order")
+    calib_js, calib_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if calib_js.mu0 != calib_ml.mu0:
         raise ValueError("calibrations target different null means")
     if n_points < 1:

@@ -57,6 +57,10 @@ depends on chunking or worker count:
   once and reusing buffers changes no floating-point operation, so a
   cell's result does not depend on which other cells share its pass or
   on which worker folds its chunks.
+* theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
+  ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
+  z's unit scale (at 1e200, ``y == theta`` and every error is 0); ``sweep``
+  raises ``ThetaResolutionError`` before any draw.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ CHUNK_SAMPLES = 65536
 
 # Mean-function tabulation reserves one stream per grid row.
 MEAN_FUNCTION_STREAM_BASE = 1000
+
+THETA_LIMIT = 2.0**43  # every cell needs |theta| below it (see the contract)
 
 # Samples drawn per Philox call: the words of one block are mapped to
 # normals in place, so a draw holds its result plus one block of words.
@@ -123,6 +129,14 @@ class SimulationConfig:
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_workers", n_workers)
+
+
+class ThetaResolutionError(ValueError):
+    """|theta| is too large for ``theta + z`` to resolve the draws z."""
+
+    def __init__(self, theta: float):
+        super().__init__(f"|theta| = {abs(theta):g} is not below 2**43, where "
+                         "theta + z no longer resolves the normal draws z")
 
 
 def _integer(value) -> int | None:
@@ -324,6 +338,9 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
         raise ValueError("a sweep needs at least one cell")
     if not all(np.isfinite(theta) for theta, _ in cells):
         raise ValueError("every cell theta must be finite")
+    for theta, _ in cells:
+        if abs(theta) >= THETA_LIMIT:
+            raise ThetaResolutionError(theta)
     origin = replace(config, theta=0.0)
     groups: dict[str, list[int]] = {}
     for i, (theta, _) in enumerate(cells):  # keyed by the bits: 0.0 and -0.0 stay apart
@@ -390,12 +407,10 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     def fold(kind, mu: float):
         def chunk(y: np.ndarray, start: int, workspace: Workspace):
             buffer = workspace.buffer("estimate", y.shape)
-            est = estimate_batch(kind, y, index_offset=start,
-                                 out=y if kind is EstimatorKind.ML else buffer)
+            est = estimate_batch(kind, y, index_offset=start, out=buffer)
             # b = y: the moments do not change under the shift to the score
             moments = StreamingMoments.from_batch(est, y)
-            # the error replaces the estimate in its buffer; the ML estimate
-            # is y itself, so its error is the score y - theta
+            # the error replaces the estimate in its buffer (for ML, the score)
             err = np.subtract(est, mu, out=buffer)
             err_sq = np.einsum("ij,ij->i", err, err,
                                out=workspace.buffer("err_sq", (len(y),)))
@@ -424,8 +439,8 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass: per chunk, the count and the mean of the
-    estimates, written into the ``estimate`` buffer of the worker's
-    workspace (``y`` itself for ML) as ``collect_cells`` writes them, and
+    estimates, formed as ``collect_cells`` forms them (``estimate_batch``
+    into the ``estimate`` buffer of the worker's workspace), and
     merged in chunk order by ``_pooled_mean`` (the update
     ``StreamingMoments.merge`` applies), so a row equals the ``mean_a`` of
     ``collect_cells`` on the same stream bit for bit without computing any
@@ -438,7 +453,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
         raise ValueError("grid values must be finite")
 
     def chunk(y: np.ndarray, start: int, workspace: Workspace):
-        out = y if kind is EstimatorKind.ML else workspace.buffer("estimate", y.shape)
+        out = workspace.buffer("estimate", y.shape)
         return len(y), estimate_batch(kind, y, index_offset=start, out=out).mean(axis=0)
 
     rows = np.empty((grid.size, config.k))

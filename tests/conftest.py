@@ -1,7 +1,7 @@
 """Shared fixtures: full-scale (N = 10^6) runs are expensive, so null
-calibrations, assessment reports, and power evaluations at the default
-seed are computed once per session, each from one shared pass over its
-stream."""
+calibrations, assessment cells and their reports, and power evaluations
+at the default seed are computed once per session, each from one shared
+pass over its stream."""
 
 import pytest
 
@@ -31,13 +31,15 @@ def full_calibrations(full_config):
 
 
 @pytest.fixture(scope="session")
-def full_reports(full_config):
+def full_cells(full_config):
     keys = [(kind, theta) for kind in KINDS for theta in ASSESS_THETAS]
-    cells = collect_cells(keys, full_config)
-    return {
-        (kind, theta): assess_moments(kind, theta, cell, full_config)
-        for (kind, theta), cell in zip(keys, cells)
-    }
+    return dict(zip(keys, collect_cells(keys, full_config)))
+
+
+@pytest.fixture(scope="session")
+def full_reports(full_cells):
+    return {(kind, theta): assess_moments(kind, theta, cell)
+            for (kind, theta), cell in full_cells.items()}
 
 
 @pytest.fixture(scope="session")

@@ -59,19 +59,19 @@ def _finish(name: str, failures: list) -> None:
     assert not failures, f"{name}: " + "; ".join(failures)
 
 
-def test_01_table1_mse_reproduction(full_reports):
+def test_01_table1_mse_reproduction(full_cells):
     failures = []
     for theta, target in MSE_JS_TARGET.items():
-        got = full_reports[JS, theta].mse
+        got = full_cells[JS, theta].mse
         if abs(got - target) > MSE_TOL:
             failures.append(f"JS theta={theta}: mse={got:.4f} target={target}")
     for theta in THETAS:
-        report = full_reports[ML, theta]
-        if abs(report.mse - 14.0) > MSE_TOL:
-            failures.append(f"ML theta={theta}: mse={report.mse:.4f}")
-        if abs(report.mse - 14.0) > 3 * report.mse_stderr:
+        cell = full_cells[ML, theta]
+        if abs(cell.mse - 14.0) > MSE_TOL:
+            failures.append(f"ML theta={theta}: mse={cell.mse:.4f}")
+        if abs(cell.mse - 14.0) > 3 * cell.mse_stderr:
             failures.append(f"ML theta={theta}: off the analytic value by "
-                            f"more than 3 stderr ({report.mse:.4f})")
+                            f"more than 3 stderr ({cell.mse:.4f})")
     _finish("1 table1-mse", failures)
 
 
@@ -146,8 +146,7 @@ def test_05_eigenvalue_ranges(full_reports):
 
 def test_06_paired_semitail_at_theta_2(full_calibrations, full_config):
     failures = []
-    pairs = paired_semitail(2.0, 100, full_calibrations[JS],
-                            full_calibrations[ML], full_config)
+    pairs = paired_semitail(2.0, 100, full_calibrations, full_config)
     above = sum(1 for p in pairs if p.s_ml > p.s_js)
     if above < 95:
         failures.append(f"only {above}/100 pairs have s_ml > s_js")
@@ -161,8 +160,7 @@ def test_06_paired_semitail_at_theta_2(full_calibrations, full_config):
 
 def test_07_paired_semitail_at_theta_half(full_calibrations, full_config):
     failures = []
-    pairs = paired_semitail(0.5, 100, full_calibrations[JS],
-                            full_calibrations[ML], full_config)
+    pairs = paired_semitail(0.5, 100, full_calibrations, full_config)
     extreme = sum(1 for p in pairs if p.s_ml < 2.0 and p.s_js > 4.3)
     if not 10 <= extreme <= 40:
         failures.append(f"{extreme} extreme-disagreement pairs outside [10, 40]")
@@ -175,14 +173,6 @@ def test_07_paired_semitail_at_theta_half(full_calibrations, full_config):
 # ---------------------------------------------------------------------------
 # Identity suite
 # ---------------------------------------------------------------------------
-
-
-def test_08a_mkl_is_half_mse_exactly(full_reports):
-    failures = []
-    for (kind, theta), report in full_reports.items():
-        if report.mkl != report.mse / 2.0:
-            failures.append(f"{kind.value} theta={theta}")
-    _finish("8a mkl-identity", failures)
 
 
 def test_08b_efficiency_eigenvalues_bounded(full_reports):
@@ -234,7 +224,7 @@ def test_08d_monotone_transform_invariance():
         parts, = mc.sweep(cfg, [(2.0, lambda y, start, _: statistics_batch(
             kind, y, DEFAULT_MU0, index_offset=start))], stream=ALT_STREAM)
         alt = np.concatenate(parts)
-        mapped = NullCalibration(kind, DEFAULT_MU0, np.exp(plain.sorted_null))
+        mapped = NullCalibration(DEFAULT_MU0, np.exp(plain.sorted_null))
         for alpha in (0.01, 0.05):
             p1 = int((alt > _critical_value(plain.sorted_null, alpha)).sum())
             p2 = int((np.exp(alt) > _critical_value(mapped.sorted_null, alpha)).sum())

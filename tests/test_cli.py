@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import steinsim
@@ -18,14 +19,18 @@ SMALL = ["--samples", "30000", "--seed", "42"]
 
 # sha256 of the five data CSVs of `all --samples 70000 --seed 7 --workers 1`,
 # recorded before the sweep formed each theta's draws once and gave each
-# chunk a workspace (on x86-64 with numpy 2.4 and scipy-openblas 0.3.31;
-# another BLAS may round the moment GEMMs differently)
+# chunk a workspace, and of its table3_eigenvalues.json, recorded before the
+# assessment report was slimmed to the information (on x86-64 with numpy 2.4
+# and scipy-openblas 0.3.31; another BLAS may round the moment GEMMs
+# differently)
 GOLDEN_CSV_SHA256 = {
     "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
     "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
     "table3.csv": "cae1ab91103b3e53e60383be19e4ec05024ed09b19f412cd653289790fb19449",
     "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
     "figure_theta_2.csv": "85eeb8787459872da758b8d7f607c80dda93f41e50e92e00e2e6d6af85c2b54f",
+    "table3_eigenvalues.json":
+        "13e77c56000af0ac8697d6a86179639ff1f3ddf27ac0e6381f6edc14805c4b8f",
 }
 
 
@@ -172,18 +177,41 @@ def test_numerical_failures_exit_2(capsys):
 
 
 def test_overflowing_moments_are_a_numerical_failure():
-    # at theta = 1e170 the centered cross products overflow to inf, which
-    # must fail as a singular covariance, not as a LinAlgError traceback
-    src = str(Path(cli.__file__).resolve().parents[1])
-    result = subprocess.run(
-        [sys.executable, "-m", "steinsim.cli", "table3", "--samples", "2000",
-         "--theta", "1e170"],
-        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
-    assert result.returncode == 2 and result.stdout == ""
-    failures = [line for line in result.stderr.splitlines() if "numerical failure" in line]
-    assert failures == ["steinsim: numerical failure: covariance of the JS estimate at "
-                        "theta=1e+170 is singular or ill-conditioned (condition number ~ inf)"]
-    assert "Traceback" not in result.stderr
+    # estimates near 1e170 overflow the centered cross products to inf,
+    # which must fail as a singular covariance (a numerical failure of the
+    # CLI), not as a LinAlgError
+    def huge(y):
+        return 1e170 * y
+
+    cfg = mc.SimulationConfig(k=14, theta=0.0, n_samples=2000, seed=42)
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell, = mc.collect_cells([(huge, 0.5)], cfg)
+        with pytest.raises(assess.SingularCovarianceError) as err:
+            assess.assess_moments(huge, 0.5, cell)
+    assert isinstance(err.value, cli.NUMERICAL_ERRORS)
+    assert str(err.value) == ("covariance of the huge estimate at theta=0.5 is "
+                              "singular or ill-conditioned (condition number ~ inf)")
+
+
+@pytest.mark.parametrize("argv", [["table1", "--theta", "1e200"],
+                                  ["figure", "--theta=-1e200"],
+                                  ["table3", "--theta", "0.5", "--theta", "8.8e12"]],
+                         ids=["table1", "figure", "table3"])
+def test_a_theta_beyond_the_bound_fails_before_any_draw(capsys, monkeypatch, argv):
+    # theta + z rounds to theta there, so every error would read 0
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
+    code, out, err = run(capsys, [*argv, "--samples", "20000"])
+    assert code == 2 and out == "" and draws == []
+    failures = [line for line in err.splitlines() if "numerical failure" in line]
+    assert len(failures) == 1 and "is not below 2**43" in failures[0]
+
+
+def test_a_large_theta_inside_the_bound_still_runs(capsys):
+    code, out, _ = run(capsys, ["table3", "--theta", "1e10", "--samples", "2000"])
+    assert code == 0
+    _, rows = parse_csv(out)
+    assert len(rows) == 2 and all(math.isfinite(float(r[2])) for r in rows)
 
 
 @pytest.mark.parametrize("alpha", ["1e-300", "1e-310"])
@@ -394,18 +422,26 @@ def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
 
 def test_all_builds_one_calibration_per_estimator(tmp_path, monkeypatch, capsys):
     # table2 and both figures read the same two calibrations
-    built = []
+    built, keys = [], []
     post_init = hyptest.NullCalibration.__post_init__
+    calibrate = hyptest.null_calibrations
 
     def counting(self):
-        built.append(self.kind)
+        built.append(self)
         post_init(self)
 
+    def recording(*args):
+        calibrations = calibrate(*args)
+        keys.append(set(calibrations))
+        return calibrations
+
     monkeypatch.setattr(hyptest.NullCalibration, "__post_init__", counting)
+    monkeypatch.setattr(hyptest, "null_calibrations", recording)
     code, _, _ = run(capsys, ["all", "--samples", "20000", "--seed", "42",
                               "--output", str(tmp_path / "run")])
     assert code == 0
-    assert sorted(kind.value for kind in built) == ["js", "ml"]
+    assert len(built) == 2
+    assert keys == [{estimators.EstimatorKind.JS, estimators.EstimatorKind.ML}]
 
 
 def test_importing_the_cli_does_not_load_scipy_stats():

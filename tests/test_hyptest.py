@@ -141,21 +141,21 @@ def test_calibration_rejects_bad_alphas():
 
 def test_calibration_validates_sorted_null():
     with pytest.raises(ValueError, match="ascending"):
-        NullCalibration(ML, 1.25, np.array([2.0, 1.0]))
+        NullCalibration(1.25, np.array([2.0, 1.0]))
 
 
 def test_calibrations_share_the_read_only_null():
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=20_000, seed=2)
-    for kind, values in null_calibrations([JS, ML], 1.25, cfg).items():
-        values = values.sorted_null
+    for calibration in null_calibrations([JS, ML], 1.25, cfg).values():
+        values = calibration.sorted_null
         assert not values.flags.writeable
-        calib = NullCalibration(kind, 1.25, values)
+        calib = NullCalibration(1.25, values)
         assert np.shares_memory(calib.sorted_null, values)
 
 
 def test_calibration_copies_a_writable_null():
     values = np.arange(1.0, 201.0)
-    calib = NullCalibration(ML, 1.25, values)
+    calib = NullCalibration(1.25, values)
     values[:] = 0.0
     assert not np.shares_memory(calib.sorted_null, values)
     assert np.array_equal(calib.sorted_null, np.arange(1.0, 201.0))
@@ -174,15 +174,10 @@ def test_power_at_the_null_equals_alpha(full_powers):
             assert abs(p - alpha) <= 4 * math.sqrt(2 * alpha * (1 - alpha) / 1_000_000)
 
 
-def test_power_requires_matching_calibration(full_calibrations, full_config):
-    with pytest.raises(ValueError, match="calibration is for"):
-        power_table([(ML, 2.0)], {ML: full_calibrations[JS]}, (0.05,), full_config)
-
-
 def test_power_table_names_a_missing_calibration(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(JS, 1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="no calibration for the ML estimator"):
         power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, (0.05,), cfg)
@@ -192,7 +187,7 @@ def test_power_table_names_a_missing_calibration(monkeypatch):
 def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(ML, 1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
     with pytest.raises(NullResolutionError, match=r"alpha=0\.05 \(need at least 2000\)"):
         power_table([(ML, 0.5)], {ML: calib}, (0.5, 0.05), cfg)
@@ -201,7 +196,7 @@ def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_power_table_rejects_a_non_finite_theta(bad):
-    calib = NullCalibration(ML, 1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="finite"):
         power_table([(ML, 0.5), (ML, bad)], {ML: calib}, (0.5,), cfg)
@@ -237,7 +232,7 @@ def test_js_power_asymmetry_at_equal_divergence(full_powers):
 
 def _linear_calibration(n=99_999):
     values = np.arange(1.0, n + 1.0)
-    return NullCalibration(ML, 1.25, values)
+    return NullCalibration(1.25, values)
 
 
 def test_semitail_add_one_rule_exact():
@@ -291,7 +286,7 @@ SEMITAIL_TOP_RTOL = 4 * np.finfo(np.float64).eps
 def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
     values = np.sort(np.array(null))
     n = values.size
-    calib = NullCalibration(ML, 1.25, values)
+    calib = NullCalibration(1.25, values)
     ss = semitail(np.sort(np.array(ts)), calib)
     assert np.all(np.diff(ss) >= 0)
     assert np.all(ss >= 0)
@@ -312,8 +307,7 @@ def test_semitail_beyond_every_null_draw_is_exactly_the_bound(n):
 
 
 def test_paired_semitail_null_case_shows_no_ordering(full_calibrations, full_config):
-    pairs = paired_semitail(1.25, 100, full_calibrations[JS], full_calibrations[ML],
-                            full_config)
+    pairs = paired_semitail(1.25, 100, full_calibrations, full_config)
     assert len(pairs) == 100
     s_js = np.array([p.s_js for p in pairs])
     s_ml = np.array([p.s_ml for p in pairs])
@@ -322,17 +316,20 @@ def test_paired_semitail_null_case_shows_no_ordering(full_calibrations, full_con
     assert 0.3 <= (s_ml > s_js).mean() <= 0.7
 
 
-def test_paired_semitail_validates_calibrations(full_calibrations, full_config):
-    with pytest.raises(ValueError, match="JS, ML"):
-        paired_semitail(2.0, 10, full_calibrations[ML], full_calibrations[ML],
-                        full_config)
+def test_paired_semitail_rejects_calibrations_at_different_null_means(monkeypatch):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
+    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
+                    ML: NullCalibration(1.5, np.arange(1.0, 201.0))}
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    with pytest.raises(ValueError, match="different null means"):
+        paired_semitail(2.0, 10, calibrations, cfg)
+    assert draws == []  # before any draw
 
 
 def test_paired_semitail_is_deterministic(full_calibrations, full_config):
-    first = paired_semitail(2.0, 25, full_calibrations[JS], full_calibrations[ML],
-                            full_config)
-    second = paired_semitail(2.0, 25, full_calibrations[JS], full_calibrations[ML],
-                             full_config)
+    first = paired_semitail(2.0, 25, full_calibrations, full_config)
+    second = paired_semitail(2.0, 25, full_calibrations, full_config)
     assert first == second
 
 
@@ -342,8 +339,7 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
     # direct draw of the whole range
     theta, n_points = 2.0, mc.CHUNK_SAMPLES + 300
     config = SimulationConfig(k=14, theta=0.0, seed=42, n_workers=workers)
-    pairs = paired_semitail(theta, n_points, full_calibrations[JS],
-                            full_calibrations[ML], config)
+    pairs = paired_semitail(theta, n_points, full_calibrations, config)
     y = mc.draw_block(SimulationConfig(k=14, theta=theta, n_samples=n_points, seed=42),
                       0, n_points, PAIR_STREAM)
     s_js = semitail(statistics_batch(JS, y, DEFAULT_MU0), full_calibrations[JS])
@@ -357,8 +353,7 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
 def test_visible_pairs_thin_out_as_theta_grows(full_calibrations, full_config):
     counts = []
     for theta in (2.5, 3.0, 3.5):
-        pairs = paired_semitail(theta, 100, full_calibrations[JS],
-                                full_calibrations[ML], full_config)
+        pairs = paired_semitail(theta, 100, full_calibrations, full_config)
         counts.append(sum(1 for p in pairs if p.s_js <= 14 and p.s_ml <= 14))
     assert counts[0] > counts[1] > counts[2]
 
@@ -401,7 +396,7 @@ def test_power_and_semitail_invariant_under_increasing_maps():
     for kind in (JS, ML):
         calib = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
         alt = _alternative_statistics(kind, 2.0, cfg)
-        calib_t = NullCalibration(kind, DEFAULT_MU0, np.exp(calib.sorted_null))
+        calib_t = NullCalibration(DEFAULT_MU0, np.exp(calib.sorted_null))
         for alpha in (0.01, 0.05):
             p = float((alt > _critical_value(calib.sorted_null, alpha)).mean())
             p_t = float((np.exp(alt) > _critical_value(calib_t.sorted_null, alpha)).mean())

@@ -604,6 +604,24 @@ def test_tabulate_checks_the_grid_before_any_pass(monkeypatch):
     assert draws == []
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(theta=st.floats(allow_nan=False, allow_infinity=False))
+@example(theta=mc.THETA_LIMIT)
+@example(theta=-mc.THETA_LIMIT)
+@example(theta=math.nextafter(mc.THETA_LIMIT, 0.0))
+@example(theta=1e200)
+def test_a_finite_theta_is_refused_or_gives_a_positive_ml_mse(theta):
+    # beyond the bound theta + z rounds to theta and the ML MSE (exactly k)
+    # would read 0; it must be refused, never reported
+    cfg = _cfg(k=3, n_samples=64)
+    if abs(theta) >= mc.THETA_LIMIT:
+        with pytest.raises(mc.ThetaResolutionError):
+            collect_cells([(EstimatorKind.ML, theta)], cfg)
+    else:
+        cell, = collect_cells([(EstimatorKind.ML, theta)], cfg)
+        assert math.isfinite(cell.mse) and cell.mse > 0
+
+
 FOUR_CHUNKS = 3 * CHUNK_SAMPLES + 123
 
 
