@@ -75,10 +75,11 @@ class AssessmentReport:
     eigen_max: float
 
 
-def _lambda_batch_stderr(chunks, kind, theta: float) -> float:
-    """Approximate batch-means standard error of the scalar information."""
+def _lambda_batch_stderr(batches, kind, theta: float) -> float:
+    """Approximate batch-means standard error of the scalar information,
+    NaN below two batches that give an information."""
     traces = []
-    for mom in chunks:
+    for mom in batches:
         if mom.count < 2:
             continue
         try:
@@ -96,8 +97,10 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
     """Information of one cell from its merged moments.
 
     ``kind`` and ``theta`` only name the cell in a
-    ``SingularCovarianceError``.  The batch standard error of the scalar
-    information uses the cell's chunk moments.
+    ``SingularCovarianceError``.  The batch-means standard error of the
+    scalar information uses the moments of the cell's at most
+    ``mc.STDERR_BATCHES`` contiguous batches of chunks (fewer when the cell
+    has fewer chunks); it is NaN below two batches.
     """
     lam = _lambda_from_moments(cell.moments, kind, theta)
     scalar_lambda = float(np.trace(lam))
@@ -105,7 +108,7 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
     return AssessmentReport(
         lambda_matrix=lam,
         scalar_lambda=scalar_lambda,
-        lambda_stderr=_lambda_batch_stderr(cell.chunk_moments, kind, theta),
+        lambda_stderr=_lambda_batch_stderr(cell.batch_moments, kind, theta),
         mean_efficiency=scalar_lambda / len(lam),  # Lambda is k x k
         eigenvalues=eigenvalues,
         eigen_min=float(eigenvalues[0]),

@@ -21,6 +21,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 import time
 from pathlib import Path
@@ -53,6 +54,13 @@ class UsageError(ValueError):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e5" as an option: its own pattern knows only
+        # plain decimals.  Negative numbers in exponent form are values too.
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
     # argparse exits with status 2 on bad flags; the contract wants 1.
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -109,7 +109,8 @@ def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
                        stream=NULL_STREAM)
     calibrations = {}
     for kind, parts in zip(kinds, columns):
-        values = np.sort(np.concatenate(parts))
+        values = np.concatenate(parts)
+        values.sort()
         values.flags.writeable = False
         calibrations[kind] = NullCalibration(mu0, values)
     return calibrations

@@ -19,25 +19,33 @@ depends on chunking or worker count:
   (``scipy.special.ndtri``); the first ``k`` of the ``w`` words are used.
   The inverse-CDF map is part of the contract: it consumes a fixed number
   of words per sample and reproduces the normal tails exactly.  A draw
-  fetches the words of ``_DRAW_ROWS`` samples at a time and maps them in
+  fetches all the words of its range in one Philox call and maps them in
   place into its result (shift, exact conversion, add, scale, ``ndtri``),
-  so it holds its result plus one block of words; the operations and their
-  order are those of the one-shot formula, so the bits are too.
+  so it holds its result plus its words; the operations and their order
+  are those of the one-shot formula, so the bits are too.
 * accumulation: samples are processed in fixed chunks of
-  ``CHUNK_SAMPLES``; partial moments are merged on the coordinator in
-  chunk order, so the floating-point reduction order is independent of
-  ``n_workers``.  A cell's moments pair its estimate with the observation
-  ``y`` rather than the score ``y - theta``: a constant shift of ``b``
-  changes neither ``m_ab`` nor the differences of ``mean_b`` that the
-  merge reads, so Cov(estimate, score) is read off unchanged and no score
-  is formed for the moments.  The mean-function table runs a mean-only
-  pass: each chunk yields its count and estimate mean, merged in chunk
-  order by the same pooled-mean update (``_pooled_mean``) that
+  ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays stay in
+  cache across a chunk's passes, and a worker's draws reuse one buffer).  Each chunk's per-cell results are handed
+  on in chunk order as soon as every earlier chunk is done, whichever worker
+  finishes it, and a cell's chunks are merged in that order into at most
+  ``STDERR_BATCHES`` contiguous batches, each the in-order merge of its
+  chunks, whose in-order merge is the cell's total, so the floating-point
+  reduction order is independent of ``n_workers`` and a pass keeps no
+  chunk's result once it is merged.  A chunk's column means are its column
+  sums over its count (``_column_mean``).  A cell's moments pair its
+  estimate with the observation ``y`` rather than the score
+  ``y - theta``: a constant shift of ``b`` changes neither ``m_ab`` nor
+  the differences of ``mean_b`` that the merge reads, so Cov(estimate,
+  score) is read off unchanged and no score is formed for the moments.
+  The mean-function table runs a mean-only
+  pass: each chunk yields its count and estimate mean, merged in the same
+  batches by the same pooled-mean update (``_pooled_mean``) that
   ``StreamingMoments.merge`` applies, so each row equals the moments
   pass's ``mean_a`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``.
-  Each chunk's ``z`` is drawn once and every requested cell is folded
-  into it; a single-cell pass is the one-cell case of the same sweep.
+  Each chunk's ``z`` is drawn once, into the ``z`` buffer of the worker's
+  ``Workspace``, and every requested cell is folded into it; a
+  single-cell pass is the one-cell case of the same sweep.
   The cells are grouped by theta (in order of first appearance, keeping
   their given order inside a group), and ``y = theta + z`` is formed once
   per distinct theta, read-only, and handed to every cell at that theta.
@@ -51,7 +59,8 @@ depends on chunking or worker count:
   so a cell writes its temporaries (the estimate, then its error in the
   same buffer) with ``out=`` into the same memory chunk after chunk, and
   a pass holds a fixed set of buffers per worker instead of fresh arrays
-  per chunk.  Workers never share one.  A fold must not keep ``y`` or a
+  per chunk; ``StreamingMoments.from_batch`` centers each estimate into
+  one of them.  Workers never share one.  A fold must not keep ``y`` or a
   workspace buffer after it returns: the next theta or chunk overwrites
   them, so a fold that needs them later returns a copy.  Forming ``y``
   once and reusing buffers changes no floating-point operation, so a
@@ -60,11 +69,13 @@ depends on chunking or worker count:
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every error is 0); ``sweep``
-  raises ``ThetaResolutionError`` before any draw.
+  raises ``ThetaResolutionError`` before any draw, and the mean-function
+  table before any row's pass.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -82,16 +93,16 @@ DEFAULT_SEED = 42
 
 # Fixed accumulation granularity; results must not change if this does,
 # except for floating-point reassociation in the merge.
-CHUNK_SAMPLES = 65536
+CHUNK_SAMPLES = 4096
+
+# A cell's chunks are merged in at most this many contiguous batches, whose
+# moments give the batch-means error of the scalar information.
+STDERR_BATCHES = 32
 
 # Mean-function tabulation reserves one stream per grid row.
 MEAN_FUNCTION_STREAM_BASE = 1000
 
 THETA_LIMIT = 2.0**43  # every cell needs |theta| below it (see the contract)
-
-# Samples drawn per Philox call: the words of one block are mapped to
-# normals in place, so a draw holds its result plus one block of words.
-_DRAW_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -155,8 +166,9 @@ def _words_per_sample(k: int) -> int:
 
 
 def standard_normal_block(seed: int, stream: int, start: int, count: int,
-                          k: int) -> np.ndarray:
-    """Standard normals for samples [start, start + count) of a stream.
+                          k: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals for samples [start, start + count) of a stream,
+    written into ``out`` (a float64 (count, k) array) if given.
 
     Counter-based: the result depends only on (seed, stream, k) and the
     absolute sample indices, never on how the range is split into calls.
@@ -164,35 +176,36 @@ def standard_normal_block(seed: int, stream: int, start: int, count: int,
     words = _words_per_sample(k)
     bg = Philox(key=[seed, stream])
     bg.advance(start * words // 4)
-    z = np.empty((count, k))
-    for lo in range(0, count, _DRAW_ROWS):
-        part = z[lo:lo + _DRAW_ROWS]
-        # w is a multiple of 4, so each call ends on a counter block and the
-        # next one continues the stream where this one stopped
-        raw = bg.random_raw(len(part) * words).reshape(len(part), words)
-        np.right_shift(raw, 11, out=raw)
-        np.copyto(part, raw[:, :k], casting="unsafe")  # exact below 2**53
-        np.add(part, 0.5, out=part)
-        np.multiply(part, 2.0**-53, out=part)
-        ndtri(part, out=part)
-    return z
+    raw = bg.random_raw(count * words).reshape(count, words)
+    np.right_shift(raw, 11, out=raw)
+    z = np.empty((count, k)) if out is None else out
+    np.copyto(z, raw[:, :k], casting="unsafe")  # exact below 2**53
+    np.add(z, 0.5, out=z)
+    np.multiply(z, 2.0**-53, out=z)
+    return ndtri(z, out=z)
 
 
 def draw_block(config: SimulationConfig, start: int, count: int,
-               stream: int = 0) -> np.ndarray:
-    """Observations y = theta * 1 + z for samples [start, start + count)."""
+               stream: int = 0, out: np.ndarray | None = None) -> np.ndarray:
+    """Observations y = theta * 1 + z for samples [start, start + count),
+    written into ``out`` (a float64 (count, k) array) if given."""
     if start < 0 or count < 0 or start + count > config.n_samples:
         raise IndexError(
             f"sample range [{start}, {start + count}) outside "
             f"[0, {config.n_samples})"
         )
-    z = standard_normal_block(config.seed, stream, start, count, config.k)
+    z = standard_normal_block(config.seed, stream, start, count, config.k, out)
     return np.add(z, config.theta, out=z)
 
 
 # ---------------------------------------------------------------------------
 # Streaming moments
 # ---------------------------------------------------------------------------
+
+
+def _column_mean(x: np.ndarray) -> np.ndarray:
+    """Column means of an (n, k) array: its column sums over n."""
+    return np.einsum("ij->j", x) / len(x)
 
 
 def _pooled_mean(count: int, mean: np.ndarray, other_count: int,
@@ -225,28 +238,32 @@ class StreamingMoments:
     m_ab: np.ndarray
 
     @classmethod
-    def from_batch(cls, a: np.ndarray, b: np.ndarray) -> "StreamingMoments":
+    def from_batch(cls, a: np.ndarray, b: np.ndarray,
+                   out: np.ndarray | None = None) -> "StreamingMoments":
         """Moments of one block of paired rows.
 
         ``m_ab`` is ``caᵀ b - (Σ ca) mean_bᵀ`` with ``ca = a - mean_a`` and
         ``b`` uncentered: the rank-one term removes the rounding residue of
         ``Σ ca`` times a large ``mean_b`` without a centering copy of ``b``.
-        When ``b is a``, the ``b`` half repeats ``mean_a`` and ``m_aa``
-        without a second mean or product.
+        ``ca`` is written into ``out`` (a float64 array of ``a``'s shape)
+        if given, else into a fresh array, so with a reused ``out`` a batch
+        allocates only its means and k x k products.  When ``b is a``, the
+        ``b`` half repeats ``mean_a`` and ``m_aa`` without a second mean or
+        product.
         """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ValueError("a must be a nonempty (n, k) array")
-        mean_a = a.mean(axis=0)
-        ca = a - mean_a
+        mean_a = _column_mean(a)
+        ca = np.subtract(a, mean_a, out=out)
         m_aa = ca.T @ ca
         if b is a:
             return cls(a.shape[0], mean_a, m_aa, mean_a, m_aa)
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ValueError("b must be an (n, m) array paired with a")
-        mean_b = b.mean(axis=0)
-        m_ab = ca.T @ b - np.outer(ca.sum(axis=0), mean_b)
+        mean_b = _column_mean(b)
+        m_ab = ca.T @ b - np.outer(np.einsum("ij->j", ca), mean_b)
         return cls(a.shape[0], mean_a, m_aa, mean_b, m_ab)
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
@@ -289,6 +306,36 @@ def _chunk_ranges(n_samples: int) -> list[tuple[int, int]]:
     ]
 
 
+class _BatchedMerge:
+    """In-order merge of one cell's chunk results in at most
+    ``STDERR_BATCHES`` contiguous batches; the first ``n_chunks % n_batches``
+    batches hold one chunk more than the rest.
+
+    ``add`` takes the chunks in order; each batch is the left fold of its
+    chunks by ``merge``, and ``total()`` the left fold of the batches, so
+    no chunk is merged twice.
+    """
+
+    def __init__(self, n_chunks: int, merge: Callable):
+        n_batches = min(STDERR_BATCHES, n_chunks)
+        size, extra = divmod(n_chunks, n_batches)
+        self._merge = merge
+        self._ends = {b * size + min(b, extra) for b in range(1, n_batches + 1)}
+        self._added = 0
+        self._open = None
+        self.batches: list = []
+
+    def add(self, part) -> None:
+        self._open = part if self._open is None else self._merge(self._open, part)
+        self._added += 1
+        if self._added in self._ends:
+            self.batches.append(self._open)
+            self._open = None
+
+    def total(self):
+        return functools.reduce(self._merge, self.batches)
+
+
 def _map_ordered(fn: Callable[[int, int], object],
                  ranges: Sequence[tuple[int, int]], n_workers: int) -> list:
     """Apply fn(start, count) to every range; results in range order."""
@@ -322,7 +369,7 @@ Fold = Callable[[np.ndarray, int, Workspace], object]
 
 
 def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
-          stream: int = 0) -> list[list]:
+          stream: int = 0, take: Callable[[list], None] | None = None) -> list[list] | None:
     """One chunk-major pass over a stream, folding every cell into each chunk.
 
     ``config`` supplies k, n_samples, seed and n_workers; each cell is a
@@ -332,7 +379,10 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
     that folds the chunk, one per worker for the whole pass.  A fold must
     not keep ``y`` or a workspace buffer after it returns (see the module
     contract).  Returns, per cell, its chunk results in chunk order, so the
-    caller's merge order is fixed.
+    caller's merge order is fixed.  With ``take``, nothing is kept and None
+    is returned: ``take(results)`` receives each chunk's list of per-cell
+    results in chunk order, as soon as every earlier chunk has been taken,
+    on the worker thread that completes it; calls never overlap.
     """
     if not cells:
         raise ValueError("a sweep needs at least one cell")
@@ -347,12 +397,25 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
         groups.setdefault(float(theta).hex(), []).append(i)
     last = len(groups) - 1
     local = threading.local()
+    columns = None
+    if take is None:
+        columns = [[] for _ in cells]
 
-    def chunk(start: int, count: int) -> list:
+        def take(results: list) -> None:
+            for column, result in zip(columns, results):
+                column.append(result)
+
+    done: dict[int, list] = {}  # finished chunks not yet taken, by index
+    taken = 0
+    lock = threading.Lock()
+
+    def chunk(start: int, count: int) -> None:
+        nonlocal taken
         workspace = getattr(local, "workspace", None)
         if workspace is None:
             workspace = local.workspace = Workspace()
-        z = draw_block(origin, start, count, stream)
+        z = draw_block(origin, start, count, stream,
+                       out=workspace.buffer("z", (count, config.k)))
         results = [None] * len(cells)
         for g, members in enumerate(groups.values()):
             theta = cells[members[0]][0]
@@ -360,22 +423,27 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
             y.flags.writeable = False
             for i in members:
                 results[i] = cells[i][1](y, start, workspace)
-        return results
+        with lock:
+            done[start // CHUNK_SAMPLES] = results
+            while taken in done:
+                take(done.pop(taken))
+                taken += 1
 
-    parts = _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
-    return [list(column) for column in zip(*parts)]
+    _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
+    return columns
 
 
 @dataclass(frozen=True)
 class CellMoments:
     """Moments of (estimate, observation) pairs, whose cross covariance is
     Cov(estimate, score), and squared-error norms of one (estimator, theta)
-    cell from one stream; ``chunk_moments`` keeps each chunk's, in order."""
+    cell from one stream; ``batch_moments`` keeps the moments of each of its
+    at most ``STDERR_BATCHES`` contiguous batches of chunks, in order."""
 
     moments: StreamingMoments  # a = estimate, b = observation y
     err_sum: float
     err_sumsq: float
-    chunk_moments: tuple[StreamingMoments, ...]
+    batch_moments: tuple[StreamingMoments, ...]
 
     @property
     def count(self) -> int:
@@ -398,10 +466,11 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
                   config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
-    Per-chunk moments are merged in chunk order (Chan, Golub & LeVeque
-    1979), so each cell's result is independent of the worker count and of
-    the other cells in the pass.  Estimator domain errors abort the run and
-    carry the offending sample index.
+    Per-chunk moments are merged as they arrive, in chunk order and in
+    contiguous batches (Chan, Golub & LeVeque 1979), so each cell's result
+    is independent of the worker count and of the other cells in the pass.
+    Estimator domain errors abort the run and carry the offending sample
+    index.
     """
 
     def fold(kind, mu: float):
@@ -409,7 +478,8 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
             buffer = workspace.buffer("estimate", y.shape)
             est = estimate_batch(kind, y, index_offset=start, out=buffer)
             # b = y: the moments do not change under the shift to the score
-            moments = StreamingMoments.from_batch(est, y)
+            moments = StreamingMoments.from_batch(
+                est, y, out=workspace.buffer("centered", y.shape))
             # the error replaces the estimate in its buffer (for ML, the score)
             err = np.subtract(est, mu, out=buffer)
             err_sq = np.einsum("ij,ij->i", err, err,
@@ -418,18 +488,26 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
             return moments, err_sum, float(np.multiply(err_sq, err_sq, out=err_sq).sum())
         return chunk
 
-    columns = sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells],
-                    stream)
-    return [_merge_cell(parts) for parts in columns]
+    n_chunks = len(_chunk_ranges(config.n_samples))
+    merges = [_BatchedMerge(n_chunks, StreamingMoments.merge) for _ in cells]
+    err_sums = [[0.0, 0.0] for _ in cells]
+
+    def take(results: list) -> None:
+        for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results):
+            merge.add(moments)
+            sums[0] += s1
+            sums[1] += s2
+
+    sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells], stream, take)
+    return [CellMoments(merge.total(), *sums, tuple(merge.batches))
+            for merge, sums in zip(merges, err_sums)]
 
 
-def _merge_cell(parts) -> CellMoments:
-    total, err_sum, err_sumsq = parts[0]
-    for mom, s1, s2 in parts[1:]:
-        total = total.merge(mom)
-        err_sum += s1
-        err_sumsq += s2
-    return CellMoments(total, err_sum, err_sumsq, tuple(p[0] for p in parts))
+def _pooled_count_mean(part, other) -> tuple[int, np.ndarray]:
+    """``(count, mean)`` of a block followed by a later one, as
+    ``StreamingMoments.merge`` pools them."""
+    n, _, _, mean = _pooled_mean(*part, *other)
+    return n, mean
 
 
 def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
@@ -440,28 +518,31 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass: per chunk, the count and the mean of the
     estimates, formed as ``collect_cells`` forms them (``estimate_batch``
-    into the ``estimate`` buffer of the worker's workspace), and
-    merged in chunk order by ``_pooled_mean`` (the update
-    ``StreamingMoments.merge`` applies), so a row equals the ``mean_a`` of
-    ``collect_cells`` on the same stream bit for bit without computing any
-    covariance.
+    into the ``estimate`` buffer of the worker's workspace, then
+    ``_column_mean``), and merged in the batches of ``collect_cells`` by
+    ``_pooled_mean`` (the update ``StreamingMoments.merge`` applies), so a
+    row equals the ``mean_a`` of ``collect_cells`` on the same stream bit
+    for bit without computing any covariance.  Every grid value is checked
+    (finite, and below ``THETA_LIMIT``) before any row's pass runs.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-D vector")
-    if not np.isfinite(grid).all():  # before any row's pass runs
+    if not np.isfinite(grid).all():
         raise ValueError("grid values must be finite")
+    for theta in grid:
+        if abs(theta) >= THETA_LIMIT:
+            raise ThetaResolutionError(float(theta))
 
     def chunk(y: np.ndarray, start: int, workspace: Workspace):
         out = workspace.buffer("estimate", y.shape)
-        return len(y), estimate_batch(kind, y, index_offset=start, out=out).mean(axis=0)
+        return len(y), _column_mean(estimate_batch(kind, y, index_offset=start, out=out))
 
+    n_chunks = len(_chunk_ranges(config.n_samples))
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
-        parts, = sweep(config, [(float(theta), chunk)],
-                       stream=MEAN_FUNCTION_STREAM_BASE + i)
-        count, mean = parts[0]
-        for other_count, other_mean in parts[1:]:
-            count, _, _, mean = _pooled_mean(count, mean, other_count, other_mean)
-        rows[i] = mean
+        merge = _BatchedMerge(n_chunks, _pooled_count_mean)
+        sweep(config, [(float(theta), chunk)], MEAN_FUNCTION_STREAM_BASE + i,
+              lambda results: merge.add(results[0]))
+        rows[i] = merge.total()[1]
     return rows

@@ -197,7 +197,7 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
 
     from steinsim.estimators import js_estimate_batch
 
-    parts, = mc.sweep(cfg, [(theta, lambda y, start, _: y)])
+    parts, = mc.sweep(cfg, [(theta, lambda y, start, _: y.copy())])
     y = np.concatenate(parts)
     first = js_estimate_batch(y)[:, 0]
     subfamily_score = (y - theta).sum(axis=1)

@@ -3,7 +3,9 @@ import pytest
 
 from steinsim.assess import SingularCovarianceError, assess_moments
 from steinsim.estimators import EstimatorKind
+from steinsim import mc
 from steinsim.mc import (
+    CHUNK_SAMPLES,
     CellMoments,
     SimulationConfig,
     StreamingMoments,
@@ -29,7 +31,7 @@ def _report_from_covariances(d, v):
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     k = d.shape[0]
     moments = StreamingMoments(2, np.zeros(k), v, np.zeros(k), d)
-    cell = CellMoments(moments, err_sum=0.0, err_sumsq=0.0, chunk_moments=())
+    cell = CellMoments(moments, err_sum=0.0, err_sumsq=0.0, batch_moments=())
     return assess_moments(EstimatorKind.ML, 0.0, cell)
 
 
@@ -146,3 +148,30 @@ def test_js_information_matches_ml_far_from_the_origin(theta):
     js = _assess(EstimatorKind.JS, theta, cfg).scalar_lambda
     ml = _assess(EstimatorKind.ML, theta, cfg).scalar_lambda
     assert js == pytest.approx(ml, rel=1e-9)
+
+
+@pytest.mark.parametrize("n_chunks", [1, 2, 5, 32, 33, 70])
+def test_lambda_stderr_uses_at_most_32_contiguous_batches(n_chunks):
+    # a short last chunk; the batches are contiguous runs of chunks, the
+    # first n_chunks % n_batches of them one chunk longer than the rest
+    n = (n_chunks - 1) * CHUNK_SAMPLES + 1000
+    n_batches = min(mc.STDERR_BATCHES, n_chunks)
+    size, extra = divmod(n_chunks, n_batches)
+    runs = [size + 1] * extra + [size] * (n_batches - extra)
+    chunks = [CHUNK_SAMPLES] * (n_chunks - 1) + [1000]
+    ends = np.cumsum(runs)
+    expected = [sum(chunks[end - run:end]) for run, end in zip(runs, ends)]
+    stderrs = []
+    for workers in (1, 2):
+        cell, = collect_cells([(EstimatorKind.JS, 0.5)],
+                              SimulationConfig(k=4, theta=0.0, n_samples=n, seed=27,
+                                               n_workers=workers))
+        assert [m.count for m in cell.batch_moments] == expected
+        total = cell.batch_moments[0]
+        for batch in cell.batch_moments[1:]:
+            total = total.merge(batch)
+        assert all(np.array_equal(getattr(total, f), getattr(cell.moments, f))
+                   for f in ("mean_a", "m_aa", "mean_b", "m_ab"))
+        stderrs.append(assess_moments(EstimatorKind.JS, 0.5, cell).lambda_stderr)
+    assert np.array_equal(stderrs[0], stderrs[1], equal_nan=True)
+    assert np.isnan(stderrs[0]) == (n_chunks == 1)

@@ -9,12 +9,15 @@ that API must come with a change to the benchmark.
 
 import collections
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+
+from steinsim import mc
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -44,7 +47,8 @@ def test_tracer_installs_its_hooks_and_sees_every_chunk(tmp_path):
     trace = json.loads(spans_path.read_text())
     assert {"mc._map_ordered", "mc.draw_block",
             "mc.StreamingMoments.from_batch"} <= set(trace["installed"])
-    # three chunks on each of streams 0, 1 and 2, one per figure on stream 3:
+    # every chunk of streams 0, 1 and 2, and one per figure on stream 3:
     # every chunk the pool runs draws its block once, through the wrapper
     spans = collections.Counter(span[2] for span in trace["spans"])
-    assert spans["mc.chunk"] == spans["mc.draw_block"] == 11
+    chunks = 3 * math.ceil(140_000 / mc.CHUNK_SAMPLES) + 2
+    assert spans["mc.chunk"] == spans["mc.draw_block"] == chunks

@@ -30,7 +30,7 @@ GOLDEN_CSV_SHA256 = {
     "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
     "figure_theta_2.csv": "85eeb8787459872da758b8d7f607c80dda93f41e50e92e00e2e6d6af85c2b54f",
     "table3_eigenvalues.json":
-        "13e77c56000af0ac8697d6a86179639ff1f3ddf27ac0e6381f6edc14805c4b8f",
+        "4882e9085e20e6b5a01af56b56e4f0a844f21d52862af74bdc27fbd70d9e95bf",
 }
 
 
@@ -212,6 +212,18 @@ def test_a_large_theta_inside_the_bound_still_runs(capsys):
     assert code == 0
     _, rows = parse_csv(out)
     assert len(rows) == 2 and all(math.isfinite(float(r[2])) for r in rows)
+
+
+@pytest.mark.parametrize("argv, theta", [
+    (["figure", "--theta", "-1e5", "--samples", "2000", "--points", "5"], -1e5),
+    (["table1", "--theta", "-2.5e-1", "--samples", "2000"], -0.25),
+], ids=["figure", "table1"])
+def test_a_negative_theta_in_exponent_form_is_a_value(capsys, argv, theta):
+    # argparse's own negative-number pattern knows only plain decimals, so
+    # "-1e5" after a space used to be read as an unknown option (exit 1)
+    code, out, err = run(capsys, [*argv, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["manifest"]["thetas"] == [theta]
 
 
 @pytest.mark.parametrize("alpha", ["1e-300", "1e-310"])
@@ -406,17 +418,19 @@ def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
     calls = collections.Counter()
     draw = mc.draw_block
 
-    def counting(config, start, count, stream=0):
+    def counting(config, start, count, stream=0, out=None):
         calls[stream, start, count] += 1
-        return draw(config, start, count, stream)
+        return draw(config, start, count, stream, out)
 
     monkeypatch.setattr(mc, "draw_block", counting)
     code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "42",
                               "--workers", "2", "--output", str(tmp_path / "run")])
     assert code == 0
     shared = {key: n for key, n in calls.items() if key[0] in (0, 1, 2)}
+    chunks = [(start, min(mc.CHUNK_SAMPLES, 70_000 - start))
+              for start in range(0, 70_000, mc.CHUNK_SAMPLES)]
     assert sorted(shared) == [(stream, start, count) for stream in (0, 1, 2)
-                              for start, count in ((0, 65536), (65536, 4464))]
+                              for start, count in chunks]
     assert set(shared.values()) == {1}
 
 

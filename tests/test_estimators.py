@@ -148,8 +148,8 @@ def test_estimate_batch_dispatch():
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_custom_estimate_fails_with_its_sample_index(bad):
-    # one bad row in the second chunk of a 70,000-sample cell (one worker,
-    # so chunks arrive in order): the error names its absolute index
+    # one bad row in the second, short chunk of a cell (one worker, so
+    # chunks arrive in order): the error names its absolute index
     calls = []
 
     def poisoned(y):
@@ -159,14 +159,15 @@ def test_non_finite_custom_estimate_fails_with_its_sample_index(bad):
             est[10, 1] = bad
         return est
 
-    cfg = SimulationConfig(k=4, theta=0.0, n_samples=70_000, seed=3)
+    last = CHUNK_SAMPLES // 2
+    cfg = SimulationConfig(k=4, theta=0.0, n_samples=CHUNK_SAMPLES + last, seed=3)
     with pytest.raises(ValueError, match=f"sample index {CHUNK_SAMPLES + 10}$"):
         collect_cells([(poisoned, 0.0)], cfg)
-    assert calls == [CHUNK_SAMPLES, 70_000 - CHUNK_SAMPLES]
+    assert calls == [CHUNK_SAMPLES, last]
     calls.clear()  # the mean-only pass of the mean-function table checks too
     with pytest.raises(ValueError, match=f"sample index {CHUNK_SAMPLES + 10}$"):
         tabulate_mean_function(poisoned, [0.5], cfg)
-    assert calls == [CHUNK_SAMPLES, 70_000 - CHUNK_SAMPLES]
+    assert calls == [CHUNK_SAMPLES, last]
 
 
 @pytest.mark.parametrize("reshape", [lambda b: b[:-1], lambda b: b[:, :2], lambda b: b[:, 0]],
