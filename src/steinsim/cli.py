@@ -3,7 +3,8 @@
 Each subcommand reproduces one batch report (MSE table, power table,
 information table, or paired semi-tail points) as CSV or JSON with a run
 manifest, under full determinism control (--seed, --samples, --workers).
-Progress goes to stderr; data streams stay clean.
+Progress goes to stderr; data streams stay clean.  JSON is strict (RFC
+8259): a value that is not finite, such as one sample's stderr, is null.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure.
 
@@ -151,21 +152,22 @@ def _validate(args) -> None:
         raise UsageError(f"invalid settings: {exc}") from None
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
-    thetas = getattr(args, "theta", None)
-    if isinstance(thetas, list):
-        if any(not np.isfinite(t) for t in thetas):
-            raise UsageError("--theta values must be finite")
-    elif isinstance(thetas, float) and not np.isfinite(thetas):
-        raise UsageError("--theta must be finite")
+    for name in ("theta", "alpha"):  # a repeated value is one row, one cell
+        if isinstance(getattr(args, name, None), list):
+            setattr(args, name, list(dict.fromkeys(getattr(args, name))))
     alphas = getattr(args, "alpha", None)
     if alphas is not None and any(not 0 < a < 1 for a in alphas):
         raise UsageError("--alpha values must lie strictly in (0, 1)")
     points = getattr(args, "points", None)
     if points is not None and points < 1:
         raise UsageError("--points must be a positive integer")
-    for theta in np.atleast_1d(thetas if thetas is not None else []):
-        if abs(theta) >= mc.THETA_LIMIT:  # before any draw, the figure's null pass too
-            raise mc.ThetaResolutionError(float(theta))
+    thetas = getattr(args, "theta", None)
+    try:  # before any draw, the figure's null pass too
+        mc.check_thetas([] if thetas is None else thetas)
+    except mc.ThetaResolutionError:
+        raise
+    except ValueError as exc:
+        raise UsageError(f"--theta: {exc}") from None
 
 
 def _config(args) -> mc.SimulationConfig:
@@ -200,12 +202,18 @@ class _Report(NamedTuple):
     extra: dict | None = None
 
 
+def _json(value) -> str:
+    """``value`` as RFC 8259 JSON, every non-finite float written as null."""
+    finite = json.loads(json.dumps(value), parse_constant=lambda _: None)
+    return json.dumps(finite, indent=2, allow_nan=False) + "\n"
+
+
 def _render(fmt: str, report: _Report) -> str:
     if fmt == "json":
         payload = {"command": report.command, "columns": list(report.columns),
                    "rows": report.rows, "manifest": report.manifest}
         payload.update(report.extra or {})
-        return json.dumps(payload, indent=2) + "\n"
+        return _json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(report.columns)
@@ -226,10 +234,8 @@ def _write(path: Path, fmt: str, report: _Report) -> None:
     """Write one report to a file; a CSV gets a JSON manifest sidecar."""
     path.write_text(_render(fmt, report))
     if fmt == "csv":
-        sidecar = dict(report.manifest)
-        sidecar.update(report.extra or {})
-        Path(str(path) + ".manifest.json").write_text(
-            json.dumps(sidecar, indent=2) + "\n")
+        sidecar = {**report.manifest, **(report.extra or {})}
+        Path(str(path) + ".manifest.json").write_text(_json(sidecar))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +276,7 @@ def _table1(args, thetas, cells: dict, t0: float) -> _Report:
 
 def _table2(args, thetas, alphas, calibrations: dict, t0: float) -> _Report:
     columns = ("test", "alpha", "theta", "power", "stderr")
-    keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in thetas))
+    keys = [(kind, float(t)) for kind in KINDS for t in thetas]
     _progress(f"table2 power of {len(keys)} cells")
     results = hyptest.power_table(keys, calibrations, alphas, _config(args))
     n = args.samples
@@ -307,11 +313,10 @@ def _table3(args, thetas, cells: dict, t0: float) -> _Report:
                 "eigen_min": report.eigen_min,
                 "eigen_max": report.eigen_max,
             })
-            stderr = report.lambda_stderr
             eigen_rows.append({
                 "estimator": kind.value.upper(),
                 "theta": float(theta),
-                "lambda_stderr": float(stderr) if np.isfinite(stderr) else None,
+                "lambda_stderr": report.lambda_stderr,
                 "eigenvalues": [float(v) for v in report.eigenvalues],
             })
     return _Report("table3", columns, rows,
@@ -390,7 +395,7 @@ def cmd_all(args, t0: float) -> int:
         _write(out_dir / f"{name}.{args.format}", args.format, report)
         if report.command == "table3":
             (out_dir / "table3_eigenvalues.json").write_text(
-                json.dumps(report.extra["eigenvalue_report"], indent=2) + "\n")
+                _json(report.extra["eigenvalue_report"]))
         outputs.append(name)
 
     manifest = _manifest(
@@ -402,7 +407,7 @@ def cmd_all(args, t0: float) -> int:
         failures=failures,
         reference_lines=REFERENCE_LINES,
     )
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out_dir / "manifest.json").write_text(_json(manifest))
     if failures:
         _progress(f"completed with failures: {', '.join(failures)}")
         return 2

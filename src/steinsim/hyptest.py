@@ -22,9 +22,9 @@ chunk's draws at a theta once, read-only, for every cell at that theta
 (the last theta gets the draws with its theta added in place), and each
 cell writes the difference of its estimate from mu0 into a buffer of the
 workspace that its worker reuses for every chunk of the pass; no cell's
-result depends on which other cells share its pass.  Each null is sorted
-once, when its pass ends, and made read-only; its calibration shares those
-sorted values instead of copying them.
+result depends on which other cells share its pass.  Each null is filled
+in place chunk by chunk, sorted once when its pass ends and made
+read-only; its calibration shares those sorted values instead of copying.
 """
 
 from __future__ import annotations
@@ -102,14 +102,19 @@ def _statistic_fold(kind: EstimatorKind, mu0: float):
 def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
                       config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
     """The calibration of each estimator at ``mu0``, from one pass over the
-    calibration stream.  Each null is sorted once and made read-only, and
-    its calibration shares that memory."""
+    calibration stream.  Each null is filled in place chunk by chunk, then
+    sorted once and made read-only, and its calibration shares that memory."""
     mu0 = float(mu0)
-    columns = mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds],
-                       stream=NULL_STREAM)
+    nulls = [np.empty(config.n_samples) for _ in kinds]
+
+    def fill(start: int, results: list) -> None:
+        for null, stats in zip(nulls, results):
+            null[start:start + len(stats)] = stats
+
+    mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds], fill,
+             stream=NULL_STREAM)
     calibrations = {}
-    for kind, parts in zip(kinds, columns):
-        values = np.concatenate(parts)
+    for kind, values in zip(kinds, nulls):
         values.sort()
         values.flags.writeable = False
         calibrations[kind] = NullCalibration(mu0, values)
@@ -168,13 +173,11 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
             return [int(np.count_nonzero(stats > crit)) for crit in crits]
         return chunk
 
-    columns = mc.sweep(config, [(theta, fold(kind)) for kind, theta in cells],
-                       stream=ALT_STREAM)
-    return {
-        (kind, theta): {alpha: count / config.n_samples
-                        for alpha, count in zip(alphas, map(sum, zip(*parts)))}
-        for (kind, theta), parts in zip(cells, columns)
-    }
+    counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
+    mc.sweep(config, [(theta, fold(kind)) for kind, theta in cells],
+             lambda start, results: np.add(counts, results, out=counts), stream=ALT_STREAM)
+    powers = (counts / config.n_samples).tolist()
+    return {(kind, theta): dict(zip(alphas, row)) for (kind, theta), row in zip(cells, powers)}
 
 
 def semitail(t, calibration: NullCalibration):
@@ -208,11 +211,10 @@ def paired_semitail(theta_alt: float, n_points: int,
     """Per-sample (s_js, s_ml) pairs at the alternative theta.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
-    read by a single one-cell sweep at ``theta_alt`` whose fold copies each
-    chunk's draws, since a fold may not keep its ``y``.  Both statistics are
-    computed on the same draws; each is standardized against its own entry
-    of ``calibrations``, keyed by estimator as ``null_calibrations`` returns
-    them (the JS and ML entries must share mu0).
+    read by a one-cell sweep at ``theta_alt`` whose fold computes both
+    statistics and the shrinkage per chunk; each statistic is standardized
+    against its own entry of ``calibrations``, keyed by estimator as
+    ``null_calibrations`` returns them (the JS and ML entries must share mu0).
     """
     calib_js, calib_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if calib_js.mu0 != calib_ml.mu0:
@@ -220,15 +222,23 @@ def paired_semitail(theta_alt: float, n_points: int,
     if n_points < 1:
         raise ValueError("n_points must be positive")
     mu0 = calib_js.mu0
-    parts, = mc.sweep(replace(config, n_samples=n_points),
-                      [(theta_alt, lambda y, start, _: y.copy())],
-                      stream=PAIR_STREAM)
-    y = np.concatenate(parts)
-    t_js = statistics_batch(EstimatorKind.JS, y, mu0)
-    t_ml = statistics_batch(EstimatorKind.ML, y, mu0)
+    columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
+
+    def fold(y: np.ndarray, start: int, workspace: mc.Workspace):
+        out = workspace.buffer("difference", y.shape)
+        return (statistics_batch(EstimatorKind.JS, y, mu0, index_offset=start, out=out),
+                statistics_batch(EstimatorKind.ML, y, mu0, index_offset=start, out=out),
+                shrinkage_factor_batch(y, index_offset=start))
+
+    def fill(start: int, results: list) -> None:
+        chunk, = results
+        columns[:, start:start + len(chunk[0])] = chunk
+
+    mc.sweep(replace(config, n_samples=n_points), [(theta_alt, fold)], fill,
+             stream=PAIR_STREAM)
+    t_js, t_ml, shrink = columns
     s_js = semitail(t_js, calib_js)
     s_ml = semitail(t_ml, calib_ml)
-    shrink = shrinkage_factor_batch(y)
     return [
         SemiTailPair(i, float(s_js[i]), float(s_ml[i]), float(shrink[i]))
         for i in range(n_points)

@@ -25,9 +25,10 @@ depends on chunking or worker count:
   are those of the one-shot formula, so the bits are too.
 * accumulation: samples are processed in fixed chunks of
   ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays stay in
-  cache across a chunk's passes, and a worker's draws reuse one buffer).  Each chunk's per-cell results are handed
-  on in chunk order as soon as every earlier chunk is done, whichever worker
-  finishes it, and a cell's chunks are merged in that order into at most
+  cache across a chunk's passes, and a worker's draws reuse one buffer).
+  Each chunk's per-cell results reach the sweep's ``take`` in chunk order
+  as soon as every earlier chunk is done, whichever worker finishes it,
+  and a cell's chunks are merged in that order into at most
   ``STDERR_BATCHES`` contiguous batches, each the in-order merge of its
   chunks, whose in-order merge is the cell's total, so the floating-point
   reduction order is independent of ``n_workers`` and a pass keeps no
@@ -45,7 +46,8 @@ depends on chunking or worker count:
 * chunk-major sweep: every pass over a stream goes through ``sweep``.
   Each chunk's ``z`` is drawn once, into the ``z`` buffer of the worker's
   ``Workspace``, and every requested cell is folded into it; a
-  single-cell pass is the one-cell case of the same sweep.
+  single-cell pass is the one-cell case of the same sweep, and ``take`` is
+  its one output: it merges, fills or adds up each chunk, keeping no list.
   The cells are grouped by theta (in order of first appearance, keeping
   their given order inside a group), and ``y = theta + z`` is formed once
   per distinct theta, read-only, and handed to every cell at that theta.
@@ -68,9 +70,9 @@ depends on chunking or worker count:
   on which worker folds its chunks.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
-  z's unit scale (at 1e200, ``y == theta`` and every error is 0); ``sweep``
-  raises ``ThetaResolutionError`` before any draw, and the mean-function
-  table before any row's pass.
+  z's unit scale (at 1e200, ``y == theta`` and every error is 0); it and
+  finiteness have one check, ``check_thetas``, which ``sweep``, the
+  mean-function table and the command line run before any draw.
 """
 
 from __future__ import annotations
@@ -165,37 +167,26 @@ def _words_per_sample(k: int) -> int:
     return 4 * ((k + 3) // 4)
 
 
-def standard_normal_block(seed: int, stream: int, start: int, count: int,
-                          k: int, out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals for samples [start, start + count) of a stream,
-    written into ``out`` (a float64 (count, k) array) if given.
-
-    Counter-based: the result depends only on (seed, stream, k) and the
-    absolute sample indices, never on how the range is split into calls.
-    """
-    words = _words_per_sample(k)
-    bg = Philox(key=[seed, stream])
-    bg.advance(start * words // 4)
-    raw = bg.random_raw(count * words).reshape(count, words)
-    np.right_shift(raw, 11, out=raw)
-    z = np.empty((count, k)) if out is None else out
-    np.copyto(z, raw[:, :k], casting="unsafe")  # exact below 2**53
-    np.add(z, 0.5, out=z)
-    np.multiply(z, 2.0**-53, out=z)
-    return ndtri(z, out=z)
-
-
 def draw_block(config: SimulationConfig, start: int, count: int,
                stream: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Observations y = theta * 1 + z for samples [start, start + count),
-    written into ``out`` (a float64 (count, k) array) if given."""
+    """Observations y = theta * 1 + z for samples [start, start + count) of a
+    stream, written into ``out`` (a float64 (count, k) array) if given."""
     if start < 0 or count < 0 or start + count > config.n_samples:
         raise IndexError(
             f"sample range [{start}, {start + count}) outside "
             f"[0, {config.n_samples})"
         )
-    z = standard_normal_block(config.seed, stream, start, count, config.k, out)
-    return np.add(z, config.theta, out=z)
+    words = _words_per_sample(config.k)
+    bg = Philox(key=[config.seed, stream])
+    bg.advance(start * words // 4)
+    raw = bg.random_raw(count * words).reshape(count, words)
+    np.right_shift(raw, 11, out=raw)
+    y = np.empty((count, config.k)) if out is None else out
+    np.copyto(y, raw[:, :config.k], casting="unsafe")  # exact below 2**53
+    np.add(y, 0.5, out=y)
+    np.multiply(y, 2.0**-53, out=y)
+    ndtri(y, out=y)
+    return np.add(y, config.theta, out=y)
 
 
 # ---------------------------------------------------------------------------
@@ -368,8 +359,19 @@ class Workspace:
 Fold = Callable[[np.ndarray, int, Workspace], object]
 
 
+def check_thetas(thetas) -> None:
+    """``ValueError`` unless every theta is finite, then
+    ``ThetaResolutionError`` for the first with ``|theta| >= THETA_LIMIT``."""
+    thetas = np.atleast_1d(np.asarray(thetas, dtype=np.float64))
+    if not np.isfinite(thetas).all():
+        raise ValueError("theta values must be finite")
+    for theta in thetas:
+        if abs(theta) >= THETA_LIMIT:
+            raise ThetaResolutionError(float(theta))
+
+
 def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
-          stream: int = 0, take: Callable[[list], None] | None = None) -> list[list] | None:
+          take: Callable[[int, list], None], stream: int = 0) -> None:
     """One chunk-major pass over a stream, folding every cell into each chunk.
 
     ``config`` supplies k, n_samples, seed and n_workers; each cell is a
@@ -378,35 +380,22 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
     its theta, and ``workspace`` the ``Workspace`` of the worker thread
     that folds the chunk, one per worker for the whole pass.  A fold must
     not keep ``y`` or a workspace buffer after it returns (see the module
-    contract).  Returns, per cell, its chunk results in chunk order, so the
-    caller's merge order is fixed.  With ``take``, nothing is kept and None
-    is returned: ``take(results)`` receives each chunk's list of per-cell
-    results in chunk order, as soon as every earlier chunk has been taken,
-    on the worker thread that completes it; calls never overlap.
+    contract).  ``take(start, results)`` receives each chunk's first sample
+    index and its list of per-cell results, in chunk order, as soon as
+    every earlier chunk has been taken, on the worker thread that completes
+    it; calls never overlap, and the sweep keeps no result once taken.
     """
     if not cells:
         raise ValueError("a sweep needs at least one cell")
-    if not all(np.isfinite(theta) for theta, _ in cells):
-        raise ValueError("every cell theta must be finite")
-    for theta, _ in cells:
-        if abs(theta) >= THETA_LIMIT:
-            raise ThetaResolutionError(theta)
+    check_thetas([theta for theta, _ in cells])
     origin = replace(config, theta=0.0)
     groups: dict[str, list[int]] = {}
     for i, (theta, _) in enumerate(cells):  # keyed by the bits: 0.0 and -0.0 stay apart
         groups.setdefault(float(theta).hex(), []).append(i)
     last = len(groups) - 1
     local = threading.local()
-    columns = None
-    if take is None:
-        columns = [[] for _ in cells]
-
-        def take(results: list) -> None:
-            for column, result in zip(columns, results):
-                column.append(result)
-
-    done: dict[int, list] = {}  # finished chunks not yet taken, by index
-    taken = 0
+    done: dict[int, list] = {}  # finished chunks not yet taken, by start
+    taken = 0  # start of the next chunk to take
     lock = threading.Lock()
 
     def chunk(start: int, count: int) -> None:
@@ -424,13 +413,12 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
             for i in members:
                 results[i] = cells[i][1](y, start, workspace)
         with lock:
-            done[start // CHUNK_SAMPLES] = results
+            done[start] = results
             while taken in done:
-                take(done.pop(taken))
-                taken += 1
+                take(taken, done.pop(taken))
+                taken += CHUNK_SAMPLES
 
     _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
-    return columns
 
 
 @dataclass(frozen=True)
@@ -492,13 +480,13 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     merges = [_BatchedMerge(n_chunks, StreamingMoments.merge) for _ in cells]
     err_sums = [[0.0, 0.0] for _ in cells]
 
-    def take(results: list) -> None:
+    def take(start: int, results: list) -> None:
         for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results):
             merge.add(moments)
             sums[0] += s1
             sums[1] += s2
 
-    sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells], stream, take)
+    sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells], take, stream)
     return [CellMoments(merge.total(), *sums, tuple(merge.batches))
             for merge, sums in zip(merges, err_sums)]
 
@@ -528,11 +516,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-D vector")
-    if not np.isfinite(grid).all():
-        raise ValueError("grid values must be finite")
-    for theta in grid:
-        if abs(theta) >= THETA_LIMIT:
-            raise ThetaResolutionError(float(theta))
+    check_thetas(grid)
 
     def chunk(y: np.ndarray, start: int, workspace: Workspace):
         out = workspace.buffer("estimate", y.shape)
@@ -542,7 +526,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
         merge = _BatchedMerge(n_chunks, _pooled_count_mean)
-        sweep(config, [(float(theta), chunk)], MEAN_FUNCTION_STREAM_BASE + i,
-              lambda results: merge.add(results[0]))
+        sweep(config, [(float(theta), chunk)],
+              lambda start, results: merge.add(results[0]), MEAN_FUNCTION_STREAM_BASE + i)
         rows[i] = merge.total()[1]
     return rows

@@ -3,8 +3,10 @@ calibrations, assessment cells and their reports, and power evaluations
 at the default seed are computed once per session, each from one shared
 pass over its stream."""
 
+import numpy as np
 import pytest
 
+from steinsim import mc
 from steinsim.assess import assess_moments
 from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import null_calibrations, power_table
@@ -17,6 +19,15 @@ KINDS = (EstimatorKind.JS, EstimatorKind.ML)
 ASSESS_THETAS = (0.0, 0.5, 1.25, 2.0, 2.5)
 POWER_THETAS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5)
 ALPHAS = (0.01, 0.05)
+
+
+def sweep_values(config, theta, fold, stream=0):
+    """A one-cell ``mc.sweep``'s per-chunk values, taken in chunk order and
+    concatenated."""
+    parts = []
+    mc.sweep(config, [(theta, fold)], lambda start, results: parts.append(results[0]),
+             stream)
+    return np.concatenate(parts)
 
 
 @pytest.fixture(scope="session")

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from steinsim import mc
+from conftest import sweep_values
 from steinsim.cli import main as cli_main
 from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import (
@@ -197,8 +197,7 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
 
     from steinsim.estimators import js_estimate_batch
 
-    parts, = mc.sweep(cfg, [(theta, lambda y, start, _: y.copy())])
-    y = np.concatenate(parts)
+    y = sweep_values(cfg, theta, lambda y, start, _: y.copy())
     first = js_estimate_batch(y)[:, 0]
     subfamily_score = (y - theta).sum(axis=1)
     cov = float(np.cov(first, subfamily_score)[0, 1])
@@ -221,9 +220,8 @@ def test_08d_monotone_transform_invariance():
     failures = []
     for kind in (JS, ML):
         plain = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
-        parts, = mc.sweep(cfg, [(2.0, lambda y, start, _: statistics_batch(
-            kind, y, DEFAULT_MU0, index_offset=start))], stream=ALT_STREAM)
-        alt = np.concatenate(parts)
+        alt = sweep_values(cfg, 2.0, lambda y, start, _: statistics_batch(
+            kind, y, DEFAULT_MU0, index_offset=start), stream=ALT_STREAM)
         mapped = NullCalibration(DEFAULT_MU0, np.exp(plain.sorted_null))
         for alpha in (0.01, 0.05):
             p1 = int((alt > _critical_value(plain.sorted_null, alpha)).sum())

@@ -132,6 +132,39 @@ def test_table3_json_carries_eigenvalues_and_stderr(capsys):
     assert all(entry["lambda_stderr"] is not None for entry in report)
 
 
+def _strict_json(text):
+    """Parse RFC 8259 JSON, which has no NaN or Infinity."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_output_writes_a_missing_stderr_as_null(tmp_path, capsys):
+    # one sample has no standard error of the MSE
+    argv = ["table1", "--samples", "1", "--theta", "0"]
+    code, out, _ = run(capsys, [*argv, "--format", "json"])
+    assert code == 0
+    assert [row["stderr"] for row in _strict_json(out)["rows"]] == [None, None]
+    table = tmp_path / "t1.csv"
+    assert run(capsys, [*argv, "--output", str(table)])[0] == 0
+    assert "nan" in table.read_text()  # CSV keeps nan
+    assert _strict_json((tmp_path / "t1.csv.manifest.json").read_text())["samples"] == 1
+
+
+@pytest.mark.parametrize("argv, repeat", [
+    (["table1", "--theta", "0.5"], ["--theta", "0.5"]),
+    (["table2", "--theta", "0", "--alpha", "0.05"], ["--alpha", "0.05"]),
+    (["table2", "--theta", "0", "--alpha", "0.05"], ["--theta", "0"]),
+    (["table3", "--theta", "0.5"], ["--theta", "0.5"]),
+], ids=["table1-theta", "table2-alpha", "table2-theta", "table3-theta"])
+def test_a_repeated_value_gives_its_rows_once(capsys, argv, repeat):
+    common = ["--samples", "20000", "--seed", "42"]
+    code, once, _ = run(capsys, [*argv, *common])
+    assert code == 0
+    code, twice, _ = run(capsys, [*argv, *repeat, *common])
+    assert code == 0 and twice == once
+
+
 def test_figure_json_includes_reference_lines(capsys):
     code, out, _ = run(capsys, ["figure", *SMALL, "--theta", "0.5",
                                 "--points", "10", "--format", "json"])
@@ -205,6 +238,16 @@ def test_a_theta_beyond_the_bound_fails_before_any_draw(capsys, monkeypatch, arg
     assert code == 2 and out == "" and draws == []
     failures = [line for line in err.splitlines() if "numerical failure" in line]
     assert len(failures) == 1 and "is not below 2**43" in failures[0]
+
+
+@pytest.mark.parametrize("argv", [["table1", "--theta", "nan"], ["figure", "--theta", "inf"]],
+                         ids=["table1", "figure"])
+def test_a_non_finite_theta_is_a_usage_error_before_any_draw(capsys, monkeypatch, argv):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
+    code, out, err = run(capsys, [*argv, "--samples", "20000"])
+    assert code == 1 and out == "" and draws == []
+    assert "must be finite" in err
 
 
 def test_a_large_theta_inside_the_bound_still_runs(capsys):

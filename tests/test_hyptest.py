@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
+from conftest import sweep_values
 from steinsim import mc
 from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_factor_batch
 from steinsim.hyptest import (
@@ -34,9 +35,8 @@ def _statistic(kind, y, mu0):
 
 def _alternative_statistics(kind, theta, config):
     """Statistics at theta from one pass over the evaluation stream."""
-    parts, = mc.sweep(config, [(theta, lambda y, start, _: statistics_batch(
-        kind, y, DEFAULT_MU0, index_offset=start))], stream=ALT_STREAM)
-    return np.concatenate(parts)
+    return sweep_values(config, theta, lambda y, start, _: statistics_batch(
+        kind, y, DEFAULT_MU0, index_offset=start), stream=ALT_STREAM)
 
 
 def _powers(kind, config, alphas):

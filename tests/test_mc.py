@@ -11,16 +11,16 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
+from conftest import sweep_values
 from steinsim import mc
 from steinsim.estimators import EstimatorKind
-from steinsim.hyptest import null_calibrations, power_table
+from steinsim.hyptest import null_calibrations, paired_semitail, power_table
 from steinsim.mc import (
     CHUNK_SAMPLES,
     SimulationConfig,
     StreamingMoments,
     collect_cells,
     draw_block,
-    standard_normal_block,
     tabulate_mean_function,
 )
 
@@ -111,12 +111,13 @@ def test_blocked_draws_equal_the_one_shot_formula(k, start, count):
     # the draw maps its words in place, shift, conversion, add, scale and
     # ndtri in turn; every bit must be that of the one-shot formula
     # (compared as integers, so -0.0 and NaN payloads count)
-    z = standard_normal_block(7, 4, start, count, k)
+    cfg = SimulationConfig(k=k, theta=0.0, n_samples=6 * CHUNK_SAMPLES + 17, seed=7)
+    z = draw_block(cfg, start, count, stream=4)
     expected = _one_shot_normals(7, 4, start, count, k)
     assert z.shape == (count, k) and z.dtype == np.float64
     assert np.array_equal(z.view(np.uint64), expected.view(np.uint64))
     out = np.full((count, k), np.nan)  # a sweep draws into a reused buffer
-    assert standard_normal_block(7, 4, start, count, k, out=out) is out
+    assert draw_block(cfg, start, count, stream=4, out=out) is out
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
 
 
@@ -134,7 +135,8 @@ def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
     # the block is the chunk's own words, which at k = 64 (a multiple of 4)
     # take as many bytes as the normals they become
     nbytes = CHUNK_SAMPLES * 64 * 8
-    peak = _peak_bytes(lambda: standard_normal_block(3, 0, 0, CHUNK_SAMPLES, 64))
+    cfg = SimulationConfig(k=64, theta=0.0, n_samples=CHUNK_SAMPLES, seed=3)
+    peak = _peak_bytes(lambda: draw_block(cfg, 0, CHUNK_SAMPLES))
     assert peak <= 2.25 * nbytes
 
 
@@ -186,8 +188,8 @@ def test_results_identical_across_worker_counts():
     moments = {}
     for workers in (1, 2, 8):
         cfg = _cfg(n_workers=workers)
-        parts, = mc.sweep(cfg, [(cfg.theta, lambda y, s, _: y.sum(axis=1))], stream=9)
-        stats[workers] = np.concatenate(parts)
+        stats[workers] = sweep_values(cfg, cfg.theta, lambda y, s, _: y.sum(axis=1),
+                                      stream=9)
         moments[workers] = _cell(EstimatorKind.JS, cfg)
     for workers in (2, 8):
         assert np.array_equal(stats[1], stats[workers])
@@ -237,8 +239,7 @@ def test_config_accepts_integral_numbers():
 def test_draw_moments_match_the_model():
     n = 1_000_000
     cfg = SimulationConfig(k=14, theta=1.25, n_samples=n, seed=13, n_workers=2)
-    parts, = mc.sweep(cfg, [(cfg.theta, lambda y, s, _: y.copy())])
-    y = np.concatenate(parts)
+    y = sweep_values(cfg, cfg.theta, lambda y, s, _: y.copy())
     mean = y.mean(axis=0)
     assert np.abs(mean - 1.25).max() <= 0.004
     var = y.var(axis=0, ddof=1)
@@ -252,7 +253,7 @@ def test_draw_moments_match_the_model():
 
 
 def test_normals_are_inside_the_open_interval():
-    z = standard_normal_block(seed=1, stream=0, start=0, count=4096, k=16)
+    z = draw_block(SimulationConfig(k=16, theta=0.0, n_samples=4096, seed=1), 0, 4096)
     assert np.all(np.isfinite(z))
 
 
@@ -533,15 +534,17 @@ def test_every_pass_gives_the_same_bits_at_1_2_and_3_workers(k, n_chunks, last, 
         calibrations = null_calibrations(kinds, 1.25, cfg)
         results.append((collect_cells(cells, cfg), calibrations,
                         power_table(cells, calibrations, (0.05,), cfg),
-                        tabulate_mean_function(EstimatorKind.JS, [0.0, 1.25], cfg)))
-    (cells1, nulls1, power1, rows1), *others = results
-    for cells_w, nulls_w, power_w, rows_w in others:
+                        tabulate_mean_function(EstimatorKind.JS, [0.0, 1.25], cfg),
+                        paired_semitail(2.0, n, calibrations, cfg)))
+    (cells1, nulls1, power1, rows1, pairs1), *others = results
+    for cells_w, nulls_w, power_w, rows_w, pairs_w in others:
         assert all(_same_cell(a, b) and _same_batches(a, b)
                    for a, b in zip(cells1, cells_w))
         assert all(np.array_equal(nulls1[kind].sorted_null, nulls_w[kind].sorted_null)
                    for kind in kinds)
         assert power_w == power1
         assert np.array_equal(rows_w, rows1)
+        assert pairs_w == pairs1
 
 
 def test_in_order_merge_holds_under_frequent_thread_switches():
@@ -580,6 +583,24 @@ def test_a_stream_0_pass_keeps_no_chunk_results():
                    for cell in result)
         working[n_chunks] = peak - kept
     assert working[64] <= 1.05 * working[8]
+
+
+def test_a_null_pass_keeps_no_chunk_list_or_copy_of_its_nulls():
+    # each null is filled in place and sorted there, so the pass's peak less
+    # the two nulls it returns must not grow with the chunk count
+    kinds = [EstimatorKind.JS, EstimatorKind.ML]
+    working = {}
+    for n_chunks in (16, 64):
+        cfg = SimulationConfig(k=14, theta=0.0, n_samples=n_chunks * CHUNK_SAMPLES, seed=27)
+        tracemalloc.start()
+        try:
+            result = null_calibrations(kinds, 1.25, cfg)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(result[kind].sorted_null.size == cfg.n_samples for kind in kinds)
+        working[n_chunks] = peak - kept
+    assert working[64] <= 1.05 * working[16]
 
 
 # ---------------------------------------------------------------------------
