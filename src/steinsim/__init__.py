@@ -6,9 +6,20 @@ error, test power, semi-tail standardization, and information, and backs
 a CLI that writes the corresponding batch reports.
 
 The submodules are the API: ``mc`` (draws, moments and sweeps),
-``estimators``, ``assess``, ``hyptest`` and ``cli``.
+``estimators``, ``assess``, ``hyptest`` and ``cli``.  Each is imported on
+first access (``steinsim.mc`` or ``import steinsim.mc``), so importing the
+package loads no numerical library and the command line can set its BLAS
+default before numpy loads.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import assess, estimators, hyptest, mc  # noqa: E402
+_SUBMODULES = ("assess", "cli", "estimators", "hyptest", "mc")
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -13,6 +13,16 @@ accepted for tests); finite theta with |theta| < 2**43 (``mc.THETA_LIMIT``;
 beyond it a numerical failure before any draw); N >= 2 for table3 and all,
 and N >= 100 / alpha for table2 (else a numerical failure); alpha strictly
 in (0, 1); points >= 1.
+
+BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
+it is already set, before numpy loads.  Every BLAS call here is small (k x k
+products over one chunk, k x k solves), too small for OpenBLAS's threads to
+help, and ``--workers`` already runs chunks in parallel; the variable keeps
+numpy's and scipy's bundled OpenBLAS from starting thread pools that spend
+CPU beside them.  Outputs are byte-identical either way.  To override it,
+set the variable, e.g. ``OPENBLAS_NUM_THREADS=4 steinsim all``.  Importing
+the library without this module (``steinsim.mc`` and the rest) leaves the
+environment alone.
 """
 
 from __future__ import annotations
@@ -22,18 +32,22 @@ import csv
 import functools
 import io
 import json
+import os
 import re
 import sys
 import time
 from pathlib import Path
 from typing import NamedTuple
 
-import numpy as np
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 
-from . import __version__, hyptest, mc
-from .assess import SingularCovarianceError, assess_moments
-from .estimators import EstimatorKind, ShrinkageDomainError
-from .hyptest import NullResolutionError
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from . import __version__, hyptest, mc  # noqa: E402
+from .assess import SingularCovarianceError, assess_moments  # noqa: E402
+from .estimators import EstimatorKind, ShrinkageDomainError  # noqa: E402
+from .hyptest import NullResolutionError  # noqa: E402
 
 TABLE1_THETAS = (0.0, 0.5, 1.25, 2.0, 2.5)
 TABLE2_THETAS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5)
@@ -175,6 +189,19 @@ def _config(args) -> mc.SimulationConfig:
                                seed=args.seed, n_workers=args.workers)
 
 
+def _provenance() -> dict:
+    """The libraries, BLAS, thread settings and chunk size a run used."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "threads_env": {name: value for name, value in sorted(os.environ.items())
+                        if name.endswith("_NUM_THREADS")},
+        "chunk_samples": mc.CHUNK_SAMPLES,
+    }
+
+
 def _manifest(args, command: str, thetas, alphas, t0: float, **extra) -> dict:
     manifest = {
         "command": command,
@@ -186,6 +213,7 @@ def _manifest(args, command: str, thetas, alphas, t0: float, **extra) -> dict:
         "alphas": [float(a) for a in alphas] if alphas else None,
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - t0, 3),
+        "provenance": _provenance(),
     }
     manifest.update(extra)
     return manifest

@@ -47,8 +47,13 @@ def shrinkage_factor_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
     norm underflows the shrinkage domain.
     """
     y = np.asarray(y, dtype=np.float64)
-    k = y.shape[1]
-    norm_sq = np.einsum("ij,ij->i", y, y)
+    return shrinkage_from_norms(np.einsum("ij,ij->i", y, y), y.shape[1], index_offset)
+
+
+def shrinkage_from_norms(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> np.ndarray:
+    """The multipliers 1 - (k - 2) / norm_sq of rows with squared norms
+    ``norm_sq``; ``ShrinkageDomainError`` names the first row (plus
+    ``index_offset``) whose norm underflows the shrinkage domain."""
     bad = norm_sq < NORM_SQ_FLOOR
     if bad.any():
         row = int(np.argmax(bad))

@@ -14,17 +14,20 @@ Streams: null calibration, power evaluation, and figure pairs draw from
 the disjoint streams 1, 2 and 3 of the configured seed, so rejection
 fractions are never computed on the draws that set the critical values.
 Each stream is read by one chunk-major sweep (``mc.sweep``): one pass over
-stream 1 at an explicit mu0 yields the calibration of every estimator
+stream 1 yields the calibration of every estimator at mu0
 (``null_calibrations``), and every power cell shares one pass over stream
 2, counting exceedances of the critical values that ``power_table`` reads
-off each calibration for the requested alphas.  The sweep forms each
-chunk's draws at a theta once, read-only, for every cell at that theta
-(the last theta gets the draws with its theta added in place), and each
-cell writes the difference of its estimate from mu0 into a buffer of the
-workspace that its worker reuses for every chunk of the pass; no cell's
-result depends on which other cells share its pass.  Each null is filled
-in place chunk by chunk, sorted once when its pass ends and made
-read-only; its calibration shares those sorted values instead of copying.
+off each calibration for the requested alphas.  Both passes are one-cell
+sweeps at theta = 0 whose fold reads each chunk's z only through two row
+reductions, S = Σ_j z_j and Q = ‖z‖², taken once per chunk: every
+statistic at every theta is arithmetic on those two vectors, through
+Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta² (``_statistics``).
+The figure pairs sweep at their theta and take ``statistics_batch`` and
+``shrinkage_factor_batch`` of y, the same formula at theta = 0 on y's S
+and Q.  No cell's result depends on which other cells share its
+pass.  Each null is filled in place chunk by chunk, sorted once when its
+pass ends and made read-only; its calibration shares those sorted values
+instead of copying.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mc
-from .estimators import EstimatorKind, estimate_batch, shrinkage_factor_batch
+from .estimators import EstimatorKind, shrinkage_factor_batch, shrinkage_from_norms
 
 DEFAULT_MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
@@ -74,45 +77,66 @@ class NullCalibration:
         object.__setattr__(self, "sorted_null", values)
 
 
-def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
-                     index_offset: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise test statistics for an (n, k) observation array.
+def _row_reductions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums S = Σ_j z_j and squared row norms Q = ‖z‖² of an (n, k) array."""
+    return np.einsum("ij->i", z), np.einsum("ij,ij->i", z, z)
 
-    ``out``, a float64 array of ``y``'s shape, receives the estimate minus
-    mu0 (the statistic is its squared row norm); without it that difference
-    is a fresh array.  ``out`` is passed on to ``estimate_batch`` whatever
-    the estimator: it writes the estimate there first, except that the ML
-    estimate is ``y`` itself, never copied.
+
+def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
+                theta: float, mu0: float, k: int, index_offset: int = 0) -> np.ndarray:
+    """Test statistics ‖estimate(y) - mu0·1‖² of the rows y = theta·1 + z,
+    from S = Σ_j z_j and Q = ‖z‖² alone.
+
+    With Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta², the ML
+    statistic is Q + 2dS + kd² for d = theta - mu0, and the JS statistic,
+    with shrinkage c = 1 - (k - 2) / ‖y‖², is c²‖y‖² - 2c·mu0·Σy + k·mu0².
+    At theta = 0, ‖y‖² is Q bit for bit.
     """
+    if kind is EstimatorKind.ML:
+        d = theta - mu0
+        return row_norm + (2.0 * d) * row_sum + k * d * d
+    if kind is EstimatorKind.JS:
+        norm_sq = row_norm + (2.0 * theta) * row_sum + k * theta * theta
+        c = shrinkage_from_norms(norm_sq, k, index_offset)
+        return c * c * norm_sq - (2.0 * mu0) * c * (row_sum + k * theta) + k * mu0 * mu0
+    raise TypeError(f"no test statistic for the estimator {kind!r}")
+
+
+def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
+                     index_offset: int = 0) -> np.ndarray:
+    """Row-wise test statistics ‖estimate(y) - mu0·1‖² of an (n, k)
+    observation array, from its row sums and squared row norms by the
+    formula of every pass (``_statistics`` at theta = 0)."""
     if np.ndim(y) != 2:
         raise ValueError("y must be an (n, k) array")
     if not np.isfinite(mu0):
         raise ValueError("mu0 must be finite")
     y = np.asarray(y, dtype=np.float64)
-    est = estimate_batch(kind, y, index_offset=index_offset, out=out)
-    diff = np.subtract(est, mu0, out=out)
-    return np.einsum("ij,ij->i", diff, diff)
-
-
-def _statistic_fold(kind: EstimatorKind, mu0: float):
-    return lambda y, start, workspace: statistics_batch(
-        kind, y, mu0, index_offset=start, out=workspace.buffer("difference", y.shape))
+    return _statistics(kind, *_row_reductions(y), 0.0, float(mu0), y.shape[1],
+                       index_offset)
 
 
 def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
                       config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
     """The calibration of each estimator at ``mu0``, from one pass over the
-    calibration stream.  Each null is filled in place chunk by chunk, then
-    sorted once and made read-only, and its calibration shares that memory."""
+    calibration stream: a one-cell sweep at theta = 0 whose fold takes each
+    chunk's S and Q once and every null statistic at theta = mu0 from them.
+    ``mu0`` is checked before any draw.  Each null is filled in place chunk
+    by chunk, then sorted once and made read-only, and its calibration
+    shares that memory."""
     mu0 = float(mu0)
+    mc.check_thetas([mu0])
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
+    def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list:
+        reductions = _row_reductions(z)
+        return [_statistics(kind, *reductions, mu0, mu0, config.k, start) for kind in kinds]
+
     def fill(start: int, results: list) -> None:
-        for null, stats in zip(nulls, results):
+        for null, stats in zip(nulls, results[0]):
             null[start:start + len(stats)] = stats
 
-    mc.sweep(config, [(mu0, _statistic_fold(kind, mu0)) for kind in kinds], fill,
-             stream=NULL_STREAM)
+    mc.sweep(config, [(0.0, fold)], fill, stream=NULL_STREAM)
     calibrations = {}
     for kind, values in zip(kinds, nulls):
         values.sort()
@@ -143,11 +167,14 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     100 / min(alpha) null draws (else ``NullResolutionError``).  Its
     critical value at alpha is the order statistic
     ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
-    binary value.  Each cell counts, chunk by chunk, the draws whose
-    statistic strictly exceeds each critical value; the power is the total
-    count over n_samples.  The alternative draws are shared by all cells
+    binary value.  The pass is a one-cell sweep at theta = 0 (every theta is
+    checked before any draw) whose fold takes each chunk's S and Q once;
+    each cell counts, chunk by chunk, the draws whose statistic at its theta
+    strictly exceeds each critical value, and the power is the total count
+    over n_samples.  The alternative draws are shared by all cells
     (common random numbers) and disjoint from the calibration draws.
     """
+    mc.check_thetas([theta for _, theta in cells])
     alphas = list(dict.fromkeys(float(a) for a in alphas))
     if not alphas or any(not 0 < a < 1 for a in alphas):
         raise ValueError("significance levels must lie strictly in (0, 1)")
@@ -164,18 +191,19 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
                 f"calibrate alpha={min(alphas):g} (need at least {np.ceil(need):.15g})")
         critical[kind] = [_critical_value(values, a) for a in alphas]
 
-    def fold(kind: EstimatorKind):
-        crits = critical[kind]
-        statistic = _statistic_fold(kind, calibrations[kind].mu0)
-
-        def chunk(y: np.ndarray, start: int, workspace: mc.Workspace) -> list[int]:
-            stats = statistic(y, start, workspace)
-            return [int(np.count_nonzero(stats > crit)) for crit in crits]
-        return chunk
+    def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list[list[int]]:
+        reductions = _row_reductions(z)
+        counts = []
+        for kind, theta in cells:
+            stats = _statistics(kind, *reductions, theta, calibrations[kind].mu0,
+                                config.k, start)
+            counts.append([int(np.count_nonzero(stats > crit)) for crit in critical[kind]])
+        return counts
 
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
-    mc.sweep(config, [(theta, fold(kind)) for kind, theta in cells],
-             lambda start, results: np.add(counts, results, out=counts), stream=ALT_STREAM)
+    mc.sweep(config, [(0.0, fold)],
+             lambda start, results: np.add(counts, results[0], out=counts),
+             stream=ALT_STREAM)
     powers = (counts / config.n_samples).tolist()
     return {(kind, theta): dict(zip(alphas, row)) for (kind, theta), row in zip(cells, powers)}
 
@@ -225,9 +253,8 @@ def paired_semitail(theta_alt: float, n_points: int,
     columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
 
     def fold(y: np.ndarray, start: int, workspace: mc.Workspace):
-        out = workspace.buffer("difference", y.shape)
-        return (statistics_batch(EstimatorKind.JS, y, mu0, index_offset=start, out=out),
-                statistics_batch(EstimatorKind.ML, y, mu0, index_offset=start, out=out),
+        return (statistics_batch(EstimatorKind.JS, y, mu0, index_offset=start),
+                statistics_batch(EstimatorKind.ML, y, mu0, index_offset=start),
                 shrinkage_factor_batch(y, index_offset=start))
 
     def fill(start: int, results: list) -> None:

@@ -34,11 +34,13 @@ depends on chunking or worker count:
   reduction order is independent of ``n_workers`` and a pass keeps no
   chunk's result once it is merged.  A chunk's column means are its column
   sums over its count (``_column_mean``).  A cell's moments pair its
-  estimate with the observation ``y`` rather than the score
-  ``y - theta``: a constant shift of ``b`` changes neither ``m_ab`` nor
-  the differences of ``mean_b`` that the merge reads, so Cov(estimate,
-  score) is read off unchanged and no score is formed for the moments.
-  The mean-function table runs a mean-only
+  estimate with the score ``z = y - theta``, which is the chunk's draw
+  itself, so Cov(estimate, score) is read off directly and ``mean_b`` is
+  near 0 at every theta: ``m_ab`` takes no residue of a large mean.  The
+  ML error is z at every theta, so one ``from_batch(z, z)`` and one set of
+  error norms per chunk serve every ML cell, each keeping the column mean
+  of its own estimate ``y`` as ``mean_a``.  The mean-function table runs a
+  mean-only
   pass: each chunk yields its count and estimate mean, merged in the same
   batches by the same pooled-mean update (``_pooled_mean``) that
   ``StreamingMoments.merge`` applies, so each row equals the moments
@@ -54,7 +56,13 @@ depends on chunking or worker count:
   The last distinct theta gets ``z`` with its theta added in place, which
   is bit-identical to ``theta + z`` and spares a copy, so a one-cell pass
   never holds ``z`` and ``y`` together.  Every other theta's ``y`` is
-  written into the ``y`` buffer of the worker's ``Workspace``.
+  written into the ``y`` buffer of the worker's ``Workspace``.  The three
+  full-N passes of the reports (``collect_cells`` and hyptest's
+  ``null_calibrations`` and ``power_table``) are one-cell sweeps at
+  theta = 0, whose fold sees the chunk's z (``z + 0.0`` is z bit for bit,
+  since ``ndtri`` never returns -0.0) and forms ``y`` in the ``y`` buffer
+  only where an estimate needs it; they check their own thetas before
+  any draw.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
@@ -72,7 +80,8 @@ depends on chunking or worker count:
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every error is 0); it and
   finiteness have one check, ``check_thetas``, which ``sweep``, the
-  mean-function table and the command line run before any draw.
+  passes that sweep at theta = 0, the mean-function table and the command
+  line run before any draw.
 """
 
 from __future__ import annotations
@@ -370,6 +379,20 @@ def check_thetas(thetas) -> None:
             raise ThetaResolutionError(float(theta))
 
 
+def _theta_groups(thetas) -> dict[str, list[int]]:
+    """Positions of each distinct theta, in order of first appearance, keyed
+    by its bits (so 0.0 and -0.0 stay apart)."""
+    groups: dict[str, list[int]] = {}
+    for i, theta in enumerate(thetas):
+        groups.setdefault(float(theta).hex(), []).append(i)
+    return groups
+
+
+def _read_only(y: np.ndarray) -> np.ndarray:
+    y.flags.writeable = False
+    return y
+
+
 def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
           take: Callable[[int, list], None], stream: int = 0) -> None:
     """One chunk-major pass over a stream, folding every cell into each chunk.
@@ -389,9 +412,7 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
         raise ValueError("a sweep needs at least one cell")
     check_thetas([theta for theta, _ in cells])
     origin = replace(config, theta=0.0)
-    groups: dict[str, list[int]] = {}
-    for i, (theta, _) in enumerate(cells):  # keyed by the bits: 0.0 and -0.0 stay apart
-        groups.setdefault(float(theta).hex(), []).append(i)
+    groups = _theta_groups(theta for theta, _ in cells)
     last = len(groups) - 1
     local = threading.local()
     done: dict[int, list] = {}  # finished chunks not yet taken, by start
@@ -408,8 +429,8 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
         results = [None] * len(cells)
         for g, members in enumerate(groups.values()):
             theta = cells[members[0]][0]
-            y = np.add(z, theta, out=z if g == last else workspace.buffer("y", z.shape))
-            y.flags.writeable = False
+            y = _read_only(np.add(z, theta,
+                                  out=z if g == last else workspace.buffer("y", z.shape)))
             for i in members:
                 results[i] = cells[i][1](y, start, workspace)
         with lock:
@@ -423,12 +444,12 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
 
 @dataclass(frozen=True)
 class CellMoments:
-    """Moments of (estimate, observation) pairs, whose cross covariance is
-    Cov(estimate, score), and squared-error norms of one (estimator, theta)
-    cell from one stream; ``batch_moments`` keeps the moments of each of its
-    at most ``STDERR_BATCHES`` contiguous batches of chunks, in order."""
+    """Moments of (estimate, score) pairs and squared-error norms of one
+    (estimator, theta) cell from one stream; ``batch_moments`` keeps the
+    moments of each of its at most ``STDERR_BATCHES`` contiguous batches of
+    chunks, in order."""
 
-    moments: StreamingMoments  # a = estimate, b = observation y
+    moments: StreamingMoments  # a = estimate, b = score z
     err_sum: float
     err_sumsq: float
     batch_moments: tuple[StreamingMoments, ...]
@@ -450,43 +471,64 @@ class CellMoments:
         return float(np.sqrt(max(var, 0.0) / n))
 
 
+def _squared_error_sums(err: np.ndarray, workspace: Workspace) -> tuple[float, float]:
+    """Sums of the squared error norms ‖err_i‖² and of their squares."""
+    err_sq = np.einsum("ij,ij->i", err, err, out=workspace.buffer("err_sq", (len(err),)))
+    return float(err_sq.sum()), float(np.multiply(err_sq, err_sq, out=err_sq).sum())
+
+
 def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
                   config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
-    Per-chunk moments are merged as they arrive, in chunk order and in
-    contiguous batches (Chan, Golub & LeVeque 1979), so each cell's result
-    is independent of the worker count and of the other cells in the pass.
-    Estimator domain errors abort the run and carry the offending sample
-    index.
+    The pass is a one-cell sweep at theta = 0 whose fold sees each chunk's
+    z (see the module contract); the thetas are checked before any draw.
+    Per chunk, ``y = theta + z`` is formed once per distinct nonzero theta,
+    read-only, in the ``y`` buffer of the worker's workspace; every cell
+    pairs its estimate with the score z, and one ``from_batch(z, z)`` and
+    one set of norms ‖z_i‖² serve every ML cell.  Per-chunk moments are
+    merged as they arrive, in chunk order and in contiguous batches (Chan,
+    Golub & LeVeque 1979), so each cell's result is independent of the
+    worker count and of the other cells in the pass.  Estimator domain
+    errors abort the run and carry the offending sample index.
     """
+    check_thetas([theta for _, theta in cells])
+    groups = _theta_groups(theta for _, theta in cells)
+    has_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
-    def fold(kind, mu: float):
-        def chunk(y: np.ndarray, start: int, workspace: Workspace):
-            buffer = workspace.buffer("estimate", y.shape)
-            est = estimate_batch(kind, y, index_offset=start, out=buffer)
-            # b = y: the moments do not change under the shift to the score
-            moments = StreamingMoments.from_batch(
-                est, y, out=workspace.buffer("centered", y.shape))
-            # the error replaces the estimate in its buffer (for ML, the score)
-            err = np.subtract(est, mu, out=buffer)
-            err_sq = np.einsum("ij,ij->i", err, err,
-                               out=workspace.buffer("err_sq", (len(y),)))
-            err_sum = float(err_sq.sum())
-            return moments, err_sum, float(np.multiply(err_sq, err_sq, out=err_sq).sum())
-        return chunk
+    def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
+        results = [None] * len(cells)
+        if has_ml:
+            z_moments = StreamingMoments.from_batch(z, z)
+            z_sums = _squared_error_sums(z, workspace)
+        for members in groups.values():
+            theta = cells[members[0]][1]
+            y = z if theta == 0 else _read_only(
+                np.add(z, theta, out=workspace.buffer("y", z.shape)))
+            for i in members:
+                kind = cells[i][0]
+                if kind is EstimatorKind.ML:
+                    results[i] = (replace(z_moments, mean_a=_column_mean(y)), *z_sums)
+                    continue
+                buffer = workspace.buffer("estimate", z.shape)
+                est = estimate_batch(kind, y, index_offset=start, out=buffer)
+                moments = StreamingMoments.from_batch(
+                    est, z, out=workspace.buffer("centered", z.shape))
+                err = np.subtract(est, theta, out=buffer)  # the error replaces the estimate
+                results[i] = (moments, *_squared_error_sums(err, workspace))
+        return results
 
     n_chunks = len(_chunk_ranges(config.n_samples))
     merges = [_BatchedMerge(n_chunks, StreamingMoments.merge) for _ in cells]
     err_sums = [[0.0, 0.0] for _ in cells]
 
     def take(start: int, results: list) -> None:
-        for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results):
+        for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results[0]):
             merge.add(moments)
             sums[0] += s1
             sums[1] += s2
 
-    sweep(config, [(theta, fold(kind, theta)) for kind, theta in cells], take, stream)
+    sweep(config, [(0.0, fold)], take, stream)
     return [CellMoments(merge.total(), *sums, tuple(merge.batches))
             for merge, sums in zip(merges, err_sums)]
 

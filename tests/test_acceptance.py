@@ -75,6 +75,36 @@ def test_01_table1_mse_reproduction(full_cells):
     _finish("1 table1-mse", failures)
 
 
+def exact_js_risk(theta: float, k: int) -> float:
+    """Exact JS risk k - (k - 2)² E[1 / χ²_k(kθ²)] (James & Stein 1961), the
+    expectation as the Poisson mixture Σ_j Pois(j; kθ²/2) / (k - 2 + 2j)."""
+    lam = k * theta * theta / 2
+    pmf, mixture = math.exp(-lam), 0.0
+    for j in range(int(lam + 12 * math.sqrt(lam)) + 40):
+        mixture += pmf / (k - 2 + 2 * j)
+        pmf *= lam / (j + 1)
+    return k - (k - 2) ** 2 * mixture
+
+
+EXACT_JS_RISK = {0.0: 2.00000, 0.5: 4.45212, 1.25: 9.57762, 2.0: 11.82870, 2.5: 12.52630}
+
+
+def test_01b_mse_lies_within_3_stderr_of_the_exact_risk(full_cells):
+    # stream 0 gives every theta the same z, so the ten deviations are
+    # correlated: together they are one check of the pass, not ten
+    failures = []
+    for theta, pinned in EXACT_JS_RISK.items():
+        exact = exact_js_risk(theta, 14)
+        if abs(exact - pinned) > 5e-6:
+            failures.append(f"exact JS risk at theta={theta}: {exact:.6f} != {pinned}")
+        for kind, risk in ((JS, exact), (ML, 14.0)):
+            cell = full_cells[kind, theta]
+            if abs(cell.mse - risk) > 3 * cell.mse_stderr:
+                failures.append(f"{kind.value} theta={theta}: mse={cell.mse:.5f} exact="
+                                f"{risk:.5f} (3 stderr={3 * cell.mse_stderr:.5f})")
+    _finish("1b exact-risk", failures)
+
+
 def test_02_table2_power_reproduction(full_powers):
     failures = []
     for (kind, alpha), by_theta in POWER_TARGET.items():

@@ -19,10 +19,11 @@ SMALL = ["--samples", "30000", "--seed", "42"]
 
 # sha256 of the five data CSVs of `all --samples 70000 --seed 7 --workers 1`,
 # recorded before the sweep formed each theta's draws once and gave each
-# chunk a workspace, and of its table3_eigenvalues.json, recorded before the
-# assessment report was slimmed to the information (on x86-64 with numpy 2.4
-# and scipy-openblas 0.3.31; another BLAS may round the moment GEMMs
-# differently)
+# chunk a workspace, and of its table3_eigenvalues.json, recorded when every
+# cell began to pair its estimate with the score z and the ML cells to share
+# the moments of z (its eigenvalues moved by at most 2.4e-15 relative; on
+# x86-64 with numpy 2.4 and scipy-openblas 0.3.31; another BLAS may round
+# the moment GEMMs differently)
 GOLDEN_CSV_SHA256 = {
     "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
     "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
@@ -30,7 +31,7 @@ GOLDEN_CSV_SHA256 = {
     "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
     "figure_theta_2.csv": "85eeb8787459872da758b8d7f607c80dda93f41e50e92e00e2e6d6af85c2b54f",
     "table3_eigenvalues.json":
-        "4882e9085e20e6b5a01af56b56e4f0a844f21d52862af74bdc27fbd70d9e95bf",
+        "c22db1fe06c44c0ef602a693aa8d715b17efaf668ddbe597b544c4703724a4f5",
 }
 
 
@@ -522,3 +523,52 @@ def test_package_attributes_are_the_submodules():
                             text=True, check=True, timeout=60,
                             env={**os.environ, "PYTHONPATH": src})
     assert result.stdout.strip() == str(["module"] * 4)
+
+
+def _fresh_environment(probe: str, **env) -> str:
+    """stdout of ``probe`` in a fresh interpreter on these sources, with no
+    OPENBLAS_NUM_THREADS unless ``env`` sets it."""
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**base, **env, "PYTHONPATH": src})
+    return result.stdout.strip()
+
+
+PRINT_BLAS_THREADS = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+
+
+def test_the_cli_starts_blas_on_one_thread():
+    assert _fresh_environment("import steinsim.cli; " + PRINT_BLAS_THREADS) == "1"
+
+
+def test_the_cli_keeps_a_blas_thread_count_from_the_environment():
+    probe = "import steinsim.cli; " + PRINT_BLAS_THREADS
+    assert _fresh_environment(probe, OPENBLAS_NUM_THREADS="3") == "3"
+
+
+def test_the_library_leaves_the_blas_threads_alone():
+    probe = "import steinsim; steinsim.mc; " + PRINT_BLAS_THREADS
+    assert _fresh_environment(probe) == "None"
+
+
+def test_manifests_record_the_provenance_of_the_run(tmp_path, capsys):
+    import scipy
+
+    out_dir = tmp_path / "all"
+    code, _, _ = run(capsys, ["all", "--samples", "20000", "--seed", "42",
+                              "--output", str(out_dir)])
+    assert code == 0
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    expected = {
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"]},
+        "threads_env": {k: v for k, v in sorted(os.environ.items())
+                        if k.endswith("_NUM_THREADS")},
+        "chunk_samples": mc.CHUNK_SAMPLES,
+    }
+    assert "OPENBLAS_NUM_THREADS" in expected["threads_env"]
+    for name in ("manifest.json", "table1.csv.manifest.json"):
+        assert json.loads((out_dir / name).read_text())["provenance"] == expected, name

@@ -17,6 +17,8 @@ from steinsim.hyptest import (
     NullCalibration,
     NullResolutionError,
     _critical_value,
+    _row_reductions,
+    _statistics,
     ml_power_oracle,
     null_calibrations,
     paired_semitail,
@@ -59,13 +61,77 @@ def test_statistic_js_through_the_zero_estimate():
     assert _statistic(JS, y, 1.25) == pytest.approx(21.875, abs=1e-10)
 
 
-def test_statistics_through_a_buffer_are_bit_identical():
+def test_statistics_from_row_sums_match_the_direct_norm():
+    # statistics_batch reads y only through its row sums and squared row
+    # norms; against ‖estimate(y) - mu0‖² formed directly it may differ by
+    # rounding only (the float64 terms are below 1e3 here)
     y = np.random.default_rng(5).normal(1.0, 1.0, size=(64, 6))
     for kind in (JS, ML):
-        out = np.empty_like(y)
-        assert np.array_equal(statistics_batch(kind, y, 1.25, out=out),
-                              statistics_batch(kind, y, 1.25))
-        assert np.array_equal(out, estimate_batch(kind, y) - 1.25)
+        diff = estimate_batch(kind, y) - 1.25
+        np.testing.assert_allclose(statistics_batch(kind, y, 1.25),
+                                   np.einsum("ij,ij->i", diff, diff), rtol=0, atol=1e-12)
+
+
+# The longdouble reference forms y = theta + z and the estimate in 64-bit
+# precision. The float64 statistic sums three terms, each a product of a
+# few rounded factors, so its error is a few ulps of the terms' magnitudes:
+# at most 2.4 eps times STATISTIC_SCALE on these rows, bounded at 8.
+STATISTIC_ULPS = 8
+
+
+def _statistic_scale(kind, row_sum, row_norm, theta, mu0, k):
+    """Sum of the magnitudes of the terms that ``_statistics`` adds."""
+    if kind is ML:
+        d = theta - mu0
+        return row_norm + 2 * np.abs(d * row_sum) + k * d * d
+    c = 1 - (k - 2) / (row_norm + 2 * theta * row_sum + k * theta * theta)
+    norm_bound = row_norm + 2 * np.abs(theta * row_sum) + k * theta * theta
+    return (c * c * norm_bound + 2 * np.abs(c * mu0) * (np.abs(row_sum) + k * abs(theta))
+            + k * mu0 * mu0)
+
+
+@pytest.mark.parametrize("theta", [0.0, 1.25, 2.5, 1e3, 1e7])
+def test_statistics_from_row_sums_match_a_longdouble_reference(theta):
+    # eight chunks of the evaluation stream, plus rows where c * y = mu0 * 1
+    # (y = a * 1 with a - (k - 2) / (k a) = mu0), where the JS statistic
+    # cancels to about 0, and three rows beside them
+    k, mu0 = 14, DEFAULT_MU0
+    cfg = SimulationConfig(k=k, theta=0.0, n_samples=8 * mc.CHUNK_SAMPLES, seed=3)
+    a = (mu0 + math.sqrt(mu0 * mu0 + 4 * (k - 2) / k)) / 2
+    z = np.vstack([mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM),
+                   a - theta + 1e-9 * np.arange(4)[:, None] * np.ones(k)])
+    row_sum, row_norm = _row_reductions(z)
+    y = z.astype(np.longdouble) + np.longdouble(theta)
+    for kind in (JS, ML):
+        est = y
+        if kind is JS:
+            est = (1 - (k - 2) / np.einsum("ij,ij->i", y, y))[:, None] * y
+        reference = ((est - mu0) ** 2).sum(axis=1)
+        got = _statistics(kind, row_sum, row_norm, theta, mu0, k)
+        scale = _statistic_scale(kind, row_sum, row_norm, theta, mu0, k)
+        error = np.abs(got - reference).astype(np.float64)
+        assert np.all(error <= STATISTIC_ULPS * np.finfo(np.float64).eps * scale), kind
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_power_counts_equal_the_direct_statistic_counts(seed):
+    # power_table folds every cell from each chunk's S and Q; the counts
+    # must be those of ‖estimate(y) - mu0‖² formed from y itself, against
+    # the same critical values
+    cfg = SimulationConfig(k=14, theta=0.0, n_samples=3 * mc.CHUNK_SAMPLES + 1000,
+                           seed=seed, n_workers=2)
+    calibrations = null_calibrations([JS, ML], DEFAULT_MU0, cfg)
+    cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
+    alphas = (0.01, 0.05)
+    table = power_table(cells, calibrations, alphas, cfg)
+    z = mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM)
+    for kind, theta in cells:
+        diff = estimate_batch(kind, z + theta) - DEFAULT_MU0
+        direct = np.einsum("ij,ij->i", diff, diff)
+        for alpha in alphas:
+            crit = _critical_value(calibrations[kind].sorted_null, alpha)
+            count = int(np.count_nonzero(direct > crit))
+            assert table[kind, theta][alpha] == count / cfg.n_samples, (kind, theta, alpha)
 
 
 def test_statistic_input_checks():

@@ -385,12 +385,29 @@ def test_moments_of_a_stream_with_itself_share_their_halves_bitwise():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_ml_cell_cross_covariance_equals_its_covariance_bitwise(workers):
-    # the ML estimate is y itself, so its cell pairs y with y
+def test_ml_cells_take_their_moments_from_the_score(workers):
+    # the ML error is z at every theta, so each chunk's ML moments are
+    # from_batch(z, z) with the column mean of y = theta + z as mean_a: at
+    # theta = 0 the cell is the in-order merge of those moments bit for bit.
+    # Elsewhere only the merge's mean differences round differently: they
+    # differ from z's by the rounding of y's chunk means, about ulp(theta)
+    # times |delta| <~ 0.1 times the weight n_a n_b / n <= n / 4, under
+    # 1e-14 n (at most 9.1e-13 here, with n = 8096)
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
-    cell, = collect_cells([(EstimatorKind.ML, 0.5)], cfg, stream=5)
-    assert np.array_equal(cell.moments.cov_ab, cell.moments.cov_aa)
-    assert np.array_equal(cell.moments.mean_b, cell.moments.mean_a)
+    z = draw_block(replace(cfg, theta=0.0), 0, cfg.n_samples, stream=5)
+    head, tail = z[:CHUNK_SAMPLES], z[CHUNK_SAMPLES:]
+    expected = StreamingMoments.from_batch(head, head).merge(
+        StreamingMoments.from_batch(tail, tail))
+    cells = collect_cells([(EstimatorKind.ML, theta) for theta in (0.0, 0.5, 2.0)],
+                          cfg, stream=5)
+    at_zero = cells[0].moments
+    for f in ("mean_a", "m_aa", "mean_b", "m_ab"):
+        assert np.array_equal(getattr(at_zero, f), getattr(expected, f)), f
+    for cell in cells[1:]:
+        assert np.array_equal(cell.moments.mean_b, expected.mean_b)
+        for f in ("m_aa", "m_ab"):
+            np.testing.assert_allclose(getattr(cell.moments, f), getattr(expected, f),
+                                       rtol=0, atol=1e-14 * cfg.n_samples)
 
 
 def test_sample_covariance_is_positive_semidefinite():
