@@ -16,9 +16,18 @@ depends on chunking or worker count:
   serial dependence between ranges.
 * normals: each word maps to the open-interval uniform
   ``u = (top 53 bits + 0.5) / 2**53`` and through the inverse normal CDF
-  (``scipy.special.ndtri``); the first ``k`` of the ``w`` words are used.
-  The inverse-CDF map is part of the contract: it consumes a fixed number
-  of words per sample and reproduces the normal tails exactly.  A draw
+  ``ndtri``; the first ``k`` of the ``w`` words are used.  The
+  inverse-CDF map is part of the contract: it consumes a fixed number of
+  words per sample and reproduces the normal tails exactly.  ``ndtri`` is
+  ``scipy.special.ndtri``, the same ufunc object, but loaded from
+  ``scipy.special._ufuncs`` without running the package's ``__init__``
+  unless ``scipy.special`` is already imported (``_scipy_ndtri``): that
+  ``__init__`` loads scipy's array-API layer, which clones numpy's
+  namespace with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and
+  took over half of ``import steinsim.cli``, while the ufunc module loads
+  in about 7 ms.  A later ``import scipy.special`` runs the full package
+  on the same ``_ufuncs`` module, so the map is the same object either
+  way.  Only scipy 1.17 has been checked.  A draw
   fetches all the words of its range in one Philox call and maps them in
   place into its result (shift, exact conversion, add, scale, ``ndtri``),
   so it holds its result plus its words; the operations and their order
@@ -86,8 +95,11 @@ depends on chunking or worker count:
 
 from __future__ import annotations
 
+import collections
 import functools
+import importlib.util
 import math
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -95,9 +107,34 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
 
 from .estimators import EstimatorFn, EstimatorKind, estimate_batch
+
+
+def _scipy_ndtri():
+    """``scipy.special.ndtri``, without running ``scipy/special/__init__.py``
+    unless ``scipy.special`` is already imported (see the module contract).
+
+    A bare module of the package's spec stands in for ``scipy.special``
+    while ``_ufuncs`` loads, and is removed again, so no stub outlives the
+    call.  The private modules that ``_ufuncs`` imports (``_ufuncs_cxx``,
+    ``_special_ufuncs``, ``_gufuncs``, ``_ellip_harm_2``) stay in
+    ``sys.modules``, but a ``scipy.special`` imported later does not carry
+    them as attributes.
+    """
+    special = sys.modules.get("scipy.special")
+    if special is not None:
+        return special.ndtri
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(
+        importlib.util.find_spec("scipy.special"))
+    try:
+        from scipy.special._ufuncs import ndtri
+    finally:
+        del sys.modules["scipy.special"]
+    return ndtri
+
+
+ndtri = _scipy_ndtri()
 
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
@@ -338,11 +375,28 @@ class _BatchedMerge:
 
 def _map_ordered(fn: Callable[[int, int], object],
                  ranges: Sequence[tuple[int, int]], n_workers: int) -> list:
-    """Apply fn(start, count) to every range; results in range order."""
+    """Apply fn(start, count) to every range; results in range order.
+
+    With more than one worker, at most ``2 * n_workers`` ranges are
+    submitted and not yet waited on, so a pass holds a fixed number of
+    futures whatever its length.  They are waited on in range order, so the
+    first failing range raises first; ranges not yet started are then
+    cancelled.
+    """
     if n_workers <= 1 or len(ranges) <= 1:
         return [fn(start, count) for start, count in ranges]
-    with ThreadPoolExecutor(max_workers=n_workers) as pool:
-        return list(pool.map(lambda rc: fn(*rc), ranges))
+    results: list = []
+    pending: collections.deque = collections.deque()
+    pool = ThreadPoolExecutor(max_workers=n_workers)
+    try:
+        for start, count in ranges:
+            if len(pending) == 2 * n_workers:
+                results.append(pending.popleft().result())
+            pending.append(pool.submit(fn, start, count))
+        results.extend(future.result() for future in pending)
+    finally:
+        pool.shutdown(cancel_futures=True)
+    return results
 
 
 class Workspace:

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -119,6 +124,31 @@ def test_blocked_draws_equal_the_one_shot_formula(k, start, count):
     out = np.full((count, k), np.nan)  # a sweep draws into a reused buffer
     assert draw_block(cfg, start, count, stream=4, out=out) is out
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
+
+
+def _fresh_interpreter(probe: str) -> str:
+    """stdout of ``probe`` in a fresh interpreter on these sources."""
+    src = str(Path(mc.__file__).resolve().parents[1])
+    result = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                            text=True, check=True, timeout=60,
+                            env={**os.environ, "PYTHONPATH": src})
+    return result.stdout.strip()
+
+
+def test_ndtri_is_scipys_when_scipy_special_is_imported_later():
+    # mc loads the ufunc without the package and leaves no stand-in behind,
+    # so a later import runs the full package, which shares the same ufunc
+    probe = ("import sys, steinsim.mc as mc; left = 'scipy.special' in sys.modules; "
+             "import scipy.special; "
+             "print(left, hasattr(scipy.special, 'ndtr'), scipy.special.ndtri is mc.ndtri)")
+    assert _fresh_interpreter(probe) == "False True True"
+
+
+def test_ndtri_is_scipys_when_scipy_special_is_imported_first():
+    probe = ("import sys, scipy.special; special = sys.modules['scipy.special']; "
+             "import steinsim.mc as mc; "
+             "print(sys.modules['scipy.special'] is special, mc.ndtri is special.ndtri)")
+    assert _fresh_interpreter(probe) == "True True"
 
 
 def _peak_bytes(fn) -> int:
@@ -578,6 +608,36 @@ def test_in_order_merge_holds_under_frequent_thread_switches():
     finally:
         sys.setswitchinterval(interval)
     assert all(_same_cell(a, b) and _same_batches(a, b) for a, b in zip(expected, got))
+
+
+def test_a_pooled_map_holds_a_fixed_number_of_futures():
+    # at 2 workers at most 4 ranges are in flight, so the peak of a no-op
+    # map must not grow from 16 to 244 ranges (N = 10^6 at 4,096 samples)
+    peaks = {}
+    for n_ranges in (16, 244):
+        ranges = [(start, 1) for start in range(n_ranges)]
+        peaks[n_ranges] = _peak_bytes(lambda: mc._map_ordered(lambda s, c: None, ranges, 2))
+    assert peaks[244] <= 1.25 * peaks[16]
+
+
+def test_a_pooled_map_raises_the_first_failing_range_and_submits_no_further():
+    ran = set()
+    lock = threading.Lock()
+
+    def fn(start, count):
+        with lock:
+            ran.add(start)
+        if start == 3:
+            time.sleep(0.05)  # range 5 fails first, but range 3 comes first
+            raise ValueError("range 3")
+        if start == 5:
+            raise ValueError("range 5")
+        return start
+
+    with pytest.raises(ValueError, match="range 3"):
+        mc._map_ordered(fn, [(start, 1) for start in range(100)], 2)
+    assert max(ran) < 3 + 2 * 2  # the window after range 3, no more
+    assert mc._map_ordered(fn, [(start, 1) for start in (0, 1, 2, 4)], 2) == [0, 1, 2, 4]
 
 
 def test_a_stream_0_pass_keeps_no_chunk_results():
