@@ -89,9 +89,10 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     Every estimate but ML is written into ``out`` (a float64 array of
     ``y``'s shape) if given, and returned.  The ML estimate is ``y`` itself
     as a float64 array, and ``out`` is left untouched, so callers pass the
-    same buffer whatever the estimator.  The sweep folds never write to or
-    keep ``y``, which every cell at one theta shares read-only (see
-    ``mc.sweep``), so a callable that writes into its input fails there.
+    same buffer whatever the estimator.  ``mc.collect_cells`` hands every
+    cell at one theta the same read-only ``y``, and
+    ``mc.tabulate_mean_function`` its row's read-only ``y``, so a callable
+    that writes into its input fails there.
     """
     if kind is EstimatorKind.ML:
         return np.asarray(y, dtype=np.float64)

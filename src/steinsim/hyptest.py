@@ -13,18 +13,19 @@ P0(T >= t)``: one extra unit means the null tail area halved.
 Streams: null calibration, power evaluation, and figure pairs draw from
 the disjoint streams 1, 2 and 3 of the configured seed, so rejection
 fractions are never computed on the draws that set the critical values.
-Each stream is read by one chunk-major sweep (``mc.sweep``): one pass over
-stream 1 yields the calibration of every estimator at mu0
-(``null_calibrations``), and every power cell shares one pass over stream
-2, counting exceedances of the critical values that ``power_table`` reads
-off each calibration for the requested alphas.  Both passes are one-cell
-sweeps at theta = 0 whose fold reads each chunk's z only through two row
+Each stream is read by one chunk-major sweep (``mc.sweep``), which folds
+one function over each chunk's standard normals z: one pass over stream 1
+yields the calibration of every estimator at mu0 (``null_calibrations``),
+and every power cell shares one pass over stream 2, counting exceedances
+of the critical values that ``power_table`` reads off each calibration
+for the requested alphas.  Both folds read z only through two row
 reductions, S = Σ_j z_j and Q = ‖z‖², taken once per chunk: every
 statistic at every theta is arithmetic on those two vectors, through
 Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta² (``_statistics``).
-The figure pairs sweep at their theta and take ``statistics_batch`` and
-``shrinkage_factor_batch`` of y, the same formula at theta = 0 on y's S
-and Q.  No cell's result depends on which other cells share its
+The figure pairs' fold adds their theta to z in place, forming y, and
+takes ``statistics_batch`` and ``shrinkage_factor_batch`` of y, the same
+formula at theta = 0 on y's S and Q.  Every pass checks its thetas before
+any draw, and no cell's result depends on which other cells share its
 pass.  Each null is filled in place chunk by chunk, sorted once when its
 pass ends and made read-only; its calibration shares those sorted values
 instead of copying.
@@ -119,13 +120,15 @@ def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
 def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
                       config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
     """The calibration of each estimator at ``mu0``, from one pass over the
-    calibration stream: a one-cell sweep at theta = 0 whose fold takes each
-    chunk's S and Q once and every null statistic at theta = mu0 from them.
-    ``mu0`` is checked before any draw.  Each null is filled in place chunk
-    by chunk, then sorted once and made read-only, and its calibration
-    shares that memory."""
+    calibration stream, whose fold takes each chunk's S and Q from its z
+    once and every null statistic at theta = mu0 from them.  ``mu0`` is
+    checked before any draw, and no kinds return ``{}`` without one.  Each
+    null is filled in place chunk by chunk, then sorted once and made
+    read-only, and its calibration shares that memory."""
     mu0 = float(mu0)
     mc.check_thetas([mu0])
+    if not kinds:
+        return {}
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list:
@@ -133,10 +136,10 @@ def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
         return [_statistics(kind, *reductions, mu0, mu0, config.k, start) for kind in kinds]
 
     def fill(start: int, results: list) -> None:
-        for null, stats in zip(nulls, results[0]):
+        for null, stats in zip(nulls, results):
             null[start:start + len(stats)] = stats
 
-    mc.sweep(config, [(0.0, fold)], fill, stream=NULL_STREAM)
+    mc.sweep(config, fold, fill, stream=NULL_STREAM)
     calibrations = {}
     for kind, values in zip(kinds, nulls):
         values.sort()
@@ -167,11 +170,11 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     100 / min(alpha) null draws (else ``NullResolutionError``).  Its
     critical value at alpha is the order statistic
     ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
-    binary value.  The pass is a one-cell sweep at theta = 0 (every theta is
-    checked before any draw) whose fold takes each chunk's S and Q once;
-    each cell counts, chunk by chunk, the draws whose statistic at its theta
-    strictly exceeds each critical value, and the power is the total count
-    over n_samples.  The alternative draws are shared by all cells
+    binary value.  Every theta is checked before any draw, and no cells
+    return ``{}`` without one.  The pass's fold takes each chunk's S and Q from its z
+    once; each cell counts, chunk by chunk, the draws whose statistic at its
+    theta strictly exceeds each critical value, and the power is the total
+    count over n_samples.  The alternative draws are shared by all cells
     (common random numbers) and disjoint from the calibration draws.
     """
     mc.check_thetas([theta for _, theta in cells])
@@ -190,6 +193,8 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
                 f"insufficient null resolution: {values.size} samples cannot "
                 f"calibrate alpha={min(alphas):g} (need at least {np.ceil(need):.15g})")
         critical[kind] = [_critical_value(values, a) for a in alphas]
+    if not cells:
+        return {}
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list[list[int]]:
         reductions = _row_reductions(z)
@@ -201,8 +206,7 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
         return counts
 
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
-    mc.sweep(config, [(0.0, fold)],
-             lambda start, results: np.add(counts, results[0], out=counts),
+    mc.sweep(config, fold, lambda start, result: np.add(counts, result, out=counts),
              stream=ALT_STREAM)
     powers = (counts / config.n_samples).tolist()
     return {(kind, theta): dict(zip(alphas, row)) for (kind, theta), row in zip(cells, powers)}
@@ -239,30 +243,32 @@ def paired_semitail(theta_alt: float, n_points: int,
     """Per-sample (s_js, s_ml) pairs at the alternative theta.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
-    read by a one-cell sweep at ``theta_alt`` whose fold computes both
-    statistics and the shrinkage per chunk; each statistic is standardized
-    against its own entry of ``calibrations``, keyed by estimator as
-    ``null_calibrations`` returns them (the JS and ML entries must share mu0).
+    read by one sweep whose fold adds ``theta_alt`` to each chunk's z in
+    place and computes both statistics and the shrinkage of that y;
+    ``theta_alt`` is checked before any draw.  Each statistic is
+    standardized against its own entry of ``calibrations``, keyed by
+    estimator as ``null_calibrations`` returns them (the JS and ML entries
+    must share mu0).
     """
     calib_js, calib_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if calib_js.mu0 != calib_ml.mu0:
         raise ValueError("calibrations target different null means")
     if n_points < 1:
         raise ValueError("n_points must be positive")
+    mc.check_thetas([theta_alt])
     mu0 = calib_js.mu0
     columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
 
-    def fold(y: np.ndarray, start: int, workspace: mc.Workspace):
+    def fold(z: np.ndarray, start: int, workspace: mc.Workspace):
+        y = np.add(z, theta_alt, out=z)
         return (statistics_batch(EstimatorKind.JS, y, mu0, index_offset=start),
                 statistics_batch(EstimatorKind.ML, y, mu0, index_offset=start),
                 shrinkage_factor_batch(y, index_offset=start))
 
-    def fill(start: int, results: list) -> None:
-        chunk, = results
+    def fill(start: int, chunk: tuple) -> None:
         columns[:, start:start + len(chunk[0])] = chunk
 
-    mc.sweep(replace(config, n_samples=n_points), [(theta_alt, fold)], fill,
-             stream=PAIR_STREAM)
+    mc.sweep(replace(config, n_samples=n_points), fold, fill, stream=PAIR_STREAM)
     t_js, t_ml, shrink = columns
     s_js = semitail(t_js, calib_js)
     s_ml = semitail(t_ml, calib_ml)

@@ -35,7 +35,7 @@ depends on chunking or worker count:
 * accumulation: samples are processed in fixed chunks of
   ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays stay in
   cache across a chunk's passes, and a worker's draws reuse one buffer).
-  Each chunk's per-cell results reach the sweep's ``take`` in chunk order
+  Each chunk's result reaches the sweep's ``take`` in chunk order
   as soon as every earlier chunk is done, whichever worker finishes it,
   and a cell's chunks are merged in that order into at most
   ``STDERR_BATCHES`` contiguous batches, each the in-order merge of its
@@ -54,24 +54,22 @@ depends on chunking or worker count:
   batches by the same pooled-mean update (``_pooled_mean``) that
   ``StreamingMoments.merge`` applies, so each row equals the moments
   pass's ``mean_a`` bit for bit.
-* chunk-major sweep: every pass over a stream goes through ``sweep``.
-  Each chunk's ``z`` is drawn once, into the ``z`` buffer of the worker's
-  ``Workspace``, and every requested cell is folded into it; a
-  single-cell pass is the one-cell case of the same sweep, and ``take`` is
-  its one output: it merges, fills or adds up each chunk, keeping no list.
-  The cells are grouped by theta (in order of first appearance, keeping
-  their given order inside a group), and ``y = theta + z`` is formed once
-  per distinct theta, read-only, and handed to every cell at that theta.
-  The last distinct theta gets ``z`` with its theta added in place, which
-  is bit-identical to ``theta + z`` and spares a copy, so a one-cell pass
-  never holds ``z`` and ``y`` together.  Every other theta's ``y`` is
-  written into the ``y`` buffer of the worker's ``Workspace``.  The three
-  full-N passes of the reports (``collect_cells`` and hyptest's
-  ``null_calibrations`` and ``power_table``) are one-cell sweeps at
-  theta = 0, whose fold sees the chunk's z (``z + 0.0`` is z bit for bit,
-  since ``ndtri`` never returns -0.0) and forms ``y`` in the ``y`` buffer
-  only where an estimate needs it; they check their own thetas before
-  any draw.
+* chunk-major sweep: every pass over a stream goes through ``sweep``,
+  which folds one function over the stream's chunks.  Each chunk's ``z`` is
+  drawn once, into the ``z`` buffer of the worker's ``Workspace``, and
+  handed to the fold, which may overwrite it; ``take`` is the pass's one
+  output: it merges, fills or adds up each chunk's result, keeping no list.
+  A fold that needs ``y = theta + z`` forms it itself.  The mean-function
+  rows and the figure pairs add their theta to ``z`` in place, which is
+  bit-identical to ``theta + z`` and spares a copy.  The three full-N
+  passes of the reports (``collect_cells`` and hyptest's
+  ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn
+  (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0).
+  ``collect_cells`` makes z read-only, forms ``y`` once per distinct
+  nonzero theta of its cells, read-only, in the ``y`` buffer of the
+  worker's ``Workspace``, and hands it to every cell at that theta (in
+  order of first appearance, keeping their given order inside a group).
+  Each pass checks its own thetas before any draw.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
@@ -79,18 +77,18 @@ depends on chunking or worker count:
   same buffer) with ``out=`` into the same memory chunk after chunk, and
   a pass holds a fixed set of buffers per worker instead of fresh arrays
   per chunk; ``StreamingMoments.from_batch`` centers each estimate into
-  one of them.  Workers never share one.  A fold must not keep ``y`` or a
-  workspace buffer after it returns: the next theta or chunk overwrites
-  them, so a fold that needs them later returns a copy.  Forming ``y``
-  once and reusing buffers changes no floating-point operation, so a
-  cell's result does not depend on which other cells share its pass or
-  on which worker folds its chunks.
+  one of them.  Workers never share one.  A fold must not keep ``z``, a
+  ``y`` or a workspace buffer after it returns: the next theta or chunk
+  overwrites them, so a fold that needs them later returns a copy.
+  Forming ``y`` once per theta and reusing buffers changes no
+  floating-point operation, so a cell's result does not depend on which
+  other cells share its pass or on which worker folds its chunks.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every error is 0); it and
-  finiteness have one check, ``check_thetas``, which ``sweep``, the
-  passes that sweep at theta = 0, the mean-function table and the command
-  line run before any draw.
+  finiteness have one check, ``check_thetas``, which every pass (the
+  cells, the null and power passes, the figure pairs and the mean-function
+  table) and the command line run before any draw.
 """
 
 from __future__ import annotations
@@ -157,9 +155,8 @@ THETA_LIMIT = 2.0**43  # every cell needs |theta| below it (see the contract)
 class SimulationConfig:
     """Determinism contract of a pass: k, n_samples, seed and n_workers.
 
-    ``theta`` is only the mean that ``draw_block`` adds: a sweep reads every
-    cell's theta from the cell itself, and the null pass takes its mean as
-    an argument.
+    ``theta`` is only the mean that ``draw_block`` adds: a sweep draws at
+    theta = 0, and every pass takes its thetas as arguments.
     """
 
     k: int
@@ -447,29 +444,24 @@ def _read_only(y: np.ndarray) -> np.ndarray:
     return y
 
 
-def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
-          take: Callable[[int, list], None], stream: int = 0) -> None:
-    """One chunk-major pass over a stream, folding every cell into each chunk.
+def sweep(config: SimulationConfig, fold: Fold,
+          take: Callable[[int, object], None], stream: int = 0) -> None:
+    """One chunk-major pass over a stream, folding ``fold`` over its chunks.
 
-    ``config`` supplies k, n_samples, seed and n_workers; each cell is a
-    ``(theta, fn)`` pair and sees ``fn(y, start, workspace)`` for every
-    chunk, with ``y = theta * 1 + z`` read-only and shared by the cells at
-    its theta, and ``workspace`` the ``Workspace`` of the worker thread
-    that folds the chunk, one per worker for the whole pass.  A fold must
-    not keep ``y`` or a workspace buffer after it returns (see the module
-    contract).  ``take(start, results)`` receives each chunk's first sample
-    index and its list of per-cell results, in chunk order, as soon as
+    ``config`` supplies k, n_samples, seed and n_workers.  For every chunk,
+    ``fold(z, start, workspace)`` gets the chunk's standard normals ``z``
+    (``draw_block`` at theta = 0, whatever ``config.theta``) in the ``z``
+    buffer of ``workspace``, the ``Workspace`` of the worker thread that
+    folds the chunk, one per worker for the whole pass.  It may overwrite
+    ``z``, but must not keep it or a workspace buffer after it returns (see
+    the module contract).  ``take(start, result)`` receives each chunk's
+    first sample index and its fold's result, in chunk order, as soon as
     every earlier chunk has been taken, on the worker thread that completes
     it; calls never overlap, and the sweep keeps no result once taken.
     """
-    if not cells:
-        raise ValueError("a sweep needs at least one cell")
-    check_thetas([theta for theta, _ in cells])
     origin = replace(config, theta=0.0)
-    groups = _theta_groups(theta for theta, _ in cells)
-    last = len(groups) - 1
     local = threading.local()
-    done: dict[int, list] = {}  # finished chunks not yet taken, by start
+    done: dict[int, object] = {}  # finished chunks not yet taken, by start
     taken = 0  # start of the next chunk to take
     lock = threading.Lock()
 
@@ -480,15 +472,9 @@ def sweep(config: SimulationConfig, cells: Sequence[tuple[float, Fold]],
             workspace = local.workspace = Workspace()
         z = draw_block(origin, start, count, stream,
                        out=workspace.buffer("z", (count, config.k)))
-        results = [None] * len(cells)
-        for g, members in enumerate(groups.values()):
-            theta = cells[members[0]][0]
-            y = _read_only(np.add(z, theta,
-                                  out=z if g == last else workspace.buffer("y", z.shape)))
-            for i in members:
-                results[i] = cells[i][1](y, start, workspace)
+        result = fold(z, start, workspace)
         with lock:
-            done[start] = results
+            done[start] = result
             while taken in done:
                 take(taken, done.pop(taken))
                 taken += CHUNK_SAMPLES
@@ -535,11 +521,12 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
                   config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
-    The pass is a one-cell sweep at theta = 0 whose fold sees each chunk's
-    z (see the module contract); the thetas are checked before any draw.
-    Per chunk, ``y = theta + z`` is formed once per distinct nonzero theta,
-    read-only, in the ``y`` buffer of the worker's workspace; every cell
-    pairs its estimate with the score z, and one ``from_batch(z, z)`` and
+    The pass folds each chunk's z, made read-only (see the module
+    contract); the thetas are checked before any draw, and no cells return
+    ``[]`` without one.  Per chunk, ``y = theta + z`` is formed once per
+    distinct nonzero theta, read-only, in the ``y`` buffer of the worker's
+    workspace, and shared by every cell at that theta; every cell pairs
+    its estimate with the score z, and one ``from_batch(z, z)`` and
     one set of norms ‖z_i‖² serve every ML cell.  Per-chunk moments are
     merged as they arrive, in chunk order and in contiguous batches (Chan,
     Golub & LeVeque 1979), so each cell's result is independent of the
@@ -547,10 +534,13 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     errors abort the run and carry the offending sample index.
     """
     check_thetas([theta for _, theta in cells])
+    if not cells:
+        return []
     groups = _theta_groups(theta for _, theta in cells)
     has_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
     def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
+        z = _read_only(z)
         results = [None] * len(cells)
         if has_ml:
             z_moments = StreamingMoments.from_batch(z, z)
@@ -577,12 +567,12 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     err_sums = [[0.0, 0.0] for _ in cells]
 
     def take(start: int, results: list) -> None:
-        for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results[0]):
+        for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results):
             merge.add(moments)
             sums[0] += s1
             sums[1] += s2
 
-    sweep(config, [(0.0, fold)], take, stream)
+    sweep(config, fold, take, stream)
     return [CellMoments(merge.total(), *sums, tuple(merge.batches))
             for merge, sums in zip(merges, err_sums)]
 
@@ -614,7 +604,8 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
         raise ValueError("grid must be a nonempty 1-D vector")
     check_thetas(grid)
 
-    def chunk(y: np.ndarray, start: int, workspace: Workspace):
+    def chunk(theta: float, z: np.ndarray, start: int, workspace: Workspace):
+        y = _read_only(np.add(z, theta, out=z))
         out = workspace.buffer("estimate", y.shape)
         return len(y), _column_mean(estimate_batch(kind, y, index_offset=start, out=out))
 
@@ -622,7 +613,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
         merge = _BatchedMerge(n_chunks, _pooled_count_mean)
-        sweep(config, [(float(theta), chunk)],
-              lambda start, results: merge.add(results[0]), MEAN_FUNCTION_STREAM_BASE + i)
+        sweep(config, functools.partial(chunk, float(theta)),
+              lambda start, result: merge.add(result), MEAN_FUNCTION_STREAM_BASE + i)
         rows[i] = merge.total()[1]
     return rows

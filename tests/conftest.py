@@ -22,11 +22,15 @@ ALPHAS = (0.01, 0.05)
 
 
 def sweep_values(config, theta, fold, stream=0):
-    """A one-cell ``mc.sweep``'s per-chunk values, taken in chunk order and
-    concatenated."""
+    """The per-chunk values of ``fold(y, start, workspace)`` over one
+    ``mc.sweep``, with ``y = theta + z`` formed read-only in each chunk's z,
+    taken in chunk order and concatenated."""
     parts = []
-    mc.sweep(config, [(theta, fold)], lambda start, results: parts.append(results[0]),
-             stream)
+
+    def at_theta(z, start, workspace):
+        return fold(mc._read_only(np.add(z, theta, out=z)), start, workspace)
+
+    mc.sweep(config, at_theta, lambda start, result: parts.append(result), stream)
     return np.concatenate(parts)
 
 

@@ -393,6 +393,19 @@ def test_paired_semitail_rejects_calibrations_at_different_null_means(monkeypatc
     assert draws == []  # before any draw
 
 
+@pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (math.inf, ValueError),
+                                        (1e200, mc.ThetaResolutionError)])
+def test_paired_semitail_refuses_a_bad_theta_before_any_draw(monkeypatch, bad, error):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
+    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
+                    ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    with pytest.raises(error):
+        paired_semitail(bad, 10, calibrations, cfg)
+    assert draws == []
+
+
 def test_paired_semitail_is_deterministic(full_calibrations, full_config):
     first = paired_semitail(2.0, 25, full_calibrations, full_config)
     second = paired_semitail(2.0, 25, full_calibrations, full_config)

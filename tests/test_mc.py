@@ -195,6 +195,29 @@ def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
     assert 1 <= len(built) <= workers
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
+    # whatever config.theta, each fold sees draw_block at theta = 0 bit for
+    # bit, even after the folds before it wrote over their z in the reused
+    # buffer; results reach take in chunk order, the short last chunk too
+    cfg = SimulationConfig(k=3, theta=7.5, n_samples=3 * CHUNK_SAMPLES + 123, seed=29,
+                           n_workers=workers)
+    taken = []
+
+    def overwriting(z, start, workspace):
+        seen = z.copy()
+        z[...] = np.nan
+        return seen
+
+    mc.sweep(cfg, overwriting, lambda start, z: taken.append((start, z)), stream=6)
+    assert [(start, len(z)) for start, z in taken] == [
+        (0, CHUNK_SAMPLES), (CHUNK_SAMPLES, CHUNK_SAMPLES),
+        (2 * CHUNK_SAMPLES, CHUNK_SAMPLES), (3 * CHUNK_SAMPLES, 123)]
+    origin = replace(cfg, theta=0.0)
+    for start, z in taken:
+        assert np.array_equal(z, draw_block(origin, start, len(z), stream=6)), start
+
+
 def test_block_straddling_chunk_sized_offsets():
     cfg = _cfg(n_samples=3 * CHUNK_SAMPLES)
     start = CHUNK_SAMPLES - 2
@@ -773,6 +796,16 @@ def test_sweeps_reject_a_non_finite_cell_theta(bad):
         collect_cells([(EstimatorKind.ML, 0.0), (EstimatorKind.ML, bad)], cfg)
     with pytest.raises(ValueError, match="finite"):
         tabulate_mean_function(EstimatorKind.JS, [0.0, bad], cfg)
+
+
+def test_empty_requests_return_before_any_draw(monkeypatch):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
+    cfg = _cfg(n_samples=1000)
+    assert collect_cells([], cfg) == []
+    assert null_calibrations([], 1.25, cfg) == {}
+    assert power_table([], {}, (0.05,), cfg) == {}
+    assert draws == []
 
 
 def test_tabulate_checks_the_grid_before_any_pass(monkeypatch):
