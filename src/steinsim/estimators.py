@@ -89,8 +89,8 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     Every estimate but ML is written into ``out`` (a float64 array of
     ``y``'s shape) if given, and returned.  The ML estimate is ``y`` itself
     as a float64 array, and ``out`` is left untouched, so callers pass the
-    same buffer whatever the estimator.  ``mc.collect_cells`` hands every
-    cell at one theta the same read-only ``y``, and
+    same buffer whatever the estimator.  ``mc.collect_cells`` hands each
+    cell a read-only ``y`` (at theta = 0 the chunk's shared z itself), and
     ``mc.tabulate_mean_function`` its row's read-only ``y``, so a callable
     that writes into its input fails there.
     """

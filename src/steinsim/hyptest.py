@@ -22,13 +22,14 @@ for the requested alphas.  Both folds read z only through two row
 reductions, S = Σ_j z_j and Q = ‖z‖², taken once per chunk: every
 statistic at every theta is arithmetic on those two vectors, through
 Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta² (``_statistics``).
-The figure pairs' fold adds their theta to z in place, forming y, and
-takes ``statistics_batch`` and ``shrinkage_factor_batch`` of y, the same
-formula at theta = 0 on y's S and Q.  Every pass checks its thetas before
-any draw, and no cell's result depends on which other cells share its
-pass.  Each null is filled in place chunk by chunk, sorted once when its
-pass ends and made read-only; its calibration shares those sorted values
-instead of copying.
+The figure pairs' fold adds their theta to z in place, forming y, takes
+y's S and Q once, and computes both statistics by the same formula at
+theta = 0 and the shrinkage from Q, as ``statistics_batch`` and
+``shrinkage_factor_batch`` of y would.  Every pass checks its thetas
+before any draw, and no cell's result depends on which other cells share
+its pass.  Each null is filled in place chunk by chunk, sorted once when
+its pass ends and made read-only; its calibration shares those sorted
+values instead of copying.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import mc
-from .estimators import EstimatorKind, shrinkage_factor_batch, shrinkage_from_norms
+from .estimators import EstimatorKind, shrinkage_from_norms
 
 DEFAULT_MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
@@ -64,6 +65,8 @@ class NullCalibration:
     sorted_null: np.ndarray
 
     def __post_init__(self):
+        if not np.isfinite(self.mu0):
+            raise ValueError("mu0 must be finite")
         values = self.sorted_null
         # a read-only float64 array that owns its data cannot change under
         # the calibration, so it is shared; anything else is copied
@@ -171,11 +174,12 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     critical value at alpha is the order statistic
     ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
     binary value.  Every theta is checked before any draw, and no cells
-    return ``{}`` without one.  The pass's fold takes each chunk's S and Q from its z
-    once; each cell counts, chunk by chunk, the draws whose statistic at its
-    theta strictly exceeds each critical value, and the power is the total
-    count over n_samples.  The alternative draws are shared by all cells
-    (common random numbers) and disjoint from the calibration draws.
+    return ``{}`` without one.  The pass's fold takes each chunk's S and Q
+    from its z once; each cell counts, chunk by chunk, the draws whose
+    statistic at its theta strictly exceeds each critical value, and the
+    power is the total count over n_samples.  The alternative draws are
+    shared by all cells (common random numbers) and disjoint from the
+    calibration draws.
     """
     mc.check_thetas([theta for _, theta in cells])
     alphas = list(dict.fromkeys(float(a) for a in alphas))
@@ -244,11 +248,11 @@ def paired_semitail(theta_alt: float, n_points: int,
 
     The draws are the first ``n_points`` samples of the pair stream (3),
     read by one sweep whose fold adds ``theta_alt`` to each chunk's z in
-    place and computes both statistics and the shrinkage of that y;
-    ``theta_alt`` is checked before any draw.  Each statistic is
-    standardized against its own entry of ``calibrations``, keyed by
-    estimator as ``null_calibrations`` returns them (the JS and ML entries
-    must share mu0).
+    place and computes both statistics and the shrinkage of that y from its
+    S and Q, taken once; ``theta_alt`` is checked before any draw.  Each
+    statistic is standardized against its own entry of ``calibrations``,
+    keyed by estimator as ``null_calibrations`` returns them (the JS and ML
+    entries must share mu0).
     """
     calib_js, calib_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if calib_js.mu0 != calib_ml.mu0:
@@ -260,10 +264,10 @@ def paired_semitail(theta_alt: float, n_points: int,
     columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace):
-        y = np.add(z, theta_alt, out=z)
-        return (statistics_batch(EstimatorKind.JS, y, mu0, index_offset=start),
-                statistics_batch(EstimatorKind.ML, y, mu0, index_offset=start),
-                shrinkage_factor_batch(y, index_offset=start))
+        reductions = _row_reductions(np.add(z, theta_alt, out=z))
+        return (_statistics(EstimatorKind.JS, *reductions, 0.0, mu0, config.k, start),
+                _statistics(EstimatorKind.ML, *reductions, 0.0, mu0, config.k, start),
+                shrinkage_from_norms(reductions[1], config.k, start))
 
     def fill(start: int, chunk: tuple) -> None:
         columns[:, start:start + len(chunk[0])] = chunk

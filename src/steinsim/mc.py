@@ -49,9 +49,8 @@ depends on chunking or worker count:
   ML error is z at every theta, so one ``from_batch(z, z)`` and one set of
   error norms per chunk serve every ML cell, each keeping the column mean
   of its own estimate ``y`` as ``mean_a``.  The mean-function table runs a
-  mean-only
-  pass: each chunk yields its count and estimate mean, merged in the same
-  batches by the same pooled-mean update (``_pooled_mean``) that
+  mean-only pass: each chunk yields its count and estimate mean, merged in
+  the same batches by the same pooled-mean update (``_pooled_mean``) that
   ``StreamingMoments.merge`` applies, so each row equals the moments
   pass's ``mean_a`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``,
@@ -65,24 +64,23 @@ depends on chunking or worker count:
   passes of the reports (``collect_cells`` and hyptest's
   ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn
   (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0).
-  ``collect_cells`` makes z read-only, forms ``y`` once per distinct
-  nonzero theta of its cells, read-only, in the ``y`` buffer of the
-  worker's ``Workspace``, and hands it to every cell at that theta (in
-  order of first appearance, keeping their given order inside a group).
-  Each pass checks its own thetas before any draw.
+  ``collect_cells`` makes z read-only and folds its cells in their given
+  order: each cell at a nonzero theta forms its own read-only ``y`` in the
+  ``y`` buffer of the worker's ``Workspace``, and a cell at theta = 0
+  reads z itself.  Each pass checks its own thetas before any draw.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
   so a cell writes its temporaries (the estimate, then its error in the
   same buffer) with ``out=`` into the same memory chunk after chunk, and
   a pass holds a fixed set of buffers per worker instead of fresh arrays
-  per chunk; ``StreamingMoments.from_batch`` centers each estimate into
-  one of them.  Workers never share one.  A fold must not keep ``z``, a
-  ``y`` or a workspace buffer after it returns: the next theta or chunk
-  overwrites them, so a fold that needs them later returns a copy.
-  Forming ``y`` once per theta and reusing buffers changes no
-  floating-point operation, so a cell's result does not depend on which
-  other cells share its pass or on which worker folds its chunks.
+  per chunk; ``StreamingMoments.from_batch`` centers each estimate, and
+  z for the ML cells, into one of them.  Workers never share one.  A fold
+  must not keep ``z``, a ``y`` or a workspace buffer after it returns: the
+  next cell or chunk overwrites them, so a fold that needs them later
+  returns a copy.  Reusing buffers changes no floating-point operation, so
+  a cell's result does not depend on which other cells share its pass or
+  on which worker folds its chunks.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every error is 0); it and
@@ -430,15 +428,6 @@ def check_thetas(thetas) -> None:
             raise ThetaResolutionError(float(theta))
 
 
-def _theta_groups(thetas) -> dict[str, list[int]]:
-    """Positions of each distinct theta, in order of first appearance, keyed
-    by its bits (so 0.0 and -0.0 stay apart)."""
-    groups: dict[str, list[int]] = {}
-    for i, theta in enumerate(thetas):
-        groups.setdefault(float(theta).hex(), []).append(i)
-    return groups
-
-
 def _read_only(y: np.ndarray) -> np.ndarray:
     y.flags.writeable = False
     return y
@@ -523,43 +512,41 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
 
     The pass folds each chunk's z, made read-only (see the module
     contract); the thetas are checked before any draw, and no cells return
-    ``[]`` without one.  Per chunk, ``y = theta + z`` is formed once per
-    distinct nonzero theta, read-only, in the ``y`` buffer of the worker's
-    workspace, and shared by every cell at that theta; every cell pairs
-    its estimate with the score z, and one ``from_batch(z, z)`` and
-    one set of norms ‖z_i‖² serve every ML cell.  Per-chunk moments are
-    merged as they arrive, in chunk order and in contiguous batches (Chan,
-    Golub & LeVeque 1979), so each cell's result is independent of the
-    worker count and of the other cells in the pass.  Estimator domain
-    errors abort the run and carry the offending sample index.
+    ``[]`` without one.  Per chunk, the cells are folded in their given
+    order: each cell at a nonzero theta forms its own read-only
+    ``y = theta + z`` in the ``y`` buffer of the worker's workspace, and a
+    cell at theta = 0 reads z itself; every cell pairs its estimate with
+    the score z, and one ``from_batch(z, z)`` and one set of norms ‖z_i‖²
+    serve every ML cell.  Per-chunk moments are merged as they arrive, in
+    chunk order and in contiguous batches (Chan, Golub & LeVeque 1979), so
+    each cell's result is independent of the worker count and of the other
+    cells in the pass.  Estimator domain errors abort the run and carry the
+    offending sample index.
     """
     check_thetas([theta for _, theta in cells])
     if not cells:
         return []
-    groups = _theta_groups(theta for _, theta in cells)
     has_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
     def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
         z = _read_only(z)
-        results = [None] * len(cells)
         if has_ml:
-            z_moments = StreamingMoments.from_batch(z, z)
+            z_moments = StreamingMoments.from_batch(
+                z, z, out=workspace.buffer("centered", z.shape))
             z_sums = _squared_error_sums(z, workspace)
-        for members in groups.values():
-            theta = cells[members[0]][1]
+        results = []
+        for kind, theta in cells:
             y = z if theta == 0 else _read_only(
                 np.add(z, theta, out=workspace.buffer("y", z.shape)))
-            for i in members:
-                kind = cells[i][0]
-                if kind is EstimatorKind.ML:
-                    results[i] = (replace(z_moments, mean_a=_column_mean(y)), *z_sums)
-                    continue
-                buffer = workspace.buffer("estimate", z.shape)
-                est = estimate_batch(kind, y, index_offset=start, out=buffer)
-                moments = StreamingMoments.from_batch(
-                    est, z, out=workspace.buffer("centered", z.shape))
-                err = np.subtract(est, theta, out=buffer)  # the error replaces the estimate
-                results[i] = (moments, *_squared_error_sums(err, workspace))
+            if kind is EstimatorKind.ML:
+                results.append((replace(z_moments, mean_a=_column_mean(y)), *z_sums))
+                continue
+            buffer = workspace.buffer("estimate", z.shape)
+            est = estimate_batch(kind, y, index_offset=start, out=buffer)
+            moments = StreamingMoments.from_batch(
+                est, z, out=workspace.buffer("centered", z.shape))
+            err = np.subtract(est, theta, out=buffer)  # the error replaces the estimate
+            results.append((moments, *_squared_error_sums(err, workspace)))
         return results
 
     n_chunks = len(_chunk_ranges(config.n_samples))

@@ -25,6 +25,7 @@ SMALL = ["--samples", "30000", "--seed", "42"]
 # the moments of z (its eigenvalues moved by at most 2.4e-15 relative; on
 # x86-64 with numpy 2.4 and scipy-openblas 0.3.31; another BLAS may round
 # the moment GEMMs differently)
+GOLDEN_BLAS_KERNEL = "SkylakeX"  # OpenBLAS's kernel when the digests were pinned
 GOLDEN_CSV_SHA256 = {
     "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
     "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
@@ -456,7 +457,9 @@ def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
     assert code == 0
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
                for name in GOLDEN_CSV_SHA256}
-    assert digests == GOLDEN_CSV_SHA256
+    assert digests == GOLDEN_CSV_SHA256, (
+        f"pinned under OpenBLAS's {GOLDEN_BLAS_KERNEL} kernel, run under "
+        f"{cli._blas_kernel()}: table3_eigenvalues.json depends on the kernel")
 
 
 def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.stats import chi2
 
 from conftest import sweep_values
-from steinsim import mc
+from steinsim import hyptest, mc
 from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_factor_batch
 from steinsim.hyptest import (
     ALT_STREAM,
@@ -208,6 +208,12 @@ def test_calibration_rejects_bad_alphas():
 def test_calibration_validates_sorted_null():
     with pytest.raises(ValueError, match="ascending"):
         NullCalibration(1.25, np.array([2.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_calibration_refuses_a_non_finite_mu0(bad):
+    with pytest.raises(ValueError, match="finite"):
+        NullCalibration(bad, np.arange(1.0, 201.0))
 
 
 def test_calibrations_share_the_read_only_null():
@@ -427,6 +433,25 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
     assert np.array_equal([p.s_js for p in pairs], s_js)
     assert np.array_equal([p.s_ml for p in pairs], s_ml)
     assert np.array_equal([p.shrinkage for p in pairs], shrinkage_factor_batch(y))
+
+
+def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
+    # both statistics and the shrinkage of a chunk come from one S and one Q
+    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
+                    ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
+    config = SimulationConfig(k=5, theta=0.0, seed=2, n_workers=2)
+    n_points = mc.CHUNK_SAMPLES + 300
+    expected = paired_semitail(2.0, n_points, calibrations, config)
+    calls = []
+    reductions = hyptest._row_reductions
+
+    def counting(z):
+        calls.append(len(z))
+        return reductions(z)
+
+    monkeypatch.setattr(hyptest, "_row_reductions", counting)
+    assert paired_semitail(2.0, n_points, calibrations, config) == expected
+    assert sorted(calls) == [300, mc.CHUNK_SAMPLES]
 
 
 def test_visible_pairs_thin_out_as_theta_grows(full_calibrations, full_config):

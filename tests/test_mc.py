@@ -525,9 +525,10 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
-    # cells at one theta share a read-only y, its score and the chunk's
-    # workspace; neither that, nor a duplicate cell, nor the order may
-    # change a bit of any cell
+    # cells share the chunk's read-only z, their score, and the worker's
+    # workspace: each cell at a nonzero theta forms its y in the same y
+    # buffer, and the ML cells share the moments of z; neither that, nor a
+    # duplicate cell, nor the order may change a bit of any cell
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     js, ml = EstimatorKind.JS, EstimatorKind.ML
     cells = [(js, 0.5), (ml, 0.5), (js, 2.0), (ml, 2.0), (js, 0.5)]
@@ -549,8 +550,9 @@ def _writes_into_its_input(y):
     [(EstimatorKind.JS, 0.5), (_writes_into_its_input, 0.5)],
 ], ids=["only-cell", "earlier-theta", "shared-theta"])
 def test_an_estimator_cannot_write_into_the_shared_draws(cells):
-    # cells at one theta share y, so a write would change its siblings'
-    # draws; y is read-only whether it is z itself or theta + z
+    # every cell's y is formed from the chunk's shared z (at theta = 0 it is
+    # z), so a write could change the draws of the cells after it; y is
+    # read-only whether it is z itself or theta + z
     cfg = _cfg(n_samples=1000)
     with pytest.raises(ValueError, match="read-only"):
         collect_cells(cells, cfg)
@@ -787,6 +789,24 @@ def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
                              for start, count in ((0, CHUNK_SAMPLES), (CHUNK_SAMPLES, 4000))]
     collect_cells([(EstimatorKind.JS, 0.0)], cfg)
     assert sorted(batches) == [4000, CHUNK_SAMPLES]  # the wrapper sees the moments pass
+
+
+def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
+    # JS and ML cells, two chunks: no from_batch call may allocate its own
+    # centered copy of a chunk
+    outs = []
+    from_batch = mc.StreamingMoments.from_batch.__func__
+
+    def recording(cls, a, b, out=None):
+        outs.append((np.shape(a), None if out is None else out.shape))
+        return from_batch(cls, a, b, out=out)
+
+    monkeypatch.setattr(mc.StreamingMoments, "from_batch", classmethod(recording))
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=2)
+    collect_cells([(EstimatorKind.JS, 0.5), (EstimatorKind.ML, 0.0),
+                   (EstimatorKind.ML, 2.0)], cfg)
+    assert len(outs) == 4  # per chunk, one JS batch and one shared ML batch
+    assert all(out == shape for shape, out in outs)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
