@@ -3,6 +3,9 @@
 Each subcommand reproduces one batch report (MSE table, power table,
 information table, or paired semi-tail points) as CSV or JSON with a run
 manifest, under full determinism control (--seed, --samples, --workers).
+``all`` writes every report; any other subcommand is ``all`` restricted to
+its own report, at its --theta and --alpha or the defaults, and reads the
+same shared passes, so its bytes are those of the same report in ``all``.
 Progress goes to stderr; data streams stay clean.  JSON is strict (RFC
 8259): a value that is not finite, such as one sample's stderr, is null.
 
@@ -11,8 +14,8 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure.
 Validity domain: k >= 3 for the James-Stein risk claims (smaller k is
 accepted for tests); finite theta with |theta| < 2**43 (``mc.THETA_LIMIT``;
 beyond it a numerical failure before any draw); N >= 2 for table3 and all,
-and N >= 100 / alpha for table2 (else a numerical failure); alpha strictly
-in (0, 1); points >= 1.
+and N >= 100 / alpha for table2 (else a numerical failure, before any
+draw); alpha strictly in (0, 1); points >= 1.
 
 BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 it is already set, before numpy loads.  Every BLAS call here is small (k x k
@@ -56,10 +59,14 @@ from .assess import SingularCovarianceError, assess_moments  # noqa: E402
 from .estimators import EstimatorKind, ShrinkageDomainError  # noqa: E402
 from .hyptest import NullResolutionError  # noqa: E402
 
+# The defaults that the parser's help, the reports and `all`'s manifest
+# read: each report's thetas here, and the alphas ``hyptest.DEFAULT_ALPHAS``.
 TABLE1_THETAS = (0.0, 0.5, 1.25, 2.0, 2.5)
 TABLE2_THETAS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5)
 TABLE3_THETAS = TABLE1_THETAS
 ALL_FIGURE_THETAS = (0.5, 2.0)
+DEFAULT_THETAS = {"table1": TABLE1_THETAS, "table2": TABLE2_THETAS,
+                  "table3": TABLE3_THETAS, "figure": ALL_FIGURE_THETAS}
 KINDS = (EstimatorKind.JS, EstimatorKind.ML)
 
 REFERENCE_LINES = {
@@ -113,14 +120,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
                    help="output file, or - for stdout (default -)")
 
 
-def _add_theta_list(p: argparse.ArgumentParser, defaults) -> None:
-    p.add_argument("--theta", type=float, action="append", default=None,
-                   help=f"theta value, repeatable (default {list(defaults)})")
-
-
 def _add_alphas(p: argparse.ArgumentParser) -> None:
     p.add_argument("--alpha", type=float, action="append", default=None,
-                   help="significance level, repeatable (default .01 .05)")
+                   help="significance level, repeatable "
+                        f"(default {list(hyptest.DEFAULT_ALPHAS)})")
 
 
 def build_parser() -> _Parser:
@@ -130,21 +133,16 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p1 = sub.add_parser("table1", help="MSE of the JS and ML estimators")
-    _add_common(p1)
-    _add_theta_list(p1, TABLE1_THETAS)
-    p1.set_defaults(handler=cmd_table1)
-
-    p2 = sub.add_parser("table2", help="power of the JS and ML tests")
-    _add_common(p2)
-    _add_theta_list(p2, TABLE2_THETAS)
-    _add_alphas(p2)
-    p2.set_defaults(handler=cmd_table2)
-
-    p3 = sub.add_parser("table3", help="scalar information and efficiency")
-    _add_common(p3)
-    _add_theta_list(p3, TABLE3_THETAS)
-    p3.set_defaults(handler=cmd_table3)
+    for name, summary in (("table1", "MSE of the JS and ML estimators"),
+                          ("table2", "power of the JS and ML tests"),
+                          ("table3", "scalar information and efficiency")):
+        pt = sub.add_parser(name, help=summary)
+        _add_common(pt)
+        pt.add_argument("--theta", type=float, action="append", default=None,
+                        help="theta value, repeatable "
+                             f"(default {list(DEFAULT_THETAS[name])})")
+        if name == "table2":
+            _add_alphas(pt)
 
     pf = sub.add_parser("figure", help="paired semi-tail scatter points")
     _add_common(pf)
@@ -152,14 +150,13 @@ def build_parser() -> _Parser:
                     help="alternative theta for the sample draws")
     pf.add_argument("--points", type=int, default=100,
                     help="number of paired samples (default 100)")
-    pf.set_defaults(handler=cmd_figure)
 
     pa = sub.add_parser("all", help="run every report into a directory")
     _add_common(pa)
     _add_alphas(pa)
     pa.add_argument("--points", type=int, default=100,
-                    help="paired samples per figure (default 100)")
-    pa.set_defaults(handler=cmd_all)
+                    help="paired samples per figure, one figure at each theta "
+                         f"of {list(ALL_FIGURE_THETAS)} (default 100)")
     # for `all`, --output names a directory
     pa.set_defaults(output="out")
 
@@ -167,24 +164,27 @@ def build_parser() -> _Parser:
 
 
 def _validate(args) -> None:
+    """Check the settings, and resolve a single command's thetas and any
+    alphas: unset, they take the defaults; a repeated value is one row."""
     try:
         _config(args)  # checks --k, --samples, --seed and --workers
     except ValueError as exc:
         raise UsageError(f"invalid settings: {exc}") from None
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
-    for name in ("theta", "alpha"):  # a repeated value is one row, one cell
-        if isinstance(getattr(args, name, None), list):
-            setattr(args, name, list(dict.fromkeys(getattr(args, name))))
-    alphas = getattr(args, "alpha", None)
-    if alphas is not None and any(not 0 < a < 1 for a in alphas):
-        raise UsageError("--alpha values must lie strictly in (0, 1)")
+    if args.command == "figure":
+        args.theta = [args.theta]
+    if args.command != "all":
+        args.theta = list(dict.fromkeys(args.theta or DEFAULT_THETAS[args.command]))
+    if "alpha" in vars(args):
+        args.alpha = list(dict.fromkeys(args.alpha or hyptest.DEFAULT_ALPHAS))
+        if any(not 0 < a < 1 for a in args.alpha):
+            raise UsageError("--alpha values must lie strictly in (0, 1)")
     points = getattr(args, "points", None)
     if points is not None and points < 1:
         raise UsageError("--points must be a positive integer")
-    thetas = getattr(args, "theta", None)
     try:  # before any draw, the figure's null pass too
-        mc.check_thetas([] if thetas is None else thetas)
+        mc.check_thetas(getattr(args, "theta", []))
     except mc.ThetaResolutionError:
         raise
     except ValueError as exc:
@@ -247,9 +247,9 @@ def _manifest(args, command: str, thetas, alphas, t0: float, **extra) -> dict:
 
 class _Report(NamedTuple):
     """A finished report: its rows, the manifest of the run that produced
-    them, and any extra top-level keys of its JSON payload."""
+    them (whose ``command`` names the report), and any extra top-level keys
+    of its JSON payload."""
 
-    command: str
     columns: tuple
     rows: list
     manifest: dict
@@ -264,8 +264,9 @@ def _json(value) -> str:
 
 def _render(fmt: str, report: _Report) -> str:
     if fmt == "json":
-        payload = {"command": report.command, "columns": list(report.columns),
-                   "rows": report.rows, "manifest": report.manifest}
+        payload = {"command": report.manifest["command"],
+                   "columns": list(report.columns), "rows": report.rows,
+                   "manifest": report.manifest}
         payload.update(report.extra or {})
         return _json(payload)
     buf = io.StringIO()
@@ -276,38 +277,12 @@ def _render(fmt: str, report: _Report) -> str:
     return buf.getvalue()
 
 
-def _emit(args, report: _Report) -> None:
-    """Write one report to stdout or to a file plus manifest sidecar."""
-    if args.output == "-":
-        sys.stdout.write(_render(args.format, report))
-    else:
-        _write(Path(args.output), args.format, report)
-
-
 def _write(path: Path, fmt: str, report: _Report) -> None:
     """Write one report to a file; a CSV gets a JSON manifest sidecar."""
     path.write_text(_render(fmt, report))
     if fmt == "csv":
         sidecar = {**report.manifest, **(report.extra or {})}
         Path(str(path) + ".manifest.json").write_text(_json(sidecar))
-
-
-# ---------------------------------------------------------------------------
-# Shared passes: each stream is swept once however many reports read it
-# ---------------------------------------------------------------------------
-
-
-def _cells(args, thetas) -> dict:
-    """Moments of every (estimator, theta) cell from one pass over stream 0."""
-    keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in thetas))
-    _progress(f"sweeping {len(keys)} estimator cells")
-    return dict(zip(keys, mc.collect_cells(keys, _config(args))))
-
-
-def _calibrations(args) -> dict:
-    """JS and ML null calibrations at mu0 from one pass over stream 1."""
-    _progress("simulating the js and ml nulls")
-    return hyptest.null_calibrations(KINDS, hyptest.DEFAULT_MU0, _config(args))
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +299,21 @@ def _table1(args, thetas, cells: dict, t0: float) -> _Report:
             cell = cells[kind, float(theta)]
             rows.append({"estimator": kind.value.upper(), "theta": float(theta),
                          "mse": cell.mse, "stderr": cell.mse_stderr})
-    return _Report("table1", columns, rows,
-                   _manifest(args, "table1", thetas, None, t0))
+    return _Report(columns, rows, _manifest(args, "table1", thetas, None, t0))
 
 
-def _table2(args, thetas, alphas, calibrations: dict, t0: float) -> _Report:
+def _table2(args, thetas, calibrations, t0: float) -> _Report:
+    # takes the lazy null pass, so that an alpha that --samples null draws
+    # cannot resolve fails before any draw
+    hyptest.check_null_resolution(args.samples, args.alpha)
+    shared = calibrations()
     columns = ("test", "alpha", "theta", "power", "stderr")
     keys = [(kind, float(t)) for kind in KINDS for t in thetas]
     _progress(f"table2 power of {len(keys)} cells")
-    results = hyptest.power_table(keys, calibrations, alphas, _config(args))
+    results = hyptest.power_table(keys, shared, args.alpha, _config(args))
     n = args.samples
     rows = []
-    for alpha in alphas:
+    for alpha in args.alpha:
         for kind in KINDS:
             for theta in thetas:
                 p = results[kind, float(theta)][alpha]
@@ -346,8 +324,7 @@ def _table2(args, thetas, alphas, calibrations: dict, t0: float) -> _Report:
                     "power": p,
                     "stderr": float(np.sqrt(p * (1.0 - p) / n)),
                 })
-    return _Report("table2", columns, rows,
-                   _manifest(args, "table2", thetas, alphas, t0))
+    return _Report(columns, rows, _manifest(args, "table2", thetas, args.alpha, t0))
 
 
 def _table3(args, thetas, cells: dict, t0: float) -> _Report:
@@ -373,72 +350,83 @@ def _table3(args, thetas, cells: dict, t0: float) -> _Report:
                 "lambda_stderr": report.lambda_stderr,
                 "eigenvalues": [float(v) for v in report.eigenvalues],
             })
-    return _Report("table3", columns, rows,
-                   _manifest(args, "table3", thetas, None, t0),
+    return _Report(columns, rows, _manifest(args, "table3", thetas, None, t0),
                    extra={"eigenvalue_report": eigen_rows})
 
 
-def _figure(args, theta: float, points: int, calibrations: dict, t0: float) -> _Report:
+def _figure(args, theta: float, calibrations: dict, t0: float) -> _Report:
     columns = ("index", "s_js", "s_ml", "shrinkage")
-    _progress(f"figure drawing {points} pairs at theta={theta:g}")
-    pairs = hyptest.paired_semitail(theta, points, calibrations, _config(args))
+    _progress(f"figure drawing {args.points} pairs at theta={theta:g}")
+    pairs = hyptest.paired_semitail(theta, args.points, calibrations, _config(args))
     rows = [{"index": p.sample_index, "s_js": p.s_js, "s_ml": p.s_ml,
              "shrinkage": p.shrinkage} for p in pairs]
-    manifest = _manifest(args, "figure", [theta], None, t0, points=points,
+    manifest = _manifest(args, "figure", [theta], None, t0, points=args.points,
                          reference_lines=REFERENCE_LINES)
-    return _Report("figure", columns, rows, manifest,
-                   extra={"reference_lines": REFERENCE_LINES})
+    return _Report(columns, rows, manifest, extra={"reference_lines": REFERENCE_LINES})
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers
+# The one report pipeline of every command
 # ---------------------------------------------------------------------------
 
 
-def cmd_table1(args, t0: float) -> int:
-    thetas = args.theta if args.theta else TABLE1_THETAS
-    _emit(args, _table1(args, thetas, _cells(args, thetas), t0))
-    return 0
+def _reports(args) -> list:
+    """The ``(name, build)`` reports that ``args.command`` writes, in order:
+    every report for ``all``, else the command's own, at the thetas and
+    alphas that ``_validate`` resolved.  ``build(t0)`` returns the finished
+    report.  The reports share two cached passes, each run when a report
+    first reads it, so each stream is swept at most once, and only if read."""
+    thetas = dict(DEFAULT_THETAS)
+    if args.command != "all":
+        thetas[args.command] = args.theta
+    writes = [name for name in thetas if args.command in ("all", name)]
 
+    @functools.cache
+    def cells() -> dict:  # stream 0: the moments of table1's and table3's cells
+        wanted = [t for name in ("table1", "table3") if name in writes
+                  for t in thetas[name]]
+        keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in wanted))
+        _progress(f"sweeping {len(keys)} estimator cells")
+        return dict(zip(keys, mc.collect_cells(keys, _config(args))))
 
-def cmd_table2(args, t0: float) -> int:
-    thetas = args.theta if args.theta else TABLE2_THETAS
-    alphas = args.alpha if args.alpha else list(hyptest.DEFAULT_ALPHAS)
-    _emit(args, _table2(args, thetas, alphas, _calibrations(args), t0))
-    return 0
+    @functools.cache
+    def calibrations() -> dict:  # stream 1: the JS and ML nulls at mu0
+        _progress("simulating the js and ml nulls")
+        return hyptest.null_calibrations(KINDS, hyptest.DEFAULT_MU0, _config(args))
 
-
-def cmd_table3(args, t0: float) -> int:
-    thetas = args.theta if args.theta else TABLE3_THETAS
-    _emit(args, _table3(args, thetas, _cells(args, thetas), t0))
-    return 0
-
-
-def cmd_figure(args, t0: float) -> int:
-    _emit(args, _figure(args, args.theta, args.points, _calibrations(args), t0))
-    return 0
-
-
-def cmd_all(args, t0: float) -> int:
-    out_dir = Path(args.output if args.output != "-" else "out")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    alphas = args.alpha if args.alpha else list(hyptest.DEFAULT_ALPHAS)
-    # Each stream is swept at most once; a report that fails fails alone.
-    cells = functools.cache(
-        lambda: _cells(args, TABLE1_THETAS + TABLE3_THETAS))
-    calibrations = functools.cache(lambda: _calibrations(args))
-    steps = [
-        ("table1", lambda t: _table1(args, TABLE1_THETAS, cells(), t)),
-        ("table2", lambda t: _table2(args, TABLE2_THETAS, alphas, calibrations(), t)),
-        ("table3", lambda t: _table3(args, TABLE3_THETAS, cells(), t)),
+    reports = [
+        ("table1", lambda t: _table1(args, thetas["table1"], cells(), t)),
+        ("table2", lambda t: _table2(args, thetas["table2"], calibrations, t)),
+        ("table3", lambda t: _table3(args, thetas["table3"], cells(), t)),
     ] + [
         (f"figure_theta_{theta:g}",
-         lambda t, theta=theta: _figure(args, theta, args.points, calibrations(), t))
-        for theta in ALL_FIGURE_THETAS
+         lambda t, theta=theta: _figure(args, theta, calibrations(), t))
+        for theta in thetas["figure"]
     ]
+    return [(name, build) for name, build in reports if name.split("_")[0] in writes]
+
+
+def _run(args, t0: float) -> int:
+    """Write the reports of ``args.command``.  A single report goes to
+    stdout, or to a file with its manifest sidecar, and its numerical
+    failure propagates.  ``all`` writes every report into its directory; a
+    report that fails numerically leaves a ``.FAILED`` file and the rest
+    still run."""
+    reports = _reports(args)
+    if args.command != "all":
+        (_, build), = reports
+        report = build(t0)
+        if args.output == "-":
+            sys.stdout.write(_render(args.format, report))
+        else:
+            _write(Path(args.output), args.format, report)
+        return 0
+
+    out_dir = Path(args.output if args.output != "-" else "out")
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     outputs: list[str] = []
-    for name, build in steps:
+    for name, build in reports:
         try:
             report = build(time.perf_counter())
         except NUMERICAL_ERRORS as exc:  # retain partial outputs, mark the failure
@@ -447,15 +435,13 @@ def cmd_all(args, t0: float) -> int:
             _progress(f"{name} FAILED: {exc}")
             continue
         _write(out_dir / f"{name}.{args.format}", args.format, report)
-        if report.command == "table3":
+        if name == "table3":
             (out_dir / "table3_eigenvalues.json").write_text(
                 _json(report.extra["eigenvalue_report"]))
         outputs.append(name)
 
     manifest = _manifest(
-        args, "all",
-        sorted(set(TABLE1_THETAS) | set(TABLE2_THETAS) | set(ALL_FIGURE_THETAS)),
-        alphas, t0,
+        args, "all", sorted(set().union(*DEFAULT_THETAS.values())), args.alpha, t0,
         points=args.points,
         outputs=outputs,
         failures=failures,
@@ -477,7 +463,7 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _validate(args)
-        return args.handler(args, t0)
+        return _run(args, t0)
     except UsageError as exc:
         print(f"steinsim: error: {exc}", file=sys.stderr)
         return 1

@@ -151,6 +151,16 @@ def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
     return calibrations
 
 
+def check_null_resolution(n_null: int, alphas: Sequence[float]) -> None:
+    """``NullResolutionError`` unless ``n_null`` null draws can calibrate
+    every alpha: a critical value needs at least 100 / min(alpha) of them."""
+    need = 100 / min(alphas)
+    if n_null < need:  # need may be inf: format it, never int() it
+        raise NullResolutionError(
+            f"insufficient null resolution: {n_null} samples cannot "
+            f"calibrate alpha={min(alphas):g} (need at least {np.ceil(need):.15g})")
+
+
 def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
     # ceil((1 - alpha)(n + 1)) - 1 = n - floor(alpha (n + 1)), in exact
     # integer arithmetic on alpha's binary value: float rounding of the
@@ -169,13 +179,12 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     """Power at each alpha of every (estimator, theta_alt) cell, from one
     pass over the evaluation stream.
 
-    Before any draw, each cell's calibration must hold at least
-    100 / min(alpha) null draws (else ``NullResolutionError``).  Its
-    critical value at alpha is the order statistic
-    ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
-    binary value.  Every theta is checked before any draw, and no cells
-    return ``{}`` without one.  The pass's fold takes each chunk's S and Q
-    from its z once; each cell counts, chunk by chunk, the draws whose
+    Before any draw, each cell's calibration must resolve every alpha
+    (``check_null_resolution``).  Its critical value at alpha is the order
+    statistic ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for
+    alpha's binary value.  Every theta is checked before any draw, and no
+    cells return ``{}`` without one.  The pass's fold takes each chunk's S
+    and Q from its z once; each cell counts, chunk by chunk, the draws whose
     statistic at its theta strictly exceeds each critical value, and the
     power is the total count over n_samples.  The alternative draws are
     shared by all cells (common random numbers) and disjoint from the
@@ -188,14 +197,10 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     for kind, _ in cells:
         if kind not in calibrations:
             raise ValueError(f"no calibration for the {kind.name} estimator")
-    need = 100 / min(alphas)
     critical = {}
     for kind in dict.fromkeys(kind for kind, _ in cells):
         values = calibrations[kind].sorted_null
-        if values.size < need:  # need may be inf: format it, never int() it
-            raise NullResolutionError(
-                f"insufficient null resolution: {values.size} samples cannot "
-                f"calibrate alpha={min(alphas):g} (need at least {np.ceil(need):.15g})")
+        check_null_resolution(values.size, alphas)
         critical[kind] = [_critical_value(values, a) for a in alphas]
     if not cells:
         return {}

@@ -87,6 +87,12 @@ depends on chunking or worker count:
   finiteness have one check, ``check_thetas``, which every pass (the
   cells, the null and power passes, the figure pairs and the mean-function
   table) and the command line run before any draw.
+
+Scope: reports are byte-identical across refactors and worker counts under
+one BLAS kernel.  The report CSVs were seen to be equal under OpenBLAS's
+SkylakeX, Haswell and Sandybridge kernels, but the full-precision
+eigenvalues of ``table3_eigenvalues.json`` depend on the kernel, which
+every manifest records as ``provenance.blas.kernel``.
 """
 
 from __future__ import annotations

@@ -20,20 +20,24 @@ SMALL = ["--samples", "30000", "--seed", "42"]
 
 # sha256 of the five data CSVs of `all --samples 70000 --seed 7 --workers 1`,
 # recorded before the sweep formed each theta's draws once and gave each
-# chunk a workspace, and of its table3_eigenvalues.json, recorded when every
-# cell began to pair its estimate with the score z and the ML cells to share
-# the moments of z (its eigenvalues moved by at most 2.4e-15 relative; on
-# x86-64 with numpy 2.4 and scipy-openblas 0.3.31; another BLAS may round
-# the moment GEMMs differently)
-GOLDEN_BLAS_KERNEL = "SkylakeX"  # OpenBLAS's kernel when the digests were pinned
+# chunk a workspace; the same under OpenBLAS's SkylakeX, Haswell and
+# Sandybridge kernels (x86-64, numpy 2.4, scipy-openblas 0.3.31)
 GOLDEN_CSV_SHA256 = {
     "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
     "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
     "table3.csv": "cae1ab91103b3e53e60383be19e4ec05024ed09b19f412cd653289790fb19449",
     "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
     "figure_theta_2.csv": "85eeb8787459872da758b8d7f607c80dda93f41e50e92e00e2e6d6af85c2b54f",
-    "table3_eigenvalues.json":
-        "c22db1fe06c44c0ef602a693aa8d715b17efaf668ddbe597b544c4703724a4f5",
+}
+# sha256 of the same run's table3_eigenvalues.json, recorded when every cell
+# began to pair its estimate with the score z and the ML cells to share the
+# moments of z (its eigenvalues moved by at most 2.4e-15 relative), keyed by
+# OpenBLAS's kernel: each kernel rounds the moment GEMMs and LAPACK's
+# eigvalsh and solve differently, and the JSON prints full precision
+GOLDEN_EIGENVALUES_SHA256 = {
+    "SkylakeX": "c22db1fe06c44c0ef602a693aa8d715b17efaf668ddbe597b544c4703724a4f5",
+    "Haswell": "7c4b2b8a9f51c95da51f71ccc3e40c0394b56cc9d0ec068c5db8211e4d64b7d8",
+    "Sandybridge": "73627eff2e84d099e6890cd92cb9db28abd772c08ef1a8ee19528d416c716c34",
 }
 
 
@@ -272,6 +276,16 @@ def test_a_negative_theta_in_exponent_form_is_a_value(capsys, argv, theta):
     assert json.loads(out)["manifest"]["thetas"] == [theta]
 
 
+@pytest.mark.parametrize("argv", [["--samples", "5000"], ["--samples", "20000", "--alpha", "1e-300"]],
+                         ids=["samples", "alpha"])
+def test_an_unresolvable_alpha_fails_before_any_draw(capsys, monkeypatch, argv):
+    # table2 checks --samples against its alphas before the null pass
+    draws = count_draws(monkeypatch)
+    code, out, err = run(capsys, ["table2", *argv])
+    assert code == 2 and out == "" and not draws
+    assert "steinsim: numerical failure: insufficient null resolution" in err
+
+
 @pytest.mark.parametrize("alpha", ["1e-300", "1e-310"])
 def test_a_tiny_alpha_fails_on_null_resolution(capsys, alpha):
     # 100 / alpha has 302 digits at 1e-300 and is infinite at 1e-310
@@ -448,6 +462,17 @@ def test_all_equals_the_single_report_commands(tmp_path, capsys, workers):
         assert (out_dir / name).read_text() == out, name
 
 
+def assert_pinned_digests(out_dir, kernel):
+    names = [*GOLDEN_CSV_SHA256, "table3_eigenvalues.json"]
+    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+               for name in names}
+    expected = {**GOLDEN_CSV_SHA256,
+                "table3_eigenvalues.json": GOLDEN_EIGENVALUES_SHA256.get(kernel)}
+    assert digests == expected, (
+        f"pinned under OpenBLAS's {', '.join(GOLDEN_EIGENVALUES_SHA256)} kernels, "
+        f"run under {kernel}: table3_eigenvalues.json depends on the kernel")
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
     # the byte-identity contract: refactors and worker counts change no byte
@@ -455,14 +480,23 @@ def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
     code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "7",
                               "--workers", workers, "--output", str(out_dir)])
     assert code == 0
-    digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in GOLDEN_CSV_SHA256}
-    assert digests == GOLDEN_CSV_SHA256, (
-        f"pinned under OpenBLAS's {GOLDEN_BLAS_KERNEL} kernel, run under "
-        f"{cli._blas_kernel()}: table3_eigenvalues.json depends on the kernel")
+    assert_pinned_digests(out_dir, cli._blas_kernel())
 
 
-def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
+def test_all_matches_the_pinned_digests_under_the_haswell_kernel(tmp_path):
+    # a second kernel's pin, in a child that forces OpenBLAS's AVX2 kernel
+    out_dir = tmp_path / "all"
+    argv = ["all", "--samples", "70000", "--seed", "7", "--output", str(out_dir)]
+    code = _fresh_environment(f"import steinsim.cli; print(steinsim.cli.main({argv!r}))",
+                              OPENBLAS_CORETYPE="Haswell")
+    assert code == "0"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert_pinned_digests(out_dir, manifest["provenance"]["blas"]["kernel"])
+
+
+def count_draws(monkeypatch) -> collections.Counter:
+    """Count each ``mc.draw_block(config, start, count, stream)`` call by
+    ``(stream, start, count)``."""
     calls = collections.Counter()
     draw = mc.draw_block
 
@@ -471,15 +505,42 @@ def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
         return draw(config, start, count, stream, out)
 
     monkeypatch.setattr(mc, "draw_block", counting)
+    return calls
+
+
+def chunks(streams: dict) -> list:
+    """The ``(stream, start, count)`` chunks of a sweep over the first
+    ``streams[stream]`` samples of each stream, in order."""
+    return [(stream, start, min(mc.CHUNK_SAMPLES, n - start))
+            for stream, n in sorted(streams.items())
+            for start in range(0, n, mc.CHUNK_SAMPLES)]
+
+
+def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
+    calls = count_draws(monkeypatch)
     code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "42",
                               "--workers", "2", "--output", str(tmp_path / "run")])
     assert code == 0
     shared = {key: n for key, n in calls.items() if key[0] in (0, 1, 2)}
-    chunks = [(start, min(mc.CHUNK_SAMPLES, 70_000 - start))
-              for start in range(0, 70_000, mc.CHUNK_SAMPLES)]
-    assert sorted(shared) == [(stream, start, count) for stream in (0, 1, 2)
-                              for start, count in chunks]
+    assert sorted(shared) == chunks({0: 70_000, 1: 70_000, 2: 70_000})
     assert set(shared.values()) == {1}
+
+
+@pytest.mark.parametrize("argv, streams", [
+    (["table1"], {0: 70_000}),
+    (["table3"], {0: 70_000}),
+    (["table2"], {1: 70_000, 2: 70_000}),
+    (["figure", "--theta", "2"], {1: 70_000, 3: 100}),
+], ids=["table1", "table3", "table2", "figure"])
+def test_a_single_report_sweeps_only_the_streams_it_reads(monkeypatch, capsys,
+                                                          argv, streams):
+    # a single command reads the lazily cached passes of `all` it needs
+    calls = count_draws(monkeypatch)
+    code, _, _ = run(capsys, [*argv, "--samples", "70000", "--seed", "42",
+                              "--workers", "2"])
+    assert code == 0
+    assert sorted(calls) == chunks(streams)
+    assert set(calls.values()) == {1}
 
 
 def test_all_builds_one_calibration_per_estimator(tmp_path, monkeypatch, capsys):
