@@ -29,9 +29,9 @@ environment alone.
 
 Start-up: importing this module loads numpy, ``steinsim`` and scipy's
 ``ndtri`` ufunc module, but not the ``scipy.special`` package (see the
-``mc`` contract) nor ``scipy.stats``, which only ``hyptest.ml_power_oracle``
-imports, when called.  ``import steinsim.cli`` takes about 0.16 s on a
-2-core x86-64 host, against about 0.36 s with the ``scipy.special`` package.
+``mc`` contract) nor ``scipy.stats``, which no library module imports.
+``import steinsim.cli`` takes about 0.16 s on a 2-core x86-64 host,
+against about 0.36 s with the ``scipy.special`` package.
 """
 
 from __future__ import annotations
@@ -135,21 +135,20 @@ def build_parser() -> _Parser:
 
     for name, summary in (("table1", "MSE of the JS and ML estimators"),
                           ("table2", "power of the JS and ML tests"),
-                          ("table3", "scalar information and efficiency")):
+                          ("table3", "scalar information and efficiency"),
+                          ("figure", "paired semi-tail scatter points")):
         pt = sub.add_parser(name, help=summary)
         _add_common(pt)
-        pt.add_argument("--theta", type=float, action="append", default=None,
-                        help="theta value, repeatable "
+        figure = name == "figure"
+        pt.add_argument("--theta", type=float, action="append", required=figure,
+                        help="alternative theta for the sample draws" if figure else
+                             "theta value, repeatable "
                              f"(default {list(DEFAULT_THETAS[name])})")
+        if figure:
+            pt.add_argument("--points", type=int, default=100,
+                            help="number of paired samples (default 100)")
         if name == "table2":
             _add_alphas(pt)
-
-    pf = sub.add_parser("figure", help="paired semi-tail scatter points")
-    _add_common(pf)
-    pf.add_argument("--theta", type=float, required=True,
-                    help="alternative theta for the sample draws")
-    pf.add_argument("--points", type=int, default=100,
-                    help="number of paired samples (default 100)")
 
     pa = sub.add_parser("all", help="run every report into a directory")
     _add_common(pa)
@@ -172,10 +171,11 @@ def _validate(args) -> None:
         raise UsageError(f"invalid settings: {exc}") from None
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
-    if args.command == "figure":
-        args.theta = [args.theta]
     if args.command != "all":
         args.theta = list(dict.fromkeys(args.theta or DEFAULT_THETAS[args.command]))
+    if args.command == "figure" and len(args.theta) > 1:
+        raise UsageError("figure takes one --theta, got "
+                         + ", ".join(f"{t:g}" for t in args.theta))
     if "alpha" in vars(args):
         args.alpha = list(dict.fromkeys(args.alpha or hyptest.DEFAULT_ALPHAS))
         if any(not 0 < a < 1 for a in args.alpha):
@@ -357,9 +357,10 @@ def _table3(args, thetas, cells: dict, t0: float) -> _Report:
 def _figure(args, theta: float, calibrations: dict, t0: float) -> _Report:
     columns = ("index", "s_js", "s_ml", "shrinkage")
     _progress(f"figure drawing {args.points} pairs at theta={theta:g}")
-    pairs = hyptest.paired_semitail(theta, args.points, calibrations, _config(args))
-    rows = [{"index": p.sample_index, "s_js": p.s_js, "s_ml": p.s_ml,
-             "shrinkage": p.shrinkage} for p in pairs]
+    s_js, s_ml, shrinkage = hyptest.paired_semitail(theta, args.points, calibrations,
+                                                    _config(args))
+    rows = [{"index": i, "s_js": a, "s_ml": b, "shrinkage": c} for i, (a, b, c)
+            in enumerate(zip(s_js.tolist(), s_ml.tolist(), shrinkage.tolist()))]
     manifest = _manifest(args, "figure", [theta], None, t0, points=args.points,
                          reference_lines=REFERENCE_LINES)
     return _Report(columns, rows, manifest, extra={"reference_lines": REFERENCE_LINES})

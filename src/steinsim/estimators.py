@@ -38,18 +38,6 @@ class ShrinkageDomainError(ValueError):
         )
 
 
-def shrinkage_factor_batch(y: np.ndarray, index_offset: int = 0) -> np.ndarray:
-    """Row-wise multipliers 1 - (k - 2) / ||y||^2 for an (n, k) array.
-
-    A factor is negative whenever ||y||^2 < k - 2, in which case shrinkage
-    overshoots the origin and flips every component's sign.
-    ``index_offset`` shifts the sample index reported when a row's squared
-    norm underflows the shrinkage domain.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    return shrinkage_from_norms(np.einsum("ij,ij->i", y, y), y.shape[1], index_offset)
-
-
 def shrinkage_from_norms(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> np.ndarray:
     """The multipliers 1 - (k - 2) / norm_sq of rows with squared norms
     ``norm_sq``; ``ShrinkageDomainError`` names the first row (plus
@@ -61,24 +49,16 @@ def shrinkage_from_norms(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> 
     return 1.0 - (k - 2.0) / norm_sq
 
 
-def js_estimate_batch(y: np.ndarray, index_offset: int = 0,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Row-wise James-Stein estimates for an (n, k) observation array,
-    written into ``out`` if given.
-
-    The classical risk-dominance guarantee needs k >= 3; smaller k is
-    accepted because the formula stays well defined and is useful in tests.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    return np.multiply(shrinkage_factor_batch(y, index_offset)[:, None], y, out=out)
-
-
 EstimatorFn = Callable[[np.ndarray], np.ndarray]
 
 
 def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
                    index_offset: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Dispatch an (n, k) observation array to the chosen estimator.
+
+    The JS estimate of each row is its ``shrinkage_from_norms`` multiplier
+    times the row.  The risk-dominance guarantee needs k >= 3; smaller k is
+    accepted because the formula stays well defined.
 
     ``kind`` may also be a callable mapping an (n, k) array to an (n, k)
     array, which lets tests push synthetic estimators (e.g. constants)
@@ -97,7 +77,9 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     if kind is EstimatorKind.ML:
         return np.asarray(y, dtype=np.float64)
     if kind is EstimatorKind.JS:
-        return js_estimate_batch(y, index_offset=index_offset, out=out)
+        y = np.asarray(y, dtype=np.float64)
+        c = shrinkage_from_norms(np.einsum("ij,ij->i", y, y), y.shape[1], index_offset)
+        return np.multiply(c[:, None], y, out=out)
     if not callable(kind):
         raise TypeError(f"unknown estimator kind: {kind!r}")
     est = np.asarray(kind(np.asarray(y, dtype=np.float64)), dtype=np.float64)

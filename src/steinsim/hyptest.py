@@ -24,12 +24,11 @@ statistic at every theta is arithmetic on those two vectors, through
 Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta² (``_statistics``).
 The figure pairs' fold adds their theta to z in place, forming y, takes
 y's S and Q once, and computes both statistics by the same formula at
-theta = 0 and the shrinkage from Q, as ``statistics_batch`` and
-``shrinkage_factor_batch`` of y would.  Every pass checks its thetas
-before any draw, and no cell's result depends on which other cells share
-its pass.  Each null is filled in place chunk by chunk, sorted once when
-its pass ends and made read-only; its calibration shares those sorted
-values instead of copying.
+theta = 0 and the shrinkage from Q (``estimators.shrinkage_from_norms``).
+Every pass checks its thetas before any draw, and no cell's result
+depends on which other cells share its pass.  Each null is filled in
+place chunk by chunk, sorted once when its pass ends and made read-only;
+its calibration shares those sorted values instead of copying.
 """
 
 from __future__ import annotations
@@ -104,20 +103,6 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
         c = shrinkage_from_norms(norm_sq, k, index_offset)
         return c * c * norm_sq - (2.0 * mu0) * c * (row_sum + k * theta) + k * mu0 * mu0
     raise TypeError(f"no test statistic for the estimator {kind!r}")
-
-
-def statistics_batch(kind: EstimatorKind, y: np.ndarray, mu0: float,
-                     index_offset: int = 0) -> np.ndarray:
-    """Row-wise test statistics ‖estimate(y) - mu0·1‖² of an (n, k)
-    observation array, from its row sums and squared row norms by the
-    formula of every pass (``_statistics`` at theta = 0)."""
-    if np.ndim(y) != 2:
-        raise ValueError("y must be an (n, k) array")
-    if not np.isfinite(mu0):
-        raise ValueError("mu0 must be finite")
-    y = np.asarray(y, dtype=np.float64)
-    return _statistics(kind, *_row_reductions(y), 0.0, float(mu0), y.shape[1],
-                       index_offset)
 
 
 def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
@@ -236,20 +221,11 @@ def semitail(t, calibration: NullCalibration):
     return float(s) if s.ndim == 0 else s
 
 
-@dataclass(frozen=True)
-class SemiTailPair:
-    """Both estimators' semi-tail coordinates for one shared sample."""
-
-    sample_index: int
-    s_js: float
-    s_ml: float
-    shrinkage: float
-
-
 def paired_semitail(theta_alt: float, n_points: int,
                     calibrations: dict[EstimatorKind, NullCalibration],
-                    config: mc.SimulationConfig) -> list[SemiTailPair]:
-    """Per-sample (s_js, s_ml) pairs at the alternative theta.
+                    config: mc.SimulationConfig) -> tuple[np.ndarray, ...]:
+    """The columns (s_js, s_ml, shrinkage) of per-sample pairs at the
+    alternative theta: row i of each is sample i of the pair stream.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
     read by one sweep whose fold adds ``theta_alt`` to each chunk's z in
@@ -279,28 +255,4 @@ def paired_semitail(theta_alt: float, n_points: int,
 
     mc.sweep(replace(config, n_samples=n_points), fold, fill, stream=PAIR_STREAM)
     t_js, t_ml, shrink = columns
-    s_js = semitail(t_js, calib_js)
-    s_ml = semitail(t_ml, calib_ml)
-    return [
-        SemiTailPair(i, float(s_js[i]), float(s_ml[i]), float(shrink[i]))
-        for i in range(n_points)
-    ]
-
-
-def ml_power_oracle(theta_alt: float, alpha: float, k: int,
-                    mu0: float = DEFAULT_MU0) -> float:
-    """Exact power of the ML test from the noncentral chi-square law.
-
-    The ML statistic at theta is chi-square with k degrees of freedom and
-    noncentrality k * (theta - mu0)^2; its exceedance of the central
-    (1 - alpha) quantile is the power.
-    """
-    from scipy.stats import chi2, ncx2  # deferred: slow to import, only needed here
-
-    if not 0 < alpha < 1:
-        raise ValueError("alpha must lie strictly in (0, 1)")
-    ncp = k * (theta_alt - mu0) ** 2
-    if ncp == 0:
-        return float(alpha)
-    crit = chi2.ppf(1.0 - alpha, k)
-    return float(ncx2.sf(crit, k, ncp))
+    return semitail(t_js, calib_js), semitail(t_ml, calib_ml), shrink

@@ -5,11 +5,12 @@ pass over its stream."""
 
 import numpy as np
 import pytest
+from scipy.stats import chi2, ncx2
 
 from steinsim import mc
 from steinsim.assess import assess_moments
 from steinsim.estimators import EstimatorKind
-from steinsim.hyptest import null_calibrations, power_table
+from steinsim.hyptest import _row_reductions, _statistics, null_calibrations, power_table
 from steinsim.mc import DEFAULT_SEED, SimulationConfig, collect_cells
 
 K = 14
@@ -32,6 +33,27 @@ def sweep_values(config, theta, fold, stream=0):
 
     mc.sweep(config, at_theta, lambda start, result: parts.append(result), stream)
     return np.concatenate(parts)
+
+
+def statistics(kind, y, mu0, index_offset=0):
+    """Row-wise test statistics ‖estimate(y) - mu0·1‖² of an (n, k) array,
+    by the formula of every pass (``hyptest._statistics`` at theta = 0)."""
+    return _statistics(kind, *_row_reductions(y), 0.0, mu0, y.shape[1], index_offset)
+
+
+def ml_power_oracle(theta_alt, alpha, k, mu0=MU0):
+    """Exact power of the ML test from the noncentral chi-square law.
+
+    The ML statistic at theta is chi-square with k degrees of freedom and
+    noncentrality k * (theta - mu0)^2; its exceedance of the central
+    (1 - alpha) quantile is the power.
+    """
+    if not 0 < alpha < 1:
+        raise ValueError("alpha must lie strictly in (0, 1)")
+    ncp = k * (theta_alt - mu0) ** 2
+    if ncp == 0:
+        return float(alpha)
+    return float(ncx2.sf(chi2.ppf(1.0 - alpha, k), k, ncp))
 
 
 @pytest.fixture(scope="session")

@@ -10,19 +10,17 @@ import math
 
 import numpy as np
 
-from conftest import sweep_values
+from conftest import ml_power_oracle, statistics, sweep_values
 from steinsim.cli import main as cli_main
-from steinsim.estimators import EstimatorKind
+from steinsim.estimators import EstimatorKind, estimate_batch
 from steinsim.hyptest import (
     ALT_STREAM,
     DEFAULT_MU0,
     NullCalibration,
     _critical_value,
-    ml_power_oracle,
     null_calibrations,
     paired_semitail,
     semitail,
-    statistics_batch,
 )
 from steinsim.mc import DEFAULT_SEED, SimulationConfig, tabulate_mean_function
 
@@ -176,12 +174,12 @@ def test_05_eigenvalue_ranges(full_reports):
 
 def test_06_paired_semitail_at_theta_2(full_calibrations, full_config):
     failures = []
-    pairs = paired_semitail(2.0, 100, full_calibrations, full_config)
-    above = sum(1 for p in pairs if p.s_ml > p.s_js)
+    s_js, s_ml, _ = paired_semitail(2.0, 100, full_calibrations, full_config)
+    above = int(np.count_nonzero(s_ml > s_js))
     if above < 95:
         failures.append(f"only {above}/100 pairs have s_ml > s_js")
-    in_band = [p.s_ml - p.s_js for p in pairs if S_BAND[0] <= p.s_js <= S_BAND[1]]
-    if not in_band:
+    in_band = (s_ml - s_js)[(S_BAND[0] <= s_js) & (s_js <= S_BAND[1])]
+    if not in_band.size:
         failures.append("no pairs landed in the semi-tail band")
     elif float(np.median(in_band)) < 1.0:
         failures.append(f"median gap in band {np.median(in_band):.3f} < 1")
@@ -190,12 +188,11 @@ def test_06_paired_semitail_at_theta_2(full_calibrations, full_config):
 
 def test_07_paired_semitail_at_theta_half(full_calibrations, full_config):
     failures = []
-    pairs = paired_semitail(0.5, 100, full_calibrations, full_config)
-    extreme = sum(1 for p in pairs if p.s_ml < 2.0 and p.s_js > 4.3)
+    s_js, s_ml, shrinkage = paired_semitail(0.5, 100, full_calibrations, full_config)
+    extreme = int(np.count_nonzero((s_ml < 2.0) & (s_js > 4.3)))
     if not 10 <= extreme <= 40:
         failures.append(f"{extreme} extreme-disagreement pairs outside [10, 40]")
-    deep_flips = [p for p in pairs if p.shrinkage < 0 and p.s_js - p.s_ml > 8.0]
-    if not deep_flips:
+    if not np.any((shrinkage < 0) & (s_js - s_ml > 8.0)):
         failures.append("no negative-shrinkage pair with s_js - s_ml > 8")
     _finish("7 figure-theta-0.5", failures)
 
@@ -225,10 +222,8 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
     mean_fn = tabulate_mean_function(JS, grid, cfg)[:, 0]
     fd = (mean_fn[1] - mean_fn[0]) / (2 * h)
 
-    from steinsim.estimators import js_estimate_batch
-
     y = sweep_values(cfg, theta, lambda y, start, _: y.copy())
-    first = js_estimate_batch(y)[:, 0]
+    first = estimate_batch(JS, y)[:, 0]
     subfamily_score = (y - theta).sum(axis=1)
     cov = float(np.cov(first, subfamily_score)[0, 1])
 
@@ -250,7 +245,7 @@ def test_08d_monotone_transform_invariance():
     failures = []
     for kind in (JS, ML):
         plain = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
-        alt = sweep_values(cfg, 2.0, lambda y, start, _: statistics_batch(
+        alt = sweep_values(cfg, 2.0, lambda y, start, _: statistics(
             kind, y, DEFAULT_MU0, index_offset=start), stream=ALT_STREAM)
         mapped = NullCalibration(DEFAULT_MU0, np.exp(plain.sorted_null))
         for alpha in (0.01, 0.05):

@@ -163,7 +163,8 @@ def test_json_output_writes_a_missing_stderr_as_null(tmp_path, capsys):
     (["table2", "--theta", "0", "--alpha", "0.05"], ["--alpha", "0.05"]),
     (["table2", "--theta", "0", "--alpha", "0.05"], ["--theta", "0"]),
     (["table3", "--theta", "0.5"], ["--theta", "0.5"]),
-], ids=["table1-theta", "table2-alpha", "table2-theta", "table3-theta"])
+    (["figure", "--theta", "2", "--points", "5"], ["--theta", "2"]),
+], ids=["table1-theta", "table2-alpha", "table2-theta", "table3-theta", "figure-theta"])
 def test_a_repeated_value_gives_its_rows_once(capsys, argv, repeat):
     common = ["--samples", "20000", "--seed", "42"]
     code, once, _ = run(capsys, [*argv, *common])
@@ -196,6 +197,10 @@ def test_usage_errors_exit_1(capsys):
     assert run(capsys, ["table1", "--workers", "0"])[0] == 1
     assert run(capsys, ["no-such-command"])[0] == 1
     assert run(capsys, ["figure"])[0] == 1  # --theta is required
+    # one figure per command: a second distinct theta is refused, not dropped
+    code, out, err = run(capsys, ["figure", "--theta", "0.5", "--theta", "2",
+                                  "--samples", "2000", "--points", "5"])
+    assert (code, out) == (1, "") and "one --theta" in err
 
 
 @pytest.mark.parametrize("command", ["table3", "all"])

@@ -7,8 +7,7 @@ from steinsim.estimators import (
     EstimatorKind,
     ShrinkageDomainError,
     estimate_batch,
-    js_estimate_batch,
-    shrinkage_factor_batch,
+    shrinkage_from_norms,
 )
 from steinsim.mc import (
     CHUNK_SAMPLES,
@@ -23,7 +22,7 @@ def _ml_estimate(y):
 
 
 def _js_estimate(y):
-    return js_estimate_batch(np.asarray(y, dtype=np.float64)[None])[0]
+    return estimate_batch(EstimatorKind.JS, np.asarray(y, dtype=np.float64)[None])[0]
 
 
 def _js_formula(y):
@@ -33,7 +32,7 @@ def _js_formula(y):
 
 
 def _shrinkage_factor(y):
-    return float(shrinkage_factor_batch(y[None])[0])
+    return float(shrinkage_from_norms(np.array([y @ y]), len(y))[0])
 
 
 def test_ml_estimate_is_the_observation():
@@ -127,19 +126,20 @@ def test_js_domain_error_at_zero():
 def test_js_batch_matches_single_and_reports_index():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(40, 14))
-    batch = js_estimate_batch(y)
+    batch = estimate_batch(EstimatorKind.JS, y)
     for i in (0, 17, 39):
         assert np.allclose(batch[i], _js_formula(y[i]), rtol=1e-14)
     y[23] = 0.0
     with pytest.raises(ShrinkageDomainError) as err:
-        js_estimate_batch(y, index_offset=1000)
+        estimate_batch(EstimatorKind.JS, y, index_offset=1000)
     assert err.value.index == 1023
 
 
 def test_estimate_batch_dispatch():
     y = np.random.default_rng(6).normal(size=(8, 14))
     assert np.array_equal(estimate_batch(EstimatorKind.ML, y), y)
-    assert np.allclose(estimate_batch(EstimatorKind.JS, y), js_estimate_batch(y))
+    assert np.allclose(estimate_batch(EstimatorKind.JS, y),
+                       [_js_formula(row) for row in y], rtol=1e-14)
     const = estimate_batch(lambda b: np.ones_like(b), y)
     assert np.all(const == 1.0)
     with pytest.raises(TypeError):

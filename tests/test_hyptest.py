@@ -7,9 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import sweep_values
+from conftest import ml_power_oracle, statistics, sweep_values
 from steinsim import hyptest, mc
-from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_factor_batch
+from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_from_norms
 from steinsim.hyptest import (
     ALT_STREAM,
     DEFAULT_MU0,
@@ -19,12 +19,10 @@ from steinsim.hyptest import (
     _critical_value,
     _row_reductions,
     _statistics,
-    ml_power_oracle,
     null_calibrations,
     paired_semitail,
     power_table,
     semitail,
-    statistics_batch,
 )
 from steinsim.mc import SimulationConfig
 
@@ -32,12 +30,12 @@ JS, ML = EstimatorKind.JS, EstimatorKind.ML
 
 
 def _statistic(kind, y, mu0):
-    return float(statistics_batch(kind, y[None], mu0)[0])
+    return float(statistics(kind, y[None], mu0)[0])
 
 
 def _alternative_statistics(kind, theta, config):
     """Statistics at theta from one pass over the evaluation stream."""
-    return sweep_values(config, theta, lambda y, start, _: statistics_batch(
+    return sweep_values(config, theta, lambda y, start, _: statistics(
         kind, y, DEFAULT_MU0, index_offset=start), stream=ALT_STREAM)
 
 
@@ -62,13 +60,13 @@ def test_statistic_js_through_the_zero_estimate():
 
 
 def test_statistics_from_row_sums_match_the_direct_norm():
-    # statistics_batch reads y only through its row sums and squared row
-    # norms; against ‖estimate(y) - mu0‖² formed directly it may differ by
+    # the passes read y only through its row sums and squared row norms;
+    # against ‖estimate(y) - mu0‖² formed directly they may differ by
     # rounding only (the float64 terms are below 1e3 here)
     y = np.random.default_rng(5).normal(1.0, 1.0, size=(64, 6))
     for kind in (JS, ML):
         diff = estimate_batch(kind, y) - 1.25
-        np.testing.assert_allclose(statistics_batch(kind, y, 1.25),
+        np.testing.assert_allclose(statistics(kind, y, 1.25),
                                    np.einsum("ij,ij->i", diff, diff), rtol=0, atol=1e-12)
 
 
@@ -132,13 +130,6 @@ def test_power_counts_equal_the_direct_statistic_counts(seed):
             crit = _critical_value(calibrations[kind].sorted_null, alpha)
             count = int(np.count_nonzero(direct > crit))
             assert table[kind, theta][alpha] == count / cfg.n_samples, (kind, theta, alpha)
-
-
-def test_statistic_input_checks():
-    with pytest.raises(ValueError):
-        statistics_batch(ML, np.ones(3), 1.25)
-    with pytest.raises(ValueError):
-        statistics_batch(ML, np.ones((2, 3)), np.inf)
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +370,8 @@ def test_semitail_beyond_every_null_draw_is_exactly_the_bound(n):
 
 
 def test_paired_semitail_null_case_shows_no_ordering(full_calibrations, full_config):
-    pairs = paired_semitail(1.25, 100, full_calibrations, full_config)
-    assert len(pairs) == 100
-    s_js = np.array([p.s_js for p in pairs])
-    s_ml = np.array([p.s_ml for p in pairs])
+    s_js, s_ml, shrinkage = paired_semitail(1.25, 100, full_calibrations, full_config)
+    assert len(s_js) == len(s_ml) == len(shrinkage) == 100
     assert np.median(s_js) <= 2.5
     assert np.median(s_ml) <= 2.5
     assert 0.3 <= (s_ml > s_js).mean() <= 0.7
@@ -415,7 +404,7 @@ def test_paired_semitail_refuses_a_bad_theta_before_any_draw(monkeypatch, bad, e
 def test_paired_semitail_is_deterministic(full_calibrations, full_config):
     first = paired_semitail(2.0, 25, full_calibrations, full_config)
     second = paired_semitail(2.0, 25, full_calibrations, full_config)
-    assert first == second
+    assert np.array_equal(first, second)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -424,15 +413,14 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
     # direct draw of the whole range
     theta, n_points = 2.0, mc.CHUNK_SAMPLES + 300
     config = SimulationConfig(k=14, theta=0.0, seed=42, n_workers=workers)
-    pairs = paired_semitail(theta, n_points, full_calibrations, config)
+    got_js, got_ml, shrinkage = paired_semitail(theta, n_points, full_calibrations, config)
     y = mc.draw_block(SimulationConfig(k=14, theta=theta, n_samples=n_points, seed=42),
                       0, n_points, PAIR_STREAM)
-    s_js = semitail(statistics_batch(JS, y, DEFAULT_MU0), full_calibrations[JS])
-    s_ml = semitail(statistics_batch(ML, y, DEFAULT_MU0), full_calibrations[ML])
-    assert [p.sample_index for p in pairs] == list(range(n_points))
-    assert np.array_equal([p.s_js for p in pairs], s_js)
-    assert np.array_equal([p.s_ml for p in pairs], s_ml)
-    assert np.array_equal([p.shrinkage for p in pairs], shrinkage_factor_batch(y))
+    assert np.array_equal(got_js, semitail(statistics(JS, y, DEFAULT_MU0),
+                                           full_calibrations[JS]))
+    assert np.array_equal(got_ml, semitail(statistics(ML, y, DEFAULT_MU0),
+                                           full_calibrations[ML]))
+    assert np.array_equal(shrinkage, shrinkage_from_norms(np.einsum("ij,ij->i", y, y), 14))
 
 
 def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
@@ -450,15 +438,15 @@ def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
         return reductions(z)
 
     monkeypatch.setattr(hyptest, "_row_reductions", counting)
-    assert paired_semitail(2.0, n_points, calibrations, config) == expected
+    assert np.array_equal(paired_semitail(2.0, n_points, calibrations, config), expected)
     assert sorted(calls) == [300, mc.CHUNK_SAMPLES]
 
 
 def test_visible_pairs_thin_out_as_theta_grows(full_calibrations, full_config):
     counts = []
     for theta in (2.5, 3.0, 3.5):
-        pairs = paired_semitail(theta, 100, full_calibrations, full_config)
-        counts.append(sum(1 for p in pairs if p.s_js <= 14 and p.s_ml <= 14))
+        s_js, s_ml, _ = paired_semitail(theta, 100, full_calibrations, full_config)
+        counts.append(int(np.count_nonzero((s_js <= 14) & (s_ml <= 14))))
     assert counts[0] > counts[1] > counts[2]
 
 
