@@ -70,9 +70,8 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     ``y``'s shape) if given, and returned.  The ML estimate is ``y`` itself
     as a float64 array, and ``out`` is left untouched, so callers pass the
     same buffer whatever the estimator.  ``mc.collect_cells`` hands each
-    cell a read-only ``y`` (at theta = 0 the chunk's shared z itself), and
-    ``mc.tabulate_mean_function`` its row's read-only ``y``, so a callable
-    that writes into its input fails there.
+    cell, and ``mc.tabulate_mean_function`` each row, a read-only ``y``, so
+    a callable that writes into its input fails there.
     """
     if kind is EstimatorKind.ML:
         return np.asarray(y, dtype=np.float64)

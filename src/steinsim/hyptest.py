@@ -98,21 +98,27 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
     if kind is EstimatorKind.ML:
         d = theta - mu0
         return row_norm + (2.0 * d) * row_sum + k * d * d
-    if kind is EstimatorKind.JS:
-        norm_sq = row_norm + (2.0 * theta) * row_sum + k * theta * theta
-        c = shrinkage_from_norms(norm_sq, k, index_offset)
-        return c * c * norm_sq - (2.0 * mu0) * c * (row_sum + k * theta) + k * mu0 * mu0
-    raise TypeError(f"no test statistic for the estimator {kind!r}")
+    norm_sq = row_norm + (2.0 * theta) * row_sum + k * theta * theta
+    c = shrinkage_from_norms(norm_sq, k, index_offset)
+    return c * c * norm_sq - (2.0 * mu0) * c * (row_sum + k * theta) + k * mu0 * mu0
+
+
+def _check_kinds(kinds: Iterable) -> None:
+    """``TypeError`` naming the first estimator with no test statistic."""
+    for kind in kinds:
+        if not isinstance(kind, EstimatorKind):
+            raise TypeError(f"no test statistic for the estimator {kind!r}")
 
 
 def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
                       config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
     """The calibration of each estimator at ``mu0``, from one pass over the
     calibration stream, whose fold takes each chunk's S and Q from its z
-    once and every null statistic at theta = mu0 from them.  ``mu0`` is
-    checked before any draw, and no kinds return ``{}`` without one.  Each
-    null is filled in place chunk by chunk, then sorted once and made
-    read-only, and its calibration shares that memory."""
+    once and every null statistic at theta = mu0 from them.  The kinds and
+    ``mu0`` are checked before any draw, and no kinds return ``{}`` without
+    one.  Each null is filled in place chunk by chunk, then sorted once and
+    made read-only, and its calibration shares that memory."""
+    _check_kinds(kinds)
     mu0 = float(mu0)
     mc.check_thetas([mu0])
     if not kinds:
@@ -164,8 +170,9 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     """Power at each alpha of every (estimator, theta_alt) cell, from one
     pass over the evaluation stream.
 
-    Before any draw, each cell's calibration must resolve every alpha
-    (``check_null_resolution``).  Its critical value at alpha is the order
+    Before any draw, each cell's estimator must have a test statistic and
+    a calibration that resolves every alpha (``check_null_resolution``).
+    Its critical value at alpha is the order
     statistic ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for
     alpha's binary value.  Every theta is checked before any draw, and no
     cells return ``{}`` without one.  The pass's fold takes each chunk's S
@@ -175,6 +182,7 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     shared by all cells (common random numbers) and disjoint from the
     calibration draws.
     """
+    _check_kinds(kind for kind, _ in cells)
     mc.check_thetas([theta for _, theta in cells])
     alphas = list(dict.fromkeys(float(a) for a in alphas))
     if not alphas or any(not 0 < a < 1 for a in alphas):
@@ -210,14 +218,15 @@ def semitail(t, calibration: NullCalibration):
     """Semi-tail value s = -log2(p) with p = (#{null >= t} + 1) / (n + 1).
 
     The add-one rule keeps p positive, so statistics beyond the largest
-    null draw still get a finite value, exactly log2(n + 1).  Accepts
-    scalars or arrays.
+    null draw still get a finite value, exactly log2(n + 1); one at or
+    below every null draw gets +0.0.  Accepts scalars or arrays.
     """
     t = np.asarray(t, dtype=np.float64)
     n = calibration.sorted_null.size
     count_ge = n - np.searchsorted(calibration.sorted_null, t, side="left")
-    # the rounded ratio can put -log2 one ulp above its bound log2(n + 1)
-    s = np.minimum(-np.log2((count_ge + 1.0) / (n + 1.0)), np.log2(n + 1.0))
+    # the rounded ratio can put -log2 one ulp above its bound log2(n + 1);
+    # + 0.0 turns the -0.0 of -log2(1) into +0.0
+    s = np.minimum(-np.log2((count_ge + 1.0) / (n + 1.0)), np.log2(n + 1.0)) + 0.0
     return float(s) if s.ndim == 0 else s
 
 

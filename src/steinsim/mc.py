@@ -25,9 +25,9 @@ depends on chunking or worker count:
   ``__init__`` loads scipy's array-API layer, which clones numpy's
   namespace with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and
   took over half of ``import steinsim.cli``, while the ufunc module loads
-  in about 7 ms.  A later ``import scipy.special`` runs the full package
-  on the same ``_ufuncs`` module, so the map is the same object either
-  way.  Only scipy 1.17 has been checked.  A draw
+  in about 7 ms.  A later ``import scipy.special`` runs the full package,
+  whose fresh ``_ufuncs`` holds the same ufunc, so the map is the same
+  object either way.  Only scipy 1.17 has been checked.  A draw
   fetches all the words of its range in one Philox call and maps them in
   place into its result (shift, exact conversion, add, scale, ``ndtri``),
   so it holds its result plus its words; the operations and their order
@@ -35,9 +35,8 @@ depends on chunking or worker count:
 * accumulation: samples are processed in fixed chunks of
   ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays stay in
   cache across a chunk's passes, and a worker's draws reuse one buffer).
-  Each chunk's result reaches the sweep's ``take`` in chunk order
-  as soon as every earlier chunk is done, whichever worker finishes it,
-  and a cell's chunks are merged in that order into at most
+  Each chunk's result reaches the sweep's ``take`` in chunk order, on the
+  calling thread, and a cell's chunks are merged in that order into at most
   ``STDERR_BATCHES`` contiguous batches, each the in-order merge of its
   chunks, whose in-order merge is the cell's total, so the floating-point
   reduction order is independent of ``n_workers`` and a pass keeps no
@@ -57,17 +56,17 @@ depends on chunking or worker count:
   which folds one function over the stream's chunks.  Each chunk's ``z`` is
   drawn once, into the ``z`` buffer of the worker's ``Workspace``, and
   handed to the fold, which may overwrite it; ``take`` is the pass's one
-  output: it merges, fills or adds up each chunk's result, keeping no list.
+  output: it merges, fills or adds up each chunk's result, keeping no list,
+  on the thread that called the pass, so the workers only draw and fold.
   A fold that needs ``y = theta + z`` forms it itself.  The mean-function
   rows and the figure pairs add their theta to ``z`` in place, which is
   bit-identical to ``theta + z`` and spares a copy.  The three full-N
   passes of the reports (``collect_cells`` and hyptest's
-  ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn
-  (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0).
-  ``collect_cells`` makes z read-only and folds its cells in their given
-  order: each cell at a nonzero theta forms its own read-only ``y`` in the
-  ``y`` buffer of the worker's ``Workspace``, and a cell at theta = 0
-  reads z itself.  Each pass checks its own thetas before any draw.
+  ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn.
+  ``collect_cells`` folds its cells in their given order, each forming its
+  own read-only ``y`` in the ``y`` buffer of the worker's ``Workspace``
+  (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
+  no estimator reads z.  Each pass checks its own thetas before any draw.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
@@ -118,21 +117,22 @@ def _scipy_ndtri():
     unless ``scipy.special`` is already imported (see the module contract).
 
     A bare module of the package's spec stands in for ``scipy.special``
-    while ``_ufuncs`` loads, and is removed again, so no stub outlives the
-    call.  The private modules that ``_ufuncs`` imports (``_ufuncs_cxx``,
-    ``_special_ufuncs``, ``_gufuncs``, ``_ellip_harm_2``) stay in
-    ``sys.modules``, but a ``scipy.special`` imported later does not carry
-    them as attributes.
+    while ``_ufuncs`` loads, and is removed again with every
+    ``scipy.special.*`` module loaded under it, so that a later
+    ``import scipy.special`` loads them again as its attributes.
     """
     special = sys.modules.get("scipy.special")
     if special is not None:
         return special.ndtri
+    before = set(sys.modules)
     sys.modules["scipy.special"] = importlib.util.module_from_spec(
         importlib.util.find_spec("scipy.special"))
     try:
         from scipy.special._ufuncs import ndtri
     finally:
-        del sys.modules["scipy.special"]
+        for name in set(sys.modules) - before:
+            if name.split(".")[:2] == ["scipy", "special"]:
+                del sys.modules[name]
     return ndtri
 
 
@@ -374,9 +374,10 @@ class _BatchedMerge:
         return functools.reduce(self._merge, self.batches)
 
 
-def _map_ordered(fn: Callable[[int, int], object],
-                 ranges: Sequence[tuple[int, int]], n_workers: int) -> list:
-    """Apply fn(start, count) to every range; results in range order.
+def _map_ordered(fn: Callable[[int, int], Callable[[], None]],
+                 ranges: Sequence[tuple[int, int]], n_workers: int) -> None:
+    """fn(start, count)() for every range: ``fn`` possibly on a worker
+    thread, the callable it returns on the calling thread, in range order.
 
     With more than one worker, at most ``2 * n_workers`` ranges are
     submitted and not yet waited on, so a pass holds a fixed number of
@@ -385,19 +386,20 @@ def _map_ordered(fn: Callable[[int, int], object],
     cancelled.
     """
     if n_workers <= 1 or len(ranges) <= 1:
-        return [fn(start, count) for start, count in ranges]
-    results: list = []
+        for start, count in ranges:
+            fn(start, count)()
+        return
     pending: collections.deque = collections.deque()
     pool = ThreadPoolExecutor(max_workers=n_workers)
     try:
         for start, count in ranges:
             if len(pending) == 2 * n_workers:
-                results.append(pending.popleft().result())
+                pending.popleft().result()()
             pending.append(pool.submit(fn, start, count))
-        results.extend(future.result() for future in pending)
+        for future in pending:
+            future.result()()
     finally:
         pool.shutdown(cancel_futures=True)
-    return results
 
 
 class Workspace:
@@ -450,29 +452,20 @@ def sweep(config: SimulationConfig, fold: Fold,
     folds the chunk, one per worker for the whole pass.  It may overwrite
     ``z``, but must not keep it or a workspace buffer after it returns (see
     the module contract).  ``take(start, result)`` receives each chunk's
-    first sample index and its fold's result, in chunk order, as soon as
-    every earlier chunk has been taken, on the worker thread that completes
-    it; calls never overlap, and the sweep keeps no result once taken.
+    first sample index and its fold's result, in chunk order, on the thread
+    that called ``sweep`` (``_map_ordered`` keeps the order), and the sweep
+    keeps no result once taken.
     """
     origin = replace(config, theta=0.0)
     local = threading.local()
-    done: dict[int, object] = {}  # finished chunks not yet taken, by start
-    taken = 0  # start of the next chunk to take
-    lock = threading.Lock()
 
-    def chunk(start: int, count: int) -> None:
-        nonlocal taken
+    def chunk(start: int, count: int) -> Callable[[], None]:
         workspace = getattr(local, "workspace", None)
         if workspace is None:
             workspace = local.workspace = Workspace()
         z = draw_block(origin, start, count, stream,
                        out=workspace.buffer("z", (count, config.k)))
-        result = fold(z, start, workspace)
-        with lock:
-            done[start] = result
-            while taken in done:
-                take(taken, done.pop(taken))
-                taken += CHUNK_SAMPLES
+        return functools.partial(take, start, fold(z, start, workspace))
 
     _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
 
@@ -516,12 +509,11 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
                   config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
-    The pass folds each chunk's z, made read-only (see the module
-    contract); the thetas are checked before any draw, and no cells return
-    ``[]`` without one.  Per chunk, the cells are folded in their given
-    order: each cell at a nonzero theta forms its own read-only
-    ``y = theta + z`` in the ``y`` buffer of the worker's workspace, and a
-    cell at theta = 0 reads z itself; every cell pairs its estimate with
+    The pass folds each chunk's z (see the module contract); the thetas are
+    checked before any draw, and no cells return ``[]`` without one.  Per
+    chunk, the cells are folded in their given order: each cell forms its
+    own read-only ``y = theta + z`` in the ``y`` buffer of the worker's
+    workspace, so no estimator sees z; every cell pairs its estimate with
     the score z, and one ``from_batch(z, z)`` and one set of norms ‖z_i‖²
     serve every ML cell.  Per-chunk moments are merged as they arrive, in
     chunk order and in contiguous batches (Chan, Golub & LeVeque 1979), so
@@ -535,15 +527,13 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     has_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
     def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
-        z = _read_only(z)
         if has_ml:
             z_moments = StreamingMoments.from_batch(
                 z, z, out=workspace.buffer("centered", z.shape))
             z_sums = _squared_error_sums(z, workspace)
         results = []
         for kind, theta in cells:
-            y = z if theta == 0 else _read_only(
-                np.add(z, theta, out=workspace.buffer("y", z.shape)))
+            y = _read_only(np.add(z, theta, out=workspace.buffer("y", z.shape)))
             if kind is EstimatorKind.ML:
                 results.append((replace(z_moments, mean_a=_column_mean(y)), *z_sums))
                 continue

@@ -247,6 +247,41 @@ def test_power_table_names_a_missing_calibration(monkeypatch):
     assert draws == []  # before any draw
 
 
+def _no_statistic(y):
+    return y
+
+
+def _recording_draws(monkeypatch) -> list:
+    """The arguments of every ``mc.draw_block`` call, which still draws."""
+    draws = []
+    original = mc.draw_block
+
+    def recording(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(mc, "draw_block", recording)
+    return draws
+
+
+def test_null_calibrations_refuse_an_estimator_with_no_statistic_before_any_draw(monkeypatch):
+    draws = _recording_draws(monkeypatch)
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
+        null_calibrations([JS, _no_statistic], 1.25, cfg)
+    assert draws == []
+
+
+def test_power_table_refuses_an_estimator_with_no_statistic_before_any_draw(monkeypatch):
+    # checked before the calibrations, which are keyed by EstimatorKind
+    draws = _recording_draws(monkeypatch)
+    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
+    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
+        power_table([(_no_statistic, 0.5)], {JS: calib}, (0.05,), cfg)
+    assert draws == []
+
+
 def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
@@ -354,6 +389,16 @@ def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
     assert np.all(np.diff(ss) >= 0)
     assert np.all(ss >= 0)
     assert np.all(ss <= np.log2(n + 1) * (1 + SEMITAIL_TOP_RTOL))
+
+
+def test_semitail_at_or_below_every_null_draw_is_positive_zero():
+    # -log2(1) is -0.0, which a report would print as "-0"
+    calib = _linear_calibration(n=7)
+    for t in (1.0, -5.0, -np.inf):
+        s = semitail(t, calib)
+        assert s == 0.0 and math.copysign(1.0, s) == 1.0, t
+    assert not np.signbit(semitail(np.array([-5.0, 1.0]), calib)).any()
+    assert semitail(1.5, calib) == -math.log2(7.0 / 8.0)
 
 
 @pytest.mark.parametrize("n", [105, 111])

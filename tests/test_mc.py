@@ -136,12 +136,16 @@ def _fresh_interpreter(probe: str) -> str:
 
 
 def test_ndtri_is_scipys_when_scipy_special_is_imported_later():
-    # mc loads the ufunc without the package and leaves no stand-in behind,
-    # so a later import runs the full package, which shares the same ufunc
+    # mc loads the ufunc without the package and leaves behind neither the
+    # stand-in nor the private modules that _ufuncs loads under it, so a
+    # later import runs the full package, which shares the same ufunc and
+    # carries those modules as attributes
+    private = ("_gufuncs", "_special_ufuncs", "_ufuncs_cxx", "_ellip_harm_2")
     probe = ("import sys, steinsim.mc as mc; left = 'scipy.special' in sys.modules; "
-             "import scipy.special; "
-             "print(left, hasattr(scipy.special, 'ndtr'), scipy.special.ndtri is mc.ndtri)")
-    assert _fresh_interpreter(probe) == "False True True"
+             f"import scipy.special; import {', '.join('scipy.special.' + p for p in private)}; "
+             "print(left, hasattr(scipy.special, 'ndtr'), scipy.special.ndtri is mc.ndtri, "
+             f"all(hasattr(scipy.special, p) for p in {private!r}))")
+    assert _fresh_interpreter(probe) == "False True True True"
 
 
 def test_ndtri_is_scipys_when_scipy_special_is_imported_first():
@@ -550,9 +554,9 @@ def _writes_into_its_input(y):
     [(EstimatorKind.JS, 0.5), (_writes_into_its_input, 0.5)],
 ], ids=["only-cell", "earlier-theta", "shared-theta"])
 def test_an_estimator_cannot_write_into_the_shared_draws(cells):
-    # every cell's y is formed from the chunk's shared z (at theta = 0 it is
-    # z), so a write could change the draws of the cells after it; y is
-    # read-only whether it is z itself or theta + z
+    # each cell's y is formed from the chunk's shared z in a buffer that the
+    # pass reuses, and is read-only, so an estimator that writes into its
+    # input fails
     cfg = _cfg(n_samples=1000)
     with pytest.raises(ValueError, match="read-only"):
         collect_cells(cells, cfg)
@@ -635,18 +639,24 @@ def test_in_order_merge_holds_under_frequent_thread_switches():
     assert all(_same_cell(a, b) and _same_batches(a, b) for a, b in zip(expected, got))
 
 
+def _no_op(start, count):
+    return lambda: None
+
+
 def test_a_pooled_map_holds_a_fixed_number_of_futures():
     # at 2 workers at most 4 ranges are in flight, so the peak of a no-op
     # map must not grow from 16 to 244 ranges (N = 10^6 at 4,096 samples)
     peaks = {}
     for n_ranges in (16, 244):
         ranges = [(start, 1) for start in range(n_ranges)]
-        peaks[n_ranges] = _peak_bytes(lambda: mc._map_ordered(lambda s, c: None, ranges, 2))
+        peaks[n_ranges] = _peak_bytes(lambda: mc._map_ordered(_no_op, ranges, 2))
     assert peaks[244] <= 1.25 * peaks[16]
 
 
 def test_a_pooled_map_raises_the_first_failing_range_and_submits_no_further():
+    # fn returns a callable, which runs on the calling thread in range order
     ran = set()
+    called = []
     lock = threading.Lock()
 
     def fn(start, count):
@@ -657,12 +667,33 @@ def test_a_pooled_map_raises_the_first_failing_range_and_submits_no_further():
             raise ValueError("range 3")
         if start == 5:
             raise ValueError("range 5")
-        return start
+        return lambda: called.append(start)
 
     with pytest.raises(ValueError, match="range 3"):
         mc._map_ordered(fn, [(start, 1) for start in range(100)], 2)
     assert max(ran) < 3 + 2 * 2  # the window after range 3, no more
-    assert mc._map_ordered(fn, [(start, 1) for start in (0, 1, 2, 4)], 2) == [0, 1, 2, 4]
+    assert called == [0, 1, 2]
+    called.clear()
+    mc._map_ordered(fn, [(start, 1) for start in (0, 1, 2, 4)], 2)
+    assert called == [0, 1, 2, 4]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_a_sweep_takes_every_chunk_once_in_order_on_the_calling_thread(workers):
+    # the folds may run on worker threads; take runs only where sweep was
+    # called, so the pass's merges need no lock
+    cfg = SimulationConfig(k=3, theta=0.0, n_samples=5 * CHUNK_SAMPLES + 9, seed=30,
+                           n_workers=workers)
+    taken = []
+
+    def fold(z, start, workspace):
+        time.sleep(0.002 * (start // CHUNK_SAMPLES % 2))  # odd chunks finish late
+        return len(z)
+
+    mc.sweep(cfg, fold, lambda start, count: taken.append(
+        (start, count, threading.current_thread())), stream=6)
+    assert taken == [(start, count, threading.current_thread())
+                     for start, count in mc._chunk_ranges(cfg.n_samples)]
 
 
 def test_a_stream_0_pass_keeps_no_chunk_results():
