@@ -19,6 +19,10 @@ __version__ = "0.1.0"
 _SUBMODULES = ("assess", "cli", "estimators", "hyptest", "mc")
 
 
+class NumericalError(ArithmeticError):
+    """A number that a run cannot resolve; the command line exits 2 on it."""
+
+
 def __getattr__(name: str):
     if name in _SUBMODULES:
         return importlib.import_module(f".{name}", __name__)

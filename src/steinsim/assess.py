@@ -20,29 +20,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mc
+from . import NumericalError, mc
 from .estimators import EstimatorFn, EstimatorKind
 
 # Sample covariances beyond this condition number are treated as singular.
 V_CONDITION_LIMIT = 1e12
 
 
-class SingularCovarianceError(ArithmeticError):
+class SingularCovarianceError(NumericalError):
     """The estimate covariance cannot be inverted reliably."""
 
     def __init__(self, kind, theta: float, condition: float):
-        self.kind = kind
-        self.theta = theta
-        self.condition = condition
+        label = (kind.value.upper() if isinstance(kind, EstimatorKind)
+                 else getattr(kind, "__name__", repr(kind)))
         super().__init__(
-            f"covariance of the {_kind_label(kind)} estimate at theta={theta:g} "
+            f"covariance of the {label} estimate at theta={theta:g} "
             f"is singular or ill-conditioned (condition number ~ {condition:.3g})"
         )
-
-
-def _kind_label(kind) -> str:
-    return kind.value.upper() if isinstance(kind, EstimatorKind) else getattr(
-        kind, "__name__", repr(kind))
 
 
 def _lambda_from_moments(moments: mc.StreamingMoments, kind, theta: float) -> np.ndarray:

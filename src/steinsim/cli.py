@@ -9,22 +9,24 @@ same shared passes, so its bytes are those of the same report in ``all``.
 Progress goes to stderr; data streams stay clean.  JSON is strict (RFC
 8259): a value that is not finite, such as one sample's stderr, is null.
 
-Exit codes: 0 success, 1 usage error, 2 numerical failure.
+Exit codes: 0 success; 1 usage error (any ``ValueError`` of the library's
+argument checks, or an unwritable output); 2 numerical failure, any
+``steinsim.NumericalError``, after which ``all`` still writes the others.
 
 Validity domain: k >= 3 for the James-Stein risk claims (smaller k is
-accepted for tests); finite theta with |theta| < 2**43 (``mc.THETA_LIMIT``;
-beyond it a numerical failure before any draw); N >= 2 for table3 and all,
-and N >= 100 / alpha for table2 (else a numerical failure, before any
-draw); alpha strictly in (0, 1); points >= 1.
+accepted for tests); finite theta, alpha strictly in (0, 1), points >= 1,
+N >= 2 for table3 and all; |theta| < 2**43 (``mc.THETA_LIMIT``) and
+N >= 100 / alpha for table2, else a numerical failure before any draw.
 
 BLAS threads: importing this module sets ``OPENBLAS_NUM_THREADS=1`` unless
 it is already set, before numpy loads.  Every BLAS call here is small (k x k
 products over one chunk, k x k solves), too small for OpenBLAS's threads to
 help, and ``--workers`` already runs chunks in parallel; the variable keeps
 numpy's and scipy's bundled OpenBLAS from starting thread pools that spend
-CPU beside them.  Outputs are byte-identical either way.  To override it,
-set the variable, e.g. ``OPENBLAS_NUM_THREADS=4 steinsim all``.  Importing
-the library without this module (``steinsim.mc`` and the rest) leaves the
+CPU beside them.  The CSVs are byte-identical either way; under the Haswell
+kernel, ``table3_eigenvalues.json`` is not.  To override it, set the
+variable, e.g. ``OPENBLAS_NUM_THREADS=4 steinsim all``.  Importing the
+library without this module (``steinsim.mc`` and the rest) leaves the
 environment alone.
 
 Start-up: importing this module loads numpy, ``steinsim`` and scipy's
@@ -54,10 +56,9 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads
 import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
-from . import __version__, hyptest, mc  # noqa: E402
-from .assess import SingularCovarianceError, assess_moments  # noqa: E402
-from .estimators import EstimatorKind, ShrinkageDomainError  # noqa: E402
-from .hyptest import NullResolutionError  # noqa: E402
+from . import NumericalError, __version__, hyptest, mc  # noqa: E402
+from .assess import assess_moments  # noqa: E402
+from .estimators import EstimatorKind  # noqa: E402
 
 # The defaults that the parser's help, the reports and `all`'s manifest
 # read: each report's thetas here, and the alphas ``hyptest.DEFAULT_ALPHAS``.
@@ -73,9 +74,6 @@ REFERENCE_LINES = {
     "equality": {"slope": 1.0, "intercept": 0.0},
     "one_unit_shift": {"slope": 1.0, "intercept": 1.0},
 }
-
-NUMERICAL_ERRORS = (NullResolutionError, SingularCovarianceError,
-                    ShrinkageDomainError, mc.ThetaResolutionError)
 
 
 class UsageError(ValueError):
@@ -162,33 +160,33 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _usage(label: str, check, value):
+    """``check(value)``, whose ``ValueError`` is a usage error of ``label``."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise UsageError(f"{label}: {exc}") from None
+
+
 def _validate(args) -> None:
     """Check the settings, and resolve a single command's thetas and any
-    alphas: unset, they take the defaults; a repeated value is one row."""
-    try:
-        _config(args)  # checks --k, --samples, --seed and --workers
-    except ValueError as exc:
-        raise UsageError(f"invalid settings: {exc}") from None
+    alphas: unset, they take the defaults; a repeated value is one row, and
+    -0 is 0.  A theta too large to resolve fails numerically, before any draw."""
+    _usage("invalid settings", _config, args)  # --k, --samples, --seed, --workers
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
     if args.command != "all":
-        args.theta = list(dict.fromkeys(args.theta or DEFAULT_THETAS[args.command]))
+        args.theta = list(dict.fromkeys(
+            t + 0.0 for t in args.theta or DEFAULT_THETAS[args.command]))
     if args.command == "figure" and len(args.theta) > 1:
         raise UsageError("figure takes one --theta, got "
                          + ", ".join(f"{t:g}" for t in args.theta))
     if "alpha" in vars(args):
-        args.alpha = list(dict.fromkeys(args.alpha or hyptest.DEFAULT_ALPHAS))
-        if any(not 0 < a < 1 for a in args.alpha):
-            raise UsageError("--alpha values must lie strictly in (0, 1)")
-    points = getattr(args, "points", None)
-    if points is not None and points < 1:
+        args.alpha = _usage("--alpha", hyptest.check_alphas,
+                            args.alpha or hyptest.DEFAULT_ALPHAS)
+    if getattr(args, "points", 1) < 1:  # figure and all only
         raise UsageError("--points must be a positive integer")
-    try:  # before any draw, the figure's null pass too
-        mc.check_thetas(getattr(args, "theta", []))
-    except mc.ThetaResolutionError:
-        raise
-    except ValueError as exc:
-        raise UsageError(f"--theta: {exc}") from None
+    _usage("--theta", mc.check_thetas, getattr(args, "theta", []))
 
 
 def _config(args) -> mc.SimulationConfig:
@@ -430,7 +428,7 @@ def _run(args, t0: float) -> int:
     for name, build in reports:
         try:
             report = build(time.perf_counter())
-        except NUMERICAL_ERRORS as exc:  # retain partial outputs, mark the failure
+        except NumericalError as exc:  # retain partial outputs, mark the failure
             failures.append(name)
             (out_dir / f"{name}.FAILED").write_text(f"{type(exc).__name__}: {exc}\n")
             _progress(f"{name} FAILED: {exc}")
@@ -465,13 +463,10 @@ def main(argv=None) -> int:
     try:
         _validate(args)
         return _run(args, t0)
-    except UsageError as exc:
+    except (UsageError, OSError) as exc:
         print(f"steinsim: error: {exc}", file=sys.stderr)
         return 1
-    except OSError as exc:
-        print(f"steinsim: error: {exc}", file=sys.stderr)
-        return 1
-    except NUMERICAL_ERRORS as exc:
+    except NumericalError as exc:
         print(f"steinsim: numerical failure: {exc}", file=sys.stderr)
         return 2
 

@@ -16,6 +16,8 @@ from typing import Callable
 
 import numpy as np
 
+from . import NumericalError
+
 # Squared norms below this threshold are treated as the (measure-zero)
 # origin; the shrinkage factor would overflow long before reaching it.
 NORM_SQ_FLOOR = 1e-300
@@ -26,11 +28,10 @@ class EstimatorKind(Enum):
     JS = "js"
 
 
-class ShrinkageDomainError(ValueError):
+class ShrinkageDomainError(NumericalError):
     """Shrinkage is undefined at (numerically) zero observations."""
 
     def __init__(self, norm_sq: float, index: int | None = None):
-        self.norm_sq = norm_sq
         self.index = index
         where = f" at sample index {index}" if index is not None else ""
         super().__init__(

@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import mc
+from . import NumericalError, mc
 from .estimators import EstimatorKind, shrinkage_from_norms
 
 DEFAULT_MU0 = 1.25
@@ -49,7 +49,7 @@ ALT_STREAM = 2
 PAIR_STREAM = 3
 
 
-class NullResolutionError(ValueError):
+class NullResolutionError(NumericalError):
     """Too few null samples to resolve the requested significance level."""
 
 
@@ -142,6 +142,15 @@ def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
     return calibrations
 
 
+def check_alphas(alphas: Iterable[float]) -> list[float]:
+    """The distinct ``alphas`` as floats, in order; ``ValueError`` unless
+    there is one and all lie strictly in (0, 1)."""
+    alphas = list(dict.fromkeys(float(a) for a in alphas))
+    if not alphas or any(not 0 < a < 1 for a in alphas):
+        raise ValueError("significance levels must lie strictly in (0, 1)")
+    return alphas
+
+
 def check_null_resolution(n_null: int, alphas: Sequence[float]) -> None:
     """``NullResolutionError`` unless ``n_null`` null draws can calibrate
     every alpha: a critical value needs at least 100 / min(alpha) of them."""
@@ -170,23 +179,21 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     """Power at each alpha of every (estimator, theta_alt) cell, from one
     pass over the evaluation stream.
 
-    Before any draw, each cell's estimator must have a test statistic and
-    a calibration that resolves every alpha (``check_null_resolution``).
-    Its critical value at alpha is the order
-    statistic ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for
-    alpha's binary value.  Every theta is checked before any draw, and no
-    cells return ``{}`` without one.  The pass's fold takes each chunk's S
-    and Q from its z once; each cell counts, chunk by chunk, the draws whose
-    statistic at its theta strictly exceeds each critical value, and the
-    power is the total count over n_samples.  The alternative draws are
+    Before any draw, the alphas must pass ``check_alphas``, and each cell's
+    estimator must have a test statistic and a calibration that resolves
+    every alpha (``check_null_resolution``).  Its critical value at alpha
+    is the order statistic ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``,
+    exact for alpha's binary value.  Every theta is checked before any
+    draw, and no cells return ``{}`` without one.  The pass's fold takes
+    each chunk's S and Q from its z once; each cell counts, chunk by chunk,
+    the draws whose statistic at its theta strictly exceeds each critical
+    value, and the power is the total count over n_samples.  The alternative draws are
     shared by all cells (common random numbers) and disjoint from the
     calibration draws.
     """
     _check_kinds(kind for kind, _ in cells)
     mc.check_thetas([theta for _, theta in cells])
-    alphas = list(dict.fromkeys(float(a) for a in alphas))
-    if not alphas or any(not 0 < a < 1 for a in alphas):
-        raise ValueError("significance levels must lie strictly in (0, 1)")
+    alphas = check_alphas(alphas)
     for kind, _ in cells:
         if kind not in calibrations:
             raise ValueError(f"no calibration for the {kind.name} estimator")

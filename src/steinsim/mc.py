@@ -14,8 +14,10 @@ depends on chunking or worker count:
   Padding to a whole Philox counter block (4 words) means any contiguous
   range of samples can be generated by advancing the counter, with no
   serial dependence between ranges.
-* normals: each word maps to the open-interval uniform
-  ``u = (top 53 bits + 0.5) / 2**53`` and through the inverse normal CDF
+* normals: each word's top 53 bits m map to the open-interval uniform
+  ``u = min((m + 0.5) / 2**53, 1 - 2**-53)``, whose clamp moves only
+  m = 2**53 - 1 (``m + 0.5`` rounds half-to-even for m >= 2**52, here up
+  to 2**53, u = 1 and z = +inf), and through the inverse normal CDF
   ``ndtri``; the first ``k`` of the ``w`` words are used.  The
   inverse-CDF map is part of the contract: it consumes a fixed number of
   words per sample and reproduces the normal tails exactly.  ``ndtri`` is
@@ -27,9 +29,9 @@ depends on chunking or worker count:
   took over half of ``import steinsim.cli``, while the ufunc module loads
   in about 7 ms.  A later ``import scipy.special`` runs the full package,
   whose fresh ``_ufuncs`` holds the same ufunc, so the map is the same
-  object either way.  Only scipy 1.17 has been checked.  A draw
-  fetches all the words of its range in one Philox call and maps them in
-  place into its result (shift, exact conversion, add, scale, ``ndtri``),
+  object either way.  Only scipy 1.17 has been checked.  A draw fetches
+  all the words of its range in one Philox call and maps them in place
+  into its result (shift, exact conversion, add, scale, clamp, ``ndtri``),
   so it holds its result plus its words; the operations and their order
   are those of the one-shot formula, so the bits are too.
 * accumulation: samples are processed in fixed chunks of
@@ -109,6 +111,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.random import Philox
 
+from . import NumericalError
 from .estimators import EstimatorFn, EstimatorKind, estimate_batch
 
 
@@ -191,7 +194,7 @@ class SimulationConfig:
         object.__setattr__(self, "n_workers", n_workers)
 
 
-class ThetaResolutionError(ValueError):
+class ThetaResolutionError(NumericalError):
     """|theta| is too large for ``theta + z`` to resolve the draws z."""
 
     def __init__(self, theta: float):
@@ -210,10 +213,6 @@ def _integer(value) -> int | None:
     return as_int if as_int == value else None
 
 
-def _words_per_sample(k: int) -> int:
-    return 4 * ((k + 3) // 4)
-
-
 def draw_block(config: SimulationConfig, start: int, count: int,
                stream: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Observations y = theta * 1 + z for samples [start, start + count) of a
@@ -223,7 +222,7 @@ def draw_block(config: SimulationConfig, start: int, count: int,
             f"sample range [{start}, {start + count}) outside "
             f"[0, {config.n_samples})"
         )
-    words = _words_per_sample(config.k)
+    words = 4 * ((config.k + 3) // 4)  # w, a whole number of Philox blocks
     bg = Philox(key=[config.seed, stream])
     bg.advance(start * words // 4)
     raw = bg.random_raw(count * words).reshape(count, words)
@@ -232,6 +231,7 @@ def draw_block(config: SimulationConfig, start: int, count: int,
     np.copyto(y, raw[:, :config.k], casting="unsafe")  # exact below 2**53
     np.add(y, 0.5, out=y)
     np.multiply(y, 2.0**-53, out=y)
+    np.minimum(y, 1.0 - 2.0**-53, out=y)  # the open interval (see the contract)
     ndtri(y, out=y)
     return np.add(y, config.theta, out=y)
 
@@ -514,7 +514,7 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     chunk, the cells are folded in their given order: each cell forms its
     own read-only ``y = theta + z`` in the ``y`` buffer of the worker's
     workspace, so no estimator sees z; every cell pairs its estimate with
-    the score z, and one ``from_batch(z, z)`` and one set of norms ‖z_i‖²
+    the score z, and each chunk's one ``from_batch(z, z)`` and norms ‖z_i‖²
     serve every ML cell.  Per-chunk moments are merged as they arrive, in
     chunk order and in contiguous batches (Chan, Golub & LeVeque 1979), so
     each cell's result is independent of the worker count and of the other
@@ -524,13 +524,11 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
     check_thetas([theta for _, theta in cells])
     if not cells:
         return []
-    has_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
     def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
-        if has_ml:
-            z_moments = StreamingMoments.from_batch(
-                z, z, out=workspace.buffer("centered", z.shape))
-            z_sums = _squared_error_sums(z, workspace)
+        z_moments = StreamingMoments.from_batch(
+            z, z, out=workspace.buffer("centered", z.shape))
+        z_sums = _squared_error_sums(z, workspace)
         results = []
         for kind, theta in cells:
             y = _read_only(np.add(z, theta, out=workspace.buffer("y", z.shape)))

@@ -234,7 +234,7 @@ def test_overflowing_moments_are_a_numerical_failure():
         cell, = mc.collect_cells([(huge, 0.5)], cfg)
         with pytest.raises(assess.SingularCovarianceError) as err:
             assess.assess_moments(huge, 0.5, cell)
-    assert isinstance(err.value, cli.NUMERICAL_ERRORS)
+    assert isinstance(err.value, steinsim.NumericalError)
     assert str(err.value) == ("covariance of the huge estimate at theta=0.5 is "
                               "singular or ill-conditioned (condition number ~ inf)")
 
@@ -280,6 +280,17 @@ def test_a_negative_theta_in_exponent_form_is_a_value(capsys, argv, theta):
     code, out, err = run(capsys, [*argv, "--format", "json"])
     assert code == 0, err
     assert json.loads(out)["manifest"]["thetas"] == [theta]
+
+
+@pytest.mark.parametrize("argv", [["--theta=-0"], ["--theta=-0", "--theta", "0"]],
+                         ids=["alone", "first"])
+def test_a_negative_zero_theta_is_labelled_zero(tmp_path, capsys, argv):
+    path = tmp_path / "table1.csv"
+    code, _, err = run(capsys, ["table1", "--samples", "100", *argv, "--output", str(path)])
+    assert code == 0, err
+    assert [row[:2] for row in parse_csv(path.read_text())[1]] == [["JS", "0"], ["ML", "0"]]
+    thetas = json.loads(Path(str(path) + ".manifest.json").read_text())["thetas"]
+    assert [math.copysign(1.0, t) for t in thetas] == [1.0]
 
 
 @pytest.mark.parametrize("argv", [["--samples", "5000"], ["--samples", "20000", "--alpha", "1e-300"]],
@@ -418,6 +429,45 @@ def test_all_singular_covariance_fails_table3_only(tmp_path, monkeypatch, capsys
     manifest = json.loads((out_dir / "manifest.json").read_text())
     assert manifest["failures"] == ["table3"]
     assert "table1" in manifest["outputs"]
+
+
+@pytest.mark.parametrize("error", [mc.ThetaResolutionError, hyptest.NullResolutionError,
+                                   assess.SingularCovarianceError,
+                                   estimators.ShrinkageDomainError])
+def test_every_numerical_failure_is_a_numerical_error_and_no_bad_argument(error):
+    assert issubclass(error, steinsim.NumericalError)
+    assert not issubclass(error, ValueError)
+
+
+class _UnresolvedPower(steinsim.NumericalError):
+    """A numerical failure that no module of the package raises."""
+
+
+def _unresolvable_power_table(*args, **kwargs):
+    raise _UnresolvedPower("power cannot be resolved")
+
+
+def test_any_numerical_error_makes_a_report_exit_2(capsys, monkeypatch):
+    monkeypatch.setattr(hyptest, "power_table", _unresolvable_power_table)
+    code, out, err = run(capsys, ["table2", *SMALL])
+    assert (code, out) == (2, "")
+    assert err.endswith("\nsteinsim: numerical failure: power cannot be resolved\n")
+
+
+def test_any_numerical_error_fails_only_its_report_in_all(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(hyptest, "power_table", _unresolvable_power_table)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, ["all", *SMALL, "--output", str(out_dir)])
+    assert code == 2
+    failed = (out_dir / "table2.FAILED").read_text()
+    assert failed == "_UnresolvedPower: power cannot be resolved\n"
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["failures"] == ["table2"]
+    assert manifest["outputs"] == ["table1", "table3", "figure_theta_0.5", "figure_theta_2"]
+    for name in manifest["outputs"]:
+        assert (out_dir / f"{name}.csv").exists()
+    assert (out_dir / "table3_eigenvalues.json").exists()
+
 
 def test_all_lets_programming_errors_propagate(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):

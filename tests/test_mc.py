@@ -97,12 +97,13 @@ def test_draws_are_invariant_under_any_split_of_a_range(k, start, count, cuts):
 def _one_shot_normals(seed, stream, start, count, k):
     # the contract's formula in one call: all words of the range at once,
     # the top 53 bits of the first k of each sample's w as an open-interval
-    # uniform, mapped through the inverse normal CDF
+    # uniform, clamped below 1, mapped through the inverse normal CDF
     words = 4 * ((k + 3) // 4)
     bg = Philox(key=[seed, stream])
     bg.advance(start * words // 4)
     raw = bg.random_raw(count * words).reshape(count, words)[:, :k]
-    return ndtri(((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53)
+    u = ((raw >> np.uint64(11)).astype(np.float64) + 0.5) * 2.0**-53
+    return ndtri(np.minimum(u, np.nextafter(1.0, 0.0)))
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -312,6 +313,25 @@ def test_draw_moments_match_the_model():
 def test_normals_are_inside_the_open_interval():
     z = draw_block(SimulationConfig(k=16, theta=0.0, n_samples=4096, seed=1), 0, 4096)
     assert np.all(np.isfinite(z))
+
+
+def test_the_extreme_words_give_finite_normals(monkeypatch):
+    # the top 53 bits m = 2**53 - 1 of an all-ones word: m + 0.5 rounds
+    # half-to-even to 2**53, so without the clamp u = 1 and z = +inf
+    class Extremes:
+        def __init__(self, key):
+            pass
+
+        def advance(self, delta):
+            pass
+
+        def random_raw(self, size):
+            return np.resize(np.array([2**64 - 1, 0], dtype=np.uint64), size)
+
+    monkeypatch.setattr(mc, "Philox", Extremes)
+    z = draw_block(SimulationConfig(k=14, theta=0.0, n_samples=8, seed=1), 0, 8)
+    assert np.all(np.isfinite(z))
+    assert z.max() == ndtri(np.nextafter(1.0, 0.0)) and z.min() == ndtri(2.0**-54)
 
 
 # ---------------------------------------------------------------------------
@@ -819,7 +839,8 @@ def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
     assert sorted(draws) == [(base + row, start, count) for row in range(3)
                              for start, count in ((0, CHUNK_SAMPLES), (CHUNK_SAMPLES, 4000))]
     collect_cells([(EstimatorKind.JS, 0.0)], cfg)
-    assert sorted(batches) == [4000, CHUNK_SAMPLES]  # the wrapper sees the moments pass
+    # the wrapper sees the moments pass: per chunk, the JS cell's batch and z's
+    assert sorted(batches) == [4000, 4000, CHUNK_SAMPLES, CHUNK_SAMPLES]
 
 
 def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
