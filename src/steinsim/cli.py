@@ -408,9 +408,9 @@ def _reports(args) -> list:
 def _run(args, t0: float) -> int:
     """Write the reports of ``args.command``.  A single report goes to
     stdout, or to a file with its manifest sidecar, and its numerical
-    failure propagates.  ``all`` writes every report into its directory; a
-    report that fails numerically leaves a ``.FAILED`` file and the rest
-    still run."""
+    failure propagates.  ``all`` writes every report into its directory,
+    first removing any file of that report's names; a report that fails
+    numerically leaves a ``.FAILED`` file and the rest still run."""
     reports = _reports(args)
     if args.command != "all":
         (_, build), = reports
@@ -426,6 +426,8 @@ def _run(args, t0: float) -> int:
     failures: list[str] = []
     outputs: list[str] = []
     for name, build in reports:
+        for stale in (".FAILED", ".csv", ".csv.manifest.json", ".json", "_eigenvalues.json"):
+            (out_dir / f"{name}{stale}").unlink(missing_ok=True)
         try:
             report = build(time.perf_counter())
         except NumericalError as exc:  # retain partial outputs, mark the failure

@@ -68,11 +68,11 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     first such sample (``index_offset`` plus its row).
 
     Every estimate but ML is written into ``out`` (a float64 array of
-    ``y``'s shape) if given, and returned.  The ML estimate is ``y`` itself
-    as a float64 array, and ``out`` is left untouched, so callers pass the
-    same buffer whatever the estimator.  ``mc.collect_cells`` hands each
-    cell, and ``mc.tabulate_mean_function`` each row, a read-only ``y``, so
-    a callable that writes into its input fails there.
+    ``y``'s shape, which may be ``y`` itself) if given, and returned.  The
+    ML estimate is ``y`` itself as a float64 array, and ``out`` is left
+    untouched, so callers pass the same buffer whatever the estimator.  A
+    callable gets a read-only view of ``y``, so one that writes into its
+    input fails, and its result is copied into ``out`` only once it returns.
     """
     if kind is EstimatorKind.ML:
         return np.asarray(y, dtype=np.float64)
@@ -82,7 +82,9 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
         return np.multiply(c[:, None], y, out=out)
     if not callable(kind):
         raise TypeError(f"unknown estimator kind: {kind!r}")
-    est = np.asarray(kind(np.asarray(y, dtype=np.float64)), dtype=np.float64)
+    view = np.asarray(y, dtype=np.float64).view()
+    view.flags.writeable = False  # foreign code must not write into y
+    est = np.asarray(kind(view), dtype=np.float64)
     if est.shape != np.shape(y):
         raise ValueError(f"estimator returned shape {est.shape} for observations "
                          f"of shape {np.shape(y)}")

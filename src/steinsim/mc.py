@@ -66,19 +66,20 @@ depends on chunking or worker count:
   passes of the reports (``collect_cells`` and hyptest's
   ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn.
   ``collect_cells`` folds its cells in their given order, each forming its
-  own read-only ``y`` in the ``y`` buffer of the worker's ``Workspace``
-  (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
-  no estimator reads z.  Each pass checks its own thetas before any draw.
+  own ``y`` in the ``cell`` buffer of the worker's ``Workspace`` (``z +
+  0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so no
+  estimator sees z; no pass makes y read-only, but ``estimate_batch``
+  hands a callable a read-only view.  Each pass checks its thetas first.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
-  so a cell writes its temporaries (the estimate, then its error in the
-  same buffer) with ``out=`` into the same memory chunk after chunk, and
-  a pass holds a fixed set of buffers per worker instead of fresh arrays
-  per chunk; ``StreamingMoments.from_batch`` centers each estimate, and
-  z for the ML cells, into one of them.  Workers never share one.  A fold
-  must not keep ``z``, a ``y`` or a workspace buffer after it returns: the
-  next cell or chunk overwrites them, so a fold that needs them later
+  so a cell writes y, then its estimate over y, then its error over the
+  estimate, with ``out=`` into one buffer, the same memory chunk after
+  chunk, and a pass holds a fixed set of buffers per worker instead of
+  fresh arrays per chunk; ``StreamingMoments.from_batch`` centers each
+  estimate, and z for the ML cells, into one of them.  Workers never share
+  one.  A fold must not keep ``z`` or a workspace buffer after it returns:
+  the next cell or chunk overwrites them, so a fold that needs them later
   returns a copy.  Reusing buffers changes no floating-point operation, so
   a cell's result does not depend on which other cells share its pass or
   on which worker folds its chunks.
@@ -408,7 +409,8 @@ class Workspace:
 
     ``buffer(name, shape)`` is a view of the worker's flat array of that
     name, grown to the largest request so far, so a short last chunk reuses
-    the buffer of a full one.  It holds whatever its last user wrote.
+    the buffer of a full one.  It holds whatever its last user wrote: a
+    cell's y, then its estimate, then its error, all in ``cell``.
     """
 
     def __init__(self):
@@ -434,11 +436,6 @@ def check_thetas(thetas) -> None:
     for theta in thetas:
         if abs(theta) >= THETA_LIMIT:
             raise ThetaResolutionError(float(theta))
-
-
-def _read_only(y: np.ndarray) -> np.ndarray:
-    y.flags.writeable = False
-    return y
 
 
 def sweep(config: SimulationConfig, fold: Fold,
@@ -511,15 +508,15 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
 
     The pass folds each chunk's z (see the module contract); the thetas are
     checked before any draw, and no cells return ``[]`` without one.  Per
-    chunk, the cells are folded in their given order: each cell forms its
-    own read-only ``y = theta + z`` in the ``y`` buffer of the worker's
-    workspace, so no estimator sees z; every cell pairs its estimate with
-    the score z, and each chunk's one ``from_batch(z, z)`` and norms ‖z_i‖²
-    serve every ML cell.  Per-chunk moments are merged as they arrive, in
-    chunk order and in contiguous batches (Chan, Golub & LeVeque 1979), so
-    each cell's result is independent of the worker count and of the other
-    cells in the pass.  Estimator domain errors abort the run and carry the
-    offending sample index.
+    chunk, the cells are folded in their given order: each cell writes its
+    ``y = theta + z``, its estimate, then its error into the worker's
+    ``cell`` buffer, so no estimator sees z; every cell pairs its estimate
+    with the score z, and each chunk's one ``from_batch(z, z)`` and norms
+    ‖z_i‖² serve every ML cell.  Per-chunk moments are merged as they
+    arrive, in chunk order and in contiguous batches (Chan, Golub & LeVeque
+    1979), so each cell's result is independent of the worker count and of
+    the other cells in the pass.  Estimator domain errors abort the run and
+    carry the offending sample index.
     """
     check_thetas([theta for _, theta in cells])
     if not cells:
@@ -531,15 +528,14 @@ def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
         z_sums = _squared_error_sums(z, workspace)
         results = []
         for kind, theta in cells:
-            y = _read_only(np.add(z, theta, out=workspace.buffer("y", z.shape)))
+            y = np.add(z, theta, out=workspace.buffer("cell", z.shape))
             if kind is EstimatorKind.ML:
                 results.append((replace(z_moments, mean_a=_column_mean(y)), *z_sums))
                 continue
-            buffer = workspace.buffer("estimate", z.shape)
-            est = estimate_batch(kind, y, index_offset=start, out=buffer)
+            est = estimate_batch(kind, y, index_offset=start, out=y)
             moments = StreamingMoments.from_batch(
                 est, z, out=workspace.buffer("centered", z.shape))
-            err = np.subtract(est, theta, out=buffer)  # the error replaces the estimate
+            err = np.subtract(est, theta, out=est)  # the error replaces the estimate
             results.append((moments, *_squared_error_sums(err, workspace)))
         return results
 
@@ -572,8 +568,8 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass: per chunk, the count and the mean of the
-    estimates, formed as ``collect_cells`` forms them (``estimate_batch``
-    into the ``estimate`` buffer of the worker's workspace, then
+    estimates, formed as ``collect_cells`` forms them but in z itself
+    (``y = theta + z`` in place, ``estimate_batch`` over y, then
     ``_column_mean``), and merged in the batches of ``collect_cells`` by
     ``_pooled_mean`` (the update ``StreamingMoments.merge`` applies), so a
     row equals the ``mean_a`` of ``collect_cells`` on the same stream bit
@@ -586,9 +582,8 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     check_thetas(grid)
 
     def chunk(theta: float, z: np.ndarray, start: int, workspace: Workspace):
-        y = _read_only(np.add(z, theta, out=z))
-        out = workspace.buffer("estimate", y.shape)
-        return len(y), _column_mean(estimate_batch(kind, y, index_offset=start, out=out))
+        y = np.add(z, theta, out=z)
+        return len(y), _column_mean(estimate_batch(kind, y, index_offset=start, out=y))
 
     n_chunks = len(_chunk_ranges(config.n_samples))
     rows = np.empty((grid.size, config.k))

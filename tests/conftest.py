@@ -3,6 +3,10 @@ calibrations, assessment cells and their reports, and power evaluations
 at the default seed are computed once per session, each from one shared
 pass over its stream."""
 
+# first, so that the CLI's OPENBLAS_NUM_THREADS default is set before numpy
+# loads: the tests run under the BLAS threads of the command line
+import steinsim.cli  # noqa: F401
+
 import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2
@@ -29,7 +33,9 @@ def sweep_values(config, theta, fold, stream=0):
     parts = []
 
     def at_theta(z, start, workspace):
-        return fold(mc._read_only(np.add(z, theta, out=z)), start, workspace)
+        y = np.add(z, theta, out=z)
+        y.flags.writeable = False
+        return fold(y, start, workspace)
 
     mc.sweep(config, at_theta, lambda start, result: parts.append(result), stream)
     return np.concatenate(parts)

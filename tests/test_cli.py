@@ -415,6 +415,25 @@ def test_all_marks_failed_steps_and_exits_2(tmp_path, capsys):
     assert "table2" in manifest["failures"]
 
 
+def test_all_leaves_no_file_of_an_earlier_run_in_a_reused_directory(tmp_path, capsys):
+    # each run's files are exactly its own reports': a failing table2 takes
+    # the earlier table2.csv and its sidecar away, and a later success its
+    # table2.FAILED
+    out_dir = tmp_path / "reused"
+    sidecars = {f"{name}.manifest.json" for name in DATA_FILES if name.endswith(".csv")}
+    complete = {*DATA_FILES, *sidecars, "manifest.json"}
+    for samples, code, files in [
+        ("20000", 0, complete),
+        ("6000", 2, complete - {"table2.csv", "table2.csv.manifest.json"} | {"table2.FAILED"}),
+        ("20000", 0, complete),
+    ]:
+        assert run(capsys, ["all", "--samples", samples, "--seed", "1",
+                            "--output", str(out_dir)])[0] == code, samples
+        assert {p.name for p in out_dir.iterdir()} == files, samples
+        for manifest in out_dir.glob("*manifest.json"):
+            assert json.loads(manifest.read_text())["samples"] == int(samples), manifest
+
+
 def test_all_singular_covariance_fails_table3_only(tmp_path, monkeypatch, capsys):
     # table1 and table3 share the stream-0 cells; only table3 inverts V
     def singular(moments, kind, theta):

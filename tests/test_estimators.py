@@ -52,6 +52,19 @@ def test_estimate_batch_writes_into_out(kind):
     assert np.array_equal(out, np.full_like(y, 7.0) if ml else estimate_batch(kind, y))
 
 
+@pytest.mark.parametrize("kind", [EstimatorKind.ML, EstimatorKind.JS, lambda b: 2.0 * b,
+                                  lambda b: b[:, ::-1]],
+                         ids=["ml", "js", "callable", "callable-view"])
+def test_an_estimate_over_its_own_input_equals_the_estimate_out_of_place(kind):
+    # out=y overwrites y with its estimate bit for bit, also when a callable
+    # returns a view of the y it reads
+    y = np.random.default_rng(6).normal(size=(16, 5))
+    expected = np.array(estimate_batch(kind, y.copy()))
+    got = estimate_batch(kind, y, out=y)
+    assert got is y
+    assert got.tobytes() == expected.tobytes()
+
+
 def test_ml_estimate_into_its_own_input_is_the_input():
     y = np.array([[1.0, 2.0]])
     y.flags.writeable = False

@@ -18,7 +18,7 @@ from scipy.special import ndtri
 
 from conftest import sweep_values
 from steinsim import mc
-from steinsim.estimators import EstimatorKind
+from steinsim.estimators import EstimatorKind, estimate_batch
 from steinsim.hyptest import null_calibrations, paired_semitail, power_table
 from steinsim.mc import (
     CHUNK_SAMPLES,
@@ -175,13 +175,24 @@ def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
     assert peak <= 2.25 * nbytes
 
 
-def test_a_mean_pass_holds_about_three_chunk_arrays():
-    # z and its words while the chunk is drawn, and the worker's estimate
-    # buffer, which the second chunk reuses (each row's pass frees its
-    # own), plus some row vectors
+def test_a_mean_pass_holds_about_two_chunk_arrays():
+    # z and its words while the chunk is drawn; y and its estimate are
+    # written over z, so the rest is row vectors
     cfg = SimulationConfig(k=64, theta=0.0, n_samples=2 * CHUNK_SAMPLES, seed=3)
     peak = _peak_bytes(lambda: tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0], cfg))
-    assert peak <= 3.25 * CHUNK_SAMPLES * 64 * 8
+    assert peak <= 2.25 * CHUNK_SAMPLES * 64 * 8
+
+
+def test_a_stream_0_pass_holds_one_cell_buffer_per_worker():
+    # the ten cells that table1 and table3 share, on one worker: z, the
+    # cell buffer that holds each cell's y, estimate and error in turn, the
+    # centered buffer, and z's words while a chunk is drawn (16 words per
+    # sample at k = 14), plus vectors and k x k moments
+    cells = [(kind, theta) for kind in (EstimatorKind.JS, EstimatorKind.ML)
+             for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
+    cfg = SimulationConfig(k=14, theta=0.0, n_samples=2 * CHUNK_SAMPLES, seed=3)
+    peak = _peak_bytes(lambda: collect_cells(cells, cfg))
+    assert peak <= 4.6 * CHUNK_SAMPLES * 14 * 8
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
@@ -575,13 +586,23 @@ def _writes_into_its_input(y):
 ], ids=["only-cell", "earlier-theta", "shared-theta"])
 def test_an_estimator_cannot_write_into_the_shared_draws(cells):
     # each cell's y is formed from the chunk's shared z in a buffer that the
-    # pass reuses, and is read-only, so an estimator that writes into its
-    # input fails
+    # pass reuses; no pass makes it read-only, but estimate_batch hands a
+    # callable a read-only view, so an estimator that writes into its input
+    # fails
     cfg = _cfg(n_samples=1000)
     with pytest.raises(ValueError, match="read-only"):
         collect_cells(cells, cfg)
     with pytest.raises(ValueError, match="read-only"):
         tabulate_mean_function(_writes_into_its_input, [0.5], cfg)
+
+
+def test_estimate_batch_refuses_a_callable_that_writes_into_a_writable_input():
+    # the guard is at the one call that runs foreign code, not in the passes
+    y = np.random.default_rng(5).normal(size=(8, 3))
+    before = y.copy()
+    with pytest.raises(ValueError, match="read-only"):
+        estimate_batch(_writes_into_its_input, y)
+    assert np.array_equal(y, before)
 
 
 @settings(derandomize=True, max_examples=15, deadline=None)
