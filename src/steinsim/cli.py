@@ -27,13 +27,15 @@ CPU beside them.  The CSVs are byte-identical either way; under the Haswell
 kernel, ``table3_eigenvalues.json`` is not.  To override it, set the
 variable, e.g. ``OPENBLAS_NUM_THREADS=4 steinsim all``.  Importing the
 library without this module (``steinsim.mc`` and the rest) leaves the
-environment alone.
+environment alone, and numpy loaded before this module keeps the threads it
+started with; every manifest records the count OpenBLAS runs as
+``provenance.blas.threads``.
 
 Start-up: importing this module loads numpy, ``steinsim`` and scipy's
 ``ndtri`` ufunc module, but not the ``scipy.special`` package (see the
 ``mc`` contract) nor ``scipy.stats``, which no library module imports.
-``import steinsim.cli`` takes about 0.16 s on a 2-core x86-64 host,
-against about 0.36 s with the ``scipy.special`` package.
+On a 2-core x86-64 host (numpy 2.4.6, scipy 1.17.1), ``import steinsim.cli``
+took about 0.18 s, and the ``scipy.special`` package would add about 0.21 s.
 """
 
 from __future__ import annotations
@@ -190,26 +192,45 @@ def _validate(args) -> None:
 
 
 def _config(args) -> mc.SimulationConfig:
-    return mc.SimulationConfig(k=args.k, theta=0.0, n_samples=args.samples,
-                               seed=args.seed, n_workers=args.workers)
+    return mc.SimulationConfig(k=args.k, n_samples=args.samples, seed=args.seed,
+                               n_workers=args.workers)
+
+
+@functools.cache
+def _openblas() -> ctypes.CDLL | None:
+    """numpy's bundled ``libscipy_openblas64_`` library, opened once with the
+    signatures of the two queries a manifest reads, or None if numpy bundles
+    none."""
+    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
+                  .glob("libscipy_openblas64_*.so"))
+    if not libs:
+        return None
+    lib = ctypes.CDLL(str(libs[0]))
+    lib.scipy_openblas_get_corename64_.argtypes = []
+    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
+    lib.scipy_openblas_get_num_threads64_.argtypes = []
+    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+    return lib
 
 
 def _blas_kernel() -> str | None:
     """The CPU kernel that numpy's bundled OpenBLAS picked at load, or None
-    if numpy bundles no ``libscipy_openblas64_`` library.
+    if numpy bundles no OpenBLAS.
 
     That OpenBLAS is built with ``DYNAMIC_ARCH``, and its kernel can change
     the last bits of the k x k products and LAPACK results, so the full
     precision of ``table3_eigenvalues.json`` can differ between kernels.
     """
-    libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
-                  .glob("libscipy_openblas64_*.so"))
-    if not libs:
-        return None
-    corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
-    corename.argtypes = []
-    corename.restype = ctypes.c_char_p
-    return corename().decode()
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
+
+
+def _blas_threads() -> int | None:
+    """The threads that numpy's bundled OpenBLAS runs, as the library
+    reports them, or None if numpy bundles no OpenBLAS (see "BLAS threads"
+    in the module docstring)."""
+    lib = _openblas()
+    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
 
 
 def _provenance() -> dict:
@@ -219,7 +240,7 @@ def _provenance() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "kernel": _blas_kernel()},
+                 "kernel": _blas_kernel(), "threads": _blas_threads()},
         "threads_env": {name: value for name, value in sorted(os.environ.items())
                         if name.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,

@@ -18,9 +18,10 @@ depends on chunking or worker count:
   ``u = min((m + 0.5) / 2**53, 1 - 2**-53)``, whose clamp moves only
   m = 2**53 - 1 (``m + 0.5`` rounds half-to-even for m >= 2**52, here up
   to 2**53, u = 1 and z = +inf), and through the inverse normal CDF
-  ``ndtri``; the first ``k`` of the ``w`` words are used.  The
-  inverse-CDF map is part of the contract: it consumes a fixed number of
-  words per sample and reproduces the normal tails exactly.  ``ndtri`` is
+  ``ndtri``; the first ``k`` of the ``w`` words are used, and these
+  standard normals z are the draw, with no mean added.  The inverse-CDF
+  map is part of the contract: it consumes a fixed number of words per
+  sample and reproduces the normal tails exactly.  ``ndtri`` is
   ``scipy.special.ndtri``, the same ufunc object, but loaded from
   ``scipy.special._ufuncs`` without running the package's ``__init__``
   unless ``scipy.special`` is already imported (``_scipy_ndtri``): that
@@ -55,9 +56,9 @@ depends on chunking or worker count:
   ``StreamingMoments.merge`` applies, so each row equals the moments
   pass's ``mean_a`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``,
-  which folds one function over the stream's chunks.  Each chunk's ``z`` is
-  drawn once, into the ``z`` buffer of the worker's ``Workspace``, and
-  handed to the fold, which may overwrite it; ``take`` is the pass's one
+  which folds one function over the stream's chunks.  Each chunk's draw is
+  its ``z``, made once into the ``z`` buffer of the worker's ``Workspace``
+  and handed to the fold, which may overwrite it; ``take`` is the pass's one
   output: it merges, fills or adds up each chunk's result, keeping no list,
   on the thread that called the pass, so the workers only draw and fold.
   A fold that needs ``y = theta + z`` forms it itself.  The mean-function
@@ -106,7 +107,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -163,22 +164,22 @@ THETA_LIMIT = 2.0**43  # every cell needs |theta| below it (see the contract)
 class SimulationConfig:
     """Determinism contract of a pass: k, n_samples, seed and n_workers.
 
-    ``theta`` is only the mean that ``draw_block`` adds: a sweep draws at
-    theta = 0, and every pass takes its thetas as arguments.
+    Every draw is z, and every pass takes its thetas as arguments; no field
+    keeps a theta, and only ``theta=0.0`` (``perfbench/meanfn.py``) is taken.
     """
 
     k: int
-    theta: float
+    theta: InitVar[float] = 0.0
     n_samples: int = DEFAULT_SAMPLES
     seed: int = DEFAULT_SEED
     n_workers: int = 1
 
-    def __post_init__(self):
+    def __post_init__(self, theta):
+        if theta != 0.0:
+            raise ValueError("a config has no theta: every pass takes its thetas as arguments")
         k = _integer(self.k)
         if k is None or k < 1:
             raise ValueError("k must be a positive integer")
-        if not np.isfinite(self.theta):
-            raise ValueError("theta must be finite")
         n_samples = _integer(self.n_samples)
         if n_samples is None or n_samples < 1:
             raise ValueError("n_samples must be a positive integer")
@@ -189,7 +190,6 @@ class SimulationConfig:
         if n_workers is None or n_workers < 1:
             raise ValueError("n_workers must be a positive integer")
         object.__setattr__(self, "k", k)
-        object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "n_samples", n_samples)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "n_workers", n_workers)
@@ -216,8 +216,8 @@ def _integer(value) -> int | None:
 
 def draw_block(config: SimulationConfig, start: int, count: int,
                stream: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Observations y = theta * 1 + z for samples [start, start + count) of a
-    stream, written into ``out`` (a float64 (count, k) array) if given."""
+    """Standard normals z for samples [start, start + count) of a stream,
+    written into ``out`` (a float64 (count, k) array) if given."""
     if start < 0 or count < 0 or start + count > config.n_samples:
         raise IndexError(
             f"sample range [{start}, {start + count}) outside "
@@ -228,13 +228,12 @@ def draw_block(config: SimulationConfig, start: int, count: int,
     bg.advance(start * words // 4)
     raw = bg.random_raw(count * words).reshape(count, words)
     np.right_shift(raw, 11, out=raw)
-    y = np.empty((count, config.k)) if out is None else out
-    np.copyto(y, raw[:, :config.k], casting="unsafe")  # exact below 2**53
-    np.add(y, 0.5, out=y)
-    np.multiply(y, 2.0**-53, out=y)
-    np.minimum(y, 1.0 - 2.0**-53, out=y)  # the open interval (see the contract)
-    ndtri(y, out=y)
-    return np.add(y, config.theta, out=y)
+    z = np.empty((count, config.k)) if out is None else out
+    np.copyto(z, raw[:, :config.k], casting="unsafe")  # exact below 2**53
+    np.add(z, 0.5, out=z)
+    np.multiply(z, 2.0**-53, out=z)
+    np.minimum(z, 1.0 - 2.0**-53, out=z)  # the open interval (see the contract)
+    return ndtri(z, out=z)
 
 
 # ---------------------------------------------------------------------------
@@ -443,24 +442,22 @@ def sweep(config: SimulationConfig, fold: Fold,
     """One chunk-major pass over a stream, folding ``fold`` over its chunks.
 
     ``config`` supplies k, n_samples, seed and n_workers.  For every chunk,
-    ``fold(z, start, workspace)`` gets the chunk's standard normals ``z``
-    (``draw_block`` at theta = 0, whatever ``config.theta``) in the ``z``
-    buffer of ``workspace``, the ``Workspace`` of the worker thread that
-    folds the chunk, one per worker for the whole pass.  It may overwrite
-    ``z``, but must not keep it or a workspace buffer after it returns (see
-    the module contract).  ``take(start, result)`` receives each chunk's
-    first sample index and its fold's result, in chunk order, on the thread
-    that called ``sweep`` (``_map_ordered`` keeps the order), and the sweep
-    keeps no result once taken.
+    ``fold(z, start, workspace)`` gets the chunk's draw, its standard normals
+    ``z``, in the ``z`` buffer of ``workspace``, the ``Workspace`` of the
+    worker thread that folds the chunk, one per worker for the whole pass.
+    It may overwrite ``z``, but must not keep it or a workspace buffer after
+    it returns (see the module contract).  ``take(start, result)`` receives
+    each chunk's first sample index and its fold's result, in chunk order,
+    on the thread that called ``sweep`` (``_map_ordered`` keeps the order),
+    and the sweep keeps no result once taken.
     """
-    origin = replace(config, theta=0.0)
     local = threading.local()
 
     def chunk(start: int, count: int) -> Callable[[], None]:
         workspace = getattr(local, "workspace", None)
         if workspace is None:
             workspace = local.workspace = Workspace()
-        z = draw_block(origin, start, count, stream,
+        z = draw_block(config, start, count, stream,
                        out=workspace.buffer("z", (count, config.k)))
         return functools.partial(take, start, fold(z, start, workspace))
 

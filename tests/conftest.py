@@ -64,7 +64,7 @@ def ml_power_oracle(theta_alt, alpha, k, mu0=MU0):
 
 @pytest.fixture(scope="session")
 def full_config():
-    return SimulationConfig(k=K, theta=0.0, n_samples=FULL_N,
+    return SimulationConfig(k=K, n_samples=FULL_N,
                             seed=DEFAULT_SEED, n_workers=2)
 
 

@@ -216,8 +216,7 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
     # function (step 1e-2) against the score-covariance identity
     theta, h = 1.25, 1e-2
     n = 1_000_000
-    cfg = SimulationConfig(k=14, theta=theta, n_samples=n, seed=DEFAULT_SEED,
-                           n_workers=2)
+    cfg = SimulationConfig(k=14, n_samples=n, seed=DEFAULT_SEED, n_workers=2)
     grid = np.array([theta - h, theta + h])
     mean_fn = tabulate_mean_function(JS, grid, cfg)[:, 0]
     fd = (mean_fn[1] - mean_fn[0]) / (2 * h)
@@ -240,8 +239,7 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
 
 def test_08d_monotone_transform_invariance():
     n = 100_000
-    cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=n,
-                           seed=DEFAULT_SEED)
+    cfg = SimulationConfig(k=14, n_samples=n, seed=DEFAULT_SEED)
     failures = []
     for kind in (JS, ML):
         plain = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]

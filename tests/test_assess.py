@@ -15,7 +15,7 @@ from steinsim.mc import (
 
 
 def _cfg(n=100_000, seed=42, workers=1):
-    return SimulationConfig(k=14, theta=0.0, n_samples=n, seed=seed,
+    return SimulationConfig(k=14, n_samples=n, seed=seed,
                             n_workers=workers)
 
 
@@ -104,8 +104,8 @@ def test_component_slopes_respect_the_information_bound():
     # bounded by sqrt(k)
     from steinsim.estimators import estimate_batch
 
-    cfg = SimulationConfig(k=14, theta=1.25, n_samples=100_000, seed=23)
-    y = draw_block(cfg, 0, cfg.n_samples)
+    cfg = SimulationConfig(k=14, n_samples=100_000, seed=23)
+    y = draw_block(cfg, 0, cfg.n_samples) + 1.25
     subfamily_score = (y - 1.25).sum(axis=1)
     for kind in (EstimatorKind.ML, EstimatorKind.JS):
         est = estimate_batch(kind, y)
@@ -164,7 +164,7 @@ def test_lambda_stderr_uses_at_most_32_contiguous_batches(n_chunks):
     stderrs = []
     for workers in (1, 2):
         cell, = collect_cells([(EstimatorKind.JS, 0.5)],
-                              SimulationConfig(k=4, theta=0.0, n_samples=n, seed=27,
+                              SimulationConfig(k=4, n_samples=n, seed=27,
                                                n_workers=workers))
         assert [m.count for m in cell.batch_moments] == expected
         total = cell.batch_moments[0]
@@ -175,3 +175,19 @@ def test_lambda_stderr_uses_at_most_32_contiguous_batches(n_chunks):
         stderrs.append(assess_moments(EstimatorKind.JS, 0.5, cell).lambda_stderr)
     assert np.array_equal(stderrs[0], stderrs[1], equal_nan=True)
     assert np.isnan(stderrs[0]) == (n_chunks == 1)
+
+
+@pytest.mark.parametrize("last, error", [(1, ValueError), (10, SingularCovarianceError)])
+def test_lambda_stderr_skips_a_batch_that_gives_no_information(last, error):
+    # four chunks are four one-chunk batches; a last batch of one sample has
+    # no covariance, and one of 10 < k = 14 samples a singular one, so the
+    # stderr is that of the first three batches
+    cell, = collect_cells([(EstimatorKind.JS, 0.5)], _cfg(n=3 * CHUNK_SAMPLES + last, seed=5))
+    assert [m.count for m in cell.batch_moments] == [CHUNK_SAMPLES] * 3 + [last]
+    *full, short = [CellMoments(m, 0.0, 0.0, ()) for m in cell.batch_moments]
+    with pytest.raises(error):
+        assess_moments(EstimatorKind.JS, 0.5, short)
+    traces = [assess_moments(EstimatorKind.JS, 0.5, batch).scalar_lambda for batch in full]
+    stderr = assess_moments(EstimatorKind.JS, 0.5, cell).lambda_stderr
+    assert stderr == np.std(traces, ddof=1) / np.sqrt(3)
+    assert stderr == pytest.approx(0.036628, abs=1e-6)

@@ -1,7 +1,9 @@
 """The benchmark's library workload and tracer run against this tree's sources.
 
-``perfbench/meanfn.py`` builds ``SimulationConfig(theta=0.0, ...)`` and calls
-``mc.tabulate_mean_function`` with ``EstimatorKind.JS``;
+``perfbench/meanfn.py`` builds ``SimulationConfig(k=K, theta=0.0, ...)``,
+the last caller of the ``theta`` init-only parameter, which a config accepts
+only as 0.0 and keeps in no field, and calls ``mc.tabulate_mean_function``
+with ``EstimatorKind.JS``;
 ``perfbench/layertrace.py`` wraps ``mc._map_ordered(fn, ranges, n_workers)``,
 ``mc.draw_block`` and ``mc.StreamingMoments.from_batch`` by name. A change to
 that API must come with a change to the benchmark.

@@ -5,8 +5,10 @@ import hashlib
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 import numpy as np
@@ -229,7 +231,7 @@ def test_overflowing_moments_are_a_numerical_failure():
     def huge(y):
         return 1e170 * y
 
-    cfg = mc.SimulationConfig(k=14, theta=0.0, n_samples=2000, seed=42)
+    cfg = mc.SimulationConfig(k=14, n_samples=2000, seed=42)
     with np.errstate(over="ignore", invalid="ignore"):
         cell, = mc.collect_cells([(huge, 0.5)], cfg)
         with pytest.raises(assess.SingularCovarianceError) as err:
@@ -703,19 +705,23 @@ def test_manifests_record_the_provenance_of_the_run(tmp_path, capsys):
                               "--output", str(out_dir)])
     assert code == 0
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    # the kernel numpy's bundled OpenBLAS runs, read from the library itself
+    # the kernel and threads numpy's bundled OpenBLAS runs, read from the
+    # library itself
     libs = list((Path(np.__file__).parent.parent / "numpy.libs")
                 .glob("libscipy_openblas64_*.so"))
-    kernel = None
+    kernel = threads = None
     if libs:
-        corename = ctypes.CDLL(str(libs[0])).scipy_openblas_get_corename64_
+        lib = ctypes.CDLL(str(libs[0]))
+        corename = lib.scipy_openblas_get_corename64_
         corename.argtypes, corename.restype = [], ctypes.c_char_p
         kernel = corename().decode()
-        assert kernel
+        threads = lib.scipy_openblas_get_num_threads64_()
+        assert kernel and threads >= 1
     expected = {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
-        "blas": {"name": blas["name"], "version": blas["version"], "kernel": kernel},
+        "blas": {"name": blas["name"], "version": blas["version"], "kernel": kernel,
+                 "threads": threads},
         "threads_env": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,
@@ -723,3 +729,50 @@ def test_manifests_record_the_provenance_of_the_run(tmp_path, capsys):
     assert "OPENBLAS_NUM_THREADS" in expected["threads_env"]
     for name in ("manifest.json", "table1.csv.manifest.json"):
         assert json.loads((out_dir / name).read_text())["provenance"] == expected, name
+
+
+def test_the_console_script_runs_the_cli(monkeypatch, capsys):
+    # the target that `pip install` makes the `steinsim` command run
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"]["steinsim"]
+    entry = pkgutil.resolve_name(target)
+    assert entry is cli.entry
+    monkeypatch.setattr(sys, "argv", ["steinsim", "--version"])
+    with pytest.raises(SystemExit) as exit_:
+        entry()
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == f"{steinsim.__version__}\n"
+
+
+# the threads numpy's bundled OpenBLAS runs, as the library reports them,
+# read without steinsim.cli (None if numpy bundles no OpenBLAS)
+PRINT_OPENBLAS_THREADS = (
+    "import ctypes, pathlib, numpy; "
+    "libs = sorted((pathlib.Path(numpy.__file__).parent.parent / 'numpy.libs')"
+    ".glob('libscipy_openblas64_*.so')); "
+    "print(ctypes.CDLL(str(libs[0])).scipy_openblas_get_num_threads64_() if libs else None)")
+
+
+def _manifest_blas(out, probe: str = "pass") -> tuple[str, dict]:
+    """stdout of ``probe`` then ``table1 --output out`` in a fresh
+    interpreter, and the ``provenance.blas`` of the run's manifest."""
+    argv = ["table1", "--samples", "2000", "--output", str(out)]
+    printed = _fresh_environment(f"{probe}; import steinsim.cli; "
+                                 f"print(steinsim.cli.main({argv!r}))")
+    manifest = json.loads(Path(str(out) + ".manifest.json").read_text())
+    return printed, manifest["provenance"]["blas"]
+
+
+def test_a_cli_run_records_its_one_blas_thread(tmp_path):
+    printed, blas = _manifest_blas(tmp_path / "table1.csv")
+    assert printed == "0"
+    assert blas["threads"] == (None if blas["kernel"] is None else 1)
+
+
+def test_a_manifest_records_the_blas_threads_of_numpy_loaded_first(tmp_path):
+    # numpy loaded before steinsim.cli starts OpenBLAS on its own count,
+    # whatever OPENBLAS_NUM_THREADS the CLI then sets
+    printed, blas = _manifest_blas(tmp_path / "table1.csv", PRINT_OPENBLAS_THREADS)
+    threads, code = printed.splitlines()
+    assert code == "0"
+    assert str(blas["threads"]) == threads

@@ -73,7 +73,7 @@ def test_ml_estimate_into_its_own_input_is_the_input():
 
 def test_ml_estimate_is_unbiased_monte_carlo():
     # law-of-large-numbers oracle at the default scale
-    cfg = SimulationConfig(k=14, theta=1.25, n_samples=1_000_000, seed=11, n_workers=2)
+    cfg = SimulationConfig(k=14, n_samples=1_000_000, seed=11, n_workers=2)
     cell, = collect_cells([(EstimatorKind.ML, 1.25)], cfg)
     mean_est = cell.moments.mean_a
     assert np.abs(mean_est - 1.25).max() <= 0.004
@@ -173,7 +173,7 @@ def test_non_finite_custom_estimate_fails_with_its_sample_index(bad):
         return est
 
     last = CHUNK_SAMPLES // 2
-    cfg = SimulationConfig(k=4, theta=0.0, n_samples=CHUNK_SAMPLES + last, seed=3)
+    cfg = SimulationConfig(k=4, n_samples=CHUNK_SAMPLES + last, seed=3)
     with pytest.raises(ValueError, match=f"sample index {CHUNK_SAMPLES + 10}$"):
         collect_cells([(poisoned, 0.0)], cfg)
     assert calls == [CHUNK_SAMPLES, last]
@@ -189,7 +189,7 @@ def test_custom_estimate_of_another_shape_fails(reshape):
     y = np.random.default_rng(7).normal(size=(8, 4))
     with pytest.raises(ValueError, match="shape"):
         estimate_batch(reshape, y)
-    cfg = SimulationConfig(k=4, theta=0.0, n_samples=1000, seed=3)
+    cfg = SimulationConfig(k=4, n_samples=1000, seed=3)
     with pytest.raises(ValueError, match="shape"):
         tabulate_mean_function(reshape, [0.5], cfg)
 
@@ -202,7 +202,7 @@ def test_custom_estimate_of_another_shape_fails(reshape):
 def test_js_component_curve_from_tabulated_means():
     # the JS first-component mean function rises strictly with theta
     k = 14
-    cfg = SimulationConfig(k=k, theta=1.25, n_samples=200_000, seed=22)
+    cfg = SimulationConfig(k=k, n_samples=200_000, seed=22)
     grid = np.arange(0.0, 2.5 + 1e-9, 0.25)
     mean_fn = tabulate_mean_function(EstimatorKind.JS, grid, cfg)[:, 0]
     assert np.all(np.diff(mean_fn) > 0)

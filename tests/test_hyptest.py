@@ -94,7 +94,7 @@ def test_statistics_from_row_sums_match_a_longdouble_reference(theta):
     # (y = a * 1 with a - (k - 2) / (k a) = mu0), where the JS statistic
     # cancels to about 0, and three rows beside them
     k, mu0 = 14, DEFAULT_MU0
-    cfg = SimulationConfig(k=k, theta=0.0, n_samples=8 * mc.CHUNK_SAMPLES, seed=3)
+    cfg = SimulationConfig(k=k, n_samples=8 * mc.CHUNK_SAMPLES, seed=3)
     a = (mu0 + math.sqrt(mu0 * mu0 + 4 * (k - 2) / k)) / 2
     z = np.vstack([mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM),
                    a - theta + 1e-9 * np.arange(4)[:, None] * np.ones(k)])
@@ -116,7 +116,7 @@ def test_power_counts_equal_the_direct_statistic_counts(seed):
     # power_table folds every cell from each chunk's S and Q; the counts
     # must be those of ‖estimate(y) - mu0‖² formed from y itself, against
     # the same critical values
-    cfg = SimulationConfig(k=14, theta=0.0, n_samples=3 * mc.CHUNK_SAMPLES + 1000,
+    cfg = SimulationConfig(k=14, n_samples=3 * mc.CHUNK_SAMPLES + 1000,
                            seed=seed, n_workers=2)
     calibrations = null_calibrations([JS, ML], DEFAULT_MU0, cfg)
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
@@ -183,13 +183,13 @@ def test_critical_value_is_the_exact_order_statistic(n, alpha):
 
 
 def test_insufficient_null_resolution():
-    cfg = SimulationConfig(k=14, theta=1.25, n_samples=5000, seed=1)
+    cfg = SimulationConfig(k=14, n_samples=5000, seed=1)
     with pytest.raises(NullResolutionError, match="insufficient null resolution"):
         _powers(ML, cfg, alphas=(0.01, 0.05))
 
 
 def test_calibration_rejects_bad_alphas():
-    cfg = SimulationConfig(k=14, theta=1.25, n_samples=20_000, seed=1)
+    cfg = SimulationConfig(k=14, n_samples=20_000, seed=1)
     with pytest.raises(ValueError):
         _powers(ML, cfg, alphas=(0.0,))
     with pytest.raises(ValueError):
@@ -199,6 +199,8 @@ def test_calibration_rejects_bad_alphas():
 def test_calibration_validates_sorted_null():
     with pytest.raises(ValueError, match="ascending"):
         NullCalibration(1.25, np.array([2.0, 1.0]))
+    with pytest.raises(ValueError, match="1-D"):
+        NullCalibration(1.25, np.arange(1.0, 201.0).reshape(100, 2))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -208,7 +210,7 @@ def test_calibration_refuses_a_non_finite_mu0(bad):
 
 
 def test_calibrations_share_the_read_only_null():
-    cfg = SimulationConfig(k=5, theta=1.25, n_samples=20_000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=20_000, seed=2)
     for calibration in null_calibrations([JS, ML], 1.25, cfg).values():
         values = calibration.sorted_null
         assert not values.flags.writeable
@@ -241,7 +243,7 @@ def test_power_table_names_a_missing_calibration(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
     calib = NullCalibration(1.25, np.arange(1.0, 201.0))
-    cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="no calibration for the ML estimator"):
         power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, (0.05,), cfg)
     assert draws == []  # before any draw
@@ -266,7 +268,7 @@ def _recording_draws(monkeypatch) -> list:
 
 def test_null_calibrations_refuse_an_estimator_with_no_statistic_before_any_draw(monkeypatch):
     draws = _recording_draws(monkeypatch)
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
         null_calibrations([JS, _no_statistic], 1.25, cfg)
     assert draws == []
@@ -276,7 +278,7 @@ def test_power_table_refuses_an_estimator_with_no_statistic_before_any_draw(monk
     # checked before the calibrations, which are keyed by EstimatorKind
     draws = _recording_draws(monkeypatch)
     calib = NullCalibration(1.25, np.arange(1.0, 201.0))
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
         power_table([(_no_statistic, 0.5)], {JS: calib}, (0.05,), cfg)
     assert draws == []
@@ -286,7 +288,7 @@ def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
     calib = NullCalibration(1.25, np.arange(1.0, 201.0))
-    cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(NullResolutionError, match=r"alpha=0\.05 \(need at least 2000\)"):
         power_table([(ML, 0.5)], {ML: calib}, (0.5, 0.05), cfg)
     assert draws == []
@@ -295,7 +297,7 @@ def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_power_table_rejects_a_non_finite_theta(bad):
     calib = NullCalibration(1.25, np.arange(1.0, 201.0))
-    cfg = SimulationConfig(k=5, theta=1.25, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="finite"):
         power_table([(ML, 0.5), (ML, bad)], {ML: calib}, (0.5,), cfg)
 
@@ -427,10 +429,21 @@ def test_paired_semitail_rejects_calibrations_at_different_null_means(monkeypatc
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
     calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
                     ML: NullCalibration(1.5, np.arange(1.0, 201.0))}
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="different null means"):
         paired_semitail(2.0, 10, calibrations, cfg)
     assert draws == []  # before any draw
+
+
+@pytest.mark.parametrize("n_points", [0, -1])
+def test_paired_semitail_refuses_no_points_before_any_draw(monkeypatch, n_points):
+    draws = []
+    monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
+    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
+                    ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
+    with pytest.raises(ValueError, match="n_points must be positive"):
+        paired_semitail(2.0, n_points, calibrations, SimulationConfig(k=5, seed=2))
+    assert draws == []
 
 
 @pytest.mark.parametrize("bad, error", [(math.nan, ValueError), (math.inf, ValueError),
@@ -440,7 +453,7 @@ def test_paired_semitail_refuses_a_bad_theta_before_any_draw(monkeypatch, bad, e
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
     calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
                     ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=1000, seed=2)
+    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(error):
         paired_semitail(bad, 10, calibrations, cfg)
     assert draws == []
@@ -457,10 +470,10 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
     # two chunks: every pair comes from the same sample of stream 3 as a
     # direct draw of the whole range
     theta, n_points = 2.0, mc.CHUNK_SAMPLES + 300
-    config = SimulationConfig(k=14, theta=0.0, seed=42, n_workers=workers)
+    config = SimulationConfig(k=14, seed=42, n_workers=workers)
     got_js, got_ml, shrinkage = paired_semitail(theta, n_points, full_calibrations, config)
-    y = mc.draw_block(SimulationConfig(k=14, theta=theta, n_samples=n_points, seed=42),
-                      0, n_points, PAIR_STREAM)
+    y = theta + mc.draw_block(SimulationConfig(k=14, n_samples=n_points, seed=42),
+                              0, n_points, PAIR_STREAM)
     assert np.array_equal(got_js, semitail(statistics(JS, y, DEFAULT_MU0),
                                            full_calibrations[JS]))
     assert np.array_equal(got_ml, semitail(statistics(ML, y, DEFAULT_MU0),
@@ -472,7 +485,7 @@ def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
     # both statistics and the shrinkage of a chunk come from one S and one Q
     calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
                     ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
-    config = SimulationConfig(k=5, theta=0.0, seed=2, n_workers=2)
+    config = SimulationConfig(k=5, seed=2, n_workers=2)
     n_points = mc.CHUNK_SAMPLES + 300
     expected = paired_semitail(2.0, n_points, calibrations, config)
     calls = []
@@ -529,7 +542,7 @@ def test_oracle_rejects_bad_alpha():
 
 def test_power_and_semitail_invariant_under_increasing_maps():
     n = 100_000
-    cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=n, seed=42)
+    cfg = SimulationConfig(k=14, n_samples=n, seed=42)
     for kind in (JS, ML):
         calib = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
         alt = _alternative_statistics(kind, 2.0, cfg)
@@ -549,8 +562,7 @@ def test_power_and_semitail_invariant_under_increasing_maps():
 def test_shared_passes_match_one_cell_passes_bitwise():
     # two chunks per stream; shared passes must reproduce the per-cell
     # results exactly, and power must equal the exceedance fraction
-    cfg = SimulationConfig(k=14, theta=DEFAULT_MU0, n_samples=70_000, seed=8,
-                           n_workers=2)
+    cfg = SimulationConfig(k=14, n_samples=70_000, seed=8, n_workers=2)
     calibrations = null_calibrations([JS, ML], DEFAULT_MU0, cfg)
     for kind in (JS, ML):
         nulls = calibrations[kind].sorted_null

@@ -5,7 +5,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,7 @@ from steinsim.mc import (
 
 
 def _cfg(**kw):
-    base = dict(k=14, theta=1.25, n_samples=200_000, seed=42, n_workers=1)
+    base = dict(k=14, n_samples=200_000, seed=42, n_workers=1)
     base.update(kw)
     return SimulationConfig(**base)
 
@@ -40,8 +40,8 @@ def _draw_sample(config, index, stream=0):
     return draw_block(config, index, 1, stream)[0]
 
 
-def _cell(kind, config, stream=0):
-    cell, = collect_cells([(kind, config.theta)], config, stream)
+def _cell(kind, theta, config, stream=0):
+    cell, = collect_cells([(kind, theta)], config, stream)
     return cell
 
 
@@ -86,7 +86,7 @@ def test_draws_do_not_depend_on_block_boundaries():
        count=st.integers(1, 300), cuts=st.lists(st.floats(0, 1), max_size=5))
 def test_draws_are_invariant_under_any_split_of_a_range(k, start, count, cuts):
     # any in-order split into at most 6 pieces, concatenated, equals one call
-    cfg = SimulationConfig(k=k, theta=0.0, n_samples=3 * CHUNK_SAMPLES + 300, seed=7)
+    cfg = SimulationConfig(k=k, n_samples=3 * CHUNK_SAMPLES + 300, seed=7)
     edges = [0, *sorted({int(c * count) for c in cuts}), count]
     pieces = [draw_block(cfg, start + lo, hi - lo, stream=4)
               for lo, hi in zip(edges, edges[1:])]
@@ -117,7 +117,7 @@ def test_blocked_draws_equal_the_one_shot_formula(k, start, count):
     # the draw maps its words in place, shift, conversion, add, scale and
     # ndtri in turn; every bit must be that of the one-shot formula
     # (compared as integers, so -0.0 and NaN payloads count)
-    cfg = SimulationConfig(k=k, theta=0.0, n_samples=6 * CHUNK_SAMPLES + 17, seed=7)
+    cfg = SimulationConfig(k=k, n_samples=6 * CHUNK_SAMPLES + 17, seed=7)
     z = draw_block(cfg, start, count, stream=4)
     expected = _one_shot_normals(7, 4, start, count, k)
     assert z.shape == (count, k) and z.dtype == np.float64
@@ -170,7 +170,7 @@ def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
     # the block is the chunk's own words, which at k = 64 (a multiple of 4)
     # take as many bytes as the normals they become
     nbytes = CHUNK_SAMPLES * 64 * 8
-    cfg = SimulationConfig(k=64, theta=0.0, n_samples=CHUNK_SAMPLES, seed=3)
+    cfg = SimulationConfig(k=64, n_samples=CHUNK_SAMPLES, seed=3)
     peak = _peak_bytes(lambda: draw_block(cfg, 0, CHUNK_SAMPLES))
     assert peak <= 2.25 * nbytes
 
@@ -178,7 +178,7 @@ def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
 def test_a_mean_pass_holds_about_two_chunk_arrays():
     # z and its words while the chunk is drawn; y and its estimate are
     # written over z, so the rest is row vectors
-    cfg = SimulationConfig(k=64, theta=0.0, n_samples=2 * CHUNK_SAMPLES, seed=3)
+    cfg = SimulationConfig(k=64, n_samples=2 * CHUNK_SAMPLES, seed=3)
     peak = _peak_bytes(lambda: tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0], cfg))
     assert peak <= 2.25 * CHUNK_SAMPLES * 64 * 8
 
@@ -190,7 +190,7 @@ def test_a_stream_0_pass_holds_one_cell_buffer_per_worker():
     # sample at k = 14), plus vectors and k x k moments
     cells = [(kind, theta) for kind in (EstimatorKind.JS, EstimatorKind.ML)
              for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
-    cfg = SimulationConfig(k=14, theta=0.0, n_samples=2 * CHUNK_SAMPLES, seed=3)
+    cfg = SimulationConfig(k=14, n_samples=2 * CHUNK_SAMPLES, seed=3)
     peak = _peak_bytes(lambda: collect_cells(cells, cfg))
     assert peak <= 4.6 * CHUNK_SAMPLES * 14 * 8
 
@@ -205,7 +205,7 @@ def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
         init(self, *args)
 
     monkeypatch.setattr(mc.Workspace, "__init__", counting)
-    cfg = SimulationConfig(k=3, theta=0.0, n_samples=3 * CHUNK_SAMPLES + 123, seed=24,
+    cfg = SimulationConfig(k=3, n_samples=3 * CHUNK_SAMPLES + 123, seed=24,
                            n_workers=workers)
     collect_cells([(EstimatorKind.JS, 0.0), (EstimatorKind.ML, 1.0)], cfg)
     assert 1 <= len(built) <= workers
@@ -213,10 +213,10 @@ def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
-    # whatever config.theta, each fold sees draw_block at theta = 0 bit for
-    # bit, even after the folds before it wrote over their z in the reused
-    # buffer; results reach take in chunk order, the short last chunk too
-    cfg = SimulationConfig(k=3, theta=7.5, n_samples=3 * CHUNK_SAMPLES + 123, seed=29,
+    # each fold sees draw_block's z bit for bit, even after the folds before
+    # it wrote over their z in the reused buffer; results reach take in
+    # chunk order, the short last chunk too
+    cfg = SimulationConfig(k=3, n_samples=3 * CHUNK_SAMPLES + 123, seed=29,
                            n_workers=workers)
     taken = []
 
@@ -229,9 +229,8 @@ def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
     assert [(start, len(z)) for start, z in taken] == [
         (0, CHUNK_SAMPLES), (CHUNK_SAMPLES, CHUNK_SAMPLES),
         (2 * CHUNK_SAMPLES, CHUNK_SAMPLES), (3 * CHUNK_SAMPLES, 123)]
-    origin = replace(cfg, theta=0.0)
     for start, z in taken:
-        assert np.array_equal(z, draw_block(origin, start, len(z), stream=6)), start
+        assert np.array_equal(z, draw_block(cfg, start, len(z), stream=6)), start
 
 
 def test_block_straddling_chunk_sized_offsets():
@@ -257,9 +256,8 @@ def test_results_identical_across_worker_counts():
     moments = {}
     for workers in (1, 2, 8):
         cfg = _cfg(n_workers=workers)
-        stats[workers] = sweep_values(cfg, cfg.theta, lambda y, s, _: y.sum(axis=1),
-                                      stream=9)
-        moments[workers] = _cell(EstimatorKind.JS, cfg)
+        stats[workers] = sweep_values(cfg, 1.25, lambda y, s, _: y.sum(axis=1), stream=9)
+        moments[workers] = _cell(EstimatorKind.JS, 1.25, cfg)
     for workers in (2, 8):
         assert np.array_equal(stats[1], stats[workers])
         assert np.array_equal(moments[1].moments.mean_a, moments[workers].moments.mean_a)
@@ -271,30 +269,43 @@ def test_results_identical_across_worker_counts():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        SimulationConfig(k=0, theta=0.0)
+        SimulationConfig(k=0)
     with pytest.raises(ValueError):
-        SimulationConfig(k=3, theta=np.nan)
+        SimulationConfig(k=3, n_samples=0)
     with pytest.raises(ValueError):
-        SimulationConfig(k=3, theta=0.0, n_samples=0)
+        SimulationConfig(k=3, seed=-1)
     with pytest.raises(ValueError):
-        SimulationConfig(k=3, theta=0.0, seed=-1)
+        SimulationConfig(k=3, seed=2**64)
     with pytest.raises(ValueError):
-        SimulationConfig(k=3, theta=0.0, seed=2**64)
-    with pytest.raises(ValueError):
-        SimulationConfig(k=3, theta=0.0, n_workers=0)
+        SimulationConfig(k=3, n_workers=0)
+
+
+def test_a_config_holds_no_theta():
+    # every draw is z and every pass takes its thetas as arguments: the
+    # constructor accepts theta=0.0 only, and no field keeps it
+    assert [f.name for f in fields(SimulationConfig)] == ["k", "n_samples", "seed", "n_workers"]
+    cfg = SimulationConfig(k=3)
+    assert SimulationConfig(k=3, theta=0.0) == cfg
+    assert hash(SimulationConfig(k=3, theta=0.0)) == hash(cfg)
+    assert "theta" not in repr(cfg) and "theta" not in vars(cfg)
+    for bad in (0.5, -1.25, math.nan, math.inf):
+        with pytest.raises(ValueError, match="every pass takes its thetas as arguments"):
+            SimulationConfig(k=3, theta=bad)
+    with pytest.raises(ValueError, match="every pass takes its thetas as arguments"):
+        replace(cfg, theta=0.5)
 
 
 @pytest.mark.parametrize("field", ["k", "n_samples", "seed", "n_workers"])
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, True, np.True_, 2.5, "3"])
 def test_config_rejects_non_integers(field, bad):
-    kw = dict(k=3, theta=0.0)
+    kw = dict(k=3)
     kw[field] = bad
     with pytest.raises(ValueError):
         SimulationConfig(**kw)
 
 
 def test_config_accepts_integral_numbers():
-    cfg = SimulationConfig(k=np.int64(3), theta=0, n_samples=10.0, seed=np.uint64(7),
+    cfg = SimulationConfig(k=np.int64(3), n_samples=10.0, seed=np.uint64(7),
                            n_workers=2.0)
     assert (cfg.k, cfg.n_samples, cfg.seed, cfg.n_workers) == (3, 10, 7, 2)
     assert all(type(v) is int for v in (cfg.k, cfg.n_samples, cfg.seed, cfg.n_workers))
@@ -307,8 +318,8 @@ def test_config_accepts_integral_numbers():
 
 def test_draw_moments_match_the_model():
     n = 1_000_000
-    cfg = SimulationConfig(k=14, theta=1.25, n_samples=n, seed=13, n_workers=2)
-    y = sweep_values(cfg, cfg.theta, lambda y, s, _: y.copy())
+    cfg = SimulationConfig(k=14, n_samples=n, seed=13, n_workers=2)
+    y = sweep_values(cfg, 1.25, lambda y, s, _: y.copy())
     mean = y.mean(axis=0)
     assert np.abs(mean - 1.25).max() <= 0.004
     var = y.var(axis=0, ddof=1)
@@ -322,7 +333,7 @@ def test_draw_moments_match_the_model():
 
 
 def test_normals_are_inside_the_open_interval():
-    z = draw_block(SimulationConfig(k=16, theta=0.0, n_samples=4096, seed=1), 0, 4096)
+    z = draw_block(SimulationConfig(k=16, n_samples=4096, seed=1), 0, 4096)
     assert np.all(np.isfinite(z))
 
 
@@ -340,7 +351,7 @@ def test_the_extreme_words_give_finite_normals(monkeypatch):
             return np.resize(np.array([2**64 - 1, 0], dtype=np.uint64), size)
 
     monkeypatch.setattr(mc, "Philox", Extremes)
-    z = draw_block(SimulationConfig(k=14, theta=0.0, n_samples=8, seed=1), 0, 8)
+    z = draw_block(SimulationConfig(k=14, n_samples=8, seed=1), 0, 8)
     assert np.all(np.isfinite(z))
     assert z.max() == ndtri(np.nextafter(1.0, 0.0)) and z.min() == ndtri(2.0**-54)
 
@@ -370,6 +381,11 @@ def test_accumulate_needs_two_samples_for_covariance():
         _ = moments.cov_aa
     with pytest.raises(ValueError):
         StreamingMoments.from_batch(np.ones((0, 2)), np.ones((0, 2)))
+
+
+def test_from_batch_refuses_rows_that_are_not_paired():
+    with pytest.raises(ValueError, match="paired with a"):
+        StreamingMoments.from_batch(np.ones((5, 2)), np.ones((4, 2)))
 
 
 def test_accumulate_matches_direct_covariance():
@@ -482,7 +498,7 @@ def test_ml_cells_take_their_moments_from_the_score(workers):
     # times |delta| <~ 0.1 times the weight n_a n_b / n <= n / 4, under
     # 1e-14 n (at most 9.1e-13 here, with n = 8096)
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
-    z = draw_block(replace(cfg, theta=0.0), 0, cfg.n_samples, stream=5)
+    z = draw_block(cfg, 0, cfg.n_samples, stream=5)
     head, tail = z[:CHUNK_SAMPLES], z[CHUNK_SAMPLES:]
     expected = StreamingMoments.from_batch(head, head).merge(
         StreamingMoments.from_batch(tail, tail))
@@ -511,8 +527,8 @@ def test_sample_covariance_is_positive_semidefinite():
 def test_score_cross_covariance_is_identity():
     # Cov(y, y - mu) has identity covariance under the model
     n = 1_000_000
-    cfg = SimulationConfig(k=14, theta=0.5, n_samples=n, seed=15, n_workers=2)
-    moments = _cell(EstimatorKind.ML, cfg).moments
+    cfg = SimulationConfig(k=14, n_samples=n, seed=15, n_workers=2)
+    moments = _cell(EstimatorKind.ML, 0.5, cfg).moments
     d, v, mean_est = moments.cov_ab, moments.cov_aa, moments.mean_a
     assert np.abs(d - np.eye(14)).max() <= 0.01
     assert np.abs(v - np.eye(14)).max() <= 0.01
@@ -521,7 +537,7 @@ def test_score_cross_covariance_is_identity():
 
 def test_cross_covariance_constant_estimator_is_degenerate():
     cfg = _cfg(n_samples=10_000)
-    moments = _cell(lambda y: np.full_like(y, 2.0), cfg).moments
+    moments = _cell(lambda y: np.full_like(y, 2.0), 1.25, cfg).moments
     d, v, mean_est = moments.cov_ab, moments.cov_aa, moments.mean_a
     assert np.array_equal(d, np.zeros((14, 14)))
     assert np.array_equal(v, np.zeros((14, 14)))
@@ -530,7 +546,7 @@ def test_cross_covariance_constant_estimator_is_degenerate():
 
 def test_cell_moments_error_norms():
     cfg = _cfg(n_samples=50_000)
-    cell = _cell(EstimatorKind.ML, cfg)
+    cell = _cell(EstimatorKind.ML, 1.25, cfg)
     # E||y - mu||^2 = k for the ML estimator
     assert cell.mse == pytest.approx(14.0, abs=0.15)
     assert 0.0 < cell.mse_stderr < 0.1
@@ -554,7 +570,7 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
     forward = collect_cells(cells, cfg, stream=5)
     backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = _cell(kind, replace(cfg, theta=theta), stream=5)
+        alone = _cell(kind, theta, cfg, stream=5)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
@@ -570,7 +586,7 @@ def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
     forward = collect_cells(cells, cfg, stream=5)
     backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = _cell(kind, replace(cfg, theta=theta), stream=5)
+        alone = _cell(kind, theta, cfg, stream=5)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
@@ -613,11 +629,11 @@ def test_estimate_batch_refuses_a_callable_that_writes_into_a_writable_input():
 def test_sweeps_do_not_depend_on_the_worker_count(k, n, cells):
     # random cell lists repeat thetas (and whole cells); moments and power
     # must be bit-identical at 1, 2 and 3 workers
-    null_cfg = SimulationConfig(k=k, theta=1.25, n_samples=2000, seed=21)
+    null_cfg = SimulationConfig(k=k, n_samples=2000, seed=21)
     calibrations = null_calibrations([EstimatorKind.JS, EstimatorKind.ML], 1.25, null_cfg)
     results = {}
     for workers in (1, 2, 3):
-        cfg = SimulationConfig(k=k, theta=0.0, n_samples=n, seed=22, n_workers=workers)
+        cfg = SimulationConfig(k=k, n_samples=n, seed=22, n_workers=workers)
         results[workers] = (collect_cells(cells, cfg),
                             power_table(cells, calibrations, (0.05,), cfg))
     for workers in (2, 3):
@@ -647,7 +663,7 @@ def test_every_pass_gives_the_same_bits_at_1_2_and_3_workers(k, n_chunks, last, 
     kinds = [EstimatorKind.JS, EstimatorKind.ML]
     results = []
     for workers in (1, 2, 3):
-        cfg = SimulationConfig(k=k, theta=0.0, n_samples=n, seed=25, n_workers=workers)
+        cfg = SimulationConfig(k=k, n_samples=n, seed=25, n_workers=workers)
         calibrations = null_calibrations(kinds, 1.25, cfg)
         results.append((collect_cells(cells, cfg), calibrations,
                         power_table(cells, calibrations, (0.05,), cfg),
@@ -669,7 +685,7 @@ def test_in_order_merge_holds_under_frequent_thread_switches():
     # finish and reach the merge in many orders; a lost or reordered chunk
     # changes the bits
     cells = [(EstimatorKind.JS, 0.5), (EstimatorKind.ML, 2.0)]
-    single = SimulationConfig(k=3, theta=0.0, n_samples=40 * CHUNK_SAMPLES + 7, seed=28)
+    single = SimulationConfig(k=3, n_samples=40 * CHUNK_SAMPLES + 7, seed=28)
     expected = collect_cells(cells, single)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -723,7 +739,7 @@ def test_a_pooled_map_raises_the_first_failing_range_and_submits_no_further():
 def test_a_sweep_takes_every_chunk_once_in_order_on_the_calling_thread(workers):
     # the folds may run on worker threads; take runs only where sweep was
     # called, so the pass's merges need no lock
-    cfg = SimulationConfig(k=3, theta=0.0, n_samples=5 * CHUNK_SAMPLES + 9, seed=30,
+    cfg = SimulationConfig(k=3, n_samples=5 * CHUNK_SAMPLES + 9, seed=30,
                            n_workers=workers)
     taken = []
 
@@ -746,7 +762,7 @@ def test_a_stream_0_pass_keeps_no_chunk_results():
              for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
     working = {}
     for n_chunks in (8, 64):
-        cfg = SimulationConfig(k=14, theta=0.0, n_samples=n_chunks * CHUNK_SAMPLES, seed=26)
+        cfg = SimulationConfig(k=14, n_samples=n_chunks * CHUNK_SAMPLES, seed=26)
         tracemalloc.start()
         try:
             result = collect_cells(cells, cfg)
@@ -765,7 +781,7 @@ def test_a_null_pass_keeps_no_chunk_list_or_copy_of_its_nulls():
     kinds = [EstimatorKind.JS, EstimatorKind.ML]
     working = {}
     for n_chunks in (16, 64):
-        cfg = SimulationConfig(k=14, theta=0.0, n_samples=n_chunks * CHUNK_SAMPLES, seed=27)
+        cfg = SimulationConfig(k=14, n_samples=n_chunks * CHUNK_SAMPLES, seed=27)
         tracemalloc.start()
         try:
             result = null_calibrations(kinds, 1.25, cfg)
@@ -784,7 +800,7 @@ def test_a_null_pass_keeps_no_chunk_list_or_copy_of_its_nulls():
 
 def test_tabulate_ml_mean_function_is_unbiased():
     n = 100_000
-    cfg = SimulationConfig(k=14, theta=0.0, n_samples=n, seed=16)
+    cfg = SimulationConfig(k=14, n_samples=n, seed=16)
     grid = np.array([0.0, 0.5, 1.25, 2.0])
     rows = tabulate_mean_function(EstimatorKind.ML, grid, cfg)
     assert rows.shape == (4, 14)
@@ -796,7 +812,7 @@ def test_tabulate_js_mean_function_ends():
     from scipy.integrate import quad
     from scipy.stats import ncx2
 
-    cfg = SimulationConfig(k=14, theta=0.0, n_samples=100_000, seed=17)
+    cfg = SimulationConfig(k=14, n_samples=100_000, seed=17)
     rows = tabulate_mean_function(EstimatorKind.JS, np.array([0.0, 2.5]), cfg)
     # antisymmetry about the origin kills the mean at theta = 0
     assert np.abs(rows[0]).max() <= 0.01
@@ -812,7 +828,7 @@ def test_tabulate_rejects_empty_grid():
 
 
 def test_tabulate_rows_are_reproducible_independently():
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=20_000, seed=18)
+    cfg = SimulationConfig(k=5, n_samples=20_000, seed=18)
     both = tabulate_mean_function(EstimatorKind.ML, [0.3, 0.9], cfg)
     second_only = tabulate_mean_function(EstimatorKind.ML, [0.1, 0.9], cfg)
     # row streams are keyed by grid position, not by the grid values
@@ -828,7 +844,7 @@ def _custom_estimate(y):
                          ids=["ml", "js", "callable"])
 def test_tabulated_rows_equal_the_moments_pass_mean_bitwise(kind, workers):
     # a partial last chunk, so the pooled-mean merge sees unequal counts
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=CHUNK_SAMPLES + 4000, seed=19,
+    cfg = SimulationConfig(k=5, n_samples=CHUNK_SAMPLES + 4000, seed=19,
                            n_workers=workers)
     grid = [0.0, 0.7, 2.0]
     rows = tabulate_mean_function(kind, grid, cfg)
@@ -852,7 +868,7 @@ def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
 
     monkeypatch.setattr(mc, "draw_block", counting_draw)
     monkeypatch.setattr(mc.StreamingMoments, "from_batch", classmethod(counting_from_batch))
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=CHUNK_SAMPLES + 4000, seed=20,
+    cfg = SimulationConfig(k=5, n_samples=CHUNK_SAMPLES + 4000, seed=20,
                            n_workers=2)
     tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0, 2.0], cfg)
     assert batches == []
@@ -945,7 +961,7 @@ def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
     # four chunks, the last one short: every worker folds several chunks
     # into its one workspace, and the short chunk reuses full-size buffers.
     # Shared passes at `workers` must equal one-cell passes at one worker.
-    cfg = SimulationConfig(k=5, theta=0.0, n_samples=FOUR_CHUNKS, seed=23,
+    cfg = SimulationConfig(k=5, n_samples=FOUR_CHUNKS, seed=23,
                            n_workers=workers)
     single = replace(cfg, n_workers=1)
     js, ml = EstimatorKind.JS, EstimatorKind.ML
