@@ -8,6 +8,9 @@ its own report, at its --theta and --alpha or the defaults, and reads the
 same shared passes, so its bytes are those of the same report in ``all``.
 Progress goes to stderr; data streams stay clean.  JSON is strict (RFC
 8259): a value that is not finite, such as one sample's stderr, is null.
+Every float of a report's data (its rows, and extra keys such as the
+eigenvalue report) is written at the CSVs' six significant digits, in JSON
+as well; manifests keep their thetas and alphas at full precision.
 
 Exit codes: 0 success; 1 usage error (any ``ValueError`` of the library's
 argument checks, or an unwritable output); 2 numerical failure, any
@@ -23,13 +26,12 @@ it is already set, before numpy loads.  Every BLAS call here is small (k x k
 products over one chunk, k x k solves), too small for OpenBLAS's threads to
 help, and ``--workers`` already runs chunks in parallel; the variable keeps
 numpy's and scipy's bundled OpenBLAS from starting thread pools that spend
-CPU beside them.  The CSVs are byte-identical either way; under the Haswell
-kernel, ``table3_eigenvalues.json`` is not.  To override it, set the
-variable, e.g. ``OPENBLAS_NUM_THREADS=4 steinsim all``.  Importing the
-library without this module (``steinsim.mc`` and the rest) leaves the
-environment alone, and numpy loaded before this module keeps the threads it
-started with; every manifest records the count OpenBLAS runs as
-``provenance.blas.threads``.
+CPU beside them.  The data files are the same bytes either way (see "Scope"
+in the ``mc`` contract).  To override it, set the variable, e.g.
+``OPENBLAS_NUM_THREADS=4 steinsim all``.  Importing the library without
+this module (``steinsim.mc`` and the rest) leaves the environment alone, and
+numpy loaded before this module keeps the threads it started with; every
+manifest records the count OpenBLAS runs as ``provenance.blas.threads``.
 
 Start-up: importing this module loads numpy, ``steinsim`` and scipy's
 ``ndtri`` ufunc module, but not the ``scipy.special`` package (see the
@@ -106,6 +108,18 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _rounded(value):
+    """``value`` with every float in it, in nested lists and dicts too, as
+    the float that ``_fmt`` prints, which ``_fmt`` then prints the same."""
+    if isinstance(value, float):
+        return float(_fmt(value))
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_rounded(item) for item in value]
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, default=14, help="dimension (default 14)")
     p.add_argument("--samples", type=int, default=mc.DEFAULT_SAMPLES,
@@ -175,6 +189,8 @@ def _validate(args) -> None:
     alphas: unset, they take the defaults; a repeated value is one row, and
     -0 is 0.  A theta too large to resolve fails numerically, before any draw."""
     _usage("invalid settings", _config, args)  # --k, --samples, --seed, --workers
+    if args.command == "all" and args.output == "-":
+        raise UsageError("--output -: all writes a directory, not stdout")
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
     if args.command != "all":
@@ -215,12 +231,7 @@ def _openblas() -> ctypes.CDLL | None:
 
 def _blas_kernel() -> str | None:
     """The CPU kernel that numpy's bundled OpenBLAS picked at load, or None
-    if numpy bundles no OpenBLAS.
-
-    That OpenBLAS is built with ``DYNAMIC_ARCH``, and its kernel can change
-    the last bits of the k x k products and LAPACK results, so the full
-    precision of ``table3_eigenvalues.json`` can differ between kernels.
-    """
+    if numpy bundles no OpenBLAS (see "Scope" in the ``mc`` contract)."""
     lib = _openblas()
     return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
 
@@ -267,12 +278,18 @@ def _manifest(args, command: str, thetas, alphas, t0: float, **extra) -> dict:
 class _Report(NamedTuple):
     """A finished report: its rows, the manifest of the run that produced
     them (whose ``command`` names the report), and any extra top-level keys
-    of its JSON payload."""
+    of its JSON payload.  The rows and extra are the report's data."""
 
     columns: tuple
     rows: list
     manifest: dict
     extra: dict | None = None
+
+
+def _finished(report: _Report) -> _Report:
+    """``report`` with its data ``_rounded``, so that every data file a run
+    writes holds no more digits than its CSV."""
+    return report._replace(rows=_rounded(report.rows), extra=_rounded(report.extra))
 
 
 def _json(value) -> str:
@@ -393,9 +410,10 @@ def _figure(args, theta: float, calibrations: dict, t0: float) -> _Report:
 def _reports(args) -> list:
     """The ``(name, build)`` reports that ``args.command`` writes, in order:
     every report for ``all``, else the command's own, at the thetas and
-    alphas that ``_validate`` resolved.  ``build(t0)`` returns the finished
-    report.  The reports share two cached passes, each run when a report
-    first reads it, so each stream is swept at most once, and only if read."""
+    alphas that ``_validate`` resolved.  ``build(t0)`` returns the report
+    ``_finished``.  The reports share two cached passes, each run when a
+    report first reads it, so each stream is swept at most once, and only if
+    read."""
     thetas = dict(DEFAULT_THETAS)
     if args.command != "all":
         thetas[args.command] = args.theta
@@ -423,7 +441,8 @@ def _reports(args) -> list:
          lambda t, theta=theta: _figure(args, theta, calibrations(), t))
         for theta in thetas["figure"]
     ]
-    return [(name, build) for name, build in reports if name.split("_")[0] in writes]
+    return [(name, lambda t, build=build: _finished(build(t)))
+            for name, build in reports if name.split("_")[0] in writes]
 
 
 def _run(args, t0: float) -> int:
@@ -442,7 +461,7 @@ def _run(args, t0: float) -> int:
             _write(Path(args.output), args.format, report)
         return 0
 
-    out_dir = Path(args.output if args.output != "-" else "out")
+    out_dir = Path(args.output)
     out_dir.mkdir(parents=True, exist_ok=True)
     failures: list[str] = []
     outputs: list[str] = []

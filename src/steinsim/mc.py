@@ -91,11 +91,11 @@ depends on chunking or worker count:
   cells, the null and power passes, the figure pairs and the mean-function
   table) and the command line run before any draw.
 
-Scope: reports are byte-identical across refactors and worker counts under
-one BLAS kernel.  The report CSVs were seen to be equal under OpenBLAS's
-SkylakeX, Haswell and Sandybridge kernels, but the full-precision
-eigenvalues of ``table3_eigenvalues.json`` depend on the kernel, which
-every manifest records as ``provenance.blas.kernel``.
+Scope: reports are byte-identical across refactors and worker counts.  The
+command line writes every float of a report's data at six significant
+digits, so its data files are also the same bytes under every BLAS kernel
+and thread count, unless a value lies within about 1e-13 relative of a
+six-digit rounding boundary (a chance of about 1e-7 per value).
 """
 
 from __future__ import annotations

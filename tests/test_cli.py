@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import steinsim
 from steinsim import assess, cli, estimators, hyptest, mc
@@ -20,27 +22,17 @@ from steinsim.cli import main
 
 SMALL = ["--samples", "30000", "--seed", "42"]
 
-# sha256 of the five data CSVs of `all --samples 70000 --seed 7 --workers 1`,
-# recorded before the sweep formed each theta's draws once and gave each
-# chunk a workspace; the same under OpenBLAS's SkylakeX, Haswell and
-# Sandybridge kernels (x86-64, numpy 2.4, scipy-openblas 0.3.31);
-# figure_theta_2.csv re-pinned when semitail stopped writing -0 for row 26
-GOLDEN_CSV_SHA256 = {
+# sha256 of the six data files of `all --samples 70000 --seed 7`, the same
+# for every worker count, OpenBLAS kernel and OpenBLAS thread count: each
+# float is written at six significant digits, far above the last bits in
+# which kernels round the moment GEMMs and LAPACK's eigvalsh and solve
+GOLDEN_SHA256 = {
     "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
     "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
     "table3.csv": "cae1ab91103b3e53e60383be19e4ec05024ed09b19f412cd653289790fb19449",
     "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
     "figure_theta_2.csv": "f65117e8f98fb008368948d74f470525bb73eebbfbbc510b5681cc371c253a37",
-}
-# sha256 of the same run's table3_eigenvalues.json, recorded when every cell
-# began to pair its estimate with the score z and the ML cells to share the
-# moments of z (its eigenvalues moved by at most 2.4e-15 relative), keyed by
-# OpenBLAS's kernel: each kernel rounds the moment GEMMs and LAPACK's
-# eigvalsh and solve differently, and the JSON prints full precision
-GOLDEN_EIGENVALUES_SHA256 = {
-    "SkylakeX": "c22db1fe06c44c0ef602a693aa8d715b17efaf668ddbe597b544c4703724a4f5",
-    "Haswell": "7c4b2b8a9f51c95da51f71ccc3e40c0394b56cc9d0ec068c5db8211e4d64b7d8",
-    "Sandybridge": "73627eff2e84d099e6890cd92cb9db28abd772c08ef1a8ee19528d416c716c34",
+    "table3_eigenvalues.json": "a707f40a223cc9af6a1446275e98a5bdbf9ba3b3b91e4b4b05cce9e7c9898f95",
 }
 
 
@@ -161,6 +153,24 @@ def test_json_output_writes_a_missing_stderr_as_null(tmp_path, capsys):
     assert _strict_json((tmp_path / "t1.csv.manifest.json").read_text())["samples"] == 1
 
 
+@settings(derandomize=True, max_examples=2000, deadline=None)
+@given(st.floats())
+@example(float("nan"))
+@example(float("inf"))
+@example(float("-inf"))
+@example(-0.0)
+@example(5e-324)
+@example(1.7976931348623157e308)
+def test_a_rounded_float_prints_as_the_float(value):
+    # so rounding a report's data before the CSV writer moves no CSV byte
+    rounded = cli._rounded(value)
+    assert cli._fmt(rounded) == cli._fmt(value)
+    if math.isfinite(value):
+        assert json.loads(cli._json([rounded])) == [rounded]
+    else:  # nan in the CSV, null in JSON
+        assert cli._fmt(rounded) == str(value) and json.loads(cli._json([rounded])) == [None]
+
+
 @pytest.mark.parametrize("argv, repeat", [
     (["table1", "--theta", "0.5"], ["--theta", "0.5"]),
     (["table2", "--theta", "0", "--alpha", "0.05"], ["--alpha", "0.05"]),
@@ -204,6 +214,15 @@ def test_usage_errors_exit_1(capsys):
     code, out, err = run(capsys, ["figure", "--theta", "0.5", "--theta", "2",
                                   "--samples", "2000", "--points", "5"])
     assert (code, out) == (1, "") and "one --theta" in err
+
+
+def test_all_refuses_stdout_before_any_draw(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # where a fallback directory would appear
+    draws = count_draws(monkeypatch)
+    code, out, err = run(capsys, ["all", "--samples", "20000", "--output", "-"])
+    assert (code, out) == (1, "") and not draws
+    assert err.count("\n") == 1 and "all writes a directory" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["table3", "all"])
@@ -369,6 +388,26 @@ def test_all_writes_six_data_files_and_manifest(tmp_path, capsys):
             name.split("_")[0], thetas, alphas), name
     assert json.loads((out_dir / "table3.csv.manifest.json").read_text())[
         "eigenvalue_report"] == json.loads((out_dir / "table3_eigenvalues.json").read_text())
+
+
+def test_all_json_rows_equal_the_csv_cells(tmp_path, capsys):
+    # one precision for both formats: a JSON value is the CSV cell read back
+    dirs = {fmt: tmp_path / fmt for fmt in ("csv", "json")}
+    for fmt, out_dir in dirs.items():
+        assert run(capsys, ["all", *SMALL, "--format", fmt, "--output", str(out_dir)])[0] == 0
+    for name in (name for name in GOLDEN_SHA256 if name.endswith(".csv")):
+        header, cells = parse_csv((dirs["csv"] / name).read_text())
+        payload = _strict_json((dirs["json"] / name.replace(".csv", ".json")).read_text())
+        assert payload["columns"] == header and len(payload["rows"]) == len(cells), name
+        for row, line in zip(payload["rows"], cells):
+            for column, cell in zip(header, line):
+                value = row[column]
+                if isinstance(value, str):
+                    assert value == cell, (name, column)
+                elif value is None:
+                    assert cell == "nan", (name, column)
+                else:
+                    assert value == float(cell), (name, column)
 
 
 def test_all_rerun_is_byte_identical(tmp_path, capsys):
@@ -539,15 +578,10 @@ def test_all_equals_the_single_report_commands(tmp_path, capsys, workers):
         assert (out_dir / name).read_text() == out, name
 
 
-def assert_pinned_digests(out_dir, kernel):
-    names = [*GOLDEN_CSV_SHA256, "table3_eigenvalues.json"]
+def assert_pinned_digests(out_dir):
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in names}
-    expected = {**GOLDEN_CSV_SHA256,
-                "table3_eigenvalues.json": GOLDEN_EIGENVALUES_SHA256.get(kernel)}
-    assert digests == expected, (
-        f"pinned under OpenBLAS's {', '.join(GOLDEN_EIGENVALUES_SHA256)} kernels, "
-        f"run under {kernel}: table3_eigenvalues.json depends on the kernel")
+               for name in GOLDEN_SHA256}
+    assert digests == GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -557,18 +591,18 @@ def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
     code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "7",
                               "--workers", workers, "--output", str(out_dir)])
     assert code == 0
-    assert_pinned_digests(out_dir, cli._blas_kernel())
+    assert_pinned_digests(out_dir)
 
 
 def test_all_matches_the_pinned_digests_under_the_haswell_kernel(tmp_path):
-    # a second kernel's pin, in a child that forces OpenBLAS's AVX2 kernel
+    # a child that forces OpenBLAS's AVX2 kernel on two threads, whose full
+    # precision eigenvalues differ from those of one thread
     out_dir = tmp_path / "all"
     argv = ["all", "--samples", "70000", "--seed", "7", "--output", str(out_dir)]
     code = _fresh_environment(f"import steinsim.cli; print(steinsim.cli.main({argv!r}))",
-                              OPENBLAS_CORETYPE="Haswell")
+                              OPENBLAS_CORETYPE="Haswell", OPENBLAS_NUM_THREADS="2")
     assert code == "0"
-    manifest = json.loads((out_dir / "manifest.json").read_text())
-    assert_pinned_digests(out_dir, manifest["provenance"]["blas"]["kernel"])
+    assert_pinned_digests(out_dir)
 
 
 def count_draws(monkeypatch) -> collections.Counter:
