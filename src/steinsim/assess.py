@@ -90,7 +90,9 @@ def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
                    cell: mc.CellMoments) -> AssessmentReport:
     """Information of one cell from its merged moments.
 
-    ``kind`` and ``theta`` only name the cell in a
+    The cell pairs its error, the estimate minus theta, with the score (see
+    the ``mc`` contract); a shift by theta changes no covariance, so V and D
+    are the estimate's.  ``kind`` and ``theta`` only name the cell in a
     ``SingularCovarianceError``.  The batch-means standard error of the
     scalar information uses the moments of the cell's at most
     ``mc.STDERR_BATCHES`` contiguous batches of chunks (fewer when the cell

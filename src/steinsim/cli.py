@@ -187,10 +187,18 @@ def _usage(label: str, check, value):
 def _validate(args) -> None:
     """Check the settings, and resolve a single command's thetas and any
     alphas: unset, they take the defaults; a repeated value is one row, and
-    -0 is 0.  A theta too large to resolve fails numerically, before any draw."""
+    -0 is 0.  A single command's output file must lie in a directory and
+    not be one.  A theta too large to resolve fails numerically, before any
+    draw."""
     _usage("invalid settings", _config, args)  # --k, --samples, --seed, --workers
     if args.command == "all" and args.output == "-":
         raise UsageError("--output -: all writes a directory, not stdout")
+    if args.command != "all" and args.output != "-":
+        target = Path(args.output)
+        if target.is_dir():
+            raise UsageError(f"--output {args.output}: is a directory, not a file")
+        if not target.parent.is_dir():
+            raise UsageError(f"--output {args.output}: {target.parent} is not a directory")
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
     if args.command != "all":
@@ -212,46 +220,32 @@ def _config(args) -> mc.SimulationConfig:
                                n_workers=args.workers)
 
 
-@functools.cache
-def _openblas() -> ctypes.CDLL | None:
-    """numpy's bundled ``libscipy_openblas64_`` library, opened once with the
-    signatures of the two queries a manifest reads, or None if numpy bundles
-    none."""
+def _blas() -> tuple[str | None, int | None]:
+    """The CPU kernel that numpy's bundled ``libscipy_openblas64_`` picked at
+    load and the threads it runs, as the library reports them, or
+    ``(None, None)`` if numpy bundles no OpenBLAS (see "Scope" in the ``mc``
+    contract and "BLAS threads" in the module docstring)."""
     libs = sorted((Path(np.__file__).parent.parent / "numpy.libs")
                   .glob("libscipy_openblas64_*.so"))
     if not libs:
-        return None
+        return None, None
     lib = ctypes.CDLL(str(libs[0]))
-    lib.scipy_openblas_get_corename64_.argtypes = []
-    lib.scipy_openblas_get_corename64_.restype = ctypes.c_char_p
-    lib.scipy_openblas_get_num_threads64_.argtypes = []
-    lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
-    return lib
-
-
-def _blas_kernel() -> str | None:
-    """The CPU kernel that numpy's bundled OpenBLAS picked at load, or None
-    if numpy bundles no OpenBLAS (see "Scope" in the ``mc`` contract)."""
-    lib = _openblas()
-    return None if lib is None else lib.scipy_openblas_get_corename64_().decode()
-
-
-def _blas_threads() -> int | None:
-    """The threads that numpy's bundled OpenBLAS runs, as the library
-    reports them, or None if numpy bundles no OpenBLAS (see "BLAS threads"
-    in the module docstring)."""
-    lib = _openblas()
-    return None if lib is None else lib.scipy_openblas_get_num_threads64_()
+    kernel = lib.scipy_openblas_get_corename64_
+    kernel.argtypes, kernel.restype = [], ctypes.c_char_p
+    threads = lib.scipy_openblas_get_num_threads64_
+    threads.argtypes, threads.restype = [], ctypes.c_int
+    return kernel().decode(), threads()
 
 
 def _provenance() -> dict:
     """The libraries, BLAS, thread settings and chunk size a run used."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    kernel, threads = _blas()
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "kernel": _blas_kernel(), "threads": _blas_threads()},
+                 "kernel": kernel, "threads": threads},
         "threads_env": {name: value for name, value in sorted(os.environ.items())
                         if name.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,

@@ -64,8 +64,7 @@ class NullCalibration:
     sorted_null: np.ndarray
 
     def __post_init__(self):
-        if not np.isfinite(self.mu0):
-            raise ValueError("mu0 must be finite")
+        mc.check_thetas([self.mu0])  # the one theta rule of every pass
         values = self.sorted_null
         # a read-only float64 array that owns its data cannot change under
         # the calibration, so it is shared; anything else is copied

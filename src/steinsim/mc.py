@@ -45,16 +45,17 @@ depends on chunking or worker count:
   reduction order is independent of ``n_workers`` and a pass keeps no
   chunk's result once it is merged.  A chunk's column means are its column
   sums over its count (``_column_mean``).  A cell's moments pair its
-  estimate with the score ``z = y - theta``, which is the chunk's draw
-  itself, so Cov(estimate, score) is read off directly and ``mean_b`` is
-  near 0 at every theta: ``m_ab`` takes no residue of a large mean.  The
-  ML error is z at every theta, so one ``from_batch(z, z)`` and one set of
-  error norms per chunk serve every ML cell, each keeping the column mean
-  of its own estimate ``y`` as ``mean_a``.  The mean-function table runs a
-  mean-only pass: each chunk yields its count and estimate mean, merged in
-  the same batches by the same pooled-mean update (``_pooled_mean``) that
-  ``StreamingMoments.merge`` applies, so each row equals the moments
-  pass's ``mean_a`` bit for bit.
+  error ``estimate - theta`` (``_error``) with the score ``z = y - theta``,
+  the chunk's draw itself; a shift by theta changes no covariance, so
+  ``mean_a`` is the cell's bias, ``mean_b`` is near 0, and neither the
+  merge nor ``m_ab`` takes a residue of a large mean.  The ML error is z
+  itself, so one ``from_batch(z, z)`` and one set of norms per chunk serve
+  every ML cell, the same bits at every theta.  The mean-function table
+  runs a mean-only pass: each chunk yields its count and the column mean of
+  the same ``_error``, merged in the same batches by the same pooled-mean
+  update (``_pooled_mean``) that ``StreamingMoments.merge`` applies, so
+  each row, theta plus that bias, is the moments pass's ``mean_a + theta``
+  bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``,
   which folds one function over the stream's chunks.  Each chunk's draw is
   its ``z``, made once into the ``z`` buffer of the worker's ``Workspace``
@@ -66,11 +67,12 @@ depends on chunking or worker count:
   bit-identical to ``theta + z`` and spares a copy.  The three full-N
   passes of the reports (``collect_cells`` and hyptest's
   ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn.
-  ``collect_cells`` folds its cells in their given order, each forming its
-  own ``y`` in the ``cell`` buffer of the worker's ``Workspace`` (``z +
-  0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so no
-  estimator sees z; no pass makes y read-only, but ``estimate_batch``
-  hands a callable a read-only view.  Each pass checks its thetas first.
+  ``collect_cells`` folds its cells in their given order; each cell but ML
+  forms its own ``y`` in the ``cell`` buffer of the worker's ``Workspace``
+  (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
+  no estimator sees z, and an ML cell forms no y; no pass makes y
+  read-only, but ``estimate_batch`` hands a callable a read-only view.
+  Each pass checks its thetas first.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
@@ -78,7 +80,7 @@ depends on chunking or worker count:
   estimate, with ``out=`` into one buffer, the same memory chunk after
   chunk, and a pass holds a fixed set of buffers per worker instead of
   fresh arrays per chunk; ``StreamingMoments.from_batch`` centers each
-  estimate, and z for the ML cells, into one of them.  Workers never share
+  error, z for the ML cells, into one of them.  Workers never share
   one.  A fold must not keep ``z`` or a workspace buffer after it returns:
   the next cell or chunk overwrites them, so a fold that needs them later
   returns a copy.  Reusing buffers changes no floating-point operation, so
@@ -86,10 +88,11 @@ depends on chunking or worker count:
   on which worker folds its chunks.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
-  z's unit scale (at 1e200, ``y == theta`` and every error is 0); it and
-  finiteness have one check, ``check_thetas``, which every pass (the
+  z's unit scale (at 1e200, ``y == theta`` and every JS error is 0); it
+  and finiteness have one check, ``check_thetas``, which every pass (the
   cells, the null and power passes, the figure pairs and the mean-function
-  table) and the command line run before any draw.
+  table) and the command line run before any draw, and which
+  ``hyptest.NullCalibration`` runs on its ``mu0``.
 
 Scope: reports are byte-identical across refactors and worker counts.  The
 command line writes every float of a report's data at six significant
@@ -107,7 +110,7 @@ import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -471,7 +474,7 @@ class CellMoments:
     moments of each of its at most ``STDERR_BATCHES`` contiguous batches of
     chunks, in order."""
 
-    moments: StreamingMoments  # a = estimate, b = score z
+    moments: StreamingMoments  # a = error (estimate - theta), b = score z
     err_sum: float
     err_sumsq: float
     batch_moments: tuple[StreamingMoments, ...]
@@ -499,41 +502,57 @@ def _squared_error_sums(err: np.ndarray, workspace: Workspace) -> tuple[float, f
     return float(err_sq.sum()), float(np.multiply(err_sq, err_sq, out=err_sq).sum())
 
 
+def _error(kind: "EstimatorKind | EstimatorFn", theta: float, z: np.ndarray,
+           start: int, out: np.ndarray) -> np.ndarray:
+    """The errors ``estimate(theta + z) - theta`` of a chunk whose draw is z.
+
+    The ML error is z itself, returned as is at every theta.  Any other
+    estimator writes ``y = theta + z`` into ``out`` (which may be z), its
+    estimate over y, then the error, all in ``out``.
+    """
+    if kind is EstimatorKind.ML:
+        return z
+    y = np.add(z, theta, out=out)
+    est = estimate_batch(kind, y, index_offset=start, out=y)
+    return np.subtract(est, theta, out=est)
+
+
 def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
                   config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
     The pass folds each chunk's z (see the module contract); the thetas are
     checked before any draw, and no cells return ``[]`` without one.  Per
-    chunk, the cells are folded in their given order: each cell writes its
-    ``y = theta + z``, its estimate, then its error into the worker's
-    ``cell`` buffer, so no estimator sees z; every cell pairs its estimate
-    with the score z, and each chunk's one ``from_batch(z, z)`` and norms
-    ‖z_i‖² serve every ML cell.  Per-chunk moments are merged as they
-    arrive, in chunk order and in contiguous batches (Chan, Golub & LeVeque
-    1979), so each cell's result is independent of the worker count and of
-    the other cells in the pass.  Estimator domain errors abort the run and
-    carry the offending sample index.
+    chunk, the cells are folded in their given order: each cell pairs its
+    error (``_error``, in the worker's ``cell`` buffer, so no estimator sees
+    z) with the score z, and the ML error is z itself, so each chunk's one
+    ``from_batch(z, z)`` and norms ‖z_i‖² serve every ML cell.  Per-chunk
+    moments are merged as they arrive, in chunk order and in contiguous
+    batches (Chan, Golub & LeVeque 1979), so each cell's result is
+    independent of the worker count and of the other cells in the pass.
+    Estimator domain errors abort the run and carry the offending sample
+    index.
     """
     check_thetas([theta for _, theta in cells])
     if not cells:
         return []
 
     def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
-        z_moments = StreamingMoments.from_batch(
-            z, z, out=workspace.buffer("centered", z.shape))
-        z_sums = _squared_error_sums(z, workspace)
+        def moments(err: np.ndarray) -> tuple:
+            return (StreamingMoments.from_batch(
+                        err, z, out=workspace.buffer("centered", z.shape)),
+                    *_squared_error_sums(err, workspace))
+
+        z_result = None  # the one result of every cell whose error is z
         results = []
         for kind, theta in cells:
-            y = np.add(z, theta, out=workspace.buffer("cell", z.shape))
-            if kind is EstimatorKind.ML:
-                results.append((replace(z_moments, mean_a=_column_mean(y)), *z_sums))
+            err = _error(kind, theta, z, start, workspace.buffer("cell", z.shape))
+            if err is not z:
+                results.append(moments(err))
                 continue
-            est = estimate_batch(kind, y, index_offset=start, out=y)
-            moments = StreamingMoments.from_batch(
-                est, z, out=workspace.buffer("centered", z.shape))
-            err = np.subtract(est, theta, out=est)  # the error replaces the estimate
-            results.append((moments, *_squared_error_sums(err, workspace)))
+            if z_result is None:
+                z_result = moments(z)
+            results.append(z_result)
         return results
 
     n_chunks = len(_chunk_ranges(config.n_samples))
@@ -564,14 +583,14 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
 
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
-    row is a mean-only pass: per chunk, the count and the mean of the
-    estimates, formed as ``collect_cells`` forms them but in z itself
-    (``y = theta + z`` in place, ``estimate_batch`` over y, then
-    ``_column_mean``), and merged in the batches of ``collect_cells`` by
-    ``_pooled_mean`` (the update ``StreamingMoments.merge`` applies), so a
-    row equals the ``mean_a`` of ``collect_cells`` on the same stream bit
-    for bit without computing any covariance.  Every grid value is checked
-    (finite, and below ``THETA_LIMIT``) before any row's pass runs.
+    row is a mean-only pass: per chunk, the count and the column mean of
+    the errors, formed by the ``_error`` of ``collect_cells`` but in z
+    itself (``y = theta + z`` in place), and merged in the batches of
+    ``collect_cells`` by ``_pooled_mean`` (the update
+    ``StreamingMoments.merge`` applies); the row is theta plus that bias,
+    so it equals ``mean_a + theta`` of ``collect_cells`` on the same stream
+    bit for bit without computing any covariance.  Every grid value is
+    checked (finite, and below ``THETA_LIMIT``) before any row's pass runs.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
@@ -579,8 +598,7 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
     check_thetas(grid)
 
     def chunk(theta: float, z: np.ndarray, start: int, workspace: Workspace):
-        y = np.add(z, theta, out=z)
-        return len(y), _column_mean(estimate_batch(kind, y, index_offset=start, out=y))
+        return len(z), _column_mean(_error(kind, theta, z, start, out=z))
 
     n_chunks = len(_chunk_ranges(config.n_samples))
     rows = np.empty((grid.size, config.k))
@@ -588,5 +606,5 @@ def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
         merge = _BatchedMerge(n_chunks, _pooled_count_mean)
         sweep(config, functools.partial(chunk, float(theta)),
               lambda start, result: merge.add(result), MEAN_FUNCTION_STREAM_BASE + i)
-        rows[i] = merge.total()[1]
+        rows[i] = theta + merge.total()[1]
     return rows

@@ -225,6 +225,22 @@ def test_all_refuses_stdout_before_any_draw(tmp_path, monkeypatch, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["missing/x.csv", "file/x.csv", "dir"])
+def test_an_unwritable_output_is_refused_before_any_draw(tmp_path, monkeypatch,
+                                                         capsys, target):
+    # a missing parent, a parent that is a file, and a target that is a
+    # directory are refused before the sweep, not at the write after it
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    draws = count_draws(monkeypatch)
+    code, out, err = run(capsys, ["table1", "--samples", "2000",
+                                  "--output", str(tmp_path / target)])
+    assert (code, out) == (1, "") and not draws
+    assert err.count("\n") == 1 and "--output" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
+    assert list((tmp_path / "dir").iterdir()) == []
+
+
 @pytest.mark.parametrize("command", ["table3", "all"])
 def test_one_sample_is_a_usage_error_for_covariance_reports(tmp_path, capsys, command):
     # table3's covariances need two samples; a single one used to end in a

@@ -209,6 +209,14 @@ def test_calibration_refuses_a_non_finite_mu0(bad):
         NullCalibration(bad, np.arange(1.0, 201.0))
 
 
+@pytest.mark.parametrize("mu0", [mc.THETA_LIMIT, -mc.THETA_LIMIT, 1e200])
+def test_calibration_refuses_a_mu0_that_theta_plus_z_cannot_resolve(mu0):
+    # null_calibrations refuses such a mu0; a calibration built directly
+    # must too, or power_table reads infinite statistics off it
+    with pytest.raises(mc.ThetaResolutionError):
+        NullCalibration(mu0, np.arange(1.0, 20001.0))
+
+
 def test_calibrations_share_the_read_only_null():
     cfg = SimulationConfig(k=5, n_samples=20_000, seed=2)
     for calibration in null_calibrations([JS, ML], 1.25, cfg).values():

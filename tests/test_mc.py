@@ -491,27 +491,38 @@ def test_moments_of_a_stream_with_itself_share_their_halves_bitwise():
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ml_cells_take_their_moments_from_the_score(workers):
     # the ML error is z at every theta, so each chunk's ML moments are
-    # from_batch(z, z) with the column mean of y = theta + z as mean_a: at
-    # theta = 0 the cell is the in-order merge of those moments bit for bit.
-    # Elsewhere only the merge's mean differences round differently: they
-    # differ from z's by the rounding of y's chunk means, about ulp(theta)
-    # times |delta| <~ 0.1 times the weight n_a n_b / n <= n / 4, under
-    # 1e-14 n (at most 9.1e-13 here, with n = 8096)
+    # from_batch(z, z) and its error sums those of the norms ||z_i||^2: every
+    # ML cell is their in-order merge and sum bit for bit, whatever its theta
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     z = draw_block(cfg, 0, cfg.n_samples, stream=5)
     head, tail = z[:CHUNK_SAMPLES], z[CHUNK_SAMPLES:]
     expected = StreamingMoments.from_batch(head, head).merge(
         StreamingMoments.from_batch(tail, tail))
-    cells = collect_cells([(EstimatorKind.ML, theta) for theta in (0.0, 0.5, 2.0)],
+    norms = [np.einsum("ij,ij->i", part, part) for part in (head, tail)]
+    err_sum = 0.0 + float(norms[0].sum()) + float(norms[1].sum())
+    err_sumsq = 0.0 + float((norms[0] * norms[0]).sum()) + float((norms[1] * norms[1]).sum())
+    cells = collect_cells([(EstimatorKind.ML, theta) for theta in (0.0, 0.5, 2.0, -1e6)],
                           cfg, stream=5)
-    at_zero = cells[0].moments
-    for f in ("mean_a", "m_aa", "mean_b", "m_ab"):
-        assert np.array_equal(getattr(at_zero, f), getattr(expected, f)), f
-    for cell in cells[1:]:
-        assert np.array_equal(cell.moments.mean_b, expected.mean_b)
-        for f in ("m_aa", "m_ab"):
-            np.testing.assert_allclose(getattr(cell.moments, f), getattr(expected, f),
-                                       rtol=0, atol=1e-14 * cfg.n_samples)
+    for cell in cells:
+        for f in ("mean_a", "m_aa", "mean_b", "m_ab"):
+            assert np.array_equal(getattr(cell.moments, f), getattr(expected, f)), f
+        assert cell.err_sum == err_sum
+        assert cell.err_sumsq == err_sumsq
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(theta=st.floats(-mc.THETA_LIMIT, mc.THETA_LIMIT,
+                       exclude_min=True, exclude_max=True))
+@example(theta=math.nextafter(mc.THETA_LIMIT, 0.0))
+@example(theta=-math.nextafter(mc.THETA_LIMIT, 0.0))
+def test_every_ml_cell_is_the_theta_0_cell_bitwise(theta):
+    # a short last chunk and a JS cell between the ML cells: no theta below
+    # the bound moves a bit of an ML cell
+    cfg = _cfg(k=3, n_samples=CHUNK_SAMPLES + 100)
+    at_zero = _cell(EstimatorKind.ML, 0.0, cfg)
+    cells = collect_cells([(EstimatorKind.ML, theta), (EstimatorKind.JS, theta),
+                           (EstimatorKind.ML, -theta)], cfg)
+    assert _same_cell(cells[0], at_zero) and _same_cell(cells[2], at_zero)
 
 
 def test_sample_covariance_is_positive_semidefinite():
@@ -525,23 +536,24 @@ def test_sample_covariance_is_positive_semidefinite():
 
 
 def test_score_cross_covariance_is_identity():
-    # Cov(y, y - mu) has identity covariance under the model
+    # Cov(y, y - mu) has identity covariance under the model, and the ML
+    # estimate is unbiased: its cell's mean_a is the bias
     n = 1_000_000
     cfg = SimulationConfig(k=14, n_samples=n, seed=15, n_workers=2)
     moments = _cell(EstimatorKind.ML, 0.5, cfg).moments
-    d, v, mean_est = moments.cov_ab, moments.cov_aa, moments.mean_a
+    d, v, bias = moments.cov_ab, moments.cov_aa, moments.mean_a
     assert np.abs(d - np.eye(14)).max() <= 0.01
     assert np.abs(v - np.eye(14)).max() <= 0.01
-    assert np.abs(mean_est - 0.5).max() <= 0.005
+    assert np.abs(bias).max() <= 0.005
 
 
 def test_cross_covariance_constant_estimator_is_degenerate():
     cfg = _cfg(n_samples=10_000)
     moments = _cell(lambda y: np.full_like(y, 2.0), 1.25, cfg).moments
-    d, v, mean_est = moments.cov_ab, moments.cov_aa, moments.mean_a
+    d, v, bias = moments.cov_ab, moments.cov_aa, moments.mean_a
     assert np.array_equal(d, np.zeros((14, 14)))
     assert np.array_equal(v, np.zeros((14, 14)))
-    assert np.all(mean_est == 2.0)
+    assert np.all(bias == 2.0 - 1.25)  # mean_a is the error's mean, exact here
 
 
 def test_cell_moments_error_norms():
@@ -846,12 +858,12 @@ def test_tabulated_rows_equal_the_moments_pass_mean_bitwise(kind, workers):
     # a partial last chunk, so the pooled-mean merge sees unequal counts
     cfg = SimulationConfig(k=5, n_samples=CHUNK_SAMPLES + 4000, seed=19,
                            n_workers=workers)
-    grid = [0.0, 0.7, 2.0]
+    grid = [0.0, 0.7, 2.0, 1e6]
     rows = tabulate_mean_function(kind, grid, cfg)
     for i, theta in enumerate(grid):
         cell, = collect_cells([(kind, theta)], cfg,
                               stream=mc.MEAN_FUNCTION_STREAM_BASE + i)
-        assert np.array_equal(rows[i], cell.moments.mean_a), (i, theta)
+        assert np.array_equal(rows[i], cell.moments.mean_a + theta), (i, theta)
 
 
 def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
@@ -876,8 +888,9 @@ def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
     assert sorted(draws) == [(base + row, start, count) for row in range(3)
                              for start, count in ((0, CHUNK_SAMPLES), (CHUNK_SAMPLES, 4000))]
     collect_cells([(EstimatorKind.JS, 0.0)], cfg)
-    # the wrapper sees the moments pass: per chunk, the JS cell's batch and z's
-    assert sorted(batches) == [4000, 4000, CHUNK_SAMPLES, CHUNK_SAMPLES]
+    # the wrapper sees the moments pass: per chunk, the JS cell's batch only,
+    # since a pass with no ML cell takes no moments of z
+    assert sorted(batches) == [4000, CHUNK_SAMPLES]
 
 
 def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
@@ -985,4 +998,4 @@ def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
         for i, theta in enumerate(grid):
             cell, = collect_cells([(kind, theta)], single,
                                   stream=mc.MEAN_FUNCTION_STREAM_BASE + i)
-            assert np.array_equal(rows[i], cell.moments.mean_a), (kind, theta)
+            assert np.array_equal(rows[i], cell.moments.mean_a + theta), (kind, theta)
