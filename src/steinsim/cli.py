@@ -187,18 +187,20 @@ def _usage(label: str, check, value):
 def _validate(args) -> None:
     """Check the settings, and resolve a single command's thetas and any
     alphas: unset, they take the defaults; a repeated value is one row, and
-    -0 is 0.  A single command's output file must lie in a directory and
-    not be one.  A theta too large to resolve fails numerically, before any
+    -0 is 0.  No file that the command writes, or that ``all`` first
+    removes, may be a directory, and a single command's output file must
+    lie in one.  A theta too large to resolve fails numerically, before any
     draw."""
     _usage("invalid settings", _config, args)  # --k, --samples, --seed, --workers
     if args.command == "all" and args.output == "-":
         raise UsageError("--output -: all writes a directory, not stdout")
+    for path in _files(args):
+        if path.is_dir():
+            raise UsageError(f"--output {args.output}: {path} is a directory, not a file")
     if args.command != "all" and args.output != "-":
-        target = Path(args.output)
-        if target.is_dir():
-            raise UsageError(f"--output {args.output}: is a directory, not a file")
-        if not target.parent.is_dir():
-            raise UsageError(f"--output {args.output}: {target.parent} is not a directory")
+        parent = Path(args.output).parent
+        if not parent.is_dir():
+            raise UsageError(f"--output {args.output}: {parent} is not a directory")
     if args.command in ("table3", "all") and args.samples < 2:
         raise UsageError("--samples must be at least 2 for table3's covariances")
     if args.command != "all":
@@ -307,12 +309,16 @@ def _render(fmt: str, report: _Report) -> str:
     return buf.getvalue()
 
 
+def _sidecar(path: Path) -> Path:
+    """The JSON manifest sidecar of a CSV report file."""
+    return Path(f"{path}.manifest.json")
+
+
 def _write(path: Path, fmt: str, report: _Report) -> None:
     """Write one report to a file; a CSV gets a JSON manifest sidecar."""
     path.write_text(_render(fmt, report))
     if fmt == "csv":
-        sidecar = {**report.manifest, **(report.extra or {})}
-        Path(str(path) + ".manifest.json").write_text(_json(sidecar))
+        _sidecar(path).write_text(_json({**report.manifest, **(report.extra or {})}))
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +445,25 @@ def _reports(args) -> list:
             for name, build in reports if name.split("_")[0] in writes]
 
 
+# the files of a report in `all`'s directory, by suffix of the report's name
+# (table3's eigenvalue file is "table3" + "_eigenvalues.json"): `all` removes
+# them all before it builds the report, then writes those of its format
+_REPORT_FILES = (".FAILED", ".csv", ".csv.manifest.json", ".json", "_eigenvalues.json")
+
+
+def _files(args) -> list[Path]:
+    """Every file that ``args.command`` writes, or that ``all`` first
+    removes; none for stdout."""
+    if args.command == "all":
+        out_dir = Path(args.output)
+        return [out_dir / f"{name}{suffix}" for name, _ in _reports(args)
+                for suffix in _REPORT_FILES] + [out_dir / "manifest.json"]
+    if args.output == "-":
+        return []
+    target = Path(args.output)
+    return [target, _sidecar(target)] if args.format == "csv" else [target]
+
+
 def _run(args, t0: float) -> int:
     """Write the reports of ``args.command``.  A single report goes to
     stdout, or to a file with its manifest sidecar, and its numerical
@@ -460,8 +485,8 @@ def _run(args, t0: float) -> int:
     failures: list[str] = []
     outputs: list[str] = []
     for name, build in reports:
-        for stale in (".FAILED", ".csv", ".csv.manifest.json", ".json", "_eigenvalues.json"):
-            (out_dir / f"{name}{stale}").unlink(missing_ok=True)
+        for suffix in _REPORT_FILES:
+            (out_dir / f"{name}{suffix}").unlink(missing_ok=True)
         try:
             report = build(time.perf_counter())
         except NumericalError as exc:  # retain partial outputs, mark the failure

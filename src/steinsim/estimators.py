@@ -70,7 +70,8 @@ def estimate_batch(kind: "EstimatorKind | EstimatorFn", y: np.ndarray,
     Every estimate but ML is written into ``out`` (a float64 array of
     ``y``'s shape, which may be ``y`` itself) if given, and returned.  The
     ML estimate is ``y`` itself as a float64 array, and ``out`` is left
-    untouched, so callers pass the same buffer whatever the estimator.  A
+    untouched.  No pass asks for it, since ``mc._error`` takes the ML error
+    to be z itself; the tests keep it as the reference for that rule.  A
     callable gets a read-only view of ``y``, so one that writes into its
     input fails, and its result is copied into ``out`` only once it returns.
     """

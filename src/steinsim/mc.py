@@ -48,14 +48,15 @@ depends on chunking or worker count:
   error ``estimate - theta`` (``_error``) with the score ``z = y - theta``,
   the chunk's draw itself; a shift by theta changes no covariance, so
   ``mean_a`` is the cell's bias, ``mean_b`` is near 0, and neither the
-  merge nor ``m_ab`` takes a residue of a large mean.  The ML error is z
-  itself, so one ``from_batch(z, z)`` and one set of norms per chunk serve
-  every ML cell, the same bits at every theta.  The mean-function table
-  runs a mean-only pass: each chunk yields its count and the column mean of
-  the same ``_error``, merged in the same batches by the same pooled-mean
-  update (``_pooled_mean``) that ``StreamingMoments.merge`` applies, so
-  each row, theta plus that bias, is the moments pass's ``mean_a + theta``
-  bit for bit.
+  merge nor ``m_ab``, taken against the uncentered score
+  (``StreamingMoments.from_batch``), takes a residue of a large mean.  The
+  ML error is z itself, so one ``from_batch(z, z)`` and one set of norms
+  per chunk serve every ML cell, the same bits at every theta.  The
+  mean-function table runs a mean-only pass: each chunk yields its count
+  and the column mean of the same ``_error``, merged in the same batches by
+  the same pooled-mean update (``_pooled_mean``) that
+  ``StreamingMoments.merge`` applies, so each row, theta plus that bias, is
+  the moments pass's ``mean_a + theta`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``,
   which folds one function over the stream's chunks.  Each chunk's draw is
   its ``z``, made once into the ``z`` buffer of the worker's ``Workspace``
@@ -283,29 +284,29 @@ class StreamingMoments:
                    out: np.ndarray | None = None) -> "StreamingMoments":
         """Moments of one block of paired rows.
 
-        ``m_ab`` is ``caᵀ b - (Σ ca) mean_bᵀ`` with ``ca = a - mean_a`` and
-        ``b`` uncentered: the rank-one term removes the rounding residue of
-        ``Σ ca`` times a large ``mean_b`` without a centering copy of ``b``.
-        ``ca`` is written into ``out`` (a float64 array of ``a``'s shape)
-        if given, else into a fresh array, so with a reused ``out`` a batch
-        allocates only its means and k x k products.  When ``b is a``, the
-        ``b`` half repeats ``mean_a`` and ``m_aa`` without a second mean or
-        product.
+        ``m_ab`` is ``caᵀ b`` with ``ca = a - mean_a`` and ``b`` uncentered.
+        In every pass ``b`` is the score z, whose mean is near 0.  A ``b``
+        with a large mean would leave in ``m_ab`` the rounding residue
+        ``(Σ ca) mean_bᵀ``, where ``Σ ca`` is zero but for rounding.  ``ca``
+        is written into ``out`` (a float64 array of ``a``'s shape) if given,
+        else into a fresh array, so with a reused ``out`` a batch allocates
+        only its means and k x k products.  When ``b is a``, the ``b`` half
+        repeats ``mean_a`` and ``m_aa`` without a second mean or product.
         """
         a = np.asarray(a, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] < 1:
             raise ValueError("a must be a nonempty (n, k) array")
         mean_a = _column_mean(a)
         ca = np.subtract(a, mean_a, out=out)
-        m_aa = ca.T @ ca
+        # np.dot, not @: matmul holds the GIL through one 2-D product, dot does not
+        m_aa = np.dot(ca.T, ca)
         if b is a:
             return cls(a.shape[0], mean_a, m_aa, mean_a, m_aa)
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ValueError("b must be an (n, m) array paired with a")
         mean_b = _column_mean(b)
-        m_ab = ca.T @ b - np.outer(np.einsum("ij->j", ca), mean_b)
-        return cls(a.shape[0], mean_a, m_aa, mean_b, m_ab)
+        return cls(a.shape[0], mean_a, m_aa, mean_b, np.dot(ca.T, b))
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine with a later block; ``self`` precedes ``other``."""

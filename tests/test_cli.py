@@ -35,6 +35,16 @@ GOLDEN_SHA256 = {
     "table3_eigenvalues.json": "a707f40a223cc9af6a1446275e98a5bdbf9ba3b3b91e4b4b05cce9e7c9898f95",
 }
 
+# sha256 of the same six files of `all` at the defaults: k = 14, N = 10^6, seed 42
+DEFAULTS_SHA256 = {
+    "table1.csv": "aecd45b4361ba845ba0bf546412e84a227688e94821738d56c349f5ba19118bd",
+    "table2.csv": "9b46ac146d3e56bc7028d80156c43b6cccfc8f7176609dd89a9cbbb1df0e1fb4",
+    "table3.csv": "0b674af1c8dcda949e2d8cff0b88cf456d187d65fc6ada1947b868c8d0204900",
+    "figure_theta_0.5.csv": "df499d37545b5e743e10123f712f2443a05b616dffb5a4a453b126e5f60437e7",
+    "figure_theta_2.csv": "ac5dcdfb300bf5a649d553be597b015a4c1528c553eb83fc251ee3b5ec4a5dd8",
+    "table3_eigenvalues.json": "9be6f750d087683c0b7b49d2365507798d318defbef7a1e70eff12c2fb5dafd9",
+}
+
 
 def run(capsys, argv):
     code = main(argv)
@@ -239,6 +249,34 @@ def test_an_unwritable_output_is_refused_before_any_draw(tmp_path, monkeypatch,
     assert err.count("\n") == 1 and "--output" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "file"]
     assert list((tmp_path / "dir").iterdir()) == []
+
+
+def test_a_directory_at_the_csv_sidecar_is_refused_before_any_draw(tmp_path, monkeypatch,
+                                                                   capsys):
+    # the sidecar is written after the report, so this used to leave a CSV
+    # without its manifest after a full sweep
+    (tmp_path / "x.csv.manifest.json").mkdir()
+    draws = count_draws(monkeypatch)
+    code, out, err = run(capsys, ["table1", "--samples", "2000",
+                                  "--output", str(tmp_path / "x.csv")])
+    assert (code, out) == (1, "") and not draws
+    assert err.count("\n") == 1 and "x.csv.manifest.json is a directory" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["x.csv.manifest.json"]
+
+
+@pytest.mark.parametrize("name", ["table3.csv.manifest.json", "table3_eigenvalues.json",
+                                  "figure_theta_2.FAILED", "manifest.json"])
+def test_all_refuses_a_directory_at_any_file_it_writes_before_any_draw(
+        tmp_path, monkeypatch, capsys, name):
+    # each used to be found only when `all` reached it, after the sweeps of
+    # the reports before it, leaving no manifest.json
+    out_dir = tmp_path / "out"
+    (out_dir / name).mkdir(parents=True)
+    draws = count_draws(monkeypatch)
+    code, out, err = run(capsys, ["all", "--samples", "3000", "--output", str(out_dir)])
+    assert (code, out) == (1, "") and not draws
+    assert err.count("\n") == 1 and f"{name} is a directory" in err
+    assert [p.name for p in out_dir.iterdir()] == [name]
 
 
 @pytest.mark.parametrize("command", ["table3", "all"])
@@ -594,10 +632,10 @@ def test_all_equals_the_single_report_commands(tmp_path, capsys, workers):
         assert (out_dir / name).read_text() == out, name
 
 
-def assert_pinned_digests(out_dir):
+def assert_pinned_digests(out_dir, golden=GOLDEN_SHA256):
     digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
-               for name in GOLDEN_SHA256}
-    assert digests == GOLDEN_SHA256
+               for name in golden}
+    assert digests == golden
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
@@ -608,6 +646,14 @@ def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
                               "--workers", workers, "--output", str(out_dir)])
     assert code == 0
     assert_pinned_digests(out_dir)
+
+
+def test_all_at_the_defaults_matches_its_pinned_digests(tmp_path, capsys):
+    # the paper's run itself, whose bytes the smaller pin above only samples
+    out_dir = tmp_path / "all"
+    code, _, _ = run(capsys, ["all", "--workers", "2", "--output", str(out_dir)])
+    assert code == 0
+    assert_pinned_digests(out_dir, DEFAULTS_SHA256)
 
 
 def test_all_matches_the_pinned_digests_under_the_haswell_kernel(tmp_path):

@@ -457,9 +457,10 @@ SHIFT_RTOL, SHIFT_ATOL = 1e-9, 1e-7
 @given(n=st.integers(2, 400), cut=st.floats(0, 1), seed=st.integers(0, 2**32 - 1),
        shift=st.floats(-100, 100), c=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))
 def test_cross_moments_do_not_change_under_a_shift_of_b(n, cut, seed, shift, c):
-    # from_batch takes m_ab against the uncentered b, and collect_cells pairs
-    # the estimate with y instead of the score y - theta: both rest on m_ab
-    # and the merge being invariant under a constant shift of b
+    # from_batch takes m_ab against the uncentered b, the score z in every
+    # pass; a b with a large mean leaves in m_ab the rounding residue
+    # (sum of ca) mean_b^T, which stays inside these tolerances, in one batch
+    # and across the merge
     rng = np.random.default_rng(seed)
     a = rng.normal(size=(n, 3)) * 2.0 + shift
     b = rng.normal(size=(n, 2)) + 0.3 * a[:, :2]
