@@ -360,7 +360,8 @@ def _table2(args, thetas, calibrations, t0: float) -> _Report:
                     "power": p,
                     "stderr": float(np.sqrt(p * (1.0 - p) / n)),
                 })
-    return _Report(columns, rows, _manifest(args, "table2", thetas, args.alpha, t0))
+    return _Report(columns, rows, _manifest(args, "table2", thetas, args.alpha, t0,
+                                            mu0=hyptest.MU0))
 
 
 def _table3(args, thetas, cells: dict, t0: float) -> _Report:
@@ -397,8 +398,8 @@ def _figure(args, theta: float, calibrations: dict, t0: float) -> _Report:
                                                     _config(args))
     rows = [{"index": i, "s_js": a, "s_ml": b, "shrinkage": c} for i, (a, b, c)
             in enumerate(zip(s_js.tolist(), s_ml.tolist(), shrinkage.tolist()))]
-    manifest = _manifest(args, "figure", [theta], None, t0, points=args.points,
-                         reference_lines=REFERENCE_LINES)
+    manifest = _manifest(args, "figure", [theta], None, t0, mu0=hyptest.MU0,
+                         points=args.points, reference_lines=REFERENCE_LINES)
     return _Report(columns, rows, manifest, extra={"reference_lines": REFERENCE_LINES})
 
 
@@ -428,9 +429,9 @@ def _reports(args) -> list:
         return dict(zip(keys, mc.collect_cells(keys, _config(args))))
 
     @functools.cache
-    def calibrations() -> dict:  # stream 1: the JS and ML nulls at mu0
+    def calibrations() -> dict:  # stream 1: the JS and ML nulls at hyptest.MU0
         _progress("simulating the js and ml nulls")
-        return hyptest.null_calibrations(KINDS, hyptest.DEFAULT_MU0, _config(args))
+        return hyptest.null_calibrations(_config(args))
 
     reports = [
         ("table1", lambda t: _table1(args, thetas["table1"], cells(), t)),
@@ -502,6 +503,7 @@ def _run(args, t0: float) -> int:
 
     manifest = _manifest(
         args, "all", sorted(set().union(*DEFAULT_THETAS.values())), args.alpha, t0,
+        mu0=hyptest.MU0,
         points=args.points,
         outputs=outputs,
         failures=failures,

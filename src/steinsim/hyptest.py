@@ -1,9 +1,10 @@
-"""Hypothesis-testing pipeline for the point null mu = mu0 * 1.
+"""Hypothesis-testing pipeline for the paper's point null mu = MU0 * 1,
+with MU0 = 1.25.
 
 Test statistics are squared distances between the point estimate and the
 null mean (for the ML estimate this is the log likelihood ratio statistic
 up to a monotone map).  Critical values and tail probabilities come from
-an empirical null distribution simulated at mu0, so every downstream
+an empirical null distribution simulated at MU0, so every downstream
 quantity is invariant under strictly increasing transformations of the
 statistics.
 
@@ -15,17 +16,18 @@ the disjoint streams 1, 2 and 3 of the configured seed, so rejection
 fractions are never computed on the draws that set the critical values.
 Each stream is read by one chunk-major sweep (``mc.sweep``), which folds
 one function over each chunk's standard normals z: one pass over stream 1
-yields the calibration of every estimator at mu0 (``null_calibrations``),
-and every power cell shares one pass over stream 2, counting exceedances
-of the critical values that ``power_table`` reads off each calibration
-for the requested alphas.  Both folds read z only through two row
+yields the JS and ML calibrations at MU0 (``null_calibrations``), and
+every power cell shares one pass over stream 2, counting exceedances of
+the critical values that ``power_table`` reads off each calibration for
+the requested alphas.  Both folds read z only through two row
 reductions, S = Σ_j z_j and Q = ‖z‖², taken once per chunk: every
 statistic at every theta is arithmetic on those two vectors, through
 Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta² (``_statistics``).
 The figure pairs' fold adds their theta to z in place, forming y, takes
 y's S and Q once, and computes both statistics by the same formula at
 theta = 0 and the shrinkage from Q (``estimators.shrinkage_from_norms``).
-Every pass checks its thetas before any draw, and no cell's result
+The power and figure passes check their thetas before any draw; the null
+pass takes no theta, since it runs at the constant MU0.  No cell's result
 depends on which other cells share its pass.  Each null is filled in
 place chunk by chunk, sorted once when its pass ends and made read-only;
 its calibration shares those sorted values instead of copying.
@@ -41,7 +43,7 @@ import numpy as np
 from . import NumericalError, mc
 from .estimators import EstimatorKind, shrinkage_from_norms
 
-DEFAULT_MU0 = 1.25
+MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
 
 NULL_STREAM = 1
@@ -56,15 +58,13 @@ class NullResolutionError(NumericalError):
 @dataclass(frozen=True)
 class NullCalibration:
     """Empirical null distribution of one estimator's test statistic at
-    ``mu0``: the ascending ``sorted_null`` that ``power_table`` reads its
+    ``MU0``: the ascending ``sorted_null`` that ``power_table`` reads its
     critical values off and ``semitail`` its tail areas.  Its estimator is
     its key in the mapping that ``null_calibrations`` returns."""
 
-    mu0: float
     sorted_null: np.ndarray
 
     def __post_init__(self):
-        mc.check_thetas([self.mu0])  # the one theta rule of every pass
         values = self.sorted_null
         # a read-only float64 array that owns its data cannot change under
         # the calibration, so it is shared; anything else is copied
@@ -85,21 +85,21 @@ def _row_reductions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
-                theta: float, mu0: float, k: int, index_offset: int = 0) -> np.ndarray:
-    """Test statistics ‖estimate(y) - mu0·1‖² of the rows y = theta·1 + z,
+                theta: float, k: int, index_offset: int = 0) -> np.ndarray:
+    """Test statistics ‖estimate(y) - MU0·1‖² of the rows y = theta·1 + z,
     from S = Σ_j z_j and Q = ‖z‖² alone.
 
     With Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta², the ML
-    statistic is Q + 2dS + kd² for d = theta - mu0, and the JS statistic,
-    with shrinkage c = 1 - (k - 2) / ‖y‖², is c²‖y‖² - 2c·mu0·Σy + k·mu0².
+    statistic is Q + 2dS + kd² for d = theta - MU0, and the JS statistic,
+    with shrinkage c = 1 - (k - 2) / ‖y‖², is c²‖y‖² - 2c·MU0·Σy + k·MU0².
     At theta = 0, ‖y‖² is Q bit for bit.
     """
     if kind is EstimatorKind.ML:
-        d = theta - mu0
+        d = theta - MU0
         return row_norm + (2.0 * d) * row_sum + k * d * d
     norm_sq = row_norm + (2.0 * theta) * row_sum + k * theta * theta
     c = shrinkage_from_norms(norm_sq, k, index_offset)
-    return c * c * norm_sq - (2.0 * mu0) * c * (row_sum + k * theta) + k * mu0 * mu0
+    return c * c * norm_sq - (2.0 * MU0) * c * (row_sum + k * theta) + k * MU0 * MU0
 
 
 def _check_kinds(kinds: Iterable) -> None:
@@ -109,24 +109,18 @@ def _check_kinds(kinds: Iterable) -> None:
             raise TypeError(f"no test statistic for the estimator {kind!r}")
 
 
-def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
-                      config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
-    """The calibration of each estimator at ``mu0``, from one pass over the
+def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
+    """The JS and ML calibrations at ``MU0``, from one pass over the
     calibration stream, whose fold takes each chunk's S and Q from its z
-    once and every null statistic at theta = mu0 from them.  The kinds and
-    ``mu0`` are checked before any draw, and no kinds return ``{}`` without
-    one.  Each null is filled in place chunk by chunk, then sorted once and
-    made read-only, and its calibration shares that memory."""
-    _check_kinds(kinds)
-    mu0 = float(mu0)
-    mc.check_thetas([mu0])
-    if not kinds:
-        return {}
+    once and both null statistics at theta = MU0 from them.  Each null is
+    filled in place chunk by chunk, then sorted once and made read-only,
+    and its calibration shares that memory."""
+    kinds = (EstimatorKind.JS, EstimatorKind.ML)
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list:
         reductions = _row_reductions(z)
-        return [_statistics(kind, *reductions, mu0, mu0, config.k, start) for kind in kinds]
+        return [_statistics(kind, *reductions, MU0, config.k, start) for kind in kinds]
 
     def fill(start: int, results: list) -> None:
         for null, stats in zip(nulls, results):
@@ -137,7 +131,7 @@ def null_calibrations(kinds: Sequence[EstimatorKind], mu0: float,
     for kind, values in zip(kinds, nulls):
         values.sort()
         values.flags.writeable = False
-        calibrations[kind] = NullCalibration(mu0, values)
+        calibrations[kind] = NullCalibration(values)
     return calibrations
 
 
@@ -208,8 +202,7 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
         reductions = _row_reductions(z)
         counts = []
         for kind, theta in cells:
-            stats = _statistics(kind, *reductions, theta, calibrations[kind].mu0,
-                                config.k, start)
+            stats = _statistics(kind, *reductions, theta, config.k, start)
             counts.append([int(np.count_nonzero(stats > crit)) for crit in critical[kind]])
         return counts
 
@@ -247,22 +240,18 @@ def paired_semitail(theta_alt: float, n_points: int,
     place and computes both statistics and the shrinkage of that y from its
     S and Q, taken once; ``theta_alt`` is checked before any draw.  Each
     statistic is standardized against its own entry of ``calibrations``,
-    keyed by estimator as ``null_calibrations`` returns them (the JS and ML
-    entries must share mu0).
+    keyed by estimator as ``null_calibrations`` returns them.
     """
     calib_js, calib_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
-    if calib_js.mu0 != calib_ml.mu0:
-        raise ValueError("calibrations target different null means")
     if n_points < 1:
         raise ValueError("n_points must be positive")
     mc.check_thetas([theta_alt])
-    mu0 = calib_js.mu0
     columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace):
         reductions = _row_reductions(np.add(z, theta_alt, out=z))
-        return (_statistics(EstimatorKind.JS, *reductions, 0.0, mu0, config.k, start),
-                _statistics(EstimatorKind.ML, *reductions, 0.0, mu0, config.k, start),
+        return (_statistics(EstimatorKind.JS, *reductions, 0.0, config.k, start),
+                _statistics(EstimatorKind.ML, *reductions, 0.0, config.k, start),
                 shrinkage_from_norms(reductions[1], config.k, start))
 
     def fill(start: int, chunk: tuple) -> None:

@@ -73,7 +73,7 @@ depends on chunking or worker count:
   (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
   no estimator sees z, and an ML cell forms no y; no pass makes y
   read-only, but ``estimate_batch`` hands a callable a read-only view.
-  Each pass checks its thetas first.
+  Each pass that takes thetas checks them first.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
@@ -90,10 +90,10 @@ depends on chunking or worker count:
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every JS error is 0); it
-  and finiteness have one check, ``check_thetas``, which every pass (the
-  cells, the null and power passes, the figure pairs and the mean-function
-  table) and the command line run before any draw, and which
-  ``hyptest.NullCalibration`` runs on its ``mu0``.
+  and finiteness have one check, ``check_thetas``, which every pass that
+  takes thetas (the cells, the power pass, the figure pairs and the
+  mean-function table) and the command line run before any draw; the null
+  pass takes none, and its ``hyptest.MU0`` lies within the bound.
 
 Scope: reports are byte-identical across refactors and worker counts.  The
 command line writes every float of a report's data at six significant

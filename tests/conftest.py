@@ -14,12 +14,11 @@ from scipy.stats import chi2, ncx2
 from steinsim import mc
 from steinsim.assess import assess_moments
 from steinsim.estimators import EstimatorKind
-from steinsim.hyptest import _row_reductions, _statistics, null_calibrations, power_table
+from steinsim.hyptest import MU0, _row_reductions, _statistics, null_calibrations, power_table
 from steinsim.mc import DEFAULT_SEED, SimulationConfig, collect_cells
 
 K = 14
 FULL_N = 1_000_000
-MU0 = 1.25
 KINDS = (EstimatorKind.JS, EstimatorKind.ML)
 ASSESS_THETAS = (0.0, 0.5, 1.25, 2.0, 2.5)
 POWER_THETAS = (0.0, 0.5, 1.0, 1.25, 1.5, 2.0, 2.5)
@@ -41,10 +40,10 @@ def sweep_values(config, theta, fold, stream=0):
     return np.concatenate(parts)
 
 
-def statistics(kind, y, mu0, index_offset=0):
-    """Row-wise test statistics ‖estimate(y) - mu0·1‖² of an (n, k) array,
+def statistics(kind, y, index_offset=0):
+    """Row-wise test statistics ‖estimate(y) - MU0·1‖² of an (n, k) array,
     by the formula of every pass (``hyptest._statistics`` at theta = 0)."""
-    return _statistics(kind, *_row_reductions(y), 0.0, mu0, y.shape[1], index_offset)
+    return _statistics(kind, *_row_reductions(y), 0.0, y.shape[1], index_offset)
 
 
 def ml_power_oracle(theta_alt, alpha, k, mu0=MU0):
@@ -70,7 +69,7 @@ def full_config():
 
 @pytest.fixture(scope="session")
 def full_calibrations(full_config):
-    return null_calibrations(KINDS, MU0, full_config)
+    return null_calibrations(full_config)
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,6 @@ from steinsim.cli import main as cli_main
 from steinsim.estimators import EstimatorKind, estimate_batch
 from steinsim.hyptest import (
     ALT_STREAM,
-    DEFAULT_MU0,
     NullCalibration,
     _critical_value,
     null_calibrations,
@@ -241,11 +240,12 @@ def test_08d_monotone_transform_invariance():
     n = 100_000
     cfg = SimulationConfig(k=14, n_samples=n, seed=DEFAULT_SEED)
     failures = []
+    calibrations = null_calibrations(cfg)
     for kind in (JS, ML):
-        plain = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
+        plain = calibrations[kind]
         alt = sweep_values(cfg, 2.0, lambda y, start, _: statistics(
-            kind, y, DEFAULT_MU0, index_offset=start), stream=ALT_STREAM)
-        mapped = NullCalibration(DEFAULT_MU0, np.exp(plain.sorted_null))
+            kind, y, index_offset=start), stream=ALT_STREAM)
+        mapped = NullCalibration(np.exp(plain.sorted_null))
         for alpha in (0.01, 0.05):
             p1 = int((alt > _critical_value(plain.sorted_null, alpha)).sum())
             p2 = int((np.exp(alt) > _critical_value(mapped.sorted_null, alpha)).sum())

@@ -599,18 +599,25 @@ def test_all_json_manifests_record_their_parameters(tmp_path, capsys):
                               "--alpha", "0.05", "--format", "json",
                               "--output", str(out_dir)])
     assert code == 0
+    # the null mean is recorded where a report reads the null, and only there
     expected = {
-        "table1": (list(cli.TABLE1_THETAS), None),
-        "table2": (list(cli.TABLE2_THETAS), [0.05]),
-        "table3": (list(cli.TABLE3_THETAS), None),
-        "figure_theta_0.5": ([0.5], None),
-        "figure_theta_2": ([2.0], None),
+        "table1": (list(cli.TABLE1_THETAS), None, False),
+        "table2": (list(cli.TABLE2_THETAS), [0.05], True),
+        "table3": (list(cli.TABLE3_THETAS), None, False),
+        "figure_theta_0.5": ([0.5], None, True),
+        "figure_theta_2": ([2.0], None, True),
     }
-    for name, (thetas, alphas) in expected.items():
+    for name, (thetas, alphas, reads_null) in expected.items():
         manifest = json.loads((out_dir / f"{name}.json").read_text())["manifest"]
         assert manifest["thetas"] == thetas, name
         assert manifest["alphas"] == alphas, name
         assert manifest["samples"] == 20000 and manifest["seed"] == 42, name
+        if reads_null:
+            assert manifest["mu0"] == hyptest.MU0, name
+        else:
+            assert "mu0" not in manifest, name
+    run_manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert run_manifest["mu0"] == hyptest.MU0 == 1.25
 
 
 @pytest.mark.parametrize("workers", ["1", "2", "8"])

@@ -12,7 +12,7 @@ from steinsim import hyptest, mc
 from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_from_norms
 from steinsim.hyptest import (
     ALT_STREAM,
-    DEFAULT_MU0,
+    MU0,
     PAIR_STREAM,
     NullCalibration,
     NullResolutionError,
@@ -29,44 +29,43 @@ from steinsim.mc import SimulationConfig
 JS, ML = EstimatorKind.JS, EstimatorKind.ML
 
 
-def _statistic(kind, y, mu0):
-    return float(statistics(kind, y[None], mu0)[0])
+def _statistic(kind, y):
+    return float(statistics(kind, y[None])[0])
 
 
 def _alternative_statistics(kind, theta, config):
     """Statistics at theta from one pass over the evaluation stream."""
     return sweep_values(config, theta, lambda y, start, _: statistics(
-        kind, y, DEFAULT_MU0, index_offset=start), stream=ALT_STREAM)
+        kind, y, index_offset=start), stream=ALT_STREAM)
 
 
 def _powers(kind, config, alphas):
-    """Power at mu0 from a calibration of its own null pass."""
-    calibrations = null_calibrations([kind], DEFAULT_MU0, config)
-    return power_table([(kind, DEFAULT_MU0)], calibrations, alphas, config)
+    """Power at MU0 from a calibration of its own null pass."""
+    return power_table([(kind, MU0)], null_calibrations(config), alphas, config)
 
 
 def test_statistic_vanishes_at_the_null_for_ml():
-    assert _statistic(ML, np.full(14, 1.25), 1.25) == 0.0
+    assert _statistic(ML, np.full(14, 1.25)) == 0.0
 
 
 def test_statistic_ml_arithmetic():
-    assert _statistic(ML, np.full(14, 2.0), 1.25) == pytest.approx(7.875, abs=1e-12)
+    assert _statistic(ML, np.full(14, 2.0)) == pytest.approx(7.875, abs=1e-12)
 
 
 def test_statistic_js_through_the_zero_estimate():
-    # squared norm k - 2 shrinks the estimate to zero, leaving k * mu0^2
+    # squared norm k - 2 shrinks the estimate to zero, leaving k * MU0^2
     y = np.full(14, math.sqrt(12.0 / 14.0))
-    assert _statistic(JS, y, 1.25) == pytest.approx(21.875, abs=1e-10)
+    assert _statistic(JS, y) == pytest.approx(21.875, abs=1e-10)
 
 
 def test_statistics_from_row_sums_match_the_direct_norm():
     # the passes read y only through its row sums and squared row norms;
-    # against ‖estimate(y) - mu0‖² formed directly they may differ by
+    # against ‖estimate(y) - MU0‖² formed directly they may differ by
     # rounding only (the float64 terms are below 1e3 here)
     y = np.random.default_rng(5).normal(1.0, 1.0, size=(64, 6))
     for kind in (JS, ML):
-        diff = estimate_batch(kind, y) - 1.25
-        np.testing.assert_allclose(statistics(kind, y, 1.25),
+        diff = estimate_batch(kind, y) - MU0
+        np.testing.assert_allclose(statistics(kind, y),
                                    np.einsum("ij,ij->i", diff, diff), rtol=0, atol=1e-12)
 
 
@@ -77,25 +76,25 @@ def test_statistics_from_row_sums_match_the_direct_norm():
 STATISTIC_ULPS = 8
 
 
-def _statistic_scale(kind, row_sum, row_norm, theta, mu0, k):
+def _statistic_scale(kind, row_sum, row_norm, theta, k):
     """Sum of the magnitudes of the terms that ``_statistics`` adds."""
     if kind is ML:
-        d = theta - mu0
+        d = theta - MU0
         return row_norm + 2 * np.abs(d * row_sum) + k * d * d
     c = 1 - (k - 2) / (row_norm + 2 * theta * row_sum + k * theta * theta)
     norm_bound = row_norm + 2 * np.abs(theta * row_sum) + k * theta * theta
-    return (c * c * norm_bound + 2 * np.abs(c * mu0) * (np.abs(row_sum) + k * abs(theta))
-            + k * mu0 * mu0)
+    return (c * c * norm_bound + 2 * np.abs(c * MU0) * (np.abs(row_sum) + k * abs(theta))
+            + k * MU0 * MU0)
 
 
 @pytest.mark.parametrize("theta", [0.0, 1.25, 2.5, 1e3, 1e7])
 def test_statistics_from_row_sums_match_a_longdouble_reference(theta):
-    # eight chunks of the evaluation stream, plus rows where c * y = mu0 * 1
-    # (y = a * 1 with a - (k - 2) / (k a) = mu0), where the JS statistic
+    # eight chunks of the evaluation stream, plus rows where c * y = MU0 * 1
+    # (y = a * 1 with a - (k - 2) / (k a) = MU0), where the JS statistic
     # cancels to about 0, and three rows beside them
-    k, mu0 = 14, DEFAULT_MU0
+    k = 14
     cfg = SimulationConfig(k=k, n_samples=8 * mc.CHUNK_SAMPLES, seed=3)
-    a = (mu0 + math.sqrt(mu0 * mu0 + 4 * (k - 2) / k)) / 2
+    a = (MU0 + math.sqrt(MU0 * MU0 + 4 * (k - 2) / k)) / 2
     z = np.vstack([mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM),
                    a - theta + 1e-9 * np.arange(4)[:, None] * np.ones(k)])
     row_sum, row_norm = _row_reductions(z)
@@ -104,9 +103,9 @@ def test_statistics_from_row_sums_match_a_longdouble_reference(theta):
         est = y
         if kind is JS:
             est = (1 - (k - 2) / np.einsum("ij,ij->i", y, y))[:, None] * y
-        reference = ((est - mu0) ** 2).sum(axis=1)
-        got = _statistics(kind, row_sum, row_norm, theta, mu0, k)
-        scale = _statistic_scale(kind, row_sum, row_norm, theta, mu0, k)
+        reference = ((est - MU0) ** 2).sum(axis=1)
+        got = _statistics(kind, row_sum, row_norm, theta, k)
+        scale = _statistic_scale(kind, row_sum, row_norm, theta, k)
         error = np.abs(got - reference).astype(np.float64)
         assert np.all(error <= STATISTIC_ULPS * np.finfo(np.float64).eps * scale), kind
 
@@ -114,17 +113,17 @@ def test_statistics_from_row_sums_match_a_longdouble_reference(theta):
 @pytest.mark.parametrize("seed", [3, 11, 29])
 def test_power_counts_equal_the_direct_statistic_counts(seed):
     # power_table folds every cell from each chunk's S and Q; the counts
-    # must be those of ‖estimate(y) - mu0‖² formed from y itself, against
+    # must be those of ‖estimate(y) - MU0‖² formed from y itself, against
     # the same critical values
     cfg = SimulationConfig(k=14, n_samples=3 * mc.CHUNK_SAMPLES + 1000,
                            seed=seed, n_workers=2)
-    calibrations = null_calibrations([JS, ML], DEFAULT_MU0, cfg)
+    calibrations = null_calibrations(cfg)
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
     alphas = (0.01, 0.05)
     table = power_table(cells, calibrations, alphas, cfg)
     z = mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM)
     for kind, theta in cells:
-        diff = estimate_batch(kind, z + theta) - DEFAULT_MU0
+        diff = estimate_batch(kind, z + theta) - MU0
         direct = np.einsum("ij,ij->i", diff, diff)
         for alpha in alphas:
             crit = _critical_value(calibrations[kind].sorted_null, alpha)
@@ -160,6 +159,23 @@ def test_js_critical_values_finite_positive(full_calibrations):
     for alpha in (0.01, 0.05):
         crit = _critical_value(full_calibrations[JS].sorted_null, alpha)
         assert np.isfinite(crit) and crit > 0
+
+
+# Exact critical values of the JS test at k = 14 and MU0 = 1.25. Split y
+# into u, its coordinate along 1/sqrt(k), and W = ‖y‖² - u², a chi-square
+# with k - 1 degrees of freedom; given u the JS statistic exceeds t outside
+# the two roots of a quadratic in ‖y‖², so P0(T > t) is a 1-D integral over
+# u of two chi-square CDFs (scipy quad), solved for t by brentq.
+JS_EXACT_CRITICAL = {0.01: 19.82392, 0.05: 15.95580}
+
+
+def test_js_null_exceeds_its_exact_critical_values_at_rate_alpha(full_calibrations):
+    # both alphas read the same null draws, so the two checks are not independent
+    values = full_calibrations[JS].sorted_null
+    n = values.size
+    for alpha, crit in JS_EXACT_CRITICAL.items():
+        share = float(np.count_nonzero(values > crit)) / n
+        assert abs(share - alpha) <= 3 * math.sqrt(alpha * (1 - alpha) / n), alpha
 
 
 def _order_statistic_rank(n, alpha):
@@ -198,37 +214,23 @@ def test_calibration_rejects_bad_alphas():
 
 def test_calibration_validates_sorted_null():
     with pytest.raises(ValueError, match="ascending"):
-        NullCalibration(1.25, np.array([2.0, 1.0]))
+        NullCalibration(np.array([2.0, 1.0]))
     with pytest.raises(ValueError, match="1-D"):
-        NullCalibration(1.25, np.arange(1.0, 201.0).reshape(100, 2))
-
-
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_calibration_refuses_a_non_finite_mu0(bad):
-    with pytest.raises(ValueError, match="finite"):
-        NullCalibration(bad, np.arange(1.0, 201.0))
-
-
-@pytest.mark.parametrize("mu0", [mc.THETA_LIMIT, -mc.THETA_LIMIT, 1e200])
-def test_calibration_refuses_a_mu0_that_theta_plus_z_cannot_resolve(mu0):
-    # null_calibrations refuses such a mu0; a calibration built directly
-    # must too, or power_table reads infinite statistics off it
-    with pytest.raises(mc.ThetaResolutionError):
-        NullCalibration(mu0, np.arange(1.0, 20001.0))
+        NullCalibration(np.arange(1.0, 201.0).reshape(100, 2))
 
 
 def test_calibrations_share_the_read_only_null():
     cfg = SimulationConfig(k=5, n_samples=20_000, seed=2)
-    for calibration in null_calibrations([JS, ML], 1.25, cfg).values():
+    for calibration in null_calibrations(cfg).values():
         values = calibration.sorted_null
         assert not values.flags.writeable
-        calib = NullCalibration(1.25, values)
+        calib = NullCalibration(values)
         assert np.shares_memory(calib.sorted_null, values)
 
 
 def test_calibration_copies_a_writable_null():
     values = np.arange(1.0, 201.0)
-    calib = NullCalibration(1.25, values)
+    calib = NullCalibration(values)
     values[:] = 0.0
     assert not np.shares_memory(calib.sorted_null, values)
     assert np.array_equal(calib.sorted_null, np.arange(1.0, 201.0))
@@ -250,7 +252,7 @@ def test_power_at_the_null_equals_alpha(full_powers):
 def test_power_table_names_a_missing_calibration(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="no calibration for the ML estimator"):
         power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, (0.05,), cfg)
@@ -274,18 +276,10 @@ def _recording_draws(monkeypatch) -> list:
     return draws
 
 
-def test_null_calibrations_refuse_an_estimator_with_no_statistic_before_any_draw(monkeypatch):
-    draws = _recording_draws(monkeypatch)
-    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
-    with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
-        null_calibrations([JS, _no_statistic], 1.25, cfg)
-    assert draws == []
-
-
 def test_power_table_refuses_an_estimator_with_no_statistic_before_any_draw(monkeypatch):
     # checked before the calibrations, which are keyed by EstimatorKind
     draws = _recording_draws(monkeypatch)
-    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
         power_table([(_no_statistic, 0.5)], {JS: calib}, (0.05,), cfg)
@@ -295,7 +289,7 @@ def test_power_table_refuses_an_estimator_with_no_statistic_before_any_draw(monk
 def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(NullResolutionError, match=r"alpha=0\.05 \(need at least 2000\)"):
         power_table([(ML, 0.5)], {ML: calib}, (0.5, 0.05), cfg)
@@ -304,7 +298,7 @@ def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_power_table_rejects_a_non_finite_theta(bad):
-    calib = NullCalibration(1.25, np.arange(1.0, 201.0))
+    calib = NullCalibration(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="finite"):
         power_table([(ML, 0.5), (ML, bad)], {ML: calib}, (0.5,), cfg)
@@ -340,7 +334,7 @@ def test_js_power_asymmetry_at_equal_divergence(full_powers):
 
 def _linear_calibration(n=99_999):
     values = np.arange(1.0, n + 1.0)
-    return NullCalibration(1.25, values)
+    return NullCalibration(values)
 
 
 def test_semitail_add_one_rule_exact():
@@ -394,7 +388,7 @@ SEMITAIL_TOP_RTOL = 4 * np.finfo(np.float64).eps
 def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
     values = np.sort(np.array(null))
     n = values.size
-    calib = NullCalibration(1.25, values)
+    calib = NullCalibration(values)
     ss = semitail(np.sort(np.array(ts)), calib)
     assert np.all(np.diff(ss) >= 0)
     assert np.all(ss >= 0)
@@ -432,23 +426,12 @@ def test_paired_semitail_null_case_shows_no_ordering(full_calibrations, full_con
     assert 0.3 <= (s_ml > s_js).mean() <= 0.7
 
 
-def test_paired_semitail_rejects_calibrations_at_different_null_means(monkeypatch):
-    draws = []
-    monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
-                    ML: NullCalibration(1.5, np.arange(1.0, 201.0))}
-    cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
-    with pytest.raises(ValueError, match="different null means"):
-        paired_semitail(2.0, 10, calibrations, cfg)
-    assert draws == []  # before any draw
-
-
 @pytest.mark.parametrize("n_points", [0, -1])
 def test_paired_semitail_refuses_no_points_before_any_draw(monkeypatch, n_points):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
-    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
-                    ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
+    calibrations = {JS: NullCalibration(np.arange(1.0, 201.0)),
+                    ML: NullCalibration(np.arange(1.0, 201.0))}
     with pytest.raises(ValueError, match="n_points must be positive"):
         paired_semitail(2.0, n_points, calibrations, SimulationConfig(k=5, seed=2))
     assert draws == []
@@ -459,8 +442,8 @@ def test_paired_semitail_refuses_no_points_before_any_draw(monkeypatch, n_points
 def test_paired_semitail_refuses_a_bad_theta_before_any_draw(monkeypatch, bad, error):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
-    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
-                    ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
+    calibrations = {JS: NullCalibration(np.arange(1.0, 201.0)),
+                    ML: NullCalibration(np.arange(1.0, 201.0))}
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(error):
         paired_semitail(bad, 10, calibrations, cfg)
@@ -482,17 +465,15 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
     got_js, got_ml, shrinkage = paired_semitail(theta, n_points, full_calibrations, config)
     y = theta + mc.draw_block(SimulationConfig(k=14, n_samples=n_points, seed=42),
                               0, n_points, PAIR_STREAM)
-    assert np.array_equal(got_js, semitail(statistics(JS, y, DEFAULT_MU0),
-                                           full_calibrations[JS]))
-    assert np.array_equal(got_ml, semitail(statistics(ML, y, DEFAULT_MU0),
-                                           full_calibrations[ML]))
+    assert np.array_equal(got_js, semitail(statistics(JS, y), full_calibrations[JS]))
+    assert np.array_equal(got_ml, semitail(statistics(ML, y), full_calibrations[ML]))
     assert np.array_equal(shrinkage, shrinkage_from_norms(np.einsum("ij,ij->i", y, y), 14))
 
 
 def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
     # both statistics and the shrinkage of a chunk come from one S and one Q
-    calibrations = {JS: NullCalibration(1.25, np.arange(1.0, 201.0)),
-                    ML: NullCalibration(1.25, np.arange(1.0, 201.0))}
+    calibrations = {JS: NullCalibration(np.arange(1.0, 201.0)),
+                    ML: NullCalibration(np.arange(1.0, 201.0))}
     config = SimulationConfig(k=5, seed=2, n_workers=2)
     n_points = mc.CHUNK_SAMPLES + 300
     expected = paired_semitail(2.0, n_points, calibrations, config)
@@ -551,10 +532,11 @@ def test_oracle_rejects_bad_alpha():
 def test_power_and_semitail_invariant_under_increasing_maps():
     n = 100_000
     cfg = SimulationConfig(k=14, n_samples=n, seed=42)
+    calibrations = null_calibrations(cfg)
     for kind in (JS, ML):
-        calib = null_calibrations([kind], DEFAULT_MU0, cfg)[kind]
+        calib = calibrations[kind]
         alt = _alternative_statistics(kind, 2.0, cfg)
-        calib_t = NullCalibration(DEFAULT_MU0, np.exp(calib.sorted_null))
+        calib_t = NullCalibration(np.exp(calib.sorted_null))
         for alpha in (0.01, 0.05):
             p = float((alt > _critical_value(calib.sorted_null, alpha)).mean())
             p_t = float((np.exp(alt) > _critical_value(calib_t.sorted_null, alpha)).mean())
@@ -571,12 +553,9 @@ def test_shared_passes_match_one_cell_passes_bitwise():
     # two chunks per stream; shared passes must reproduce the per-cell
     # results exactly, and power must equal the exceedance fraction
     cfg = SimulationConfig(k=14, n_samples=70_000, seed=8, n_workers=2)
-    calibrations = null_calibrations([JS, ML], DEFAULT_MU0, cfg)
+    calibrations = null_calibrations(cfg)
     for kind in (JS, ML):
-        nulls = calibrations[kind].sorted_null
-        alone = null_calibrations([kind], DEFAULT_MU0, cfg)[kind].sorted_null
-        assert np.array_equal(nulls, alone)
-        assert np.all(np.diff(nulls) >= 0)
+        assert np.all(np.diff(calibrations[kind].sorted_null) >= 0)
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 1.25, 2.5)]
     table = power_table(cells, calibrations, (0.01, 0.05), cfg)
     for kind, theta in cells:

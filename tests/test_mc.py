@@ -643,7 +643,7 @@ def test_sweeps_do_not_depend_on_the_worker_count(k, n, cells):
     # random cell lists repeat thetas (and whole cells); moments and power
     # must be bit-identical at 1, 2 and 3 workers
     null_cfg = SimulationConfig(k=k, n_samples=2000, seed=21)
-    calibrations = null_calibrations([EstimatorKind.JS, EstimatorKind.ML], 1.25, null_cfg)
+    calibrations = null_calibrations(null_cfg)
     results = {}
     for workers in (1, 2, 3):
         cfg = SimulationConfig(k=k, n_samples=n, seed=22, n_workers=workers)
@@ -677,7 +677,7 @@ def test_every_pass_gives_the_same_bits_at_1_2_and_3_workers(k, n_chunks, last, 
     results = []
     for workers in (1, 2, 3):
         cfg = SimulationConfig(k=k, n_samples=n, seed=25, n_workers=workers)
-        calibrations = null_calibrations(kinds, 1.25, cfg)
+        calibrations = null_calibrations(cfg)
         results.append((collect_cells(cells, cfg), calibrations,
                         power_table(cells, calibrations, (0.05,), cfg),
                         tabulate_mean_function(EstimatorKind.JS, [0.0, 1.25], cfg),
@@ -797,7 +797,7 @@ def test_a_null_pass_keeps_no_chunk_list_or_copy_of_its_nulls():
         cfg = SimulationConfig(k=14, n_samples=n_chunks * CHUNK_SAMPLES, seed=27)
         tracemalloc.start()
         try:
-            result = null_calibrations(kinds, 1.25, cfg)
+            result = null_calibrations(cfg)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -926,7 +926,6 @@ def test_empty_requests_return_before_any_draw(monkeypatch):
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
     cfg = _cfg(n_samples=1000)
     assert collect_cells([], cfg) == []
-    assert null_calibrations([], 1.25, cfg) == {}
     assert power_table([], {}, (0.05,), cfg) == {}
     assert draws == []
 
@@ -984,9 +983,8 @@ def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
         alone, = collect_cells([(kind, theta)], single, stream=5)
         assert _same_cell(cell, alone), (kind, theta)
 
-    calibrations = null_calibrations([js, ml], 1.25, cfg)
-    for kind in (js, ml):
-        alone = null_calibrations([kind], 1.25, single)[kind]
+    calibrations = null_calibrations(cfg)
+    for kind, alone in null_calibrations(single).items():
         assert np.array_equal(calibrations[kind].sorted_null, alone.sorted_null)
     table = power_table(cells, calibrations, (0.01, 0.05), cfg)
     for kind, theta in cells:
