@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import NumericalError, mc
-from .estimators import EstimatorFn, EstimatorKind
+from .estimators import EstimatorKind
 
 # Sample covariances beyond this condition number are treated as singular.
 V_CONDITION_LIMIT = 1e12
@@ -30,11 +30,9 @@ V_CONDITION_LIMIT = 1e12
 class SingularCovarianceError(NumericalError):
     """The estimate covariance cannot be inverted reliably."""
 
-    def __init__(self, kind, theta: float, condition: float):
-        label = (kind.value.upper() if isinstance(kind, EstimatorKind)
-                 else getattr(kind, "__name__", repr(kind)))
+    def __init__(self, kind: EstimatorKind, theta: float, condition: float):
         super().__init__(
-            f"covariance of the {label} estimate at theta={theta:g} "
+            f"covariance of the {kind.value.upper()} estimate at theta={theta:g} "
             f"is singular or ill-conditioned (condition number ~ {condition:.3g})"
         )
 
@@ -86,7 +84,7 @@ def _lambda_batch_stderr(batches, kind, theta: float) -> float:
     return float(traces.std(ddof=1) / np.sqrt(len(traces)))
 
 
-def assess_moments(kind: "EstimatorKind | EstimatorFn", theta: float,
+def assess_moments(kind: EstimatorKind, theta: float,
                    cell: mc.CellMoments) -> AssessmentReport:
     """Information of one cell from its merged moments.
 

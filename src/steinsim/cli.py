@@ -46,6 +46,7 @@ import argparse
 import ctypes
 import csv
 import functools
+import hashlib
 import io
 import json
 import os
@@ -239,10 +240,12 @@ def _blas() -> tuple[str | None, int | None]:
     return kernel().decode(), threads()
 
 
-def _provenance() -> dict:
-    """The libraries, BLAS, thread settings and chunk size a run used."""
+def _provenance(k: int) -> dict:
+    """The libraries, BLAS, thread settings, chunk size, RNG contract (see
+    the ``mc`` contract) and source files a run used."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     kernel, threads = _blas()
+    sources = sorted(Path(__file__).parent.glob("*.py"))  # the package, in name order
     return {
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -251,6 +254,9 @@ def _provenance() -> dict:
         "threads_env": {name: value for name, value in sorted(os.environ.items())
                         if name.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,
+        "rng": {"bit_generator": "Philox", "key": ["seed", "stream"],
+                "words_per_sample": mc.words_per_sample(k), "normal_map": "ndtri"},
+        "source_sha256": hashlib.sha256(b"".join(map(Path.read_bytes, sources))).hexdigest(),
     }
 
 
@@ -265,7 +271,7 @@ def _manifest(args, command: str, thetas, alphas, t0: float, **extra) -> dict:
         "alphas": [float(a) for a in alphas] if alphas else None,
         "version": __version__,
         "duration_seconds": round(time.perf_counter() - t0, 3),
-        "provenance": _provenance(),
+        "provenance": _provenance(args.k),
     }
     manifest.update(extra)
     return manifest

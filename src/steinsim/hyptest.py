@@ -29,13 +29,14 @@ theta = 0 and the shrinkage from Q (``estimators.shrinkage_from_norms``).
 The power and figure passes check their thetas before any draw; the null
 pass takes no theta, since it runs at the constant MU0.  No cell's result
 depends on which other cells share its pass.  Each null is filled in
-place chunk by chunk, sorted once when its pass ends and made read-only;
-its calibration shares those sorted values instead of copying.
+place chunk by chunk, sorted once when its pass ends and made read-only:
+that ascending float64 array is the estimator's calibration, keyed by
+its ``EstimatorKind``, and nothing can change it under a reader.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -53,30 +54,6 @@ PAIR_STREAM = 3
 
 class NullResolutionError(NumericalError):
     """Too few null samples to resolve the requested significance level."""
-
-
-@dataclass(frozen=True)
-class NullCalibration:
-    """Empirical null distribution of one estimator's test statistic at
-    ``MU0``: the ascending ``sorted_null`` that ``power_table`` reads its
-    critical values off and ``semitail`` its tail areas.  Its estimator is
-    its key in the mapping that ``null_calibrations`` returns."""
-
-    sorted_null: np.ndarray
-
-    def __post_init__(self):
-        values = self.sorted_null
-        # a read-only float64 array that owns its data cannot change under
-        # the calibration, so it is shared; anything else is copied
-        if not (isinstance(values, np.ndarray) and values.dtype == np.float64
-                and values.flags.owndata and not values.flags.writeable):
-            values = np.array(values, dtype=np.float64)
-            values.flags.writeable = False
-        if values.ndim != 1:
-            raise ValueError("sorted_null must be 1-D")
-        if np.any(values[1:] < values[:-1]):
-            raise ValueError("sorted_null must be ascending")
-        object.__setattr__(self, "sorted_null", values)
 
 
 def _row_reductions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -102,19 +79,12 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
     return c * c * norm_sq - (2.0 * MU0) * c * (row_sum + k * theta) + k * MU0 * MU0
 
 
-def _check_kinds(kinds: Iterable) -> None:
-    """``TypeError`` naming the first estimator with no test statistic."""
-    for kind in kinds:
-        if not isinstance(kind, EstimatorKind):
-            raise TypeError(f"no test statistic for the estimator {kind!r}")
-
-
-def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, NullCalibration]:
+def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
     """The JS and ML calibrations at ``MU0``, from one pass over the
     calibration stream, whose fold takes each chunk's S and Q from its z
-    once and both null statistics at theta = MU0 from them.  Each null is
-    filled in place chunk by chunk, then sorted once and made read-only,
-    and its calibration shares that memory."""
+    once and both null statistics at theta = MU0 from them.  Each
+    calibration is its null: the float64 array of ``n_samples`` statistics
+    filled in place chunk by chunk, then sorted once and made read-only."""
     kinds = (EstimatorKind.JS, EstimatorKind.ML)
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
@@ -127,12 +97,10 @@ def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, NullCa
             null[start:start + len(stats)] = stats
 
     mc.sweep(config, fold, fill, stream=NULL_STREAM)
-    calibrations = {}
-    for kind, values in zip(kinds, nulls):
-        values.sort()
-        values.flags.writeable = False
-        calibrations[kind] = NullCalibration(values)
-    return calibrations
+    for null in nulls:
+        null.sort()
+        null.flags.writeable = False
+    return dict(zip(kinds, nulls))
 
 
 def check_alphas(alphas: Iterable[float]) -> list[float]:
@@ -165,7 +133,7 @@ def _critical_value(sorted_values: np.ndarray, alpha: float) -> float:
 
 
 def power_table(cells: Sequence[tuple[EstimatorKind, float]],
-                calibrations: dict[EstimatorKind, NullCalibration],
+                calibrations: dict[EstimatorKind, np.ndarray],
                 alphas: Iterable[float],
                 config: mc.SimulationConfig) -> dict[tuple[EstimatorKind, float],
                                                      dict[float, float]]:
@@ -173,28 +141,28 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     pass over the evaluation stream.
 
     Before any draw, the alphas must pass ``check_alphas``, and each cell's
-    estimator must have a test statistic and a calibration that resolves
-    every alpha (``check_null_resolution``).  Its critical value at alpha
-    is the order statistic ``sorted_null[ceil((1 - alpha) * (n + 1)) - 1]``,
-    exact for alpha's binary value.  Every theta is checked before any
-    draw, and no cells return ``{}`` without one.  The pass's fold takes
-    each chunk's S and Q from its z once; each cell counts, chunk by chunk,
-    the draws whose statistic at its theta strictly exceeds each critical
-    value, and the power is the total count over n_samples.  The alternative draws are
+    estimator must key a calibration, an ascending null as
+    ``null_calibrations`` returns it, that resolves every alpha
+    (``check_null_resolution``).  Its critical value at alpha is the order
+    statistic ``null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
+    binary value.  Every theta is checked before any draw, and no cells
+    return ``{}`` without one.  The pass's fold takes each chunk's S and Q
+    from its z once; each cell counts, chunk by chunk, the draws whose
+    statistic at its theta strictly exceeds each critical value, and the
+    power is the total count over n_samples.  The alternative draws are
     shared by all cells (common random numbers) and disjoint from the
     calibration draws.
     """
-    _check_kinds(kind for kind, _ in cells)
     mc.check_thetas([theta for _, theta in cells])
     alphas = check_alphas(alphas)
     for kind, _ in cells:
         if kind not in calibrations:
-            raise ValueError(f"no calibration for the {kind.name} estimator")
+            raise ValueError(f"no calibration for the estimator {kind}")
     critical = {}
     for kind in dict.fromkeys(kind for kind, _ in cells):
-        values = calibrations[kind].sorted_null
-        check_null_resolution(values.size, alphas)
-        critical[kind] = [_critical_value(values, a) for a in alphas]
+        null = calibrations[kind]
+        check_null_resolution(null.size, alphas)
+        critical[kind] = [_critical_value(null, a) for a in alphas]
     if not cells:
         return {}
 
@@ -213,16 +181,17 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     return {(kind, theta): dict(zip(alphas, row)) for (kind, theta), row in zip(cells, powers)}
 
 
-def semitail(t, calibration: NullCalibration):
-    """Semi-tail value s = -log2(p) with p = (#{null >= t} + 1) / (n + 1).
+def semitail(t, null: np.ndarray):
+    """Semi-tail value s = -log2(p) with p = (#{null >= t} + 1) / (n + 1),
+    against the ascending ``null`` of ``n`` draws (a calibration).
 
     The add-one rule keeps p positive, so statistics beyond the largest
     null draw still get a finite value, exactly log2(n + 1); one at or
     below every null draw gets +0.0.  Accepts scalars or arrays.
     """
     t = np.asarray(t, dtype=np.float64)
-    n = calibration.sorted_null.size
-    count_ge = n - np.searchsorted(calibration.sorted_null, t, side="left")
+    n = null.size
+    count_ge = n - np.searchsorted(null, t, side="left")
     # the rounded ratio can put -log2 one ulp above its bound log2(n + 1);
     # + 0.0 turns the -0.0 of -log2(1) into +0.0
     s = np.minimum(-np.log2((count_ge + 1.0) / (n + 1.0)), np.log2(n + 1.0)) + 0.0
@@ -230,7 +199,7 @@ def semitail(t, calibration: NullCalibration):
 
 
 def paired_semitail(theta_alt: float, n_points: int,
-                    calibrations: dict[EstimatorKind, NullCalibration],
+                    calibrations: dict[EstimatorKind, np.ndarray],
                     config: mc.SimulationConfig) -> tuple[np.ndarray, ...]:
     """The columns (s_js, s_ml, shrinkage) of per-sample pairs at the
     alternative theta: row i of each is sample i of the pair stream.
@@ -242,7 +211,7 @@ def paired_semitail(theta_alt: float, n_points: int,
     statistic is standardized against its own entry of ``calibrations``,
     keyed by estimator as ``null_calibrations`` returns them.
     """
-    calib_js, calib_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
+    null_js, null_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if n_points < 1:
         raise ValueError("n_points must be positive")
     mc.check_thetas([theta_alt])
@@ -259,4 +228,4 @@ def paired_semitail(theta_alt: float, n_points: int,
 
     mc.sweep(replace(config, n_samples=n_points), fold, fill, stream=PAIR_STREAM)
     t_js, t_ml, shrink = columns
-    return semitail(t_js, calib_js), semitail(t_ml, calib_ml), shrink
+    return semitail(t_js, null_js), semitail(t_ml, null_ml), shrink

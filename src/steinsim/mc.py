@@ -10,10 +10,10 @@ depends on chunking or worker count:
   evaluation, figure pairs, mean-function rows) use distinct ``stream``
   ids, so their draws never overlap.
 * sample substreams: sample ``i`` of dimension ``k`` owns the 64-bit
-  output words ``[i * w, (i + 1) * w)`` with ``w = 4 * ceil(k / 4)``.
-  Padding to a whole Philox counter block (4 words) means any contiguous
-  range of samples can be generated by advancing the counter, with no
-  serial dependence between ranges.
+  output words ``[i * w, (i + 1) * w)`` with ``w = 4 * ceil(k / 4)``
+  (``words_per_sample``).  Padding to a whole Philox counter block (4
+  words) means any contiguous range of samples can be generated by
+  advancing the counter, with no serial dependence between ranges.
 * normals: each word's top 53 bits m map to the open-interval uniform
   ``u = min((m + 0.5) / 2**53, 1 - 2**-53)``, whose clamp moves only
   m = 2**53 - 1 (``m + 0.5`` rounds half-to-even for m >= 2**52, here up
@@ -72,8 +72,7 @@ depends on chunking or worker count:
   forms its own ``y`` in the ``cell`` buffer of the worker's ``Workspace``
   (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
   no estimator sees z, and an ML cell forms no y; no pass makes y
-  read-only, but ``estimate_batch`` hands a callable a read-only view.
-  Each pass that takes thetas checks them first.
+  read-only.  Each pass that takes thetas checks them first.
 * workspaces: each worker thread of a sweep gets one ``Workspace`` on its
   first chunk and reuses it for every later chunk of the pass.  Its named
   buffers are allocated on first use and grown only for a larger request,
@@ -118,7 +117,7 @@ import numpy as np
 from numpy.random import Philox
 
 from . import NumericalError
-from .estimators import EstimatorFn, EstimatorKind, estimate_batch
+from .estimators import EstimatorKind, estimate_batch
 
 
 def _scipy_ndtri():
@@ -218,6 +217,11 @@ def _integer(value) -> int | None:
     return as_int if as_int == value else None
 
 
+def words_per_sample(k: int) -> int:
+    """w = 4 * ceil(k / 4), the Philox words of one sample: whole blocks."""
+    return 4 * ((k + 3) // 4)
+
+
 def draw_block(config: SimulationConfig, start: int, count: int,
                stream: int = 0, out: np.ndarray | None = None) -> np.ndarray:
     """Standard normals z for samples [start, start + count) of a stream,
@@ -227,7 +231,7 @@ def draw_block(config: SimulationConfig, start: int, count: int,
             f"sample range [{start}, {start + count}) outside "
             f"[0, {config.n_samples})"
         )
-    words = 4 * ((config.k + 3) // 4)  # w, a whole number of Philox blocks
+    words = words_per_sample(config.k)
     bg = Philox(key=[config.seed, stream])
     bg.advance(start * words // 4)
     raw = bg.random_raw(count * words).reshape(count, words)
@@ -503,7 +507,7 @@ def _squared_error_sums(err: np.ndarray, workspace: Workspace) -> tuple[float, f
     return float(err_sq.sum()), float(np.multiply(err_sq, err_sq, out=err_sq).sum())
 
 
-def _error(kind: "EstimatorKind | EstimatorFn", theta: float, z: np.ndarray,
+def _error(kind: EstimatorKind, theta: float, z: np.ndarray,
            start: int, out: np.ndarray) -> np.ndarray:
     """The errors ``estimate(theta + z) - theta`` of a chunk whose draw is z.
 
@@ -518,7 +522,7 @@ def _error(kind: "EstimatorKind | EstimatorFn", theta: float, z: np.ndarray,
     return np.subtract(est, theta, out=est)
 
 
-def collect_cells(cells: Sequence[tuple["EstimatorKind | EstimatorFn", float]],
+def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
                   config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
     """Moments of every (estimator, theta) cell from one pass over a stream.
 
@@ -578,7 +582,7 @@ def _pooled_count_mean(part, other) -> tuple[int, np.ndarray]:
     return n, mean
 
 
-def tabulate_mean_function(kind: "EstimatorKind | EstimatorFn", grid,
+def tabulate_mean_function(kind: EstimatorKind, grid,
                            config: SimulationConfig) -> np.ndarray:
     """Monte Carlo estimate of E[estimate] at each theta of ``grid``.
 

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steinsim.assess import SingularCovarianceError, assess_moments
-from steinsim.estimators import EstimatorKind
+from steinsim.estimators import EstimatorKind, estimate_batch
 from steinsim import mc
 from steinsim.mc import (
     CHUNK_SAMPLES,
@@ -69,9 +71,19 @@ def test_lambda_matrix_ml_attains_fisher_information(full_reports):
     assert np.abs(lam - np.eye(14)).max() <= 0.01
 
 
+def _cell_of(err, z):
+    """The one-batch cell that pairs the errors ``err`` with the score z."""
+    return CellMoments(StreamingMoments.from_batch(err, z), 0.0, 0.0, ())
+
+
 def test_lambda_matrix_constant_estimator_is_singular():
+    # the error of the constant estimate 2 at theta = 0.5 has no variance
+    z = draw_block(_cfg(n=20_000), 0, 20_000)
+    cell = _cell_of(np.full_like(z, 2.0 - 0.5), z)
+    assert not cell.moments.m_aa.any() and not cell.moments.m_ab.any()
+    assert np.all(cell.moments.mean_a == 2.0 - 0.5)
     with pytest.raises(SingularCovarianceError) as err:
-        _assess(lambda y: np.full_like(y, 2.0), 0.5, _cfg(n=20_000))
+        assess_moments(EstimatorKind.JS, 0.5, cell)
     assert "theta=0.5" in str(err.value)
 
 
@@ -102,8 +114,6 @@ def test_component_slopes_respect_the_information_bound():
     # along the equal-means line the scalar score is sum(y - theta) with
     # information k; each component statistic's standardized slope is
     # bounded by sqrt(k)
-    from steinsim.estimators import estimate_batch
-
     cfg = SimulationConfig(k=14, n_samples=100_000, seed=23)
     y = draw_block(cfg, 0, cfg.n_samples) + 1.25
     subfamily_score = (y - 1.25).sum(axis=1)
@@ -131,11 +141,27 @@ def test_js_scalar_information_increases_with_theta(full_reports):
     assert all(a < b for a, b in zip(values, values[1:]))
 
 
-def test_assess_accepts_custom_estimators():
-    report = _assess(lambda y: 0.5 * y, 0.7, _cfg(n=20_000))
-    # halving the data halves the slope and quarters the variance, so the
-    # information matrix stays at the identity
-    assert np.abs(report.lambda_matrix - np.eye(14)).max() <= 0.05
+# Tolerance fixed before the property was written: the two Lambdas are the
+# same matrix in exact arithmetic, and A's condition number is below e^4
+LAMBDA_INVARIANCE_RTOL = 1e-10
+
+
+@settings(derandomize=True, max_examples=25, deadline=None)
+@given(k=st.integers(3, 7), theta=st.sampled_from([0.0, 0.5, 2.0]),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_lambda_is_invariant_under_an_invertible_linear_map_of_the_estimate(
+        k, theta, seed, data):
+    # estimate A e: V becomes A V A^T and D becomes A D, so
+    # Lambda = D^T V^-1 D is unchanged (the information does not depend on
+    # how the estimate is parametrized)
+    log_s = data.draw(st.lists(st.floats(-2.0, 2.0), min_size=k, max_size=k))
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(k, k)))
+    a = q * np.exp(log_s)  # Q diag(s)
+    z = draw_block(SimulationConfig(k=k, n_samples=CHUNK_SAMPLES, seed=seed), 0, CHUNK_SAMPLES)
+    err = estimate_batch(EstimatorKind.JS, z + theta) - theta
+    lam = assess_moments(EstimatorKind.JS, theta, _cell_of(err, z)).lambda_matrix
+    mapped = assess_moments(EstimatorKind.JS, theta, _cell_of(err @ a.T, z)).lambda_matrix
+    assert np.abs(mapped - lam).max() <= LAMBDA_INVARIANCE_RTOL * np.abs(lam).max()
 
 
 @pytest.mark.parametrize("theta", [1e5, 1e7])

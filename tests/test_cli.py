@@ -298,19 +298,18 @@ def test_numerical_failures_exit_2(capsys):
 
 
 def test_overflowing_moments_are_a_numerical_failure():
-    # estimates near 1e170 overflow the centered cross products to inf,
+    # errors near 1e170 overflow the centered cross products to inf,
     # which must fail as a singular covariance (a numerical failure of the
     # CLI), not as a LinAlgError
-    def huge(y):
-        return 1e170 * y
-
     cfg = mc.SimulationConfig(k=14, n_samples=2000, seed=42)
+    z = mc.draw_block(cfg, 0, cfg.n_samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        cell, = mc.collect_cells([(huge, 0.5)], cfg)
+        moments = mc.StreamingMoments.from_batch(1e170 * z, z)
+        cell = mc.CellMoments(moments, 0.0, 0.0, ())
         with pytest.raises(assess.SingularCovarianceError) as err:
-            assess.assess_moments(huge, 0.5, cell)
+            assess.assess_moments(estimators.EstimatorKind.JS, 0.5, cell)
     assert isinstance(err.value, steinsim.NumericalError)
-    assert str(err.value) == ("covariance of the huge estimate at theta=0.5 is "
+    assert str(err.value) == ("covariance of the JS estimate at theta=0.5 is "
                               "singular or ill-conditioned (condition number ~ inf)")
 
 
@@ -724,26 +723,26 @@ def test_a_single_report_sweeps_only_the_streams_it_reads(monkeypatch, capsys,
 
 
 def test_all_builds_one_calibration_per_estimator(tmp_path, monkeypatch, capsys):
-    # table2 and both figures read the same two calibrations
-    built, keys = [], []
-    post_init = hyptest.NullCalibration.__post_init__
-    calibrate = hyptest.null_calibrations
+    # table2 and both figures read the same two calibrations, from one
+    # sweep of the null stream
+    streams, keys = [], []
+    sweep, calibrate = mc.sweep, hyptest.null_calibrations
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(config, fold, take, stream=0):
+        streams.append(stream)
+        sweep(config, fold, take, stream)
 
     def recording(*args):
         calibrations = calibrate(*args)
         keys.append(set(calibrations))
         return calibrations
 
-    monkeypatch.setattr(hyptest.NullCalibration, "__post_init__", counting)
+    monkeypatch.setattr(mc, "sweep", counting)
     monkeypatch.setattr(hyptest, "null_calibrations", recording)
     code, _, _ = run(capsys, ["all", "--samples", "20000", "--seed", "42",
                               "--output", str(tmp_path / "run")])
     assert code == 0
-    assert len(built) == 2
+    assert streams.count(hyptest.NULL_STREAM) == 1
     assert keys == [{estimators.EstimatorKind.JS, estimators.EstimatorKind.ML}]
 
 
@@ -828,6 +827,13 @@ def test_manifests_record_the_provenance_of_the_run(tmp_path, capsys):
         "threads_env": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,
+        # the mc contract's RNG: Philox keyed [seed, stream], w = 4 * ceil(14 / 4)
+        # words per sample, mapped to normals by ndtri
+        "rng": {"bit_generator": "Philox", "key": ["seed", "stream"],
+                "words_per_sample": 16, "normal_map": "ndtri"},
+        "source_sha256": hashlib.sha256(b"".join(
+            path.read_bytes() for path in sorted(Path(steinsim.__file__).parent.glob("*.py"),
+                                                 key=lambda path: path.name))).hexdigest(),
     }
     assert "OPENBLAS_NUM_THREADS" in expected["threads_env"]
     for name in ("manifest.json", "table1.csv.manifest.json"):

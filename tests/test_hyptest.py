@@ -14,7 +14,6 @@ from steinsim.hyptest import (
     ALT_STREAM,
     MU0,
     PAIR_STREAM,
-    NullCalibration,
     NullResolutionError,
     _critical_value,
     _row_reductions,
@@ -37,6 +36,14 @@ def _alternative_statistics(kind, theta, config):
     """Statistics at theta from one pass over the evaluation stream."""
     return sweep_values(config, theta, lambda y, start, _: statistics(
         kind, y, index_offset=start), stream=ALT_STREAM)
+
+
+def _read_only(values):
+    """``values`` as a hand-built calibration: a read-only float64 array,
+    ascending like every null that ``null_calibrations`` returns."""
+    null = np.array(values, dtype=np.float64)
+    null.flags.writeable = False
+    return null
 
 
 def _powers(kind, config, alphas):
@@ -126,7 +133,7 @@ def test_power_counts_equal_the_direct_statistic_counts(seed):
         diff = estimate_batch(kind, z + theta) - MU0
         direct = np.einsum("ij,ij->i", diff, diff)
         for alpha in alphas:
-            crit = _critical_value(calibrations[kind].sorted_null, alpha)
+            crit = _critical_value(calibrations[kind], alpha)
             count = int(np.count_nonzero(direct > crit))
             assert table[kind, theta][alpha] == count / cfg.n_samples, (kind, theta, alpha)
 
@@ -139,25 +146,25 @@ def test_power_counts_equal_the_direct_statistic_counts(seed):
 def test_ml_critical_values_match_chi_square(full_calibrations):
     # t_ML under the null is a central chi-square with k degrees of freedom
     calib = full_calibrations[ML]
-    n = calib.sorted_null.size
+    n = calib.size
     for alpha in (0.01, 0.05):
         q = chi2.ppf(1.0 - alpha, 14)
         quantile_se = math.sqrt(alpha * (1 - alpha) / n) / chi2.pdf(q, 14)
-        assert abs(_critical_value(calib.sorted_null, alpha) - q) <= 3 * quantile_se
+        assert abs(_critical_value(calib, alpha) - q) <= 3 * quantile_se
 
 
 def test_rejection_fraction_matches_alpha(full_calibrations):
     for calib in full_calibrations.values():
-        n = calib.sorted_null.size
+        n = calib.size
         for alpha in (0.01, 0.05):
-            crit = _critical_value(calib.sorted_null, alpha)
-            fraction = float((calib.sorted_null > crit).mean())
+            crit = _critical_value(calib, alpha)
+            fraction = float((calib > crit).mean())
             assert alpha - 2 / math.sqrt(n) <= fraction <= alpha + 2 / math.sqrt(n)
 
 
 def test_js_critical_values_finite_positive(full_calibrations):
     for alpha in (0.01, 0.05):
-        crit = _critical_value(full_calibrations[JS].sorted_null, alpha)
+        crit = _critical_value(full_calibrations[JS], alpha)
         assert np.isfinite(crit) and crit > 0
 
 
@@ -171,7 +178,7 @@ JS_EXACT_CRITICAL = {0.01: 19.82392, 0.05: 15.95580}
 
 def test_js_null_exceeds_its_exact_critical_values_at_rate_alpha(full_calibrations):
     # both alphas read the same null draws, so the two checks are not independent
-    values = full_calibrations[JS].sorted_null
+    values = full_calibrations[JS]
     n = values.size
     for alpha, crit in JS_EXACT_CRITICAL.items():
         share = float(np.count_nonzero(values > crit)) / n
@@ -212,29 +219,17 @@ def test_calibration_rejects_bad_alphas():
         _powers(ML, cfg, alphas=())
 
 
-def test_calibration_validates_sorted_null():
-    with pytest.raises(ValueError, match="ascending"):
-        NullCalibration(np.array([2.0, 1.0]))
-    with pytest.raises(ValueError, match="1-D"):
-        NullCalibration(np.arange(1.0, 201.0).reshape(100, 2))
-
-
 def test_calibrations_share_the_read_only_null():
+    # each calibration is the null its pass filled: n_samples ascending
+    # float64 statistics in memory of its own, which no reader can change
     cfg = SimulationConfig(k=5, n_samples=20_000, seed=2)
-    for calibration in null_calibrations(cfg).values():
-        values = calibration.sorted_null
-        assert not values.flags.writeable
-        calib = NullCalibration(values)
-        assert np.shares_memory(calib.sorted_null, values)
-
-
-def test_calibration_copies_a_writable_null():
-    values = np.arange(1.0, 201.0)
-    calib = NullCalibration(values)
-    values[:] = 0.0
-    assert not np.shares_memory(calib.sorted_null, values)
-    assert np.array_equal(calib.sorted_null, np.arange(1.0, 201.0))
-    assert not calib.sorted_null.flags.writeable
+    calibrations = null_calibrations(cfg)
+    assert set(calibrations) == {JS, ML}
+    for null in calibrations.values():
+        assert isinstance(null, np.ndarray) and null.dtype == np.float64
+        assert null.shape == (cfg.n_samples,)
+        assert null.flags.owndata and not null.flags.writeable
+        assert np.all(null[1:] >= null[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -252,9 +247,9 @@ def test_power_at_the_null_equals_alpha(full_powers):
 def test_power_table_names_a_missing_calibration(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(np.arange(1.0, 201.0))
+    calib = _read_only(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
-    with pytest.raises(ValueError, match="no calibration for the ML estimator"):
+    with pytest.raises(ValueError, match=r"no calibration for the estimator EstimatorKind\.ML$"):
         power_table([(JS, 0.5), (ML, 0.5)], {JS: calib}, (0.05,), cfg)
     assert draws == []  # before any draw
 
@@ -277,11 +272,13 @@ def _recording_draws(monkeypatch) -> list:
 
 
 def test_power_table_refuses_an_estimator_with_no_statistic_before_any_draw(monkeypatch):
-    # checked before the calibrations, which are keyed by EstimatorKind
+    # calibrations are keyed by EstimatorKind, so any other estimator keys
+    # none, and the missing calibration names it
     draws = _recording_draws(monkeypatch)
-    calib = NullCalibration(np.arange(1.0, 201.0))
+    calib = _read_only(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
-    with pytest.raises(TypeError, match="no test statistic for the estimator <function"):
+    with pytest.raises(ValueError,
+                       match="no calibration for the estimator <function _no_statistic"):
         power_table([(_no_statistic, 0.5)], {JS: calib}, (0.05,), cfg)
     assert draws == []
 
@@ -289,7 +286,7 @@ def test_power_table_refuses_an_estimator_with_no_statistic_before_any_draw(monk
 def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args: draws.append(args))
-    calib = NullCalibration(np.arange(1.0, 201.0))
+    calib = _read_only(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(NullResolutionError, match=r"alpha=0\.05 \(need at least 2000\)"):
         power_table([(ML, 0.5)], {ML: calib}, (0.5, 0.05), cfg)
@@ -298,7 +295,7 @@ def test_power_table_checks_null_resolution_before_any_draw(monkeypatch):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_power_table_rejects_a_non_finite_theta(bad):
-    calib = NullCalibration(np.arange(1.0, 201.0))
+    calib = _read_only(np.arange(1.0, 201.0))
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(ValueError, match="finite"):
         power_table([(ML, 0.5), (ML, bad)], {ML: calib}, (0.5,), cfg)
@@ -333,8 +330,7 @@ def test_js_power_asymmetry_at_equal_divergence(full_powers):
 
 
 def _linear_calibration(n=99_999):
-    values = np.arange(1.0, n + 1.0)
-    return NullCalibration(values)
+    return _read_only(np.arange(1.0, n + 1.0))
 
 
 def test_semitail_add_one_rule_exact():
@@ -353,16 +349,16 @@ def test_semitail_quarter_tail_is_two_units():
 
 def test_semitail_at_the_median_is_about_one(full_calibrations):
     calib = full_calibrations[ML]
-    s = semitail(float(np.median(calib.sorted_null)), calib)
+    s = semitail(float(np.median(calib)), calib)
     assert s == pytest.approx(1.0, abs=0.01)
 
 
 def test_semitail_unit_difference_halves_the_tail():
     calib = _linear_calibration(n=4095)
     t1, t2 = 3000.0, 3500.0
-    n = calib.sorted_null.size
-    count1 = int((calib.sorted_null >= t1).sum())
-    count2 = int((calib.sorted_null >= t2).sum())
+    n = calib.size
+    count1 = int((calib >= t1).sum())
+    count2 = int((calib >= t2).sum())
     expected = -math.log2((count2 + 1) / (count1 + 1))
     assert semitail(t2, calib) - semitail(t1, calib) == pytest.approx(expected, abs=1e-12)
 
@@ -388,7 +384,7 @@ SEMITAIL_TOP_RTOL = 4 * np.finfo(np.float64).eps
 def test_semitail_is_monotone_and_bounded_for_any_sorted_null(null, ts):
     values = np.sort(np.array(null))
     n = values.size
-    calib = NullCalibration(values)
+    calib = _read_only(values)
     ss = semitail(np.sort(np.array(ts)), calib)
     assert np.all(np.diff(ss) >= 0)
     assert np.all(ss >= 0)
@@ -430,8 +426,8 @@ def test_paired_semitail_null_case_shows_no_ordering(full_calibrations, full_con
 def test_paired_semitail_refuses_no_points_before_any_draw(monkeypatch, n_points):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
-    calibrations = {JS: NullCalibration(np.arange(1.0, 201.0)),
-                    ML: NullCalibration(np.arange(1.0, 201.0))}
+    calibrations = {JS: _read_only(np.arange(1.0, 201.0)),
+                    ML: _read_only(np.arange(1.0, 201.0))}
     with pytest.raises(ValueError, match="n_points must be positive"):
         paired_semitail(2.0, n_points, calibrations, SimulationConfig(k=5, seed=2))
     assert draws == []
@@ -442,8 +438,8 @@ def test_paired_semitail_refuses_no_points_before_any_draw(monkeypatch, n_points
 def test_paired_semitail_refuses_a_bad_theta_before_any_draw(monkeypatch, bad, error):
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
-    calibrations = {JS: NullCalibration(np.arange(1.0, 201.0)),
-                    ML: NullCalibration(np.arange(1.0, 201.0))}
+    calibrations = {JS: _read_only(np.arange(1.0, 201.0)),
+                    ML: _read_only(np.arange(1.0, 201.0))}
     cfg = SimulationConfig(k=5, n_samples=1000, seed=2)
     with pytest.raises(error):
         paired_semitail(bad, 10, calibrations, cfg)
@@ -472,8 +468,8 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
 
 def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
     # both statistics and the shrinkage of a chunk come from one S and one Q
-    calibrations = {JS: NullCalibration(np.arange(1.0, 201.0)),
-                    ML: NullCalibration(np.arange(1.0, 201.0))}
+    calibrations = {JS: _read_only(np.arange(1.0, 201.0)),
+                    ML: _read_only(np.arange(1.0, 201.0))}
     config = SimulationConfig(k=5, seed=2, n_workers=2)
     n_points = mc.CHUNK_SAMPLES + 300
     expected = paired_semitail(2.0, n_points, calibrations, config)
@@ -536,10 +532,10 @@ def test_power_and_semitail_invariant_under_increasing_maps():
     for kind in (JS, ML):
         calib = calibrations[kind]
         alt = _alternative_statistics(kind, 2.0, cfg)
-        calib_t = NullCalibration(np.exp(calib.sorted_null))
+        calib_t = _read_only(np.exp(calib))
         for alpha in (0.01, 0.05):
-            p = float((alt > _critical_value(calib.sorted_null, alpha)).mean())
-            p_t = float((np.exp(alt) > _critical_value(calib_t.sorted_null, alpha)).mean())
+            p = float((alt > _critical_value(calib, alpha)).mean())
+            p_t = float((np.exp(alt) > _critical_value(calib_t, alpha)).mean())
             assert p == p_t
         assert np.array_equal(semitail(alt, calib), semitail(np.exp(alt), calib_t))
 
@@ -555,12 +551,12 @@ def test_shared_passes_match_one_cell_passes_bitwise():
     cfg = SimulationConfig(k=14, n_samples=70_000, seed=8, n_workers=2)
     calibrations = null_calibrations(cfg)
     for kind in (JS, ML):
-        assert np.all(np.diff(calibrations[kind].sorted_null) >= 0)
+        assert np.all(np.diff(calibrations[kind]) >= 0)
     cells = [(kind, theta) for kind in (JS, ML) for theta in (0.0, 1.25, 2.5)]
     table = power_table(cells, calibrations, (0.01, 0.05), cfg)
     for kind, theta in cells:
         alt = _alternative_statistics(kind, theta, cfg)
-        expected = {alpha: float((alt > _critical_value(calibrations[kind].sorted_null,
+        expected = {alpha: float((alt > _critical_value(calibrations[kind],
                                                         alpha)).mean())
                     for alpha in (0.01, 0.05)}
         assert table[kind, theta] == expected
