@@ -7,8 +7,10 @@ observation itself) and the James-Stein shrinkage estimate
 
 which pulls the observation toward the origin and flips every component's
 sign when ||y||^2 < k - 2.  ``EstimatorKind`` names the two, and it is the
-only estimator type that the passes, ``assess`` and ``hyptest`` take.
-"""
+only estimator type that the passes, ``assess`` and ``hyptest`` take.  No
+array estimator is kept: every pass takes the JS multiplier of a row
+y = theta·1 + z from z's row scalars (``row_reductions``) through ||y||^2
+(``shifted_norms``, then ``shrinkage_from_norms``)."""
 
 from __future__ import annotations
 
@@ -31,12 +33,22 @@ class EstimatorKind(Enum):
 class ShrinkageDomainError(NumericalError):
     """Shrinkage is undefined at (numerically) zero observations."""
 
-    def __init__(self, norm_sq: float, index: int | None = None):
+    def __init__(self, norm_sq: float, index: int):
         self.index = index
-        where = f" at sample index {index}" if index is not None else ""
-        super().__init__(
-            f"squared norm {norm_sq!r} is too close to zero for shrinkage{where}"
-        )
+        super().__init__(f"squared norm {norm_sq!r} is too close to zero for shrinkage "
+                         f"at sample index {index}")
+
+
+def row_reductions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row sums S = Σ_j z_j and squared row norms Q = ‖z‖² of an (n, k) array."""
+    return np.einsum("ij->i", z), np.einsum("ij,ij->i", z, z)
+
+
+def shifted_norms(row_sum: np.ndarray, row_norm: np.ndarray, theta: float,
+                  k: int) -> np.ndarray:
+    """Squared norms ‖y‖² = Q + 2·theta·S + k·theta² of the rows y = theta·1 + z,
+    from S = Σ_j z_j and Q = ‖z‖²; at theta = 0 they are Q bit for bit."""
+    return row_norm + (2.0 * theta) * row_sum + k * theta * theta
 
 
 def shrinkage_from_norms(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> np.ndarray:
@@ -48,27 +60,3 @@ def shrinkage_from_norms(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> 
         row = int(np.argmax(bad))
         raise ShrinkageDomainError(float(norm_sq[row]), index=index_offset + row)
     return 1.0 - (k - 2.0) / norm_sq
-
-
-def estimate_batch(kind: EstimatorKind, y: np.ndarray,
-                   index_offset: int = 0, out: np.ndarray | None = None) -> np.ndarray:
-    """Dispatch an (n, k) observation array to the chosen estimator.
-
-    The JS estimate of each row is its ``shrinkage_from_norms`` multiplier
-    times the row.  The risk-dominance guarantee needs k >= 3; smaller k is
-    accepted because the formula stays well defined.  Any ``kind`` but the
-    two ``EstimatorKind`` members is a ``TypeError``.
-
-    The JS estimate is written into ``out`` (a float64 array of ``y``'s
-    shape, which may be ``y`` itself) if given, and returned.  The ML
-    estimate is ``y`` itself as a float64 array, and ``out`` is left
-    untouched.  No pass asks for it, since ``mc._error`` takes the ML error
-    to be z itself; the tests keep it as the reference for that rule.
-    """
-    if kind is EstimatorKind.ML:
-        return np.asarray(y, dtype=np.float64)
-    if kind is not EstimatorKind.JS:
-        raise TypeError(f"unknown estimator kind: {kind!r}")
-    y = np.asarray(y, dtype=np.float64)
-    c = shrinkage_from_norms(np.einsum("ij,ij->i", y, y), y.shape[1], index_offset)
-    return np.multiply(c[:, None], y, out=out)

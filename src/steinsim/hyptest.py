@@ -19,10 +19,11 @@ one function over each chunk's standard normals z: one pass over stream 1
 yields the JS and ML calibrations at MU0 (``null_calibrations``), and
 every power cell shares one pass over stream 2, counting exceedances of
 the critical values that ``power_table`` reads off each calibration for
-the requested alphas.  Both folds read z only through two row
-reductions, S = Σ_j z_j and Q = ‖z‖², taken once per chunk: every
-statistic at every theta is arithmetic on those two vectors, through
-Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta² (``_statistics``).
+the requested alphas.  Both folds read z only through its row scalars
+S = Σ_j z_j and Q = ‖z‖² (``estimators.row_reductions``), taken once per
+chunk: every statistic at every theta is arithmetic on them
+(``_statistics``), through Σy = S + k·theta and the ‖y‖² = Q + 2·theta·S
++ k·theta² of stream 0's JS cells (``estimators.shifted_norms``).
 The figure pairs' fold adds their theta to z in place, forming y, takes
 y's S and Q once, and computes both statistics by the same formula at
 theta = 0 and the shrinkage from Q (``estimators.shrinkage_from_norms``).
@@ -42,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import NumericalError, mc
-from .estimators import EstimatorKind, shrinkage_from_norms
+from .estimators import EstimatorKind, row_reductions, shifted_norms, shrinkage_from_norms
 
 MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
@@ -54,11 +55,6 @@ PAIR_STREAM = 3
 
 class NullResolutionError(NumericalError):
     """Too few null samples to resolve the requested significance level."""
-
-
-def _row_reductions(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row sums S = Σ_j z_j and squared row norms Q = ‖z‖² of an (n, k) array."""
-    return np.einsum("ij->i", z), np.einsum("ij,ij->i", z, z)
 
 
 def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
@@ -74,7 +70,7 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
     if kind is EstimatorKind.ML:
         d = theta - MU0
         return row_norm + (2.0 * d) * row_sum + k * d * d
-    norm_sq = row_norm + (2.0 * theta) * row_sum + k * theta * theta
+    norm_sq = shifted_norms(row_sum, row_norm, theta, k)
     c = shrinkage_from_norms(norm_sq, k, index_offset)
     return c * c * norm_sq - (2.0 * MU0) * c * (row_sum + k * theta) + k * MU0 * MU0
 
@@ -89,7 +85,7 @@ def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, np.nda
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list:
-        reductions = _row_reductions(z)
+        reductions = row_reductions(z)
         return [_statistics(kind, *reductions, MU0, config.k, start) for kind in kinds]
 
     def fill(start: int, results: list) -> None:
@@ -167,7 +163,7 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
         return {}
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list[list[int]]:
-        reductions = _row_reductions(z)
+        reductions = row_reductions(z)
         counts = []
         for kind, theta in cells:
             stats = _statistics(kind, *reductions, theta, config.k, start)
@@ -218,7 +214,7 @@ def paired_semitail(theta_alt: float, n_points: int,
     columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
 
     def fold(z: np.ndarray, start: int, workspace: mc.Workspace):
-        reductions = _row_reductions(np.add(z, theta_alt, out=z))
+        reductions = row_reductions(np.add(z, theta_alt, out=z))
         return (_statistics(EstimatorKind.JS, *reductions, 0.0, config.k, start),
                 _statistics(EstimatorKind.ML, *reductions, 0.0, config.k, start),
                 shrinkage_from_norms(reductions[1], config.k, start))

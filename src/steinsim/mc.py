@@ -6,9 +6,9 @@ Every draw is a pure function of ``(seed, stream, sample index)`` and never
 depends on chunking or worker count:
 
 * stream keying: the bit generator is ``Philox(key=[seed, stream])``.
-  Distinct pipeline stages (table cells, null calibration, power
-  evaluation, figure pairs, mean-function rows) use distinct ``stream``
-  ids, so their draws never overlap.
+  Distinct pipeline stages (table cells on stream 0, null calibration,
+  power evaluation, figure pairs, mean-function rows) use distinct
+  ``stream`` ids, so their draws never overlap.
 * sample substreams: sample ``i`` of dimension ``k`` owns the 64-bit
   output words ``[i * w, (i + 1) * w)`` with ``w = 4 * ceil(k / 4)``
   (``words_per_sample``).  Padding to a whole Philox counter block (4
@@ -50,8 +50,8 @@ depends on chunking or worker count:
   ``mean_a`` is the cell's bias, ``mean_b`` is near 0, and neither the
   merge nor ``m_ab``, taken against the uncentered score
   (``StreamingMoments.from_batch``), takes a residue of a large mean.  The
-  ML error is z itself, so one ``from_batch(z, z)`` and one set of norms
-  per chunk serve every ML cell, the same bits at every theta.  The
+  ML error is z itself, so one ``from_batch(z, z)`` and the norms Q per
+  chunk serve every ML cell, the same bits at every theta.  The
   mean-function table runs a mean-only pass: each chunk yields its count
   and the column mean of the same ``_error``, merged in the same batches by
   the same pooled-mean update (``_pooled_mean``) that
@@ -67,8 +67,9 @@ depends on chunking or worker count:
   rows and the figure pairs add their theta to ``z`` in place, which is
   bit-identical to ``theta + z`` and spares a copy.  The three full-N
   passes of the reports (``collect_cells`` and hyptest's
-  ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn.
-  ``collect_cells`` folds its cells in their given order; each cell but ML
+  ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn,
+  and each takes z's row scalars S = Σ_j z_j and Q = ‖z‖² once: the
+  cells take from them the JS multipliers and the ML norms.  Each JS cell
   forms its own ``y`` in the ``cell`` buffer of the worker's ``Workspace``
   (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
   no estimator sees z, and an ML cell forms no y; no pass makes y
@@ -117,7 +118,7 @@ import numpy as np
 from numpy.random import Philox
 
 from . import NumericalError
-from .estimators import EstimatorKind, estimate_batch
+from .estimators import EstimatorKind, row_reductions, shifted_norms, shrinkage_from_norms
 
 
 def _scipy_ndtri():
@@ -501,37 +502,43 @@ class CellMoments:
         return float(np.sqrt(max(var, 0.0) / n))
 
 
-def _squared_error_sums(err: np.ndarray, workspace: Workspace) -> tuple[float, float]:
-    """Sums of the squared error norms ‖err_i‖² and of their squares."""
-    err_sq = np.einsum("ij,ij->i", err, err, out=workspace.buffer("err_sq", (len(err),)))
-    return float(err_sq.sum()), float(np.multiply(err_sq, err_sq, out=err_sq).sum())
+def _squared_error_sums(err_sq: np.ndarray, workspace: Workspace) -> tuple[float, float]:
+    """Sums of the squared error norms ``err_sq`` and of their squares."""
+    squares = workspace.buffer("err_sq", err_sq.shape)  # may be err_sq: sum it first
+    return float(err_sq.sum()), float(np.multiply(err_sq, err_sq, out=squares).sum())
 
 
-def _error(kind: EstimatorKind, theta: float, z: np.ndarray,
+def _error(kind: EstimatorKind, theta: float, z: np.ndarray, reductions: tuple,
            start: int, out: np.ndarray) -> np.ndarray:
-    """The errors ``estimate(theta + z) - theta`` of a chunk whose draw is z.
+    """The errors ``estimate(theta + z) - theta`` of a chunk whose draw is z
+    and whose row scalars are ``reductions`` (``estimators.row_reductions``).
 
-    The ML error is z itself, returned as is at every theta.  Any other
-    estimator writes ``y = theta + z`` into ``out`` (which may be z), its
-    estimate over y, then the error, all in ``out``.
+    The ML error is z itself, at every theta.  The JS error takes its
+    multipliers c from S and Q, then writes ``y = theta + z`` into ``out``
+    (which may be z), c·y over it and c·y - theta over that.  Any other
+    ``kind`` is a ``TypeError``.
     """
     if kind is EstimatorKind.ML:
         return z
+    if kind is not EstimatorKind.JS:
+        raise TypeError(f"unknown estimator kind: {kind!r}")
+    k = z.shape[1]
+    c = shrinkage_from_norms(shifted_norms(*reductions, theta, k), k, start)
     y = np.add(z, theta, out=out)
-    est = estimate_batch(kind, y, index_offset=start, out=y)
-    return np.subtract(est, theta, out=est)
+    y *= c[:, None]
+    return np.subtract(y, theta, out=y)
 
 
 def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
-                  config: SimulationConfig, stream: int = 0) -> list[CellMoments]:
-    """Moments of every (estimator, theta) cell from one pass over a stream.
+                  config: SimulationConfig) -> list[CellMoments]:
+    """Moments of every (estimator, theta) cell from one pass over stream 0.
 
     The pass folds each chunk's z (see the module contract); the thetas are
     checked before any draw, and no cells return ``[]`` without one.  Per
-    chunk, the cells are folded in their given order: each cell pairs its
-    error (``_error``, in the worker's ``cell`` buffer, so no estimator sees
-    z) with the score z, and the ML error is z itself, so each chunk's one
-    ``from_batch(z, z)`` and norms ‖z_i‖² serve every ML cell.  Per-chunk
+    chunk, the fold takes z's S and Q once, then pairs each cell's error
+    (``_error``, in the worker's ``cell`` buffer, so no estimator sees z)
+    with the score z, in the given order; the ML error is z itself, so the
+    chunk's one ``from_batch(z, z)`` and norms Q serve every ML cell.  Per-chunk
     moments are merged as they arrive, in chunk order and in contiguous
     batches (Chan, Golub & LeVeque 1979), so each cell's result is
     independent of the worker count and of the other cells in the pass.
@@ -543,21 +550,22 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
         return []
 
     def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
-        def moments(err: np.ndarray) -> tuple:
+        def moments(err: np.ndarray, err_sq: np.ndarray) -> tuple:
             return (StreamingMoments.from_batch(
                         err, z, out=workspace.buffer("centered", z.shape)),
-                    *_squared_error_sums(err, workspace))
+                    *_squared_error_sums(err_sq, workspace))
 
+        reductions = row_reductions(z)
         z_result = None  # the one result of every cell whose error is z
         results = []
         for kind, theta in cells:
-            err = _error(kind, theta, z, start, workspace.buffer("cell", z.shape))
-            if err is not z:
-                results.append(moments(err))
-                continue
-            if z_result is None:
-                z_result = moments(z)
-            results.append(z_result)
+            err = _error(kind, theta, z, reductions, start, workspace.buffer("cell", z.shape))
+            if err is z:
+                z_result = z_result or moments(z, reductions[1])
+                results.append(z_result)
+            else:
+                err_sq = workspace.buffer("err_sq", (len(err),))
+                results.append(moments(err, np.einsum("ij,ij->i", err, err, out=err_sq)))
         return results
 
     n_chunks = len(_chunk_ranges(config.n_samples))
@@ -570,7 +578,7 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
             sums[0] += s1
             sums[1] += s2
 
-    sweep(config, fold, take, stream)
+    sweep(config, fold, take)
     return [CellMoments(merge.total(), *sums, tuple(merge.batches))
             for merge, sums in zip(merges, err_sums)]
 
@@ -589,13 +597,13 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass: per chunk, the count and the column mean of
-    the errors, formed by the ``_error`` of ``collect_cells`` but in z
-    itself (``y = theta + z`` in place), and merged in the batches of
-    ``collect_cells`` by ``_pooled_mean`` (the update
-    ``StreamingMoments.merge`` applies); the row is theta plus that bias,
-    so it equals ``mean_a + theta`` of ``collect_cells`` on the same stream
-    bit for bit without computing any covariance.  Every grid value is
-    checked (finite, and below ``THETA_LIMIT``) before any row's pass runs.
+    the errors, formed from z's S and Q by the ``_error`` of
+    ``collect_cells`` but in z itself (``y = theta + z`` in place), and
+    merged in the batches of ``collect_cells`` by ``_pooled_mean`` (the
+    update ``StreamingMoments.merge`` applies); the row is theta plus that
+    bias, so it equals the ``mean_a + theta`` of ``collect_cells``' fold on
+    the same stream bit for bit without computing any covariance.  Every
+    grid value is checked (finite, and below ``THETA_LIMIT``) first.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
@@ -603,7 +611,7 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     check_thetas(grid)
 
     def chunk(theta: float, z: np.ndarray, start: int, workspace: Workspace):
-        return len(z), _column_mean(_error(kind, theta, z, start, out=z))
+        return len(z), _column_mean(_error(kind, theta, z, row_reductions(z), start, out=z))
 
     n_chunks = len(_chunk_ranges(config.n_samples))
     rows = np.empty((grid.size, config.k))

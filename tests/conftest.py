@@ -13,8 +13,8 @@ from scipy.stats import chi2, ncx2
 
 from steinsim import mc
 from steinsim.assess import assess_moments
-from steinsim.estimators import EstimatorKind
-from steinsim.hyptest import MU0, _row_reductions, _statistics, null_calibrations, power_table
+from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
+from steinsim.hyptest import MU0, _statistics, null_calibrations, power_table
 from steinsim.mc import DEFAULT_SEED, SimulationConfig, collect_cells
 
 K = 14
@@ -43,7 +43,18 @@ def sweep_values(config, theta, fold, stream=0):
 def statistics(kind, y, index_offset=0):
     """Row-wise test statistics ‖estimate(y) - MU0·1‖² of an (n, k) array,
     by the formula of every pass (``hyptest._statistics`` at theta = 0)."""
-    return _statistics(kind, *_row_reductions(y), 0.0, y.shape[1], index_offset)
+    return _statistics(kind, *row_reductions(y), 0.0, y.shape[1], index_offset)
+
+
+def estimate(kind, y):
+    """Row-wise estimates of an (n, k) array, formed from y itself: y for
+    ML, and c·y for JS with c = 1 - (k - 2) / ‖y‖² from ``einsum(y, y)``.
+    The passes take c from the row scalars of z instead (``mc._error``);
+    this is the reference they are checked against."""
+    y = np.asarray(y, dtype=np.float64)
+    if kind is EstimatorKind.ML:
+        return y
+    return shrinkage_from_norms(np.einsum("ij,ij->i", y, y), y.shape[1])[:, None] * y
 
 
 def ml_power_oracle(theta_alt, alpha, k, mu0=MU0):

@@ -10,9 +10,9 @@ import math
 
 import numpy as np
 
-from conftest import ml_power_oracle, statistics, sweep_values
+from conftest import estimate, ml_power_oracle, statistics, sweep_values
 from steinsim.cli import main as cli_main
-from steinsim.estimators import EstimatorKind, estimate_batch
+from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import (
     ALT_STREAM,
     _critical_value,
@@ -220,7 +220,7 @@ def test_08c_mean_slope_finite_difference_vs_covariance():
     fd = (mean_fn[1] - mean_fn[0]) / (2 * h)
 
     y = sweep_values(cfg, theta, lambda y, start, _: y.copy())
-    first = estimate_batch(JS, y)[:, 0]
+    first = estimate(JS, y)[:, 0]
     subfamily_score = (y - theta).sum(axis=1)
     cov = float(np.cov(first, subfamily_score)[0, 1])
 

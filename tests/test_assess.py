@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import estimate
 from steinsim.assess import SingularCovarianceError, assess_moments
-from steinsim.estimators import EstimatorKind, estimate_batch
+from steinsim.estimators import EstimatorKind
 from steinsim import mc
 from steinsim.mc import (
     CHUNK_SAMPLES,
@@ -118,7 +119,7 @@ def test_component_slopes_respect_the_information_bound():
     y = draw_block(cfg, 0, cfg.n_samples) + 1.25
     subfamily_score = (y - 1.25).sum(axis=1)
     for kind in (EstimatorKind.ML, EstimatorKind.JS):
-        est = estimate_batch(kind, y)
+        est = estimate(kind, y)
         for i in range(14):
             cov = np.cov(est[:, i], subfamily_score)
             slope = cov[0, 1]
@@ -158,7 +159,7 @@ def test_lambda_is_invariant_under_an_invertible_linear_map_of_the_estimate(
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(k, k)))
     a = q * np.exp(log_s)  # Q diag(s)
     z = draw_block(SimulationConfig(k=k, n_samples=CHUNK_SAMPLES, seed=seed), 0, CHUNK_SAMPLES)
-    err = estimate_batch(EstimatorKind.JS, z + theta) - theta
+    err = estimate(EstimatorKind.JS, z + theta) - theta
     lam = assess_moments(EstimatorKind.JS, theta, _cell_of(err, z)).lambda_matrix
     mapped = assess_moments(EstimatorKind.JS, theta, _cell_of(err @ a.T, z)).lambda_matrix
     assert np.abs(mapped - lam).max() <= LAMBDA_INVARIANCE_RTOL * np.abs(lam).max()

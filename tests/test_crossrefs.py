@@ -2,7 +2,9 @@
 comments cite in double backticks under a steinsim submodule
 (``mc.sweep``, ``hyptest._statistics``), and that the README cites in
 single backticks under ``steinsim`` or a submodule, names an attribute
-that exists; and no source module imports a name it never uses."""
+that exists; no source module imports a name it never uses; and every
+name the package defines is read by the package or the benchmark, not
+only by the tests."""
 
 import ast
 import functools
@@ -15,6 +17,7 @@ import steinsim
 SOURCES = Path(steinsim.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 README = TESTS.parent / "README.md"
+PERFBENCH = TESTS.parent / "perfbench"
 CITED = re.compile(r"``((?:%s)(?:\.\w+)+)``" % "|".join(steinsim._SUBMODULES))
 README_CITED = re.compile(r"(?<!`)`((?:steinsim|%s)(?:\.\w+)+)`(?!`)"
                           % "|".join(steinsim._SUBMODULES))
@@ -87,3 +90,42 @@ def test_no_source_module_imports_a_name_it_never_uses():
     unused = [f"{path.name}:{line}: {name}" for path in sorted(SOURCES.glob("*.py"))
               for line, name in _unused_imports(ast.parse(path.read_text()))]
     assert not unused, unused
+
+
+def _definitions(tree: ast.Module):
+    """(line, name) of each module-level function, class, method and
+    constant; a method's name is ``Class.method``."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.lineno, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.lineno, f"{node.name}.{item.name}") for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from ((node.lineno, t.id) for t in targets if isinstance(t, ast.Name))
+
+
+def _reads(tree: ast.Module) -> set:
+    """The names a module reads: as a name, an attribute or an import."""
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name.split(".")[-1])
+    return reads
+
+
+def test_every_source_definition_is_read_outside_the_tests():
+    # library code that only the tests keep alive is dead code; dunders are
+    # called by Python itself
+    paths = sorted(SOURCES.glob("*.py")) + sorted(PERFBENCH.glob("*.py"))
+    reads = set().union(*(_reads(ast.parse(path.read_text())) for path in paths))
+    unread = [f"{path.name}:{line}: {name}" for path in sorted(SOURCES.glob("*.py"))
+              for line, name in _definitions(ast.parse(path.read_text()))
+              if not name.rpartition(".")[2].startswith("__")
+              and name.rpartition(".")[2] not in reads]
+    assert not unread, unread

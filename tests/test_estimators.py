@@ -3,21 +3,23 @@ import math
 import numpy as np
 import pytest
 
+from conftest import estimate
+from steinsim import mc
 from steinsim.estimators import (
     EstimatorKind,
     ShrinkageDomainError,
-    estimate_batch,
+    row_reductions,
     shrinkage_from_norms,
 )
 from steinsim.mc import SimulationConfig, collect_cells, tabulate_mean_function
 
 
 def _ml_estimate(y):
-    return estimate_batch(EstimatorKind.ML, np.asarray(y, dtype=np.float64)[None])[0]
+    return estimate(EstimatorKind.ML, np.asarray(y, dtype=np.float64)[None])[0]
 
 
 def _js_estimate(y):
-    return estimate_batch(EstimatorKind.JS, np.asarray(y, dtype=np.float64)[None])[0]
+    return estimate(EstimatorKind.JS, np.asarray(y, dtype=np.float64)[None])[0]
 
 
 def _js_formula(y):
@@ -34,32 +36,6 @@ def test_ml_estimate_is_the_observation():
     assert np.array_equal(_ml_estimate(np.zeros(3)), np.zeros(3))
     y = np.array([1.1, -0.3])
     assert np.array_equal(_ml_estimate(y), y)
-
-
-@pytest.mark.parametrize("kind", [EstimatorKind.ML, EstimatorKind.JS], ids=["ml", "js"])
-def test_estimate_batch_writes_into_out(kind):
-    # the ML estimate is y itself and leaves out untouched
-    y = np.random.default_rng(4).normal(size=(16, 5))
-    out = np.full_like(y, 7.0)
-    ml = kind == EstimatorKind.ML
-    assert estimate_batch(kind, y, out=out) is (y if ml else out)
-    assert np.array_equal(out, np.full_like(y, 7.0) if ml else estimate_batch(kind, y))
-
-
-@pytest.mark.parametrize("kind", [EstimatorKind.ML, EstimatorKind.JS], ids=["ml", "js"])
-def test_an_estimate_over_its_own_input_equals_the_estimate_out_of_place(kind):
-    # out=y overwrites y with its estimate bit for bit
-    y = np.random.default_rng(6).normal(size=(16, 5))
-    expected = np.array(estimate_batch(kind, y.copy()))
-    got = estimate_batch(kind, y, out=y)
-    assert got is y
-    assert got.tobytes() == expected.tobytes()
-
-
-def test_ml_estimate_into_its_own_input_is_the_input():
-    y = np.array([[1.0, 2.0]])
-    y.flags.writeable = False
-    assert estimate_batch(EstimatorKind.ML, y, out=y) is y
 
 
 def test_ml_estimate_is_unbiased_monte_carlo():
@@ -131,22 +107,54 @@ def test_js_domain_error_at_zero():
 def test_js_batch_matches_single_and_reports_index():
     rng = np.random.default_rng(5)
     y = rng.normal(size=(40, 14))
-    batch = estimate_batch(EstimatorKind.JS, y)
+    batch = estimate(EstimatorKind.JS, y)
     for i in (0, 17, 39):
         assert np.allclose(batch[i], _js_formula(y[i]), rtol=1e-14)
-    y[23] = 0.0
+    # a pass's error at theta = 0.5 on a row z = -0.5 * 1, whose y and
+    # ‖y‖² = Q + 2 theta S + k theta² are exactly 0, names that row's sample
+    z = rng.normal(size=(40, 14))
+    z[23] = -0.5
     with pytest.raises(ShrinkageDomainError) as err:
-        estimate_batch(EstimatorKind.JS, y, index_offset=1000)
+        mc._error(EstimatorKind.JS, 0.5, z, row_reductions(z), 1000, np.empty_like(z))
     assert err.value.index == 1023
 
 
 def test_estimate_batch_dispatch():
-    y = np.random.default_rng(6).normal(size=(8, 14))
-    assert np.array_equal(estimate_batch(EstimatorKind.ML, y), y)
-    assert np.allclose(estimate_batch(EstimatorKind.JS, y),
-                       [_js_formula(row) for row in y], rtol=1e-14)
-    with pytest.raises(TypeError):
-        estimate_batch("nope", y)
+    # a pass refuses an estimator kind it does not know
+    cfg = SimulationConfig(k=14, n_samples=1000)
+    with pytest.raises(TypeError, match="unknown estimator kind"):
+        collect_cells([("nope", 0.5)], cfg)
+
+
+# Tolerance of the JS error from the row scalars against the reference
+# path c·(theta + z) - theta at bias-sized thetas, where both round alike:
+# the largest difference measured on one 4,096 x 14 chunk was 1.3e-15.
+JS_ERROR_ATOL = 1e-14
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**43 - 1])
+def test_js_error_from_the_row_scalars_matches_the_reference(theta):
+    # mc._error takes c from ‖y‖² = Q + 2 theta S + k theta², the reference
+    # from einsum(y, y): the same bits at theta = 0, within JS_ERROR_ATOL at
+    # bias-sized thetas, and at large thetas no farther from a long-double
+    # reference than the reference path, since both errors are dominated by
+    # the rounding of y = theta + z
+    cfg = SimulationConfig(k=14, n_samples=2 * mc.CHUNK_SAMPLES, seed=31)
+    for start in (0, mc.CHUNK_SAMPLES):
+        z = mc.draw_block(cfg, start, mc.CHUNK_SAMPLES)
+        reference = estimate(EstimatorKind.JS, z + theta) - theta
+        got = mc._error(EstimatorKind.JS, theta, z, row_reductions(z), start, np.empty_like(z))
+        if theta == 0.0:
+            assert got.tobytes() == reference.tobytes()
+        elif theta < 10:
+            assert np.abs(got - reference).max() <= JS_ERROR_ATOL
+        else:
+            y = z.astype(np.longdouble) + np.longdouble(theta)
+            c = 1 - (cfg.k - 2) / np.einsum("ij,ij->i", y, y)
+            exact = c[:, None] * y - np.longdouble(theta)
+            assert np.abs(got - exact).max() <= np.abs(reference - exact).max()
+        assert mc._error(EstimatorKind.ML, theta, z, row_reductions(z), start,
+                         np.empty_like(z)) is z
 
 
 # ---------------------------------------------------------------------------

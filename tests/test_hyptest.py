@@ -7,16 +7,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import ml_power_oracle, statistics, sweep_values
+from conftest import estimate, ml_power_oracle, statistics, sweep_values
 from steinsim import hyptest, mc
-from steinsim.estimators import EstimatorKind, estimate_batch, shrinkage_from_norms
+from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
 from steinsim.hyptest import (
     ALT_STREAM,
     MU0,
     PAIR_STREAM,
     NullResolutionError,
     _critical_value,
-    _row_reductions,
     _statistics,
     null_calibrations,
     paired_semitail,
@@ -71,7 +70,7 @@ def test_statistics_from_row_sums_match_the_direct_norm():
     # rounding only (the float64 terms are below 1e3 here)
     y = np.random.default_rng(5).normal(1.0, 1.0, size=(64, 6))
     for kind in (JS, ML):
-        diff = estimate_batch(kind, y) - MU0
+        diff = estimate(kind, y) - MU0
         np.testing.assert_allclose(statistics(kind, y),
                                    np.einsum("ij,ij->i", diff, diff), rtol=0, atol=1e-12)
 
@@ -104,7 +103,7 @@ def test_statistics_from_row_sums_match_a_longdouble_reference(theta):
     a = (MU0 + math.sqrt(MU0 * MU0 + 4 * (k - 2) / k)) / 2
     z = np.vstack([mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM),
                    a - theta + 1e-9 * np.arange(4)[:, None] * np.ones(k)])
-    row_sum, row_norm = _row_reductions(z)
+    row_sum, row_norm = row_reductions(z)
     y = z.astype(np.longdouble) + np.longdouble(theta)
     for kind in (JS, ML):
         est = y
@@ -130,7 +129,7 @@ def test_power_counts_equal_the_direct_statistic_counts(seed):
     table = power_table(cells, calibrations, alphas, cfg)
     z = mc.draw_block(cfg, 0, cfg.n_samples, ALT_STREAM)
     for kind, theta in cells:
-        diff = estimate_batch(kind, z + theta) - MU0
+        diff = estimate(kind, z + theta) - MU0
         direct = np.einsum("ij,ij->i", diff, diff)
         for alpha in alphas:
             crit = _critical_value(calibrations[kind], alpha)
@@ -474,13 +473,13 @@ def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
     n_points = mc.CHUNK_SAMPLES + 300
     expected = paired_semitail(2.0, n_points, calibrations, config)
     calls = []
-    reductions = hyptest._row_reductions
+    reductions = hyptest.row_reductions
 
     def counting(z):
         calls.append(len(z))
         return reductions(z)
 
-    monkeypatch.setattr(hyptest, "_row_reductions", counting)
+    monkeypatch.setattr(hyptest, "row_reductions", counting)
     assert np.array_equal(paired_semitail(2.0, n_points, calibrations, config), expected)
     assert sorted(calls) == [300, mc.CHUNK_SAMPLES]
 

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -40,9 +41,17 @@ def _draw_sample(config, index, stream=0):
     return draw_block(config, index, 1, stream)[0]
 
 
-def _cell(kind, theta, config, stream=0):
-    cell, = collect_cells([(kind, theta)], config, stream)
+def _cell(kind, theta, config):
+    cell, = collect_cells([(kind, theta)], config)
     return cell
+
+
+def _cell_on_stream(kind, theta, config, stream):
+    """The one cell of a ``collect_cells`` pass over ``stream`` instead of
+    its stream 0, for the mean-function rows, which read streams of their own."""
+    sweep = mc.sweep
+    with mock.patch.object(mc, "sweep", lambda cfg, fold, take: sweep(cfg, fold, take, stream)):
+        return _cell(kind, theta, config)
 
 
 def _accumulate(a, b, block):
@@ -495,15 +504,14 @@ def test_ml_cells_take_their_moments_from_the_score(workers):
     # from_batch(z, z) and its error sums those of the norms ||z_i||^2: every
     # ML cell is their in-order merge and sum bit for bit, whatever its theta
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
-    z = draw_block(cfg, 0, cfg.n_samples, stream=5)
+    z = draw_block(cfg, 0, cfg.n_samples)
     head, tail = z[:CHUNK_SAMPLES], z[CHUNK_SAMPLES:]
     expected = StreamingMoments.from_batch(head, head).merge(
         StreamingMoments.from_batch(tail, tail))
     norms = [np.einsum("ij,ij->i", part, part) for part in (head, tail)]
     err_sum = 0.0 + float(norms[0].sum()) + float(norms[1].sum())
     err_sumsq = 0.0 + float((norms[0] * norms[0]).sum()) + float((norms[1] * norms[1]).sum())
-    cells = collect_cells([(EstimatorKind.ML, theta) for theta in (0.0, 0.5, 2.0, -1e6)],
-                          cfg, stream=5)
+    cells = collect_cells([(EstimatorKind.ML, theta) for theta in (0.0, 0.5, 2.0, -1e6)], cfg)
     for cell in cells:
         for f in ("mean_a", "m_aa", "mean_b", "m_ab"):
             assert np.array_equal(getattr(cell.moments, f), getattr(expected, f)), f
@@ -581,10 +589,10 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
     # not depend on its position in the sweep or on the other cells in it
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     cells = [(EstimatorKind.JS, 0.0), (EstimatorKind.ML, 0.5), (EstimatorKind.JS, 2.0)]
-    forward = collect_cells(cells, cfg, stream=5)
-    backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
+    forward = collect_cells(cells, cfg)
+    backward = collect_cells(cells[::-1], cfg)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = _cell(kind, theta, cfg, stream=5)
+        alone = _cell(kind, theta, cfg)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
@@ -597,10 +605,10 @@ def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     js, ml = EstimatorKind.JS, EstimatorKind.ML
     cells = [(js, 0.5), (ml, 0.5), (js, 2.0), (ml, 2.0), (js, 0.5)]
-    forward = collect_cells(cells, cfg, stream=5)
-    backward = collect_cells(cells[::-1], cfg, stream=5)[::-1]
+    forward = collect_cells(cells, cfg)
+    backward = collect_cells(cells[::-1], cfg)[::-1]
     for (kind, theta), a, b in zip(cells, forward, backward):
-        alone = _cell(kind, theta, cfg, stream=5)
+        alone = _cell(kind, theta, cfg)
         assert _same_cell(a, alone) and _same_cell(b, alone), (kind, theta)
 
 
@@ -827,8 +835,7 @@ def test_tabulated_rows_equal_the_moments_pass_mean_bitwise(kind, workers):
     grid = [0.0, 0.7, 2.0, 1e6]
     rows = tabulate_mean_function(kind, grid, cfg)
     for i, theta in enumerate(grid):
-        cell, = collect_cells([(kind, theta)], cfg,
-                              stream=mc.MEAN_FUNCTION_STREAM_BASE + i)
+        cell = _cell_on_stream(kind, theta, cfg, mc.MEAN_FUNCTION_STREAM_BASE + i)
         assert np.array_equal(rows[i], cell.moments.mean_a + theta), (i, theta)
 
 
@@ -875,6 +882,26 @@ def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
                    (EstimatorKind.ML, 2.0)], cfg)
     assert len(outs) == 4  # per chunk, one JS batch and one shared ML batch
     assert all(out == shape for shape, out in outs)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_stream_0_pass_reduces_each_chunk_once(monkeypatch, workers):
+    # every JS multiplier and the ML norms of a chunk come from one S and one Q
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
+    cells = [(kind, theta) for theta in (0.0, 0.5, 2.0)
+             for kind in (EstimatorKind.JS, EstimatorKind.ML)]
+    expected = collect_cells(cells, cfg)
+    calls = []
+    reductions = mc.row_reductions
+
+    def counting(z):
+        calls.append(len(z))
+        return reductions(z)
+
+    monkeypatch.setattr(mc, "row_reductions", counting)
+    for cell, alone in zip(collect_cells(cells, cfg), expected, strict=True):
+        assert _same_cell(cell, alone) and _same_batches(cell, alone)
+    assert sorted(calls) == [4000, CHUNK_SAMPLES]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -944,8 +971,8 @@ def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
     single = replace(cfg, n_workers=1)
     js, ml = EstimatorKind.JS, EstimatorKind.ML
     cells = [(js, 0.5), (ml, 0.5), (js, 2.0), (ml, 2.0), (js, 0.0), (ml, 1.25)]
-    for (kind, theta), cell in zip(cells, collect_cells(cells, cfg, stream=5)):
-        alone, = collect_cells([(kind, theta)], single, stream=5)
+    for (kind, theta), cell in zip(cells, collect_cells(cells, cfg)):
+        alone, = collect_cells([(kind, theta)], single)
         assert _same_cell(cell, alone), (kind, theta)
 
     calibrations = null_calibrations(cfg)
@@ -960,6 +987,5 @@ def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
     for kind in (js, ml):
         rows = tabulate_mean_function(kind, grid, cfg)
         for i, theta in enumerate(grid):
-            cell, = collect_cells([(kind, theta)], single,
-                                  stream=mc.MEAN_FUNCTION_STREAM_BASE + i)
+            cell = _cell_on_stream(kind, theta, single, mc.MEAN_FUNCTION_STREAM_BASE + i)
             assert np.array_equal(rows[i], cell.moments.mean_a + theta), (kind, theta)
