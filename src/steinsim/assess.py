@@ -68,8 +68,8 @@ class AssessmentReport:
 
 
 def _lambda_batch_stderr(batches, kind, theta: float) -> float:
-    """Approximate batch-means standard error of the scalar information,
-    NaN below two batches that give an information."""
+    """Approximate batch-means standard error of the scalar information over
+    batches of samples, NaN below two batches that give an information."""
     traces = []
     for mom in batches:
         if mom.count < 2:
@@ -92,9 +92,9 @@ def assess_moments(kind: EstimatorKind, theta: float,
     the ``mc`` contract); a shift by theta changes no covariance, so V and D
     are the estimate's.  ``kind`` and ``theta`` only name the cell in a
     ``SingularCovarianceError``.  The batch-means standard error of the
-    scalar information uses the moments of the cell's at most
-    ``mc.STDERR_BATCHES`` contiguous batches of chunks (fewer when the cell
-    has fewer chunks); it is NaN below two batches.
+    scalar information uses the moments of the cell's contiguous batches of
+    samples, cut by sample index (see the ``mc`` contract); it is NaN below
+    two batches that give an information.
     """
     lam = _lambda_from_moments(cell.moments, kind, theta)
     scalar_lambda = float(np.trace(lam))

@@ -241,8 +241,8 @@ def _blas() -> tuple[str | None, int | None]:
 
 
 def _provenance(k: int) -> dict:
-    """The libraries, BLAS, thread settings, chunk size, RNG contract (see
-    the ``mc`` contract) and source files a run used."""
+    """The libraries, BLAS, thread settings, chunk size, error-bar batch
+    count, RNG contract (see the ``mc`` contract) and source files a run used."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     kernel, threads = _blas()
     sources = sorted(Path(__file__).parent.glob("*.py"))  # the package, in name order
@@ -254,6 +254,7 @@ def _provenance(k: int) -> dict:
         "threads_env": {name: value for name, value in sorted(os.environ.items())
                         if name.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,
+        "stderr_batches": mc.STDERR_BATCHES,
         "rng": {"bit_generator": "Philox", "key": ["seed", "stream"],
                 "words_per_sample": mc.words_per_sample(k), "normal_map": "ndtri"},
         "source_sha256": hashlib.sha256(b"".join(map(Path.read_bytes, sources))).hexdigest(),

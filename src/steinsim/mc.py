@@ -35,24 +35,25 @@ depends on chunking or worker count:
   into its result (shift, exact conversion, add, scale, clamp, ``ndtri``),
   so it holds its result plus its words; the operations and their order
   are those of the one-shot formula, so the bits are too.
-* accumulation: samples are processed in fixed chunks of
-  ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays stay in
-  cache across a chunk's passes, and a worker's draws reuse one buffer).
-  Each chunk's result reaches the sweep's ``take`` in chunk order, on the
-  calling thread, and a cell's chunks are merged in that order into at most
-  ``STDERR_BATCHES`` contiguous batches, each the in-order merge of its
-  chunks, whose in-order merge is the cell's total, so the floating-point
-  reduction order is independent of ``n_workers`` and a pass keeps no
-  chunk's result once it is merged.  A chunk's column means are its column
-  sums over its count (``_column_mean``).  A cell's moments pair its
-  error ``estimate - theta`` (``_error``) with the score ``z = y - theta``,
-  the chunk's draw itself; a shift by theta changes no covariance, so
-  ``mean_a`` is the cell's bias, ``mean_b`` is near 0, and neither the
-  merge nor ``m_ab``, taken against the uncentered score
-  (``StreamingMoments.from_batch``), takes a residue of a large mean.  The
-  ML error is z itself, so one ``from_batch(z, z)`` and the norms Q per
-  chunk serve every ML cell, the same bits at every theta.  The
-  mean-function table runs a mean-only pass: each chunk yields its count
+* accumulation: every pass cuts its n samples into
+  B = min(STDERR_BATCHES, n) contiguous batches by sample index, batch b
+  from ``b * n // B`` on (``_batch_starts``), and each batch into chunks of
+  at most ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays
+  stay in cache across a chunk's passes, and a worker's draws reuse one
+  buffer).  Each chunk's result reaches the sweep's ``take`` in chunk order,
+  on the calling thread; a cell's batch is the in-order merge of its chunks,
+  and the in-order merge of its batches the cell's total, so the reduction
+  order does not depend on ``n_workers`` nor the batches on
+  ``CHUNK_SAMPLES``, and a pass keeps no chunk's result once it is merged.
+  A chunk's column means are its column sums over its count
+  (``_column_mean``).  A cell's moments pair its error ``estimate - theta``
+  (``_error``) with the score ``z = y - theta``, the chunk's draw itself; a
+  shift by theta changes no covariance, so ``mean_a`` is the cell's bias,
+  ``mean_b`` is near 0, and neither the merge nor ``m_ab``, taken against
+  the uncentered score (``StreamingMoments.from_batch``), takes a residue of
+  a large mean.  The ML error is z itself, so one ``from_batch(z, z)`` and
+  the norms Q per chunk serve every ML cell, the same bits at every theta.
+  The mean-function table runs a mean-only pass: each chunk yields its count
   and the column mean of the same ``_error``, merged in the same batches by
   the same pooled-mean update (``_pooled_mean``) that
   ``StreamingMoments.merge`` applies, so each row, theta plus that bias, is
@@ -150,11 +151,11 @@ ndtri = _scipy_ndtri()
 DEFAULT_SAMPLES = 1_000_000
 DEFAULT_SEED = 42
 
-# Fixed accumulation granularity; results must not change if this does,
-# except for floating-point reassociation in the merge.
+# Most samples per chunk; chunks are cut within the batches, so a change to
+# this moves no batch and changes results only by reassociation in the merge.
 CHUNK_SAMPLES = 4096
 
-# A cell's chunks are merged in at most this many contiguous batches, whose
+# A cell's samples are merged in at most this many contiguous batches, whose
 # moments give the batch-means error of the scalar information.
 STDERR_BATCHES = 32
 
@@ -346,38 +347,38 @@ class StreamingMoments:
 # ---------------------------------------------------------------------------
 
 
+def _batch_starts(n_samples: int) -> list[int]:
+    """The first sample ``b * n_samples // B`` of each batch b < B, where
+    B = ``min(STDERR_BATCHES, n_samples)``."""
+    n_batches = min(STDERR_BATCHES, n_samples)
+    return [b * n_samples // n_batches for b in range(n_batches)]
+
+
 def _chunk_ranges(n_samples: int) -> list[tuple[int, int]]:
-    return [
-        (start, min(CHUNK_SAMPLES, n_samples - start))
-        for start in range(0, n_samples, CHUNK_SAMPLES)
-    ]
+    """``(start, count)`` of every chunk: each batch cut into chunks of at
+    most ``CHUNK_SAMPLES``, so no chunk straddles a batch."""
+    starts = _batch_starts(n_samples)
+    return [(start, min(CHUNK_SAMPLES, end - start))
+            for begin, end in zip(starts, starts[1:] + [n_samples])
+            for start in range(begin, end, CHUNK_SAMPLES)]
 
 
 class _BatchedMerge:
-    """In-order merge of one cell's chunk results in at most
-    ``STDERR_BATCHES`` contiguous batches; the first ``n_chunks % n_batches``
-    batches hold one chunk more than the rest.
+    """In-order merge of one cell's chunk results in the batches of
+    ``_batch_starts``: ``add(start, part)`` opens a batch at a batch start
+    and otherwise merges into the last one, so each batch is the left fold
+    of its chunks by ``merge``, and ``total()`` the left fold of the batches."""
 
-    ``add`` takes the chunks in order; each batch is the left fold of its
-    chunks by ``merge``, and ``total()`` the left fold of the batches, so
-    no chunk is merged twice.
-    """
-
-    def __init__(self, n_chunks: int, merge: Callable):
-        n_batches = min(STDERR_BATCHES, n_chunks)
-        size, extra = divmod(n_chunks, n_batches)
+    def __init__(self, n_samples: int, merge: Callable):
+        self._starts = set(_batch_starts(n_samples))
         self._merge = merge
-        self._ends = {b * size + min(b, extra) for b in range(1, n_batches + 1)}
-        self._added = 0
-        self._open = None
         self.batches: list = []
 
-    def add(self, part) -> None:
-        self._open = part if self._open is None else self._merge(self._open, part)
-        self._added += 1
-        if self._added in self._ends:
-            self.batches.append(self._open)
-            self._open = None
+    def add(self, start: int, part) -> None:
+        if start in self._starts:
+            self.batches.append(part)
+        else:
+            self.batches[-1] = self._merge(self.batches[-1], part)
 
     def total(self):
         return functools.reduce(self._merge, self.batches)
@@ -477,8 +478,7 @@ def sweep(config: SimulationConfig, fold: Fold,
 class CellMoments:
     """Moments of (estimate, score) pairs and squared-error norms of one
     (estimator, theta) cell from one stream; ``batch_moments`` keeps the
-    moments of each of its at most ``STDERR_BATCHES`` contiguous batches of
-    chunks, in order."""
+    moments of each of its batches of samples (``_batch_starts``), in order."""
 
     moments: StreamingMoments  # a = error (estimate - theta), b = score z
     err_sum: float
@@ -539,8 +539,8 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
     (``_error``, in the worker's ``cell`` buffer, so no estimator sees z)
     with the score z, in the given order; the ML error is z itself, so the
     chunk's one ``from_batch(z, z)`` and norms Q serve every ML cell.  Per-chunk
-    moments are merged as they arrive, in chunk order and in contiguous
-    batches (Chan, Golub & LeVeque 1979), so each cell's result is
+    moments are merged as they arrive, in chunk order and in the contiguous
+    batches of samples (Chan, Golub & LeVeque 1979), so each cell's result is
     independent of the worker count and of the other cells in the pass.
     Estimator domain errors abort the run and carry the offending sample
     index.
@@ -568,13 +568,12 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
                 results.append(moments(err, np.einsum("ij,ij->i", err, err, out=err_sq)))
         return results
 
-    n_chunks = len(_chunk_ranges(config.n_samples))
-    merges = [_BatchedMerge(n_chunks, StreamingMoments.merge) for _ in cells]
+    merges = [_BatchedMerge(config.n_samples, StreamingMoments.merge) for _ in cells]
     err_sums = [[0.0, 0.0] for _ in cells]
 
     def take(start: int, results: list) -> None:
         for merge, sums, (moments, s1, s2) in zip(merges, err_sums, results):
-            merge.add(moments)
+            merge.add(start, moments)
             sums[0] += s1
             sums[1] += s2
 
@@ -613,11 +612,10 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     def chunk(theta: float, z: np.ndarray, start: int, workspace: Workspace):
         return len(z), _column_mean(_error(kind, theta, z, row_reductions(z), start, out=z))
 
-    n_chunks = len(_chunk_ranges(config.n_samples))
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
-        merge = _BatchedMerge(n_chunks, _pooled_count_mean)
+        merge = _BatchedMerge(config.n_samples, _pooled_count_mean)
         sweep(config, functools.partial(chunk, float(theta)),
-              lambda start, result: merge.add(result), MEAN_FUNCTION_STREAM_BASE + i)
+              merge.add, MEAN_FUNCTION_STREAM_BASE + i)
         rows[i] = theta + merge.total()[1]
     return rows

@@ -177,44 +177,59 @@ def test_js_information_matches_ml_far_from_the_origin(theta):
     assert js == pytest.approx(ml, rel=1e-9)
 
 
+def _batch_counts(n):
+    """The sample counts of the error-bar batches of an n-sample cell:
+    floor((b + 1) n / B) - floor(b n / B) for batch b < B = min(32, n)."""
+    n_batches = min(mc.STDERR_BATCHES, n)
+    return [(b + 1) * n // n_batches - b * n // n_batches for b in range(n_batches)]
+
+
 @pytest.mark.parametrize("n_chunks", [1, 2, 5, 32, 33, 70])
 def test_lambda_stderr_uses_at_most_32_contiguous_batches(n_chunks):
-    # a short last chunk; the batches are contiguous runs of chunks, the
-    # first n_chunks % n_batches of them one chunk longer than the rest
+    # n spans n_chunks chunks of CHUNK_SAMPLES with a short last one; the
+    # batches are cut by sample index whatever the chunk size, and each
+    # chunk lies in one batch (several chunks per batch from 33 on)
     n = (n_chunks - 1) * CHUNK_SAMPLES + 1000
-    n_batches = min(mc.STDERR_BATCHES, n_chunks)
-    size, extra = divmod(n_chunks, n_batches)
-    runs = [size + 1] * extra + [size] * (n_batches - extra)
-    chunks = [CHUNK_SAMPLES] * (n_chunks - 1) + [1000]
-    ends = np.cumsum(runs)
-    expected = [sum(chunks[end - run:end]) for run, end in zip(runs, ends)]
+    starts = np.cumsum([0] + _batch_counts(n))
+    assert all(np.searchsorted(starts, start, "right") == np.searchsorted(starts, start + count)
+               for start, count in mc._chunk_ranges(n))
     stderrs = []
     for workers in (1, 2):
         cell, = collect_cells([(EstimatorKind.JS, 0.5)],
                               SimulationConfig(k=4, n_samples=n, seed=27,
                                                n_workers=workers))
-        assert [m.count for m in cell.batch_moments] == expected
+        assert [m.count for m in cell.batch_moments] == _batch_counts(n)
         total = cell.batch_moments[0]
         for batch in cell.batch_moments[1:]:
             total = total.merge(batch)
         assert all(np.array_equal(getattr(total, f), getattr(cell.moments, f))
                    for f in ("mean_a", "m_aa", "mean_b", "m_ab"))
         stderrs.append(assess_moments(EstimatorKind.JS, 0.5, cell).lambda_stderr)
-    assert np.array_equal(stderrs[0], stderrs[1], equal_nan=True)
-    assert np.isnan(stderrs[0]) == (n_chunks == 1)
+    assert stderrs[0] == stderrs[1] and np.isfinite(stderrs[0])
 
 
-@pytest.mark.parametrize("last, error", [(1, ValueError), (10, SingularCovarianceError)])
-def test_lambda_stderr_skips_a_batch_that_gives_no_information(last, error):
-    # four chunks are four one-chunk batches; a last batch of one sample has
-    # no covariance, and one of 10 < k = 14 samples a singular one, so the
-    # stderr is that of the first three batches
-    cell, = collect_cells([(EstimatorKind.JS, 0.5)], _cfg(n=3 * CHUNK_SAMPLES + last, seed=5))
-    assert [m.count for m in cell.batch_moments] == [CHUNK_SAMPLES] * 3 + [last]
-    *full, short = [CellMoments(m, 0.0, 0.0, ()) for m in cell.batch_moments]
+@pytest.mark.parametrize("n", [31, 100])
+def test_lambda_stderr_is_nan_below_two_batches_that_give_an_information(n):
+    # below 32 samples every batch is one sample, and at k = 4 batches of 3
+    # or 4 samples have singular covariances
+    cell, = collect_cells([(EstimatorKind.JS, 0.5)], SimulationConfig(k=4, n_samples=n, seed=27))
+    assert [m.count for m in cell.batch_moments] == _batch_counts(n)
+    assert np.isnan(assess_moments(EstimatorKind.JS, 0.5, cell).lambda_stderr)
+
+
+@pytest.mark.parametrize("short, error", [(1, ValueError), (10, SingularCovarianceError)])
+def test_lambda_stderr_skips_a_batch_that_gives_no_information(short, error):
+    # at k = short and n = 32 short + 31 the first batch holds `short`
+    # samples and the other 31 one more; a batch of one sample has no
+    # covariance, and one of k samples a singular one, so the stderr is
+    # that of the 31 longer batches
+    k, n = short, 32 * short + 31
+    cell, = collect_cells([(EstimatorKind.JS, 0.5)], SimulationConfig(k=k, n_samples=n, seed=5))
+    assert [m.count for m in cell.batch_moments] == [short] + [short + 1] * 31
+    first, *rest = [CellMoments(m, 0.0, 0.0, ()) for m in cell.batch_moments]
     with pytest.raises(error):
-        assess_moments(EstimatorKind.JS, 0.5, short)
-    traces = [assess_moments(EstimatorKind.JS, 0.5, batch).scalar_lambda for batch in full]
+        assess_moments(EstimatorKind.JS, 0.5, first)
+    traces = [assess_moments(EstimatorKind.JS, 0.5, batch).scalar_lambda for batch in rest]
     stderr = assess_moments(EstimatorKind.JS, 0.5, cell).lambda_stderr
-    assert stderr == np.std(traces, ddof=1) / np.sqrt(3)
-    assert stderr == pytest.approx(0.036628, abs=1e-6)
+    assert stderr == np.std(traces, ddof=1) / np.sqrt(31)
+    assert stderr == pytest.approx({1: 0.183629, 10: 0.273256}[short], abs=1e-6)

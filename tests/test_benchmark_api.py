@@ -11,7 +11,6 @@ that API must come with a change to the benchmark.
 
 import collections
 import json
-import math
 import os
 import subprocess
 import sys
@@ -49,8 +48,9 @@ def test_tracer_installs_its_hooks_and_sees_every_chunk(tmp_path):
     trace = json.loads(spans_path.read_text())
     assert {"mc._map_ordered", "mc.draw_block",
             "mc.StreamingMoments.from_batch"} <= set(trace["installed"])
-    # every chunk of streams 0, 1 and 2, and one per figure on stream 3:
-    # every chunk the pool runs draws its block once, through the wrapper
+    # every chunk of streams 0, 1 and 2, and of the two 100-point figure
+    # passes on stream 3: every chunk the pool runs draws its block once,
+    # through the wrapper
     spans = collections.Counter(span[2] for span in trace["spans"])
-    chunks = 3 * math.ceil(140_000 / mc.CHUNK_SAMPLES) + 2
+    chunks = 3 * len(mc._chunk_ranges(140_000)) + 2 * len(mc._chunk_ranges(100))
     assert spans["mc.chunk"] == spans["mc.draw_block"] == chunks

@@ -32,7 +32,7 @@ GOLDEN_SHA256 = {
     "table3.csv": "cae1ab91103b3e53e60383be19e4ec05024ed09b19f412cd653289790fb19449",
     "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
     "figure_theta_2.csv": "f65117e8f98fb008368948d74f470525bb73eebbfbbc510b5681cc371c253a37",
-    "table3_eigenvalues.json": "a707f40a223cc9af6a1446275e98a5bdbf9ba3b3b91e4b4b05cce9e7c9898f95",
+    "table3_eigenvalues.json": "a844092fcae447c97422a33c170f45d1bbcd59be626b7e167dfca60f84337802",
 }
 
 # sha256 of the same six files of `all` at the defaults: k = 14, N = 10^6, seed 42
@@ -42,7 +42,7 @@ DEFAULTS_SHA256 = {
     "table3.csv": "0b674af1c8dcda949e2d8cff0b88cf456d187d65fc6ada1947b868c8d0204900",
     "figure_theta_0.5.csv": "df499d37545b5e743e10123f712f2443a05b616dffb5a4a453b126e5f60437e7",
     "figure_theta_2.csv": "ac5dcdfb300bf5a649d553be597b015a4c1528c553eb83fc251ee3b5ec4a5dd8",
-    "table3_eigenvalues.json": "9be6f750d087683c0b7b49d2365507798d318defbef7a1e70eff12c2fb5dafd9",
+    "table3_eigenvalues.json": "9be5f4cb6a8ad5e13baebb1b8abef66c554767905288709e12849fa3a8286cfb",
 }
 
 
@@ -621,7 +621,7 @@ def test_all_json_manifests_record_their_parameters(tmp_path, capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2", "8"])
 def test_all_equals_the_single_report_commands(tmp_path, capsys, workers):
-    # 70,000 samples span two chunks, so the shared sweep's merge order counts
+    # 70,000 samples span 32 chunks, so the shared sweep's merge order counts
     common = ["--samples", "70000", "--seed", "42", "--workers", workers]
     out_dir = tmp_path / "all"
     assert run(capsys, ["all", *common, "--output", str(out_dir)])[0] == 0
@@ -652,6 +652,19 @@ def test_all_csvs_match_the_pinned_digests(tmp_path, capsys, workers):
                               "--workers", workers, "--output", str(out_dir)])
     assert code == 0
     assert_pinned_digests(out_dir)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_the_chunk_size_changes_no_byte(tmp_path, monkeypatch, capsys, workers):
+    # the error-bar batches are cut by sample index, and chunks within them,
+    # so every data file keeps its pinned bytes at any chunk size
+    for chunk_samples in (1000, 4096, 5000):
+        monkeypatch.setattr(mc, "CHUNK_SAMPLES", chunk_samples)
+        out_dir = tmp_path / str(chunk_samples)
+        code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "7",
+                                  "--workers", workers, "--output", str(out_dir)])
+        assert code == 0
+        assert_pinned_digests(out_dir)
 
 
 def test_all_at_the_defaults_matches_its_pinned_digests(tmp_path, capsys):
@@ -690,9 +703,8 @@ def count_draws(monkeypatch) -> collections.Counter:
 def chunks(streams: dict) -> list:
     """The ``(stream, start, count)`` chunks of a sweep over the first
     ``streams[stream]`` samples of each stream, in order."""
-    return [(stream, start, min(mc.CHUNK_SAMPLES, n - start))
-            for stream, n in sorted(streams.items())
-            for start in range(0, n, mc.CHUNK_SAMPLES)]
+    return [(stream, start, count) for stream, n in sorted(streams.items())
+            for start, count in mc._chunk_ranges(n)]
 
 
 def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
@@ -827,6 +839,7 @@ def test_manifests_record_the_provenance_of_the_run(tmp_path, capsys):
         "threads_env": {k: v for k, v in sorted(os.environ.items())
                         if k.endswith("_NUM_THREADS")},
         "chunk_samples": mc.CHUNK_SAMPLES,
+        "stderr_batches": mc.STDERR_BATCHES,
         # the mc contract's RNG: Philox keyed [seed, stream], w = 4 * ceil(14 / 4)
         # words per sample, mapped to normals by ndtri
         "rng": {"bit_generator": "Philox", "key": ["seed", "stream"],

@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import subprocess
@@ -224,7 +225,7 @@ def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
 def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
     # each fold sees draw_block's z bit for bit, even after the folds before
     # it wrote over their z in the reused buffer; results reach take in
-    # chunk order, the short last chunk too
+    # chunk order, the shorter chunks too
     cfg = SimulationConfig(k=3, n_samples=3 * CHUNK_SAMPLES + 123, seed=29,
                            n_workers=workers)
     taken = []
@@ -235,9 +236,7 @@ def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
         return seen
 
     mc.sweep(cfg, overwriting, lambda start, z: taken.append((start, z)), stream=6)
-    assert [(start, len(z)) for start, z in taken] == [
-        (0, CHUNK_SAMPLES), (CHUNK_SAMPLES, CHUNK_SAMPLES),
-        (2 * CHUNK_SAMPLES, CHUNK_SAMPLES), (3 * CHUNK_SAMPLES, 123)]
+    assert [(start, len(z)) for start, z in taken] == mc._chunk_ranges(cfg.n_samples)
     for start, z in taken:
         assert np.array_equal(z, draw_block(cfg, start, len(z), stream=6)), start
 
@@ -503,14 +502,17 @@ def test_ml_cells_take_their_moments_from_the_score(workers):
     # the ML error is z at every theta, so each chunk's ML moments are
     # from_batch(z, z) and its error sums those of the norms ||z_i||^2: every
     # ML cell is their in-order merge and sum bit for bit, whatever its theta
+    # (here each batch is one chunk, so the batched merge is the plain one)
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     z = draw_block(cfg, 0, cfg.n_samples)
-    head, tail = z[:CHUNK_SAMPLES], z[CHUNK_SAMPLES:]
-    expected = StreamingMoments.from_batch(head, head).merge(
-        StreamingMoments.from_batch(tail, tail))
-    norms = [np.einsum("ij,ij->i", part, part) for part in (head, tail)]
-    err_sum = 0.0 + float(norms[0].sum()) + float(norms[1].sum())
-    err_sumsq = 0.0 + float((norms[0] * norms[0]).sum()) + float((norms[1] * norms[1]).sum())
+    parts = [z[start:start + count] for start, count in mc._chunk_ranges(cfg.n_samples)]
+    assert len(parts) == mc.STDERR_BATCHES
+    expected = functools.reduce(StreamingMoments.merge,
+                                [StreamingMoments.from_batch(part, part) for part in parts])
+    err_sum = err_sumsq = 0.0
+    for norms in (np.einsum("ij,ij->i", part, part) for part in parts):
+        err_sum += float(norms.sum())
+        err_sumsq += float((norms * norms).sum())
     cells = collect_cells([(EstimatorKind.ML, theta) for theta in (0.0, 0.5, 2.0, -1e6)], cfg)
     for cell in cells:
         for f in ("mean_a", "m_aa", "mean_b", "m_ab"):
@@ -525,7 +527,7 @@ def test_ml_cells_take_their_moments_from_the_score(workers):
 @example(theta=math.nextafter(mc.THETA_LIMIT, 0.0))
 @example(theta=-math.nextafter(mc.THETA_LIMIT, 0.0))
 def test_every_ml_cell_is_the_theta_0_cell_bitwise(theta):
-    # a short last chunk and a JS cell between the ML cells: no theta below
+    # chunks of two lengths and a JS cell between the ML cells: no theta below
     # the bound moves a bit of an ML cell
     cfg = _cfg(k=3, n_samples=CHUNK_SAMPLES + 100)
     at_zero = _cell(EstimatorKind.ML, 0.0, cfg)
@@ -585,7 +587,7 @@ def _same_cell(a, b):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
-    # two chunks, so the in-order merge is exercised; a cell's moments must
+    # several chunks, so the in-order merge is exercised; a cell's moments must
     # not depend on its position in the sweep or on the other cells in it
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     cells = [(EstimatorKind.JS, 0.0), (EstimatorKind.ML, 0.5), (EstimatorKind.JS, 2.0)]
@@ -648,7 +650,7 @@ def _same_batches(a, b):
 @example(k=3, n_chunks=33, last=1,
          cells=[(EstimatorKind.JS, 0.5), (EstimatorKind.ML, 0.5), (EstimatorKind.JS, 2.0)])
 def test_every_pass_gives_the_same_bits_at_1_2_and_3_workers(k, n_chunks, last, cells):
-    # several chunks and a short last one: at 2 and 3 workers chunks finish
+    # several chunks of unequal lengths: at 2 and 3 workers chunks finish
     # out of order, and every pass must still merge them in chunk order
     n = (n_chunks - 1) * CHUNK_SAMPLES + last
     kinds = [EstimatorKind.JS, EstimatorKind.ML]
@@ -746,13 +748,13 @@ def test_a_sweep_takes_every_chunk_once_in_order_on_the_calling_thread(workers):
 
 def test_a_stream_0_pass_keeps_no_chunk_results():
     # the ten cells that table1 and table3 share; a pass holds its workspace
-    # buffers, the chunks not yet merged and each cell's at most 32 batch
-    # moments, so its peak less what its result keeps must not grow with
-    # the chunk count
+    # buffers, the chunks not yet merged and each cell's 32 batch moments,
+    # so its peak less what its result keeps must not grow with the chunk
+    # count (both sample counts cut into full chunks: 1 and 2 per batch)
     cells = [(kind, theta) for kind in (EstimatorKind.JS, EstimatorKind.ML)
              for theta in (0.0, 0.5, 1.25, 2.0, 2.5)]
     working = {}
-    for n_chunks in (8, 64):
+    for n_chunks in (32, 64):
         cfg = SimulationConfig(k=14, n_samples=n_chunks * CHUNK_SAMPLES, seed=26)
         tracemalloc.start()
         try:
@@ -760,18 +762,18 @@ def test_a_stream_0_pass_keeps_no_chunk_results():
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert all(len(cell.batch_moments) == min(mc.STDERR_BATCHES, n_chunks)
-                   for cell in result)
+        assert all(len(cell.batch_moments) == mc.STDERR_BATCHES for cell in result)
         working[n_chunks] = peak - kept
-    assert working[64] <= 1.05 * working[8]
+    assert working[64] <= 1.05 * working[32]
 
 
 def test_a_null_pass_keeps_no_chunk_list_or_copy_of_its_nulls():
     # each null is filled in place and sorted there, so the pass's peak less
-    # the two nulls it returns must not grow with the chunk count
+    # the two nulls it returns must not grow with the chunk count (both
+    # sample counts cut into full chunks)
     kinds = [EstimatorKind.JS, EstimatorKind.ML]
     working = {}
-    for n_chunks in (16, 64):
+    for n_chunks in (32, 64):
         cfg = SimulationConfig(k=14, n_samples=n_chunks * CHUNK_SAMPLES, seed=27)
         tracemalloc.start()
         try:
@@ -781,7 +783,7 @@ def test_a_null_pass_keeps_no_chunk_list_or_copy_of_its_nulls():
             tracemalloc.stop()
         assert all(result[kind].size == cfg.n_samples for kind in kinds)
         working[n_chunks] = peak - kept
-    assert working[64] <= 1.05 * working[16]
+    assert working[64] <= 1.05 * working[32]
 
 
 # ---------------------------------------------------------------------------
@@ -829,8 +831,8 @@ def test_tabulate_rows_are_reproducible_independently():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("kind", [EstimatorKind.ML, EstimatorKind.JS], ids=["ml", "js"])
 def test_tabulated_rows_equal_the_moments_pass_mean_bitwise(kind, workers):
-    # a partial last chunk, so the pooled-mean merge sees unequal counts
-    cfg = SimulationConfig(k=5, n_samples=CHUNK_SAMPLES + 4000, seed=19,
+    # batches of 263 and 264 samples, so the pooled-mean merge sees unequal counts
+    cfg = SimulationConfig(k=5, n_samples=CHUNK_SAMPLES + 4333, seed=19,
                            n_workers=workers)
     grid = [0.0, 0.7, 2.0, 1e6]
     rows = tabulate_mean_function(kind, grid, cfg)
@@ -858,16 +860,17 @@ def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
     tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0, 2.0], cfg)
     assert batches == []
     base = mc.MEAN_FUNCTION_STREAM_BASE
+    ranges = mc._chunk_ranges(cfg.n_samples)
     assert sorted(draws) == [(base + row, start, count) for row in range(3)
-                             for start, count in ((0, CHUNK_SAMPLES), (CHUNK_SAMPLES, 4000))]
+                             for start, count in ranges]
     collect_cells([(EstimatorKind.JS, 0.0)], cfg)
     # the wrapper sees the moments pass: per chunk, the JS cell's batch only,
     # since a pass with no ML cell takes no moments of z
-    assert sorted(batches) == [4000, CHUNK_SAMPLES]
+    assert sorted(batches) == sorted(count for _, count in ranges)
 
 
 def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
-    # JS and ML cells, two chunks: no from_batch call may allocate its own
+    # JS and ML cells, several chunks: no from_batch call may allocate its own
     # centered copy of a chunk
     outs = []
     from_batch = mc.StreamingMoments.from_batch.__func__
@@ -880,7 +883,8 @@ def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=2)
     collect_cells([(EstimatorKind.JS, 0.5), (EstimatorKind.ML, 0.0),
                    (EstimatorKind.ML, 2.0)], cfg)
-    assert len(outs) == 4  # per chunk, one JS batch and one shared ML batch
+    # per chunk, one JS batch and one shared ML batch
+    assert len(outs) == 2 * len(mc._chunk_ranges(cfg.n_samples))
     assert all(out == shape for shape, out in outs)
 
 
@@ -901,7 +905,7 @@ def test_a_stream_0_pass_reduces_each_chunk_once(monkeypatch, workers):
     monkeypatch.setattr(mc, "row_reductions", counting)
     for cell, alone in zip(collect_cells(cells, cfg), expected, strict=True):
         assert _same_cell(cell, alone) and _same_batches(cell, alone)
-    assert sorted(calls) == [4000, CHUNK_SAMPLES]
+    assert sorted(calls) == sorted(count for _, count in mc._chunk_ranges(cfg.n_samples))
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -958,15 +962,12 @@ def test_a_finite_theta_is_refused_or_gives_a_positive_ml_mse(theta):
         assert math.isfinite(cell.mse) and cell.mse > 0
 
 
-FOUR_CHUNKS = 3 * CHUNK_SAMPLES + 123
-
-
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_reused_workspaces_keep_one_cell_results_bitwise(workers):
-    # four chunks, the last one short: every worker folds several chunks
-    # into its one workspace, and the short chunk reuses full-size buffers.
+    # chunks of 387 and 388 samples: every worker folds several chunks into
+    # its one workspace, and a shorter chunk reuses a longer one's buffers.
     # Shared passes at `workers` must equal one-cell passes at one worker.
-    cfg = SimulationConfig(k=5, n_samples=FOUR_CHUNKS, seed=23,
+    cfg = SimulationConfig(k=5, n_samples=3 * CHUNK_SAMPLES + 123, seed=23,
                            n_workers=workers)
     single = replace(cfg, n_workers=1)
     js, ml = EstimatorKind.JS, EstimatorKind.ML
