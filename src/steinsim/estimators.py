@@ -9,8 +9,9 @@ which pulls the observation toward the origin and flips every component's
 sign when ||y||^2 < k - 2.  ``EstimatorKind`` names the two, and it is the
 only estimator type that the passes, ``assess`` and ``hyptest`` take.  No
 array estimator is kept: every pass takes the JS multiplier of a row
-y = theta·1 + z from z's row scalars (``row_reductions``) through ||y||^2
-(``shifted_norms``, then ``shrinkage_from_norms``)."""
+y = theta·1 + z from z's row scalars (``row_reductions``, which
+``mc.sweep`` takes once per chunk) through ||y||^2 (``shifted_norms``, then
+``shrinkage_from_norms``)."""
 
 from __future__ import annotations
 

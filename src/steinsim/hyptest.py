@@ -14,25 +14,15 @@ P0(T >= t)``: one extra unit means the null tail area halved.
 Streams: null calibration, power evaluation, and figure pairs draw from
 the disjoint streams 1, 2 and 3 of the configured seed, so rejection
 fractions are never computed on the draws that set the critical values.
-Each stream is read by one chunk-major sweep (``mc.sweep``), which folds
-one function over each chunk's standard normals z: one pass over stream 1
-yields the JS and ML calibrations at MU0 (``null_calibrations``), and
-every power cell shares one pass over stream 2, counting exceedances of
-the critical values that ``power_table`` reads off each calibration for
-the requested alphas.  Both folds read z only through its row scalars
-S = Σ_j z_j and Q = ‖z‖² (``estimators.row_reductions``), taken once per
-chunk: every statistic at every theta is arithmetic on them
-(``_statistics``), through Σy = S + k·theta and the ‖y‖² = Q + 2·theta·S
-+ k·theta² of stream 0's JS cells (``estimators.shifted_norms``).
-The figure pairs' fold adds their theta to z in place, forming y, takes
-y's S and Q once, and computes both statistics by the same formula at
-theta = 0 and the shrinkage from Q (``estimators.shrinkage_from_norms``).
-The power and figure passes check their thetas before any draw; the null
-pass takes no theta, since it runs at the constant MU0.  No cell's result
-depends on which other cells share its pass.  Each null is filled in
-place chunk by chunk, sorted once when its pass ends and made read-only:
-that ascending float64 array is the estimator's calibration, keyed by
-its ``EstimatorKind``, and nothing can change it under a reader.
+Each stream is read by one chunk-major sweep (``mc.sweep``) per pass, and
+every statistic at every theta, like the figure pairs' shrinkage, is
+arithmetic on the S and Q that the sweep takes of each chunk's z
+(``_statistics``).  The power and figure passes check their thetas before
+any draw; the null pass takes no theta, since it runs at the constant MU0.
+No cell's result depends on which other cells share its pass.  Each null
+is filled in place chunk by chunk, sorted once when its pass ends and made
+read-only: that ascending float64 array is the estimator's calibration,
+keyed by its ``EstimatorKind``, and nothing can change it under a reader.
 """
 
 from __future__ import annotations
@@ -43,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import NumericalError, mc
-from .estimators import EstimatorKind, row_reductions, shifted_norms, shrinkage_from_norms
+from .estimators import EstimatorKind, shifted_norms, shrinkage_from_norms
 
 MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
@@ -77,15 +67,14 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
 
 def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
     """The JS and ML calibrations at ``MU0``, from one pass over the
-    calibration stream, whose fold takes each chunk's S and Q from its z
-    once and both null statistics at theta = MU0 from them.  Each
-    calibration is its null: the float64 array of ``n_samples`` statistics
-    filled in place chunk by chunk, then sorted once and made read-only."""
+    calibration stream, whose fold takes both null statistics at
+    theta = MU0 from each chunk's S and Q.  Each calibration is its null:
+    the float64 array of ``n_samples`` statistics filled in place chunk by
+    chunk, then sorted once and made read-only."""
     kinds = (EstimatorKind.JS, EstimatorKind.ML)
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
-    def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list:
-        reductions = row_reductions(z)
+    def fold(z: np.ndarray, reductions: tuple, start: int, workspace: mc.Workspace) -> list:
         return [_statistics(kind, *reductions, MU0, config.k, start) for kind in kinds]
 
     def fill(start: int, results: list) -> None:
@@ -142,12 +131,11 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     (``check_null_resolution``).  Its critical value at alpha is the order
     statistic ``null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
     binary value.  Every theta is checked before any draw, and no cells
-    return ``{}`` without one.  The pass's fold takes each chunk's S and Q
-    from its z once; each cell counts, chunk by chunk, the draws whose
-    statistic at its theta strictly exceeds each critical value, and the
-    power is the total count over n_samples.  The alternative draws are
-    shared by all cells (common random numbers) and disjoint from the
-    calibration draws.
+    return ``{}`` without one.  Each cell counts, chunk by chunk, the draws
+    whose statistic at its theta, from the chunk's S and Q, strictly
+    exceeds each critical value, and the power is the total count over
+    n_samples.  The alternative draws are shared by all cells (common
+    random numbers) and disjoint from the calibration draws.
     """
     mc.check_thetas([theta for _, theta in cells])
     alphas = check_alphas(alphas)
@@ -162,8 +150,8 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     if not cells:
         return {}
 
-    def fold(z: np.ndarray, start: int, workspace: mc.Workspace) -> list[list[int]]:
-        reductions = row_reductions(z)
+    def fold(z: np.ndarray, reductions: tuple, start: int,
+             workspace: mc.Workspace) -> list[list[int]]:
         counts = []
         for kind, theta in cells:
             stats = _statistics(kind, *reductions, theta, config.k, start)
@@ -201,11 +189,11 @@ def paired_semitail(theta_alt: float, n_points: int,
     alternative theta: row i of each is sample i of the pair stream.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
-    read by one sweep whose fold adds ``theta_alt`` to each chunk's z in
-    place and computes both statistics and the shrinkage of that y from its
-    S and Q, taken once; ``theta_alt`` is checked before any draw.  Each
-    statistic is standardized against its own entry of ``calibrations``,
-    keyed by estimator as ``null_calibrations`` returns them.
+    read by one sweep whose fold takes both statistics and the shrinkage at
+    ``theta_alt`` from each chunk's S and Q, as ``power_table`` does;
+    ``theta_alt`` is checked before any draw.  Each statistic is
+    standardized against its own entry of ``calibrations``, keyed by
+    estimator as ``null_calibrations`` returns them.
     """
     null_js, null_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if n_points < 1:
@@ -213,11 +201,11 @@ def paired_semitail(theta_alt: float, n_points: int,
     mc.check_thetas([theta_alt])
     columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
 
-    def fold(z: np.ndarray, start: int, workspace: mc.Workspace):
-        reductions = row_reductions(np.add(z, theta_alt, out=z))
-        return (_statistics(EstimatorKind.JS, *reductions, 0.0, config.k, start),
-                _statistics(EstimatorKind.ML, *reductions, 0.0, config.k, start),
-                shrinkage_from_norms(reductions[1], config.k, start))
+    def fold(z: np.ndarray, reductions: tuple, start: int, workspace: mc.Workspace):
+        return (_statistics(EstimatorKind.JS, *reductions, theta_alt, config.k, start),
+                _statistics(EstimatorKind.ML, *reductions, theta_alt, config.k, start),
+                shrinkage_from_norms(shifted_norms(*reductions, theta_alt, config.k),
+                                     config.k, start))
 
     def fill(start: int, chunk: tuple) -> None:
         columns[:, start:start + len(chunk[0])] = chunk

@@ -40,11 +40,10 @@ depends on chunking or worker count:
   from ``b * n // B`` on (``_batch_starts``), and each batch into chunks of
   at most ``CHUNK_SAMPLES`` (4,096, so that a worker's chunk-sized arrays
   stay in cache across a chunk's passes, and a worker's draws reuse one
-  buffer).  Each chunk's result reaches the sweep's ``take`` in chunk order,
-  on the calling thread; a cell's batch is the in-order merge of its chunks,
-  and the in-order merge of its batches the cell's total, so the reduction
-  order does not depend on ``n_workers`` nor the batches on
-  ``CHUNK_SAMPLES``, and a pass keeps no chunk's result once it is merged.
+  buffer).  A cell's batch is the in-order merge of its chunks, and the
+  in-order merge of its batches the cell's total, so the reduction order
+  does not depend on ``n_workers`` nor the batches on ``CHUNK_SAMPLES``,
+  and a pass keeps no chunk's result once it is merged.
   A chunk's column means are its column sums over its count
   (``_column_mean``).  A cell's moments pair its error ``estimate - theta``
   (``_error``) with the score ``z = y - theta``, the chunk's draw itself; a
@@ -59,35 +58,14 @@ depends on chunking or worker count:
   ``StreamingMoments.merge`` applies, so each row, theta plus that bias, is
   the moments pass's ``mean_a + theta`` bit for bit.
 * chunk-major sweep: every pass over a stream goes through ``sweep``,
-  which folds one function over the stream's chunks.  Each chunk's draw is
-  its ``z``, made once into the ``z`` buffer of the worker's ``Workspace``
-  and handed to the fold, which may overwrite it; ``take`` is the pass's one
-  output: it merges, fills or adds up each chunk's result, keeping no list,
-  on the thread that called the pass, so the workers only draw and fold.
-  A fold that needs ``y = theta + z`` forms it itself.  The mean-function
-  rows and the figure pairs add their theta to ``z`` in place, which is
-  bit-identical to ``theta + z`` and spares a copy.  The three full-N
-  passes of the reports (``collect_cells`` and hyptest's
-  ``null_calibrations`` and ``power_table``) fold the chunk's z as drawn,
-  and each takes z's row scalars S = Σ_j z_j and Q = ‖z‖² once: the
-  cells take from them the JS multipliers and the ML norms.  Each JS cell
-  forms its own ``y`` in the ``cell`` buffer of the worker's ``Workspace``
-  (``z + 0.0`` is z bit for bit, since ``ndtri`` never returns -0.0), so
-  no estimator sees z, and an ML cell forms no y; no pass makes y
-  read-only.  Each pass that takes thetas checks them first.
-* workspaces: each worker thread of a sweep gets one ``Workspace`` on its
-  first chunk and reuses it for every later chunk of the pass.  Its named
-  buffers are allocated on first use and grown only for a larger request,
-  so a cell writes y, then its estimate over y, then its error over the
-  estimate, with ``out=`` into one buffer, the same memory chunk after
-  chunk, and a pass holds a fixed set of buffers per worker instead of
-  fresh arrays per chunk; ``StreamingMoments.from_batch`` centers each
-  error, z for the ML cells, into one of them.  Workers never share
-  one.  A fold must not keep ``z`` or a workspace buffer after it returns:
-  the next cell or chunk overwrites them, so a fold that needs them later
-  returns a copy.  Reusing buffers changes no floating-point operation, so
-  a cell's result does not depend on which other cells share its pass or
-  on which worker folds its chunks.
+  which draws each chunk once, takes its row scalars S = Σ_j z_j and
+  Q = ‖z‖² once (``estimators.row_reductions``) and hands z and them to
+  the pass's one fold; no fold reduces its chunk again.  ``take`` gets each
+  chunk's result in chunk order, on the thread that called ``sweep``, so
+  the workers only draw and fold.  A fold may overwrite z, but keeps
+  neither z nor a buffer of its worker's ``Workspace`` after it returns.
+  No result depends on which worker folds a chunk or on which other cells
+  share its pass.  Each pass that takes thetas checks them first.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every JS error is 0); it
@@ -416,10 +394,16 @@ class Workspace:
     """Scratch buffers of one worker, reused by every cell of every chunk it
     folds in one sweep.
 
-    ``buffer(name, shape)`` is a view of the worker's flat array of that
-    name, grown to the largest request so far, so a short last chunk reuses
-    the buffer of a full one.  It holds whatever its last user wrote: a
-    cell's y, then its estimate, then its error, all in ``cell``.
+    ``sweep`` gives each worker thread one on its first chunk, draws each
+    chunk's z into its ``z`` buffer, and reuses it for every later chunk of
+    the pass; workers never share one.  ``buffer(name, shape)`` is a view of
+    the worker's flat array of that name, allocated on first use and grown
+    only for a larger request, so a short last chunk reuses the buffer of a
+    full one, and a pass holds a fixed set of buffers per worker instead of
+    fresh arrays per chunk.  A buffer holds whatever its last user wrote: a
+    JS cell's y, then its estimate, then its error, written with ``out=``
+    into ``cell``; ``StreamingMoments.from_batch`` centers each error into
+    ``centered``.  Reusing buffers changes no floating-point operation.
     """
 
     def __init__(self):
@@ -433,7 +417,7 @@ class Workspace:
         return flat[:size].reshape(shape)
 
 
-Fold = Callable[[np.ndarray, int, Workspace], object]
+Fold = Callable[[np.ndarray, tuple, int, Workspace], object]
 
 
 def check_thetas(thetas) -> None:
@@ -452,14 +436,16 @@ def sweep(config: SimulationConfig, fold: Fold,
     """One chunk-major pass over a stream, folding ``fold`` over its chunks.
 
     ``config`` supplies k, n_samples, seed and n_workers.  For every chunk,
-    ``fold(z, start, workspace)`` gets the chunk's draw, its standard normals
-    ``z``, in the ``z`` buffer of ``workspace``, the ``Workspace`` of the
-    worker thread that folds the chunk, one per worker for the whole pass.
-    It may overwrite ``z``, but must not keep it or a workspace buffer after
-    it returns (see the module contract).  ``take(start, result)`` receives
-    each chunk's first sample index and its fold's result, in chunk order,
-    on the thread that called ``sweep`` (``_map_ordered`` keeps the order),
-    and the sweep keeps no result once taken.
+    ``fold(z, reductions, start, workspace)`` gets the chunk's draw, its
+    standard normals ``z``, in the ``z`` buffer of ``workspace``, the
+    ``Workspace`` of the worker thread that folds the chunk, and z's row
+    scalars ``reductions = (S, Q)`` (``estimators.row_reductions``), taken
+    before the fold runs.  It may overwrite ``z``, but must not keep it or
+    a workspace buffer after it returns (see the module contract).
+    ``take(start, result)`` receives each chunk's first sample index and its
+    fold's result, in chunk order, on the thread that called ``sweep``
+    (``_map_ordered`` keeps the order), and the sweep keeps no result once
+    taken.
     """
     local = threading.local()
 
@@ -469,7 +455,7 @@ def sweep(config: SimulationConfig, fold: Fold,
             workspace = local.workspace = Workspace()
         z = draw_block(config, start, count, stream,
                        out=workspace.buffer("z", (count, config.k)))
-        return functools.partial(take, start, fold(z, start, workspace))
+        return functools.partial(take, start, fold(z, row_reductions(z), start, workspace))
 
     _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
 
@@ -513,10 +499,12 @@ def _error(kind: EstimatorKind, theta: float, z: np.ndarray, reductions: tuple,
     """The errors ``estimate(theta + z) - theta`` of a chunk whose draw is z
     and whose row scalars are ``reductions`` (``estimators.row_reductions``).
 
-    The ML error is z itself, at every theta.  The JS error takes its
-    multipliers c from S and Q, then writes ``y = theta + z`` into ``out``
-    (which may be z), c·y over it and c·y - theta over that.  Any other
-    ``kind`` is a ``TypeError``.
+    The ML error is z itself, at every theta, so an ML cell forms no y.  The
+    JS error takes its multipliers c from S and Q, then writes
+    ``y = theta + z`` into ``out`` (which may be z; at theta = 0, y is z bit
+    for bit, since ``ndtri`` never returns -0.0), c·y over it and c·y -
+    theta over that; no fold forms y but through this.  Any other ``kind``
+    is a ``TypeError``.
     """
     if kind is EstimatorKind.ML:
         return z
@@ -535,13 +523,13 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
 
     The pass folds each chunk's z (see the module contract); the thetas are
     checked before any draw, and no cells return ``[]`` without one.  Per
-    chunk, the fold takes z's S and Q once, then pairs each cell's error
-    (``_error``, in the worker's ``cell`` buffer, so no estimator sees z)
-    with the score z, in the given order; the ML error is z itself, so the
-    chunk's one ``from_batch(z, z)`` and norms Q serve every ML cell.  Per-chunk
-    moments are merged as they arrive, in chunk order and in the contiguous
-    batches of samples (Chan, Golub & LeVeque 1979), so each cell's result is
-    independent of the worker count and of the other cells in the pass.
+    chunk, the fold pairs each cell's error (``_error``, from the chunk's S
+    and Q, in the worker's ``cell`` buffer) with the score z, in the given
+    order; the ML error is z itself, so the chunk's one ``from_batch(z, z)``
+    and norms Q serve every ML cell.  Per-chunk moments are merged as they
+    arrive, in chunk order and in the contiguous batches of samples (Chan,
+    Golub & LeVeque 1979), so each cell's result is independent of the
+    worker count and of the other cells in the pass.
     Estimator domain errors abort the run and carry the offending sample
     index.
     """
@@ -549,13 +537,12 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
     if not cells:
         return []
 
-    def fold(z: np.ndarray, start: int, workspace: Workspace) -> list:
+    def fold(z: np.ndarray, reductions: tuple, start: int, workspace: Workspace) -> list:
         def moments(err: np.ndarray, err_sq: np.ndarray) -> tuple:
             return (StreamingMoments.from_batch(
                         err, z, out=workspace.buffer("centered", z.shape)),
                     *_squared_error_sums(err_sq, workspace))
 
-        reductions = row_reductions(z)
         z_result = None  # the one result of every cell whose error is z
         results = []
         for kind, theta in cells:
@@ -597,10 +584,11 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass: per chunk, the count and the column mean of
     the errors, formed from z's S and Q by the ``_error`` of
-    ``collect_cells`` but in z itself (``y = theta + z`` in place), and
-    merged in the batches of ``collect_cells`` by ``_pooled_mean`` (the
-    update ``StreamingMoments.merge`` applies); the row is theta plus that
-    bias, so it equals the ``mean_a + theta`` of ``collect_cells``' fold on
+    ``collect_cells`` but in z itself (``y = theta + z`` in place, which is
+    bit-identical to ``theta + z`` and spares a copy), and merged in the
+    batches of ``collect_cells`` by ``_pooled_mean`` (the update
+    ``StreamingMoments.merge`` applies); the row is theta plus that bias,
+    so it equals the ``mean_a + theta`` of ``collect_cells``' fold on
     the same stream bit for bit without computing any covariance.  Every
     grid value is checked (finite, and below ``THETA_LIMIT``) first.
     """
@@ -609,8 +597,8 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
         raise ValueError("grid must be a nonempty 1-D vector")
     check_thetas(grid)
 
-    def chunk(theta: float, z: np.ndarray, start: int, workspace: Workspace):
-        return len(z), _column_mean(_error(kind, theta, z, row_reductions(z), start, out=z))
+    def chunk(theta: float, z: np.ndarray, reductions: tuple, start: int, workspace: Workspace):
+        return len(z), _column_mean(_error(kind, theta, z, reductions, start, out=z))
 
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):

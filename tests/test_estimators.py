@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import estimate
+from conftest import JS_ERROR_ATOL, estimate
 from steinsim import mc
 from steinsim.estimators import (
     EstimatorKind,
@@ -124,12 +124,6 @@ def test_estimate_batch_dispatch():
     cfg = SimulationConfig(k=14, n_samples=1000)
     with pytest.raises(TypeError, match="unknown estimator kind"):
         collect_cells([("nope", 0.5)], cfg)
-
-
-# Tolerance of the JS error from the row scalars against the reference
-# path c·(theta + z) - theta at bias-sized thetas, where both round alike:
-# the largest difference measured on one 4,096 x 14 chunk was 1.3e-15.
-JS_ERROR_ATOL = 1e-14
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**43 - 1])

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import estimate, ml_power_oracle, statistics, sweep_values
-from steinsim import hyptest, mc
+from conftest import JS_ERROR_ATOL, estimate, ml_power_oracle, statistics, sweep_values
+from steinsim import mc
 from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
 from steinsim.hyptest import (
     ALT_STREAM,
@@ -454,35 +454,46 @@ def test_paired_semitail_is_deterministic(full_calibrations, full_config):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, workers):
     # several chunks: every pair comes from the same sample of stream 3 as a
-    # direct draw of the whole range
-    theta, n_points = 2.0, mc.CHUNK_SAMPLES + 300
+    # direct draw of the whole range.  The pass takes both statistics and the
+    # shrinkage at theta from z's S and Q, so against the reference from
+    # y = theta + z the semi-tails keep their bits, the shrinkage is within
+    # JS_ERROR_ATOL, and at large thetas no farther from a long-double
+    # reference than the reference is, which rounds y first
+    n_points = mc.CHUNK_SAMPLES + 300
     config = SimulationConfig(k=14, seed=42, n_workers=workers)
-    got_js, got_ml, shrinkage = paired_semitail(theta, n_points, full_calibrations, config)
-    y = theta + mc.draw_block(SimulationConfig(k=14, n_samples=n_points, seed=42),
-                              0, n_points, PAIR_STREAM)
-    assert np.array_equal(got_js, semitail(statistics(JS, y), full_calibrations[JS]))
-    assert np.array_equal(got_ml, semitail(statistics(ML, y), full_calibrations[ML]))
-    assert np.array_equal(shrinkage, shrinkage_from_norms(np.einsum("ij,ij->i", y, y), 14))
+    z = mc.draw_block(SimulationConfig(k=14, n_samples=n_points, seed=42),
+                      0, n_points, PAIR_STREAM)
+    for theta in (0.5, 2.0, 1e3, 1e6):
+        got_js, got_ml, shrinkage = paired_semitail(theta, n_points, full_calibrations, config)
+        y = theta + z
+        assert np.array_equal(got_js, semitail(statistics(JS, y), full_calibrations[JS])), theta
+        assert np.array_equal(got_ml, semitail(statistics(ML, y), full_calibrations[ML])), theta
+        reference = shrinkage_from_norms(np.einsum("ij,ij->i", y, y), 14)
+        assert np.abs(shrinkage - reference).max() <= JS_ERROR_ATOL, theta
+        if theta > 10:
+            exact_y = z.astype(np.longdouble) + np.longdouble(theta)
+            exact = 1 - 12 / np.einsum("ij,ij->i", exact_y, exact_y)
+            assert np.abs(shrinkage - exact).max() <= np.abs(reference - exact).max(), theta
 
 
 def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
-    # both statistics and the shrinkage of a chunk come from one S and one Q
+    # both statistics and the shrinkage of a chunk come from one S and one Q,
+    # taken by the sweep in mc
     calibrations = {JS: _read_only(np.arange(1.0, 201.0)),
                     ML: _read_only(np.arange(1.0, 201.0))}
     config = SimulationConfig(k=5, seed=2, n_workers=2)
     n_points = mc.CHUNK_SAMPLES + 300
     expected = paired_semitail(2.0, n_points, calibrations, config)
     calls = []
-    reductions = hyptest.row_reductions
+    reductions = mc.row_reductions
 
     def counting(z):
         calls.append(len(z))
         return reductions(z)
 
-    monkeypatch.setattr(hyptest, "row_reductions", counting)
+    monkeypatch.setattr(mc, "row_reductions", counting)
     assert np.array_equal(paired_semitail(2.0, n_points, calibrations, config), expected)
     assert sorted(calls) == sorted(count for _, count in mc._chunk_ranges(n_points))
-
 
 def test_visible_pairs_thin_out_as_theta_grows(full_calibrations, full_config):
     counts = []

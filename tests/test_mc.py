@@ -1,6 +1,7 @@
 import functools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import threading
@@ -20,7 +21,7 @@ from scipy.special import ndtri
 
 from conftest import sweep_values
 from steinsim import mc
-from steinsim.estimators import EstimatorKind
+from steinsim.estimators import EstimatorKind, row_reductions
 from steinsim.hyptest import null_calibrations, paired_semitail, power_table
 from steinsim.mc import (
     CHUNK_SAMPLES,
@@ -223,22 +224,25 @@ def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
-    # each fold sees draw_block's z bit for bit, even after the folds before
-    # it wrote over their z in the reused buffer; results reach take in
-    # chunk order, the shorter chunks too
+    # each fold sees draw_block's z bit for bit, and the row scalars of that
+    # z, even after the folds before it wrote over their z in the reused
+    # buffer; results reach take in chunk order, the shorter chunks too
     cfg = SimulationConfig(k=3, n_samples=3 * CHUNK_SAMPLES + 123, seed=29,
                            n_workers=workers)
     taken = []
 
-    def overwriting(z, start, workspace):
-        seen = z.copy()
+    def overwriting(z, reductions, start, workspace):
+        seen = z.copy(), [r.copy() for r in reductions]
         z[...] = np.nan
         return seen
 
-    mc.sweep(cfg, overwriting, lambda start, z: taken.append((start, z)), stream=6)
-    assert [(start, len(z)) for start, z in taken] == mc._chunk_ranges(cfg.n_samples)
-    for start, z in taken:
-        assert np.array_equal(z, draw_block(cfg, start, len(z), stream=6)), start
+    mc.sweep(cfg, overwriting, lambda start, seen: taken.append((start, *seen)), stream=6)
+    assert [(start, len(z)) for start, z, _ in taken] == mc._chunk_ranges(cfg.n_samples)
+    for start, z, reductions in taken:
+        drawn = draw_block(cfg, start, len(z), stream=6)
+        assert np.array_equal(z, drawn), start
+        for got, expected in zip(reductions, row_reductions(drawn), strict=True):
+            assert got.tobytes() == expected.tobytes(), start
 
 
 def test_block_straddling_chunk_sized_offsets():
@@ -736,7 +740,7 @@ def test_a_sweep_takes_every_chunk_once_in_order_on_the_calling_thread(workers):
                            n_workers=workers)
     taken = []
 
-    def fold(z, start, workspace):
+    def fold(z, reductions, start, workspace):
         time.sleep(0.002 * (start // CHUNK_SAMPLES % 2))  # odd chunks finish late
         return len(z)
 
@@ -906,6 +910,40 @@ def test_a_stream_0_pass_reduces_each_chunk_once(monkeypatch, workers):
     for cell, alone in zip(collect_cells(cells, cfg), expected, strict=True):
         assert _same_cell(cell, alone) and _same_batches(cell, alone)
     assert sorted(calls) == sorted(count for _, count in mc._chunk_ranges(cfg.n_samples))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_null_power_and_mean_passes_reduce_each_chunk_once(monkeypatch, workers):
+    # the sweep takes each chunk's S and Q once and hands them to the fold:
+    # every test statistic and mean-function row of these passes comes from
+    # them, and no fold reduces its chunk again (stream 0 and the figure
+    # pairs have tests of their own)
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
+    grid = (0.0, 2.0)
+    cells = [(kind, theta) for theta in (0.0, 0.5, 2.0)
+             for kind in (EstimatorKind.JS, EstimatorKind.ML)]
+    calibrations = null_calibrations(cfg)
+    chunks = sorted(count for _, count in mc._chunk_ranges(cfg.n_samples))
+    passes = {  # each pass and the sample counts of its chunks
+        "nulls": (lambda: null_calibrations(cfg), chunks),
+        "power": (lambda: power_table(cells, calibrations, (0.05,), cfg), chunks),
+        "mean function": (lambda: tabulate_mean_function(EstimatorKind.JS, grid, cfg),
+                          sorted(chunks * len(grid))),
+    }
+    # a pickle holds every array's bytes, so equal pickles are the same bits
+    expected = {name: pickle.dumps(run()) for name, (run, _) in passes.items()}
+    calls = []
+    reductions = mc.row_reductions
+
+    def counting(z):
+        calls.append(len(z))
+        return reductions(z)
+
+    monkeypatch.setattr(mc, "row_reductions", counting)
+    for name, (run, counts) in passes.items():
+        calls.clear()
+        assert pickle.dumps(run()) == expected[name], name
+        assert sorted(calls) == counts, name
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
