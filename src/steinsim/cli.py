@@ -15,6 +15,10 @@ as well; manifests keep their thetas and alphas at full precision.
 Exit codes: 0 success; 1 usage error (any ``ValueError`` of the library's
 argument checks, or an unwritable output); 2 numerical failure, any
 ``steinsim.NumericalError``, after which ``all`` still writes the others.
+One sweep of stream 0 takes table1's and table3's cells and the nulls of
+table2 and the figures, so a numerical failure in it fails all five: only
+an ``estimators.ShrinkageDomainError``, which needs a theta for which
+theta·1 + z lies within 1e-150 of the origin.
 
 Validity domain: k >= 3 for the James-Stein risk claims (smaller k is
 accepted for tests); finite theta, alpha strictly in (0, 1), points >= 1,
@@ -349,7 +353,7 @@ def _table1(args, thetas, cells: dict, t0: float) -> _Report:
 
 
 def _table2(args, thetas, calibrations, t0: float) -> _Report:
-    # takes the lazy null pass, so that an alpha that --samples null draws
+    # takes the nulls lazily, so that an alpha that --samples null draws
     # cannot resolve fails before any draw
     hyptest.check_null_resolution(args.samples, args.alpha)
     shared = calibrations()
@@ -422,34 +426,35 @@ def _reports(args) -> list:
     """The ``(name, build)`` reports that ``args.command`` writes, in order:
     every report for ``all``, else the command's own, at the thetas and
     alphas that ``_validate`` resolved.  ``build(t0)`` returns the report
-    ``_finished``.  The reports share two cached passes, each run when a
-    report first reads it, so each stream is swept at most once, and only if
-    read."""
+    ``_finished``.  The reports share one cached sweep of stream 0, run
+    when a report first reads it, and only for the parts the command
+    writes: the cells if table1 or table3 is written, the nulls if table2 or
+    a figure is.  So each stream is swept at most once, and only if read."""
     thetas = dict(DEFAULT_THETAS)
     if args.command != "all":
         thetas[args.command] = args.theta
     writes = [name for name in thetas if args.command in ("all", name)]
 
     @functools.cache
-    def cells() -> dict:  # stream 0: the moments of table1's and table3's cells
+    def shared() -> dict:  # stream 0: table1's and table3's cells, the nulls at hyptest.MU0
         wanted = [t for name in ("table1", "table3") if name in writes
                   for t in thetas[name]]
         keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in wanted))
-        _progress(f"sweeping {len(keys)} estimator cells")
-        return dict(zip(keys, mc.collect_cells(keys, _config(args))))
-
-    @functools.cache
-    def calibrations() -> dict:  # stream 1: the JS and ML nulls at hyptest.MU0
-        _progress("simulating the js and ml nulls")
-        return hyptest.null_calibrations(_config(args))
+        config = _config(args)
+        passes = {"cells": mc.collect_cells(keys, config)} if keys else {}
+        if "table2" in writes or "figure" in writes:
+            passes["nulls"] = hyptest.null_calibrations(config)
+        _progress(f"sweeping stream 0 for the {' and '.join(passes)}")
+        results = dict(zip(passes, mc.sweep(config, list(passes.values()))))
+        return {**results, "cells": dict(zip(keys, results.get("cells", ())))}
 
     reports = [
-        ("table1", lambda t: _table1(args, thetas["table1"], cells(), t)),
-        ("table2", lambda t: _table2(args, thetas["table2"], calibrations, t)),
-        ("table3", lambda t: _table3(args, thetas["table3"], cells(), t)),
+        ("table1", lambda t: _table1(args, thetas["table1"], shared()["cells"], t)),
+        ("table2", lambda t: _table2(args, thetas["table2"], lambda: shared()["nulls"], t)),
+        ("table3", lambda t: _table3(args, thetas["table3"], shared()["cells"], t)),
     ] + [
         (f"figure_theta_{theta:g}",
-         lambda t, theta=theta: _figure(args, theta, calibrations(), t))
+         lambda t, theta=theta: _figure(args, theta, shared()["nulls"], t))
         for theta in thetas["figure"]
     ]
     return [(name, lambda t, build=build: _finished(build(t)))

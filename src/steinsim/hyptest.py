@@ -11,18 +11,18 @@ statistics.
 Semi-tail units standardize a statistic ``t`` as ``s = -log2
 P0(T >= t)``: one extra unit means the null tail area halved.
 
-Streams: null calibration, power evaluation, and figure pairs draw from
-the disjoint streams 1, 2 and 3 of the configured seed, so rejection
-fractions are never computed on the draws that set the critical values.
-Each stream is read by one chunk-major sweep (``mc.sweep``) per pass, and
-every statistic at every theta, like the figure pairs' shrinkage, is
-arithmetic on the S and Q that the sweep takes of each chunk's z
+Streams: rejection fractions are never taken on the draws of the nulls,
+which come from stream 0 (in the sweep of ``mc.collect_cells`` when a run
+needs both); the power cells read stream 2 and the figure pairs stream 3.
+Every statistic at every theta, like the figure pairs' shrinkage, is
+arithmetic on the S and Q that ``mc.sweep`` takes of each chunk's z
 (``_statistics``).  The power and figure passes check their thetas before
 any draw; the null pass takes no theta, since it runs at the constant MU0.
-No cell's result depends on which other cells share its pass.  Each null
-is filled in place chunk by chunk, sorted once when its pass ends and made
-read-only: that ascending float64 array is the estimator's calibration,
-keyed by its ``EstimatorKind``, and nothing can change it under a reader.
+No cell's result depends on which other cells or passes share its sweep.
+Each null is filled in place chunk by chunk, sorted once when its sweep
+ends and made read-only: that ascending float64 array is the estimator's
+calibration, keyed by its ``EstimatorKind``, and nothing can change it
+under a reader.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ from .estimators import EstimatorKind, shifted_norms, shrinkage_from_norms
 MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
 
-NULL_STREAM = 1
 ALT_STREAM = 2
 PAIR_STREAM = 3
 
@@ -65,12 +64,12 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
     return c * c * norm_sq - (2.0 * MU0) * c * (row_sum + k * theta) + k * MU0 * MU0
 
 
-def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, np.ndarray]:
-    """The JS and ML calibrations at ``MU0``, from one pass over the
-    calibration stream, whose fold takes both null statistics at
-    theta = MU0 from each chunk's S and Q.  Each calibration is its null:
-    the float64 array of ``n_samples`` statistics filled in place chunk by
-    chunk, then sorted once and made read-only."""
+def null_calibrations(config: mc.SimulationConfig) -> mc.Pass:
+    """The stream-0 pass of the JS and ML calibrations at ``MU0``, whose
+    fold takes both null statistics at theta = MU0 from each chunk's S and
+    Q, and whose result is the calibrations keyed by estimator.  Each
+    calibration is its null: the float64 array of ``n_samples`` statistics
+    filled in place chunk by chunk, then sorted once and made read-only."""
     kinds = (EstimatorKind.JS, EstimatorKind.ML)
     nulls = [np.empty(config.n_samples) for _ in kinds]
 
@@ -81,11 +80,13 @@ def null_calibrations(config: mc.SimulationConfig) -> dict[EstimatorKind, np.nda
         for null, stats in zip(nulls, results):
             null[start:start + len(stats)] = stats
 
-    mc.sweep(config, fold, fill, stream=NULL_STREAM)
-    for null in nulls:
-        null.sort()
-        null.flags.writeable = False
-    return dict(zip(kinds, nulls))
+    def result() -> dict[EstimatorKind, np.ndarray]:
+        for null in nulls:
+            null.sort()
+            null.flags.writeable = False
+        return dict(zip(kinds, nulls))
+
+    return fold, fill, result
 
 
 def check_alphas(alphas: Iterable[float]) -> list[float]:
@@ -126,7 +127,7 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
     pass over the evaluation stream.
 
     Before any draw, the alphas must pass ``check_alphas``, and each cell's
-    estimator must key a calibration, an ascending null as
+    estimator must key a calibration, an ascending null as the pass of
     ``null_calibrations`` returns it, that resolves every alpha
     (``check_null_resolution``).  Its critical value at alpha is the order
     statistic ``null[ceil((1 - alpha) * (n + 1)) - 1]``, exact for alpha's
@@ -159,9 +160,9 @@ def power_table(cells: Sequence[tuple[EstimatorKind, float]],
         return counts
 
     counts = np.zeros((len(cells), len(alphas)), dtype=np.int64)
-    mc.sweep(config, fold, lambda start, result: np.add(counts, result, out=counts),
-             stream=ALT_STREAM)
-    powers = (counts / config.n_samples).tolist()
+    powers, = mc.sweep(config, [(fold, lambda start, result: np.add(counts, result, out=counts),
+                                 lambda: (counts / config.n_samples).tolist())],
+                       stream=ALT_STREAM)
     return {(kind, theta): dict(zip(alphas, row)) for (kind, theta), row in zip(cells, powers)}
 
 
@@ -193,7 +194,7 @@ def paired_semitail(theta_alt: float, n_points: int,
     ``theta_alt`` from each chunk's S and Q, as ``power_table`` does;
     ``theta_alt`` is checked before any draw.  Each statistic is
     standardized against its own entry of ``calibrations``, keyed by
-    estimator as ``null_calibrations`` returns them.
+    estimator as the pass of ``null_calibrations`` returns them.
     """
     null_js, null_ml = calibrations[EstimatorKind.JS], calibrations[EstimatorKind.ML]
     if n_points < 1:
@@ -210,6 +211,6 @@ def paired_semitail(theta_alt: float, n_points: int,
     def fill(start: int, chunk: tuple) -> None:
         columns[:, start:start + len(chunk[0])] = chunk
 
-    mc.sweep(replace(config, n_samples=n_points), fold, fill, stream=PAIR_STREAM)
-    t_js, t_ml, shrink = columns
+    (t_js, t_ml, shrink), = mc.sweep(replace(config, n_samples=n_points),
+                                     [(fold, fill, lambda: columns)], stream=PAIR_STREAM)
     return semitail(t_js, null_js), semitail(t_ml, null_ml), shrink

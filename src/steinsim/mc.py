@@ -5,10 +5,12 @@ Reproducibility contract
 Every draw is a pure function of ``(seed, stream, sample index)`` and never
 depends on chunking or worker count:
 
-* stream keying: the bit generator is ``Philox(key=[seed, stream])``.
-  Distinct pipeline stages (table cells on stream 0, null calibration,
-  power evaluation, figure pairs, mean-function rows) use distinct
-  ``stream`` ids, so their draws never overlap.
+* stream keying: the bit generator is ``Philox(key=[seed, stream])``.  One
+  sweep reads each stream: 0 for the estimator cells and the JS and ML
+  nulls (``collect_cells``, ``hyptest.null_calibrations``), 2 for the power
+  cells, 3 for the figure pairs and 1000 + i for mean-function row i
+  (``MEAN_FUNCTION_STREAM_BASE``), so no rejection fraction reads the
+  nulls' draws; stream 1 is unused.
 * sample substreams: sample ``i`` of dimension ``k`` owns the 64-bit
   output words ``[i * w, (i + 1) * w)`` with ``w = 4 * ceil(k / 4)``
   (``words_per_sample``).  Padding to a whole Philox counter block (4
@@ -18,23 +20,14 @@ depends on chunking or worker count:
   ``u = min((m + 0.5) / 2**53, 1 - 2**-53)``, whose clamp moves only
   m = 2**53 - 1 (``m + 0.5`` rounds half-to-even for m >= 2**52, here up
   to 2**53, u = 1 and z = +inf), and through the inverse normal CDF
-  ``ndtri``; the first ``k`` of the ``w`` words are used, and these
-  standard normals z are the draw, with no mean added.  The inverse-CDF
-  map is part of the contract: it consumes a fixed number of words per
-  sample and reproduces the normal tails exactly.  ``ndtri`` is
-  ``scipy.special.ndtri``, the same ufunc object, but loaded from
-  ``scipy.special._ufuncs`` without running the package's ``__init__``
-  unless ``scipy.special`` is already imported (``_scipy_ndtri``): that
-  ``__init__`` loads scipy's array-API layer, which clones numpy's
-  namespace with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and
-  took over half of ``import steinsim.cli``, while the ufunc module loads
-  in about 7 ms.  A later ``import scipy.special`` runs the full package,
-  whose fresh ``_ufuncs`` holds the same ufunc, so the map is the same
-  object either way.  Only scipy 1.17 has been checked.  A draw fetches
-  all the words of its range in one Philox call and maps them in place
-  into its result (shift, exact conversion, add, scale, clamp, ``ndtri``),
-  so it holds its result plus its words; the operations and their order
-  are those of the one-shot formula, so the bits are too.
+  ``ndtri`` (``_scipy_ndtri``); the first ``k`` of the ``w`` words are
+  used, and these standard normals z are the draw, with no mean added.
+  The inverse-CDF map is part of the contract: it consumes a fixed number
+  of words per sample and reproduces the normal tails exactly.  A draw
+  fetches all the words of its range in one Philox call and maps them in
+  place into its result (shift, exact conversion, add, scale, clamp,
+  ``ndtri``), so it holds its result plus its words; the operations and
+  their order are those of the one-shot formula, so the bits are too.
 * accumulation: every pass cuts its n samples into
   B = min(STDERR_BATCHES, n) contiguous batches by sample index, batch b
   from ``b * n // B`` on (``_batch_starts``), and each batch into chunks of
@@ -44,28 +37,18 @@ depends on chunking or worker count:
   in-order merge of its batches the cell's total, so the reduction order
   does not depend on ``n_workers`` nor the batches on ``CHUNK_SAMPLES``,
   and a pass keeps no chunk's result once it is merged.
-  A chunk's column means are its column sums over its count
-  (``_column_mean``).  A cell's moments pair its error ``estimate - theta``
-  (``_error``) with the score ``z = y - theta``, the chunk's draw itself; a
-  shift by theta changes no covariance, so ``mean_a`` is the cell's bias,
-  ``mean_b`` is near 0, and neither the merge nor ``m_ab``, taken against
-  the uncentered score (``StreamingMoments.from_batch``), takes a residue of
-  a large mean.  The ML error is z itself, so one ``from_batch(z, z)`` and
-  the norms Q per chunk serve every ML cell, the same bits at every theta.
-  The mean-function table runs a mean-only pass: each chunk yields its count
-  and the column mean of the same ``_error``, merged in the same batches by
-  the same pooled-mean update (``_pooled_mean``) that
-  ``StreamingMoments.merge`` applies, so each row, theta plus that bias, is
-  the moments pass's ``mean_a + theta`` bit for bit.
-* chunk-major sweep: every pass over a stream goes through ``sweep``,
-  which draws each chunk once, takes its row scalars S = Σ_j z_j and
-  Q = ‖z‖² once (``estimators.row_reductions``) and hands z and them to
-  the pass's one fold; no fold reduces its chunk again.  ``take`` gets each
-  chunk's result in chunk order, on the thread that called ``sweep``, so
-  the workers only draw and fold.  A fold may overwrite z, but keeps
-  neither z nor a buffer of its worker's ``Workspace`` after it returns.
-  No result depends on which worker folds a chunk or on which other cells
-  share its pass.  Each pass that takes thetas checks them first.
+* chunk-major sweep: every pass goes through ``sweep``, and the passes of
+  one stream through the same sweep, which draws each chunk once, takes its
+  row scalars S = Σ_j z_j and Q = ‖z‖² once (``estimators.row_reductions``)
+  and hands z and them to each pass's fold in turn; no fold reduces its
+  chunk again.  Each pass's ``take`` gets its own fold's result of each
+  chunk in chunk order, on the thread that called ``sweep``, so the
+  workers only draw and fold.  Only a stream's last fold may overwrite z
+  (a mean-function row's, alone on its stream); no fold keeps z or a
+  buffer of its worker's ``Workspace`` after it returns.  No result
+  depends on which worker folds a chunk or on which other cells or passes
+  share its sweep.  Each pass that takes thetas checks them when it is
+  built, before any draw.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
   z's unit scale (at 1e200, ``y == theta`` and every JS error is 0); it
@@ -101,8 +84,16 @@ from .estimators import EstimatorKind, row_reductions, shifted_norms, shrinkage_
 
 
 def _scipy_ndtri():
-    """``scipy.special.ndtri``, without running ``scipy/special/__init__.py``
-    unless ``scipy.special`` is already imported (see the module contract).
+    """``scipy.special.ndtri``, the same ufunc object, but loaded from
+    ``scipy.special._ufuncs`` without running ``scipy/special/__init__.py``
+    unless ``scipy.special`` is already imported.
+
+    That ``__init__`` loads scipy's array-API layer, which clones numpy's
+    namespace with ``numpy.f2py``, ``numpy.testing`` and ``numpy.ma``, and
+    took over half of ``import steinsim.cli``, while the ufunc module loads
+    in about 7 ms.  A later ``import scipy.special`` runs the full package,
+    whose fresh ``_ufuncs`` holds the same ufunc, so the map is the same
+    object either way.  Only scipy 1.17 has been checked.
 
     A bare module of the package's spec stands in for ``scipy.special``
     while ``_ufuncs`` loads, and is removed again with every
@@ -418,6 +409,7 @@ class Workspace:
 
 
 Fold = Callable[[np.ndarray, tuple, int, Workspace], object]
+Pass = tuple[Fold, Callable[[int, object], None], Callable[[], object]]  # fold, take, result
 
 
 def check_thetas(thetas) -> None:
@@ -431,23 +423,29 @@ def check_thetas(thetas) -> None:
             raise ThetaResolutionError(float(theta))
 
 
-def sweep(config: SimulationConfig, fold: Fold,
-          take: Callable[[int, object], None], stream: int = 0) -> None:
-    """One chunk-major pass over a stream, folding ``fold`` over its chunks.
+def sweep(config: SimulationConfig, passes: Sequence[Pass], stream: int = 0) -> list:
+    """One chunk-major sweep over a stream that runs every pass over each
+    chunk and, once the last chunk is taken, returns each pass's ``result()``.
 
-    ``config`` supplies k, n_samples, seed and n_workers.  For every chunk,
-    ``fold(z, reductions, start, workspace)`` gets the chunk's draw, its
-    standard normals ``z``, in the ``z`` buffer of ``workspace``, the
-    ``Workspace`` of the worker thread that folds the chunk, and z's row
-    scalars ``reductions = (S, Q)`` (``estimators.row_reductions``), taken
-    before the fold runs.  It may overwrite ``z``, but must not keep it or
-    a workspace buffer after it returns (see the module contract).
+    ``config`` supplies k, n_samples, seed and n_workers, and each pass is a
+    ``(fold, take, result)`` triple.  For every chunk, each pass's
+    ``fold(z, reductions, start, workspace)``, in the order of ``passes``,
+    gets the chunk's draw, its standard normals ``z``, in the ``z`` buffer
+    of ``workspace``, the ``Workspace`` of the worker thread that folds the
+    chunk, and z's row scalars ``reductions = (S, Q)``
+    (``estimators.row_reductions``), taken once before the folds run.  Only
+    the last fold may overwrite ``z``, and none may keep it or a workspace
+    buffer after it returns (see the module contract).  Each pass's
     ``take(start, result)`` receives each chunk's first sample index and its
-    fold's result, in chunk order, on the thread that called ``sweep``
+    own fold's result, in chunk order, on the thread that called ``sweep``
     (``_map_ordered`` keeps the order), and the sweep keeps no result once
     taken.
     """
     local = threading.local()
+
+    def taken(start: int, results: list) -> None:
+        for (_, take, _), result in zip(passes, results):
+            take(start, result)
 
     def chunk(start: int, count: int) -> Callable[[], None]:
         workspace = getattr(local, "workspace", None)
@@ -455,9 +453,12 @@ def sweep(config: SimulationConfig, fold: Fold,
             workspace = local.workspace = Workspace()
         z = draw_block(config, start, count, stream,
                        out=workspace.buffer("z", (count, config.k)))
-        return functools.partial(take, start, fold(z, row_reductions(z), start, workspace))
+        reductions = row_reductions(z)
+        return functools.partial(taken, start, [fold(z, reductions, start, workspace)
+                                                for fold, _, _ in passes])
 
     _map_ordered(chunk, _chunk_ranges(config.n_samples), config.n_workers)
+    return [result() for _, _, result in passes]
 
 
 @dataclass(frozen=True)
@@ -518,24 +519,25 @@ def _error(kind: EstimatorKind, theta: float, z: np.ndarray, reductions: tuple,
 
 
 def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
-                  config: SimulationConfig) -> list[CellMoments]:
-    """Moments of every (estimator, theta) cell from one pass over stream 0.
+                  config: SimulationConfig) -> Pass:
+    """The stream-0 pass of every (estimator, theta) cell, whose result is
+    their ``CellMoments`` in order; the thetas are checked here, before any
+    draw.
 
-    The pass folds each chunk's z (see the module contract); the thetas are
-    checked before any draw, and no cells return ``[]`` without one.  Per
-    chunk, the fold pairs each cell's error (``_error``, from the chunk's S
-    and Q, in the worker's ``cell`` buffer) with the score z, in the given
-    order; the ML error is z itself, so the chunk's one ``from_batch(z, z)``
-    and norms Q serve every ML cell.  Per-chunk moments are merged as they
-    arrive, in chunk order and in the contiguous batches of samples (Chan,
-    Golub & LeVeque 1979), so each cell's result is independent of the
-    worker count and of the other cells in the pass.
-    Estimator domain errors abort the run and carry the offending sample
-    index.
+    A cell pairs its error ``estimate - theta`` (``_error``, from the
+    chunk's S and Q, in the worker's ``cell`` buffer) with the score
+    ``z = y - theta``, the chunk's draw, which the fold leaves as it is.  A
+    shift by theta changes no covariance, so ``mean_a`` is the cell's bias,
+    ``mean_b`` is near 0, and neither the merge nor ``m_ab``, taken against
+    the uncentered score (``StreamingMoments.from_batch``), takes a residue
+    of a large mean.  The ML error is z itself, so the chunk's one
+    ``from_batch(z, z)`` and norms Q serve every ML cell, the same bits at
+    every theta.  Chunk moments are merged as they are taken, in chunk order
+    and in the batches of ``_batch_starts`` (Chan, Golub & LeVeque 1979), so
+    no cell depends on the worker count or on what else shares its sweep.
+    A domain error carries its sample index.
     """
     check_thetas([theta for _, theta in cells])
-    if not cells:
-        return []
 
     def fold(z: np.ndarray, reductions: tuple, start: int, workspace: Workspace) -> list:
         def moments(err: np.ndarray, err_sq: np.ndarray) -> tuple:
@@ -564,9 +566,11 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
             sums[0] += s1
             sums[1] += s2
 
-    sweep(config, fold, take)
-    return [CellMoments(merge.total(), *sums, tuple(merge.batches))
-            for merge, sums in zip(merges, err_sums)]
+    def result() -> list[CellMoments]:
+        return [CellMoments(merge.total(), *sums, tuple(merge.batches))
+                for merge, sums in zip(merges, err_sums)]
+
+    return fold, take, result
 
 
 def _pooled_count_mean(part, other) -> tuple[int, np.ndarray]:
@@ -582,15 +586,16 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
 
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
-    row is a mean-only pass: per chunk, the count and the column mean of
-    the errors, formed from z's S and Q by the ``_error`` of
-    ``collect_cells`` but in z itself (``y = theta + z`` in place, which is
-    bit-identical to ``theta + z`` and spares a copy), and merged in the
-    batches of ``collect_cells`` by ``_pooled_mean`` (the update
-    ``StreamingMoments.merge`` applies); the row is theta plus that bias,
-    so it equals the ``mean_a + theta`` of ``collect_cells``' fold on
-    the same stream bit for bit without computing any covariance.  Every
-    grid value is checked (finite, and below ``THETA_LIMIT``) first.
+    row is a mean-only pass, alone on its stream: per chunk, the count and
+    the column mean (``_column_mean``) of the errors, formed from z's S and
+    Q by the ``_error`` of ``collect_cells`` but in z itself (``y = theta +
+    z`` in place, which is bit-identical to ``theta + z`` and spares a
+    copy), and merged in the batches of ``collect_cells`` by
+    ``_pooled_mean``, the update that ``StreamingMoments.merge`` applies.
+    The row is theta plus that bias, so it equals the ``mean_a + theta`` of
+    ``collect_cells`` on the same stream bit for bit without computing any
+    covariance.  Every grid value is checked (finite, and below
+    ``THETA_LIMIT``) first.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
@@ -603,7 +608,6 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
         merge = _BatchedMerge(config.n_samples, _pooled_count_mean)
-        sweep(config, functools.partial(chunk, float(theta)),
-              merge.add, MEAN_FUNCTION_STREAM_BASE + i)
-        rows[i] = theta + merge.total()[1]
+        rows[i] = theta + sweep(config, [(functools.partial(chunk, float(theta)), merge.add,
+                                          merge.total)], MEAN_FUNCTION_STREAM_BASE + i)[0][1]
     return rows

@@ -1,7 +1,9 @@
 """Shared fixtures: full-scale (N = 10^6) runs are expensive, so null
 calibrations, assessment cells and their reports, and power evaluations
-at the default seed are computed once per session, each from one shared
-pass over its stream."""
+at the default seed are computed once per session, the cells and the
+nulls from one shared sweep of stream 0, as the command line takes them.
+The one-pass sweeps ``collect_cells`` and ``null_calibrations`` return
+what the library's passes of those names return as their results."""
 
 # first, so that the CLI's OPENBLAS_NUM_THREADS default is set before numpy
 # loads: the tests run under the BLAS threads of the command line
@@ -11,11 +13,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2
 
-from steinsim import mc
+from steinsim import hyptest, mc
 from steinsim.assess import assess_moments
 from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
-from steinsim.hyptest import MU0, _statistics, null_calibrations, power_table
-from steinsim.mc import DEFAULT_SEED, SimulationConfig, collect_cells
+from steinsim.hyptest import MU0, _statistics, power_table
+from steinsim.mc import DEFAULT_SEED, SimulationConfig
 
 K = 14
 FULL_N = 1_000_000
@@ -31,6 +33,25 @@ ALPHAS = (0.01, 0.05)
 JS_ERROR_ATOL = 1e-14
 
 
+def collect_cells(cells, config, stream=0):
+    """The ``CellMoments`` of ``cells`` from a sweep of ``stream`` that runs
+    ``mc.collect_cells``' pass alone."""
+    return mc.sweep(config, [mc.collect_cells(cells, config)], stream)[0]
+
+
+def null_calibrations(config):
+    """The calibrations of a sweep of stream 0 that runs
+    ``hyptest.null_calibrations``' pass alone."""
+    return mc.sweep(config, [hyptest.null_calibrations(config)])[0]
+
+
+def shared_stream_0(cells, config):
+    """``[cell moments, calibrations]`` of one sweep of stream 0 that runs
+    the pass of ``cells`` and then the null pass, as the command line does."""
+    return mc.sweep(config, [mc.collect_cells(cells, config),
+                             hyptest.null_calibrations(config)])
+
+
 def sweep_values(config, theta, fold, stream=0):
     """The per-chunk values of ``fold(y, start, workspace)`` over one
     ``mc.sweep``, with ``y = theta + z`` formed read-only in each chunk's z,
@@ -42,8 +63,10 @@ def sweep_values(config, theta, fold, stream=0):
         y.flags.writeable = False
         return fold(y, start, workspace)
 
-    mc.sweep(config, at_theta, lambda start, result: parts.append(result), stream)
-    return np.concatenate(parts)
+    def take(start, result):
+        parts.append(result)
+
+    return mc.sweep(config, [(at_theta, take, lambda: np.concatenate(parts))], stream)[0]
 
 
 def statistics(kind, y, index_offset=0):
@@ -85,14 +108,20 @@ def full_config():
 
 
 @pytest.fixture(scope="session")
-def full_calibrations(full_config):
-    return null_calibrations(full_config)
+def full_stream_0(full_config):
+    keys = [(kind, theta) for kind in KINDS for theta in ASSESS_THETAS]
+    cells, calibrations = shared_stream_0(keys, full_config)
+    return dict(zip(keys, cells)), calibrations
 
 
 @pytest.fixture(scope="session")
-def full_cells(full_config):
-    keys = [(kind, theta) for kind in KINDS for theta in ASSESS_THETAS]
-    return dict(zip(keys, collect_cells(keys, full_config)))
+def full_calibrations(full_stream_0):
+    return full_stream_0[1]
+
+
+@pytest.fixture(scope="session")
+def full_cells(full_stream_0):
+    return full_stream_0[0]
 
 
 @pytest.fixture(scope="session")

@@ -10,13 +10,12 @@ import math
 
 import numpy as np
 
-from conftest import estimate, ml_power_oracle, statistics, sweep_values
+from conftest import estimate, ml_power_oracle, null_calibrations, statistics, sweep_values
 from steinsim.cli import main as cli_main
 from steinsim.estimators import EstimatorKind
 from steinsim.hyptest import (
     ALT_STREAM,
     _critical_value,
-    null_calibrations,
     paired_semitail,
     semitail,
 )

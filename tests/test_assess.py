@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import estimate
+from conftest import collect_cells, estimate
 from steinsim.assess import SingularCovarianceError, assess_moments
 from steinsim.estimators import EstimatorKind
 from steinsim import mc
@@ -12,7 +12,6 @@ from steinsim.mc import (
     CellMoments,
     SimulationConfig,
     StreamingMoments,
-    collect_cells,
     draw_block,
 )
 

@@ -48,9 +48,9 @@ def test_tracer_installs_its_hooks_and_sees_every_chunk(tmp_path):
     trace = json.loads(spans_path.read_text())
     assert {"mc._map_ordered", "mc.draw_block",
             "mc.StreamingMoments.from_batch"} <= set(trace["installed"])
-    # every chunk of streams 0, 1 and 2, and of the two 100-point figure
-    # passes on stream 3: every chunk the pool runs draws its block once,
-    # through the wrapper
+    # every chunk of the two full streams, 0 (the cells and the nulls) and 2
+    # (the power cells), and of the two 100-point figure passes on stream 3:
+    # every chunk the pool runs draws its block once, through the wrapper
     spans = collections.Counter(span[2] for span in trace["spans"])
-    chunks = 3 * len(mc._chunk_ranges(140_000)) + 2 * len(mc._chunk_ranges(100))
+    chunks = 2 * len(mc._chunk_ranges(140_000)) + 2 * len(mc._chunk_ranges(100))
     assert spans["mc.chunk"] == spans["mc.draw_block"] == chunks

@@ -28,20 +28,20 @@ SMALL = ["--samples", "30000", "--seed", "42"]
 # which kernels round the moment GEMMs and LAPACK's eigvalsh and solve
 GOLDEN_SHA256 = {
     "table1.csv": "a50a4441d8fc51200a136997c3429608acbfe57fa17936976c577a2f4b601e33",
-    "table2.csv": "b3d0356dffb79dc5397ddf754828df25d4ffadfd08d192a0dfdc4f91734861bd",
+    "table2.csv": "6f203d2834d15d6397ef90c6a9777006e9023ecbe965cefeca83244ffb390028",
     "table3.csv": "cae1ab91103b3e53e60383be19e4ec05024ed09b19f412cd653289790fb19449",
-    "figure_theta_0.5.csv": "99a66b5dc5e2fe638390686134a8817e5b07fd83dff30f688f12225ad77689c9",
-    "figure_theta_2.csv": "f65117e8f98fb008368948d74f470525bb73eebbfbbc510b5681cc371c253a37",
+    "figure_theta_0.5.csv": "ef1155e235a55a518b09cbd9f4ecec0eeee770a0a78c26ff441ec4a722f36e59",
+    "figure_theta_2.csv": "576e028d7fd09f52dfdc664d9965fc26be70b179ef6981b441bc49f64de13a26",
     "table3_eigenvalues.json": "a844092fcae447c97422a33c170f45d1bbcd59be626b7e167dfca60f84337802",
 }
 
 # sha256 of the same six files of `all` at the defaults: k = 14, N = 10^6, seed 42
 DEFAULTS_SHA256 = {
     "table1.csv": "aecd45b4361ba845ba0bf546412e84a227688e94821738d56c349f5ba19118bd",
-    "table2.csv": "9b46ac146d3e56bc7028d80156c43b6cccfc8f7176609dd89a9cbbb1df0e1fb4",
+    "table2.csv": "87d2ea7f0501a3d73dd6f2037db23e2edcda14b2ccef4e18163b9349452fa918",
     "table3.csv": "0b674af1c8dcda949e2d8cff0b88cf456d187d65fc6ada1947b868c8d0204900",
-    "figure_theta_0.5.csv": "df499d37545b5e743e10123f712f2443a05b616dffb5a4a453b126e5f60437e7",
-    "figure_theta_2.csv": "ac5dcdfb300bf5a649d553be597b015a4c1528c553eb83fc251ee3b5ec4a5dd8",
+    "figure_theta_0.5.csv": "5ff00c60c15e05fb5a01e961b166cd150fe23d54833b7da2f1bd0f1ef12a8b13",
+    "figure_theta_2.csv": "b593b06ba313e8dfb723cf9e8317a52f6a918e32d7006fc329f127eac8b483b0",
     "table3_eigenvalues.json": "9be5f4cb6a8ad5e13baebb1b8abef66c554767905288709e12849fa3a8286cfb",
 }
 
@@ -712,49 +712,65 @@ def test_all_draws_each_shared_chunk_once(tmp_path, monkeypatch, capsys):
     code, _, _ = run(capsys, ["all", "--samples", "70000", "--seed", "42",
                               "--workers", "2", "--output", str(tmp_path / "run")])
     assert code == 0
-    shared = {key: n for key, n in calls.items() if key[0] in (0, 1, 2)}
-    assert sorted(shared) == chunks({0: 70_000, 1: 70_000, 2: 70_000})
+    # two full streams: 0 for the cells and the nulls, 2 for the power cells
+    shared = {key: n for key, n in calls.items() if key[0] != hyptest.PAIR_STREAM}
+    assert sorted(shared) == chunks({0: 70_000, 2: 70_000})
     assert set(shared.values()) == {1}
 
 
-@pytest.mark.parametrize("argv, streams", [
-    (["table1"], {0: 70_000}),
-    (["table3"], {0: 70_000}),
-    (["table2"], {1: 70_000, 2: 70_000}),
-    (["figure", "--theta", "2"], {1: 70_000, 3: 100}),
+@pytest.mark.parametrize("argv, streams, built", [
+    (["table1"], {0: 70_000}, ["collect_cells"]),
+    (["table3"], {0: 70_000}, ["collect_cells"]),
+    (["table2"], {0: 70_000, 2: 70_000}, ["null_calibrations"]),
+    (["figure", "--theta", "2"], {0: 70_000, 3: 100}, ["null_calibrations"]),
 ], ids=["table1", "table3", "table2", "figure"])
 def test_a_single_report_sweeps_only_the_streams_it_reads(monkeypatch, capsys,
-                                                          argv, streams):
-    # a single command reads the lazily cached passes of `all` it needs
+                                                          argv, streams, built):
+    # a single command reads the lazily cached passes of `all` it needs, and
+    # its stream-0 sweep builds only the passes it reads: a single table1
+    # takes no null statistic, and a single figure no cell
     calls = count_draws(monkeypatch)
+    names = []
+    for module, name in ((mc, "collect_cells"), (hyptest, "null_calibrations")):
+        def recording(*args, name=name, build=getattr(module, name)):
+            names.append(name)
+            return build(*args)
+
+        monkeypatch.setattr(module, name, recording)
     code, _, _ = run(capsys, [*argv, "--samples", "70000", "--seed", "42",
                               "--workers", "2"])
     assert code == 0
     assert sorted(calls) == chunks(streams)
     assert set(calls.values()) == {1}
+    assert names == built
 
 
 def test_all_builds_one_calibration_per_estimator(tmp_path, monkeypatch, capsys):
-    # table2 and both figures read the same two calibrations, from one
-    # sweep of the null stream
+    # table2 and both figures read the same two calibrations, from the one
+    # sweep of stream 0, which also takes the cells
     streams, keys = [], []
     sweep, calibrate = mc.sweep, hyptest.null_calibrations
 
-    def counting(config, fold, take, stream=0):
+    def counting(config, passes, stream=0):
         streams.append(stream)
-        sweep(config, fold, take, stream)
+        return sweep(config, passes, stream)
 
-    def recording(*args):
-        calibrations = calibrate(*args)
-        keys.append(set(calibrations))
-        return calibrations
+    def recording(config):
+        fold, take, result = calibrate(config)
+
+        def kept():
+            calibrations = result()
+            keys.append(set(calibrations))
+            return calibrations
+
+        return fold, take, kept
 
     monkeypatch.setattr(mc, "sweep", counting)
     monkeypatch.setattr(hyptest, "null_calibrations", recording)
     code, _, _ = run(capsys, ["all", "--samples", "20000", "--seed", "42",
                               "--output", str(tmp_path / "run")])
     assert code == 0
-    assert streams.count(hyptest.NULL_STREAM) == 1
+    assert streams.count(0) == 1
     assert keys == [{estimators.EstimatorKind.JS, estimators.EstimatorKind.ML}]
 
 

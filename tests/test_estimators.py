@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import JS_ERROR_ATOL, estimate
+from conftest import JS_ERROR_ATOL, collect_cells, estimate
 from steinsim import mc
 from steinsim.estimators import (
     EstimatorKind,
@@ -11,7 +11,7 @@ from steinsim.estimators import (
     row_reductions,
     shrinkage_from_norms,
 )
-from steinsim.mc import SimulationConfig, collect_cells, tabulate_mean_function
+from steinsim.mc import SimulationConfig, tabulate_mean_function
 
 
 def _ml_estimate(y):

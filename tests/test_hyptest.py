@@ -7,7 +7,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chi2
 
-from conftest import JS_ERROR_ATOL, estimate, ml_power_oracle, statistics, sweep_values
+from conftest import (
+    JS_ERROR_ATOL,
+    estimate,
+    ml_power_oracle,
+    null_calibrations,
+    statistics,
+    sweep_values,
+)
 from steinsim import mc
 from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
 from steinsim.hyptest import (
@@ -17,7 +24,6 @@ from steinsim.hyptest import (
     NullResolutionError,
     _critical_value,
     _statistics,
-    null_calibrations,
     paired_semitail,
     power_table,
     semitail,
@@ -494,6 +500,7 @@ def test_a_figure_pass_reduces_each_chunk_once(monkeypatch):
     monkeypatch.setattr(mc, "row_reductions", counting)
     assert np.array_equal(paired_semitail(2.0, n_points, calibrations, config), expected)
     assert sorted(calls) == sorted(count for _, count in mc._chunk_ranges(n_points))
+
 
 def test_visible_pairs_thin_out_as_theta_grows(full_calibrations, full_config):
     counts = []

@@ -9,7 +9,6 @@ import time
 import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,15 +18,14 @@ from hypothesis import strategies as st
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from conftest import sweep_values
-from steinsim import mc
+from conftest import collect_cells, null_calibrations, shared_stream_0, sweep_values
+from steinsim import hyptest, mc
 from steinsim.estimators import EstimatorKind, row_reductions
-from steinsim.hyptest import null_calibrations, paired_semitail, power_table
+from steinsim.hyptest import paired_semitail, power_table
 from steinsim.mc import (
     CHUNK_SAMPLES,
     SimulationConfig,
     StreamingMoments,
-    collect_cells,
     draw_block,
     tabulate_mean_function,
 )
@@ -49,11 +47,11 @@ def _cell(kind, theta, config):
 
 
 def _cell_on_stream(kind, theta, config, stream):
-    """The one cell of a ``collect_cells`` pass over ``stream`` instead of
-    its stream 0, for the mean-function rows, which read streams of their own."""
-    sweep = mc.sweep
-    with mock.patch.object(mc, "sweep", lambda cfg, fold, take: sweep(cfg, fold, take, stream)):
-        return _cell(kind, theta, config)
+    """The one cell of a ``mc.collect_cells`` pass swept over ``stream``
+    instead of stream 0, for the mean-function rows, which read streams of
+    their own."""
+    cell, = collect_cells([(kind, theta)], config, stream)
+    return cell
 
 
 def _accumulate(a, b, block):
@@ -236,7 +234,8 @@ def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
         z[...] = np.nan
         return seen
 
-    mc.sweep(cfg, overwriting, lambda start, seen: taken.append((start, *seen)), stream=6)
+    mc.sweep(cfg, [(overwriting, lambda start, seen: taken.append((start, *seen)),
+                    lambda: None)], stream=6)
     assert [(start, len(z)) for start, z, _ in taken] == mc._chunk_ranges(cfg.n_samples)
     for start, z, reductions in taken:
         drawn = draw_block(cfg, start, len(z), stream=6)
@@ -655,14 +654,19 @@ def _same_batches(a, b):
          cells=[(EstimatorKind.JS, 0.5), (EstimatorKind.ML, 0.5), (EstimatorKind.JS, 2.0)])
 def test_every_pass_gives_the_same_bits_at_1_2_and_3_workers(k, n_chunks, last, cells):
     # several chunks of unequal lengths: at 2 and 3 workers chunks finish
-    # out of order, and every pass must still merge them in chunk order
+    # out of order, and every pass must still merge them in chunk order; the
+    # cells and the nulls of one shared stream-0 sweep are, at every worker
+    # count, those of each pass swept alone
     n = (n_chunks - 1) * CHUNK_SAMPLES + last
     kinds = [EstimatorKind.JS, EstimatorKind.ML]
     results = []
     for workers in (1, 2, 3):
         cfg = SimulationConfig(k=k, n_samples=n, seed=25, n_workers=workers)
-        calibrations = null_calibrations(cfg)
-        results.append((collect_cells(cells, cfg), calibrations,
+        shared, calibrations = shared_stream_0(cells, cfg)
+        assert all(_same_cell(a, b) and _same_batches(a, b)
+                   for a, b in zip(shared, collect_cells(cells, cfg), strict=True))
+        assert pickle.dumps(calibrations) == pickle.dumps(null_calibrations(cfg))
+        results.append((shared, calibrations,
                         power_table(cells, calibrations, (0.05,), cfg),
                         tabulate_mean_function(EstimatorKind.JS, [0.0, 1.25], cfg),
                         paired_semitail(2.0, n, calibrations, cfg)))
@@ -734,20 +738,33 @@ def test_a_pooled_map_raises_the_first_failing_range_and_submits_no_further():
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_a_sweep_takes_every_chunk_once_in_order_on_the_calling_thread(workers):
-    # the folds may run on worker threads; take runs only where sweep was
-    # called, so the pass's merges need no lock
+    # the folds may run on worker threads; each pass's take runs only where
+    # sweep was called, so the pass's merges need no lock, and sees only its
+    # own fold's results; each result runs once its pass has taken every
+    # chunk, and the sweep returns the results in pass order
     cfg = SimulationConfig(k=3, n_samples=5 * CHUNK_SAMPLES + 9, seed=30,
                            n_workers=workers)
-    taken = []
+    ranges = mc._chunk_ranges(cfg.n_samples)
+    taken = {name: [] for name in "abc"}
 
-    def fold(z, reductions, start, workspace):
-        time.sleep(0.002 * (start // CHUNK_SAMPLES % 2))  # odd chunks finish late
-        return len(z)
+    def make_pass(name):
+        def fold(z, reductions, start, workspace):
+            time.sleep(0.002 * (start // CHUNK_SAMPLES % 2))  # odd chunks finish late
+            return name, len(z)
 
-    mc.sweep(cfg, fold, lambda start, count: taken.append(
-        (start, count, threading.current_thread())), stream=6)
-    assert taken == [(start, count, threading.current_thread())
-                     for start, count in mc._chunk_ranges(cfg.n_samples)]
+        def take(start, result):
+            taken[name].append((start, result, threading.current_thread()))
+
+        def result():
+            assert len(taken[name]) == len(ranges)
+            return name
+
+        return fold, take, result
+
+    assert mc.sweep(cfg, [make_pass(name) for name in "abc"], stream=6) == list("abc")
+    for name, seen in taken.items():
+        assert seen == [(start, (name, count), threading.current_thread())
+                        for start, count in ranges], name
 
 
 def test_a_stream_0_pass_keeps_no_chunk_results():
@@ -892,13 +909,11 @@ def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
     assert all(out == shape for shape, out in outs)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_a_stream_0_pass_reduces_each_chunk_once(monkeypatch, workers):
-    # every JS multiplier and the ML norms of a chunk come from one S and one Q
-    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
-    cells = [(kind, theta) for theta in (0.0, 0.5, 2.0)
-             for kind in (EstimatorKind.JS, EstimatorKind.ML)]
-    expected = collect_cells(cells, cfg)
+def _each_chunk_reduced_once(monkeypatch, runs):
+    # runs maps a name to (run, the sample counts of the chunks it sweeps);
+    # each run must take one row_reductions per chunk and give the same bits
+    # as without the counter (a pickle holds every array's bytes)
+    expected = {name: pickle.dumps(run()) for name, (run, _) in runs.items()}
     calls = []
     reductions = mc.row_reductions
 
@@ -907,43 +922,46 @@ def test_a_stream_0_pass_reduces_each_chunk_once(monkeypatch, workers):
         return reductions(z)
 
     monkeypatch.setattr(mc, "row_reductions", counting)
-    for cell, alone in zip(collect_cells(cells, cfg), expected, strict=True):
-        assert _same_cell(cell, alone) and _same_batches(cell, alone)
-    assert sorted(calls) == sorted(count for _, count in mc._chunk_ranges(cfg.n_samples))
+    for name, (run, counts) in runs.items():
+        calls.clear()
+        assert pickle.dumps(run()) == expected[name], name
+        assert sorted(calls) == counts, name
+
+
+_REDUCE_CELLS = [(kind, theta) for theta in (0.0, 0.5, 2.0)
+                 for kind in (EstimatorKind.JS, EstimatorKind.ML)]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_stream_0_pass_reduces_each_chunk_once(monkeypatch, workers):
+    # every JS multiplier and the ML norms of a chunk come from one S and one
+    # Q, and the cells and the nulls of one shared stream-0 sweep share them
+    cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
+    chunks = sorted(count for _, count in mc._chunk_ranges(cfg.n_samples))
+    assert pickle.dumps(shared_stream_0(_REDUCE_CELLS, cfg)) == pickle.dumps(
+        [collect_cells(_REDUCE_CELLS, cfg), null_calibrations(cfg)])
+    _each_chunk_reduced_once(monkeypatch, {
+        "cells": (lambda: collect_cells(_REDUCE_CELLS, cfg), chunks),
+        "cells and nulls": (lambda: shared_stream_0(_REDUCE_CELLS, cfg), chunks),
+    })
 
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_null_power_and_mean_passes_reduce_each_chunk_once(monkeypatch, workers):
     # the sweep takes each chunk's S and Q once and hands them to the fold:
     # every test statistic and mean-function row of these passes comes from
-    # them, and no fold reduces its chunk again (stream 0 and the figure
+    # them, and no fold reduces its chunk again (the cells and the figure
     # pairs have tests of their own)
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     grid = (0.0, 2.0)
-    cells = [(kind, theta) for theta in (0.0, 0.5, 2.0)
-             for kind in (EstimatorKind.JS, EstimatorKind.ML)]
     calibrations = null_calibrations(cfg)
     chunks = sorted(count for _, count in mc._chunk_ranges(cfg.n_samples))
-    passes = {  # each pass and the sample counts of its chunks
+    _each_chunk_reduced_once(monkeypatch, {
         "nulls": (lambda: null_calibrations(cfg), chunks),
-        "power": (lambda: power_table(cells, calibrations, (0.05,), cfg), chunks),
+        "power": (lambda: power_table(_REDUCE_CELLS, calibrations, (0.05,), cfg), chunks),
         "mean function": (lambda: tabulate_mean_function(EstimatorKind.JS, grid, cfg),
                           sorted(chunks * len(grid))),
-    }
-    # a pickle holds every array's bytes, so equal pickles are the same bits
-    expected = {name: pickle.dumps(run()) for name, (run, _) in passes.items()}
-    calls = []
-    reductions = mc.row_reductions
-
-    def counting(z):
-        calls.append(len(z))
-        return reductions(z)
-
-    monkeypatch.setattr(mc, "row_reductions", counting)
-    for name, (run, counts) in passes.items():
-        calls.clear()
-        assert pickle.dumps(run()) == expected[name], name
-        assert sorted(calls) == counts, name
+    })
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -956,10 +974,14 @@ def test_sweeps_reject_a_non_finite_cell_theta(bad):
 
 
 def test_empty_requests_return_before_any_draw(monkeypatch):
+    # building a pass draws nothing, and the pass of no cells has the result
+    # [] unswept; a power table of no cells sweeps nothing
     draws = []
     monkeypatch.setattr(mc, "draw_block", lambda *args, **kwargs: draws.append(args))
     cfg = _cfg(n_samples=1000)
-    assert collect_cells([], cfg) == []
+    _, _, result = mc.collect_cells([], cfg)
+    hyptest.null_calibrations(cfg)
+    assert result() == []
     assert power_table([], {}, (0.05,), cfg) == {}
     assert draws == []
 
