@@ -426,17 +426,18 @@ def _reports(args) -> list:
     """The ``(name, build)`` reports that ``args.command`` writes, in order:
     every report for ``all``, else the command's own, at the thetas and
     alphas that ``_validate`` resolved.  ``build(t0)`` returns the report
-    ``_finished``.  The reports share one cached sweep of stream 0, run
-    when a report first reads it, and only for the parts the command
-    writes: the cells if table1 or table3 is written, the nulls if table2 or
-    a figure is.  So each stream is swept at most once, and only if read."""
+    ``_finished``.  The reports share one sweep of stream 0, run when a
+    report first reads it, and only for the parts the command writes: the
+    cells if table1 or table3 is written, the nulls if table2 or a figure
+    is.  Its outcome, a numerical error too, is cached, so stream 0 is swept
+    at most once; table2 sweeps stream 2, and each figure stream 3 anew."""
     thetas = dict(DEFAULT_THETAS)
     if args.command != "all":
         thetas[args.command] = args.theta
     writes = [name for name in thetas if args.command in ("all", name)]
 
     @functools.cache
-    def shared() -> dict:  # stream 0: table1's and table3's cells, the nulls at hyptest.MU0
+    def swept() -> dict | NumericalError:  # table1's and table3's cells, the nulls at MU0
         wanted = [t for name in ("table1", "table3") if name in writes
                   for t in thetas[name]]
         keys = list(dict.fromkeys((kind, float(t)) for kind in KINDS for t in wanted))
@@ -445,8 +446,16 @@ def _reports(args) -> list:
         if "table2" in writes or "figure" in writes:
             passes["nulls"] = hyptest.null_calibrations(config)
         _progress(f"sweeping stream 0 for the {' and '.join(passes)}")
-        results = dict(zip(passes, mc.sweep(config, list(passes.values()))))
+        try:
+            results = dict(zip(passes, mc.sweep(config, list(passes.values()))))
+        except NumericalError as exc:
+            return exc
         return {**results, "cells": dict(zip(keys, results.get("cells", ())))}
+
+    def shared() -> dict:
+        if isinstance(outcome := swept(), NumericalError):
+            raise outcome
+        return outcome
 
     reports = [
         ("table1", lambda t: _table1(args, thetas["table1"], shared()["cells"], t)),

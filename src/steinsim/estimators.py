@@ -11,7 +11,7 @@ only estimator type that the passes, ``assess`` and ``hyptest`` take.  No
 array estimator is kept: every pass takes the JS multiplier of a row
 y = theta·1 + z from z's row scalars (``row_reductions``, which
 ``mc.sweep`` takes once per chunk) through ||y||^2 (``shifted_norms``, then
-``shrinkage_from_norms``)."""
+``shrinkage_gaps``)."""
 
 from __future__ import annotations
 
@@ -52,12 +52,12 @@ def shifted_norms(row_sum: np.ndarray, row_norm: np.ndarray, theta: float,
     return row_norm + (2.0 * theta) * row_sum + k * theta * theta
 
 
-def shrinkage_from_norms(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> np.ndarray:
-    """The multipliers 1 - (k - 2) / norm_sq of rows with squared norms
-    ``norm_sq``; ``ShrinkageDomainError`` names the first row (plus
-    ``index_offset``) whose norm underflows the shrinkage domain."""
+def shrinkage_gaps(norm_sq: np.ndarray, k: int, index_offset: int = 0) -> np.ndarray:
+    """The gaps g = (k - 2) / norm_sq = 1 - c of rows with squared norms
+    ``norm_sq``, taken without c, which keeps only ulp(1) of a small g; a
+    ``ShrinkageDomainError`` names the first row (plus ``index_offset``) too near 0."""
     bad = norm_sq < NORM_SQ_FLOOR
     if bad.any():
         row = int(np.argmax(bad))
         raise ShrinkageDomainError(float(norm_sq[row]), index=index_offset + row)
-    return 1.0 - (k - 2.0) / norm_sq
+    return (k - 2.0) / norm_sq

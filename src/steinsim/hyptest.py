@@ -33,7 +33,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import NumericalError, mc
-from .estimators import EstimatorKind, shifted_norms, shrinkage_from_norms
+from .estimators import EstimatorKind, shifted_norms, shrinkage_gaps
 
 MU0 = 1.25
 DEFAULT_ALPHAS = (0.01, 0.05)
@@ -59,9 +59,15 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
     if kind is EstimatorKind.ML:
         d = theta - MU0
         return row_norm + (2.0 * d) * row_sum + k * d * d
+    return _js_statistics(row_sum, row_norm, theta, k, index_offset)[0]
+
+
+def _js_statistics(row_sum: np.ndarray, row_norm: np.ndarray, theta: float, k: int,
+                   index_offset: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """The JS statistics of ``_statistics`` and the multipliers c they take."""
     norm_sq = shifted_norms(row_sum, row_norm, theta, k)
-    c = shrinkage_from_norms(norm_sq, k, index_offset)
-    return c * c * norm_sq - (2.0 * MU0) * c * (row_sum + k * theta) + k * MU0 * MU0
+    c = 1.0 - shrinkage_gaps(norm_sq, k, index_offset)
+    return c * c * norm_sq - (2.0 * MU0) * c * (row_sum + k * theta) + k * MU0 * MU0, c
 
 
 def null_calibrations(config: mc.SimulationConfig) -> mc.Pass:
@@ -190,8 +196,8 @@ def paired_semitail(theta_alt: float, n_points: int,
     alternative theta: row i of each is sample i of the pair stream.
 
     The draws are the first ``n_points`` samples of the pair stream (3),
-    read by one sweep whose fold takes both statistics and the shrinkage at
-    ``theta_alt`` from each chunk's S and Q, as ``power_table`` does;
+    read by one sweep whose fold takes both statistics and the shrinkage,
+    from one set of JS multipliers, at ``theta_alt`` from each chunk's S and Q;
     ``theta_alt`` is checked before any draw.  Each statistic is
     standardized against its own entry of ``calibrations``, keyed by
     estimator as the pass of ``null_calibrations`` returns them.
@@ -200,17 +206,15 @@ def paired_semitail(theta_alt: float, n_points: int,
     if n_points < 1:
         raise ValueError("n_points must be positive")
     mc.check_thetas([theta_alt])
-    columns = np.empty((3, n_points))  # t_js, t_ml and the shrinkage
+    columns = np.empty((3, n_points))  # t_js, the shrinkage and t_ml
 
     def fold(z: np.ndarray, reductions: tuple, start: int, workspace: mc.Workspace):
-        return (_statistics(EstimatorKind.JS, *reductions, theta_alt, config.k, start),
-                _statistics(EstimatorKind.ML, *reductions, theta_alt, config.k, start),
-                shrinkage_from_norms(shifted_norms(*reductions, theta_alt, config.k),
-                                     config.k, start))
+        return (*_js_statistics(*reductions, theta_alt, config.k, start),
+                _statistics(EstimatorKind.ML, *reductions, theta_alt, config.k, start))
 
     def fill(start: int, chunk: tuple) -> None:
         columns[:, start:start + len(chunk[0])] = chunk
 
-    (t_js, t_ml, shrink), = mc.sweep(replace(config, n_samples=n_points),
+    (t_js, shrink, t_ml), = mc.sweep(replace(config, n_samples=n_points),
                                      [(fold, fill, lambda: columns)], stream=PAIR_STREAM)
     return semitail(t_js, null_js), semitail(t_ml, null_ml), shrink

@@ -40,22 +40,21 @@ depends on chunking or worker count:
 * chunk-major sweep: every pass goes through ``sweep``, and the passes of
   one stream through the same sweep, which draws each chunk once, takes its
   row scalars S = Σ_j z_j and Q = ‖z‖² once (``estimators.row_reductions``)
-  and hands z and them to each pass's fold in turn; no fold reduces its
-  chunk again.  Each pass's ``take`` gets its own fold's result of each
-  chunk in chunk order, on the thread that called ``sweep``, so the
-  workers only draw and fold.  Only a stream's last fold may overwrite z
-  (a mean-function row's, alone on its stream); no fold keeps z or a
-  buffer of its worker's ``Workspace`` after it returns.  No result
-  depends on which worker folds a chunk or on which other cells or passes
-  share its sweep.  Each pass that takes thetas checks them when it is
-  built, before any draw.
+  and hands z, read-only, and them to each pass's fold in turn; no fold
+  writes z or takes them again, nor keeps z or a buffer of its worker's
+  ``Workspace`` after it returns.  Each pass's ``take`` gets its own fold's
+  result of each chunk in chunk order, on the thread that called ``sweep``,
+  so the workers only draw and fold.  No result depends on which worker
+  folds a chunk or on which other cells or passes share its sweep.  Each
+  pass that takes thetas checks them when it is built, before any draw.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
-  ulp(theta) <= 2**-10 keeps the rounding of ``theta + z`` below 1e-3 of
-  z's unit scale (at 1e200, ``y == theta`` and every JS error is 0); it
-  and finiteness have one check, ``check_thetas``, which every pass that
-  takes thetas (the cells, the power pass, the figure pairs and the
-  mean-function table) and the command line run before any draw; the null
-  pass takes none, and its ``hyptest.MU0`` lies within the bound.
+  ulp(theta) <= 2**-10 keeps y = theta + z within 1e-3 of z's unit scale;
+  no fold forms y, and below the bound a JS cell's moments and error sums
+  lie within 2e-14 relative of a long-double reference (``collect_cells``).
+  The bound and finiteness have one check, ``check_thetas``, which every
+  pass that takes thetas (the cells, the power pass, the figure pairs and
+  the mean-function table) and the command line run before any draw; the
+  null pass takes none, and its ``hyptest.MU0`` lies within the bound.
 
 Scope: reports are byte-identical across refactors and worker counts.  The
 command line writes every float of a report's data at six significant
@@ -80,7 +79,7 @@ import numpy as np
 from numpy.random import Philox
 
 from . import NumericalError
-from .estimators import EstimatorKind, row_reductions, shifted_norms, shrinkage_from_norms
+from .estimators import EstimatorKind, row_reductions, shifted_norms, shrinkage_gaps
 
 
 def _scipy_ndtri():
@@ -151,22 +150,13 @@ class SimulationConfig:
     def __post_init__(self, theta):
         if theta != 0.0:
             raise ValueError("a config has no theta: every pass takes its thetas as arguments")
-        k = _integer(self.k)
-        if k is None or k < 1:
-            raise ValueError("k must be a positive integer")
-        n_samples = _integer(self.n_samples)
-        if n_samples is None or n_samples < 1:
-            raise ValueError("n_samples must be a positive integer")
-        seed = _integer(self.seed)
-        if seed is None or not 0 <= seed < 2**64:
-            raise ValueError("seed must be a 64-bit unsigned integer")
-        n_workers = _integer(self.n_workers)
-        if n_workers is None or n_workers < 1:
-            raise ValueError("n_workers must be a positive integer")
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n_samples", n_samples)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "n_workers", n_workers)
+        for name in ("k", "n_samples", "seed", "n_workers"):
+            value = _integer(getattr(self, name))
+            if name == "seed" and (value is None or not 0 <= value < 2**64):
+                raise ValueError("seed must be a 64-bit unsigned integer")
+            if name != "seed" and (value is None or value < 1):
+                raise ValueError(f"{name} must be a positive integer")
+            object.__setattr__(self, name, value)
 
 
 class ThetaResolutionError(NumericalError):
@@ -208,8 +198,7 @@ def draw_block(config: SimulationConfig, start: int, count: int,
     raw = bg.random_raw(count * words).reshape(count, words)
     np.right_shift(raw, 11, out=raw)
     z = np.empty((count, config.k)) if out is None else out
-    np.copyto(z, raw[:, :config.k], casting="unsafe")  # exact below 2**53
-    np.add(z, 0.5, out=z)
+    np.add(raw[:, :config.k], 0.5, out=z, casting="unsafe")  # exact below 2**53
     np.multiply(z, 2.0**-53, out=z)
     np.minimum(z, 1.0 - 2.0**-53, out=z)  # the open interval (see the contract)
     return ndtri(z, out=z)
@@ -226,17 +215,17 @@ def _column_mean(x: np.ndarray) -> np.ndarray:
 
 
 def _pooled_mean(count: int, mean: np.ndarray, other_count: int,
-                 other_mean: np.ndarray) -> tuple[int, float, np.ndarray, np.ndarray]:
+                 other_mean: np.ndarray) -> tuple[int, np.ndarray, float, np.ndarray]:
     """Pooled mean of a block followed by a later one (Chan et al.).
 
-    Returns ``(n, frac, delta, mean)``: the pooled count, the later block's
-    share ``other_count / n``, the difference ``other_mean - mean`` and the
-    pooled mean ``mean + delta * frac``.
+    Returns ``(n, mean, frac, delta)``: the pooled count, the pooled mean
+    ``mean + delta * frac``, the later block's share ``other_count / n`` and
+    the difference ``other_mean - mean``.
     """
     n = count + other_count
     frac = other_count / n
     delta = other_mean - mean
-    return n, frac, delta, mean + delta * frac
+    return n, mean + delta * frac, frac, delta
 
 
 @dataclass(frozen=True)
@@ -255,9 +244,10 @@ class StreamingMoments:
     m_ab: np.ndarray
 
     @classmethod
-    def from_batch(cls, a: np.ndarray, b: np.ndarray,
-                   out: np.ndarray | None = None) -> "StreamingMoments":
-        """Moments of one block of paired rows.
+    def from_batch(cls, a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None, *,
+                   mean_b: np.ndarray | None = None) -> "StreamingMoments":
+        """Moments of one block of paired rows, given b's column mean
+        ``mean_b`` (``_column_mean``) if it serves several batches.
 
         ``m_ab`` is ``caᵀ b`` with ``ca = a - mean_a`` and ``b`` uncentered.
         In every pass ``b`` is the score z, whose mean is near 0.  A ``b``
@@ -280,16 +270,16 @@ class StreamingMoments:
         b = np.asarray(b, dtype=np.float64)
         if b.ndim != 2 or b.shape[0] != a.shape[0]:
             raise ValueError("b must be an (n, m) array paired with a")
-        mean_b = _column_mean(b)
+        mean_b = _column_mean(b) if mean_b is None else mean_b
         return cls(a.shape[0], mean_a, m_aa, mean_b, np.dot(ca.T, b))
 
     def merge(self, other: "StreamingMoments") -> "StreamingMoments":
         """Combine with a later block; ``self`` precedes ``other``."""
         if self.m_ab.shape != other.m_ab.shape:
             raise ValueError("cannot merge moments of different shapes")
-        n, frac, da, mean_a = _pooled_mean(self.count, self.mean_a,
+        n, mean_a, frac, da = _pooled_mean(self.count, self.mean_a,
                                            other.count, other.mean_a)
-        _, _, db, mean_b = _pooled_mean(self.count, self.mean_b,
+        _, mean_b, _, db = _pooled_mean(self.count, self.mean_b,
                                         other.count, other.mean_b)
         weight = self.count * frac  # n_a * n_b / n
         m_aa = self.m_aa + other.m_aa + np.outer(da, da) * weight
@@ -391,10 +381,10 @@ class Workspace:
     the worker's flat array of that name, allocated on first use and grown
     only for a larger request, so a short last chunk reuses the buffer of a
     full one, and a pass holds a fixed set of buffers per worker instead of
-    fresh arrays per chunk.  A buffer holds whatever its last user wrote: a
-    JS cell's y, then its estimate, then its error, written with ``out=``
-    into ``cell``; ``StreamingMoments.from_batch`` centers each error into
-    ``centered``.  Reusing buffers changes no floating-point operation.
+    fresh arrays per chunk.  A buffer holds whatever its last user wrote: z,
+    each JS cell's shrunk score c·z in ``cell``, or each batch that
+    ``StreamingMoments.from_batch`` centers into ``centered``.  Reusing
+    buffers changes no floating-point operation.
     """
 
     def __init__(self):
@@ -430,16 +420,15 @@ def sweep(config: SimulationConfig, passes: Sequence[Pass], stream: int = 0) -> 
     ``config`` supplies k, n_samples, seed and n_workers, and each pass is a
     ``(fold, take, result)`` triple.  For every chunk, each pass's
     ``fold(z, reductions, start, workspace)``, in the order of ``passes``,
-    gets the chunk's draw, its standard normals ``z``, in the ``z`` buffer
-    of ``workspace``, the ``Workspace`` of the worker thread that folds the
-    chunk, and z's row scalars ``reductions = (S, Q)``
-    (``estimators.row_reductions``), taken once before the folds run.  Only
-    the last fold may overwrite ``z``, and none may keep it or a workspace
-    buffer after it returns (see the module contract).  Each pass's
-    ``take(start, result)`` receives each chunk's first sample index and its
-    own fold's result, in chunk order, on the thread that called ``sweep``
-    (``_map_ordered`` keeps the order), and the sweep keeps no result once
-    taken.
+    gets the chunk's standard normals ``z``, a read-only view of the ``z``
+    buffer of ``workspace`` (the ``Workspace`` of the worker thread that
+    folds the chunk), and z's row scalars ``reductions = (S, Q)``
+    (``estimators.row_reductions``), taken once before the folds run.  A
+    fold that writes z raises ``ValueError``, and none may keep z or a
+    workspace buffer after it returns (see the module contract).  Each
+    pass's ``take(start, result)`` receives each chunk's first sample index
+    and its own fold's result, in chunk order, on the thread that called
+    ``sweep`` (``_map_ordered`` keeps the order); none is kept once taken.
     """
     local = threading.local()
 
@@ -453,6 +442,7 @@ def sweep(config: SimulationConfig, passes: Sequence[Pass], stream: int = 0) -> 
             workspace = local.workspace = Workspace()
         z = draw_block(config, start, count, stream,
                        out=workspace.buffer("z", (count, config.k)))
+        z.flags.writeable = False  # a view: the next chunk draws into a fresh one
         reductions = row_reductions(z)
         return functools.partial(taken, start, [fold(z, reductions, start, workspace)
                                                 for fold, _, _ in passes])
@@ -489,73 +479,74 @@ class CellMoments:
         return float(np.sqrt(max(var, 0.0) / n))
 
 
-def _squared_error_sums(err_sq: np.ndarray, workspace: Workspace) -> tuple[float, float]:
+def _squared_error_sums(err_sq: np.ndarray) -> tuple[float, float]:
     """Sums of the squared error norms ``err_sq`` and of their squares."""
-    squares = workspace.buffer("err_sq", err_sq.shape)  # may be err_sq: sum it first
-    return float(err_sq.sum()), float(np.multiply(err_sq, err_sq, out=squares).sum())
+    return float(err_sq.sum()), float((err_sq * err_sq).sum())
 
 
-def _error(kind: EstimatorKind, theta: float, z: np.ndarray, reductions: tuple,
-           start: int, out: np.ndarray) -> np.ndarray:
-    """The errors ``estimate(theta + z) - theta`` of a chunk whose draw is z
-    and whose row scalars are ``reductions`` (``estimators.row_reductions``).
+def _shrunk_score(theta: float, z: np.ndarray, reductions: tuple, start: int,
+                  out: np.ndarray) -> np.ndarray:
+    """Write the shrunk score c·z of the rows y = theta·1 + z into ``out``
+    and return their gaps g = (k - 2) / ‖y‖² = 1 - c, taken from z's row
+    scalars ``reductions``: the JS error c·y - theta is c·z - theta·g·1."""
+    g = shrinkage_gaps(shifted_norms(*reductions, theta, z.shape[1]), z.shape[1], start)
+    np.multiply(z, (1.0 - g)[:, None], out=out)
+    return g
 
-    The ML error is z itself, at every theta, so an ML cell forms no y.  The
-    JS error takes its multipliers c from S and Q, then writes
-    ``y = theta + z`` into ``out`` (which may be z; at theta = 0, y is z bit
-    for bit, since ``ndtri`` never returns -0.0), c·y over it and c·y -
-    theta over that; no fold forms y but through this.  Any other ``kind``
-    is a ``TypeError``.
-    """
-    if kind is EstimatorKind.ML:
-        return z
-    if kind is not EstimatorKind.JS:
-        raise TypeError(f"unknown estimator kind: {kind!r}")
-    k = z.shape[1]
-    c = shrinkage_from_norms(shifted_norms(*reductions, theta, k), k, start)
-    y = np.add(z, theta, out=out)
-    y *= c[:, None]
-    return np.subtract(y, theta, out=y)
+
+def _js_moments(theta: float, z: np.ndarray, reductions: tuple, start: int,
+                workspace: Workspace, mean_z: np.ndarray) -> tuple:
+    """One chunk's moments and squared-error sums of the JS cell at theta.
+    With u_i = c_i z_i - mean(c z), left in ``centered`` by ``from_batch(c·z,
+    z)``, and d_i = mean(g) - g_i, the centered error is u_i + theta·d_i·1:
+    mean_a = mean(c z) - theta·mean(g), m_aa = uᵀu + theta(uᵀd 1ᵀ + 1 dᵀu) +
+    theta²(dᵀd) 11ᵀ, m_ab = uᵀz + theta·1 (zᵀd)ᵀ, and ‖e_i‖² = c_i² Q_i -
+    2·theta·c_i g_i S_i + k·theta² g_i²."""
+    cz, u = workspace.buffer("cell", z.shape), workspace.buffer("centered", z.shape)
+    g = _shrunk_score(theta, z, reductions, start, cz)
+    part = StreamingMoments.from_batch(cz, z, u, mean_b=mean_z)
+    d = (g_mean := g.mean()) - g
+    ud = np.dot(d, u)
+    m_aa = part.m_aa + theta * (ud[:, None] + ud) + theta * theta * np.dot(d, d)
+    c, (row_sum, row_norm) = 1.0 - g, reductions
+    err_sq = (c * c * row_norm - (2.0 * theta) * (c * g) * row_sum
+              + (z.shape[1] * theta * theta) * (g * g))
+    return (StreamingMoments(len(z), part.mean_a - theta * g_mean, m_aa, mean_z,
+                             part.m_ab + theta * np.dot(d, z)), *_squared_error_sums(err_sq))
 
 
 def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
                   config: SimulationConfig) -> Pass:
     """The stream-0 pass of every (estimator, theta) cell, whose result is
-    their ``CellMoments`` in order; the thetas are checked here, before any
-    draw.
+    their ``CellMoments`` in order; the thetas and kinds are checked here,
+    before any draw.
 
-    A cell pairs its error ``estimate - theta`` (``_error``, from the
-    chunk's S and Q, in the worker's ``cell`` buffer) with the score
-    ``z = y - theta``, the chunk's draw, which the fold leaves as it is.  A
-    shift by theta changes no covariance, so ``mean_a`` is the cell's bias,
-    ``mean_b`` is near 0, and neither the merge nor ``m_ab``, taken against
-    the uncentered score (``StreamingMoments.from_batch``), takes a residue
-    of a large mean.  The ML error is z itself, so the chunk's one
-    ``from_batch(z, z)`` and norms Q serve every ML cell, the same bits at
-    every theta.  Chunk moments are merged as they are taken, in chunk order
-    and in the batches of ``_batch_starts`` (Chan, Golub & LeVeque 1979), so
-    no cell depends on the worker count or on what else shares its sweep.
-    A domain error carries its sample index.
+    A cell pairs its error ``estimate - theta`` with the score ``z = y -
+    theta``, the chunk's draw.  A shift by theta changes no covariance, so
+    ``mean_a`` is the cell's bias, ``mean_b`` is near 0, and neither the
+    merge nor ``m_ab``, taken against the uncentered score
+    (``StreamingMoments.from_batch``), takes a residue of a large mean.  A
+    JS cell takes its moments from the shrunk score c·z and closed-form
+    theta terms (``_js_moments``), all against z's one column mean per
+    chunk; the ML error is z itself, so one ``from_batch(z, z)`` and Q serve
+    every ML cell.  Chunk moments are merged as they are taken, in chunk
+    order and in the batches of ``_batch_starts`` (Chan, Golub & LeVeque
+    1979), so no cell depends on the worker count or on what else shares
+    its sweep.  A domain error carries its sample index.
     """
     check_thetas([theta for _, theta in cells])
+    if unknown := [kind for kind, _ in cells if not isinstance(kind, EstimatorKind)]:
+        raise TypeError(f"unknown estimator kind: {unknown[0]!r}")
+
+    any_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
     def fold(z: np.ndarray, reductions: tuple, start: int, workspace: Workspace) -> list:
-        def moments(err: np.ndarray, err_sq: np.ndarray) -> tuple:
-            return (StreamingMoments.from_batch(
-                        err, z, out=workspace.buffer("centered", z.shape)),
-                    *_squared_error_sums(err_sq, workspace))
-
-        z_result = None  # the one result of every cell whose error is z
-        results = []
-        for kind, theta in cells:
-            err = _error(kind, theta, z, reductions, start, workspace.buffer("cell", z.shape))
-            if err is z:
-                z_result = z_result or moments(z, reductions[1])
-                results.append(z_result)
-            else:
-                err_sq = workspace.buffer("err_sq", (len(err),))
-                results.append(moments(err, np.einsum("ij,ij->i", err, err, out=err_sq)))
-        return results
+        mean_z = _column_mean(z)
+        ml = (StreamingMoments.from_batch(z, z, workspace.buffer("centered", z.shape)),
+              *_squared_error_sums(reductions[1])) if any_ml else None  # every ML cell's, error z
+        return [ml if kind is EstimatorKind.ML else
+                _js_moments(theta, z, reductions, start, workspace, mean_z)
+                for kind, theta in cells]
 
     merges = [_BatchedMerge(config.n_samples, StreamingMoments.merge) for _ in cells]
     err_sums = [[0.0, 0.0] for _ in cells]
@@ -573,13 +564,6 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
     return fold, take, result
 
 
-def _pooled_count_mean(part, other) -> tuple[int, np.ndarray]:
-    """``(count, mean)`` of a block followed by a later one, as
-    ``StreamingMoments.merge`` pools them."""
-    n, _, _, mean = _pooled_mean(*part, *other)
-    return n, mean
-
-
 def tabulate_mean_function(kind: EstimatorKind, grid,
                            config: SimulationConfig) -> np.ndarray:
     """Monte Carlo estimate of E[estimate] at each theta of ``grid``.
@@ -587,27 +571,30 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass, alone on its stream: per chunk, the count and
-    the column mean (``_column_mean``) of the errors, formed from z's S and
-    Q by the ``_error`` of ``collect_cells`` but in z itself (``y = theta +
-    z`` in place, which is bit-identical to ``theta + z`` and spares a
-    copy), and merged in the batches of ``collect_cells`` by
-    ``_pooled_mean``, the update that ``StreamingMoments.merge`` applies.
-    The row is theta plus that bias, so it equals the ``mean_a + theta`` of
-    ``collect_cells`` on the same stream bit for bit without computing any
-    covariance.  Every grid value is checked (finite, and below
-    ``THETA_LIMIT``) first.
+    the column mean of the errors, z for ML and ``_column_mean(c·z) -
+    theta·mean(g)`` for JS (``_shrunk_score``, into the worker's ``cell``
+    buffer), merged in the batches of ``collect_cells`` by ``_pooled_mean``,
+    as ``StreamingMoments.merge`` pools them.  The row is theta plus that
+    bias, so it equals the ``mean_a + theta`` of ``collect_cells`` on the
+    same stream bit for bit without computing any covariance.  The kind and
+    every grid value (finite, and below ``THETA_LIMIT``) are checked first.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
         raise ValueError("grid must be a nonempty 1-D vector")
     check_thetas(grid)
+    if not isinstance(kind, EstimatorKind):
+        raise TypeError(f"unknown estimator kind: {kind!r}")
 
     def chunk(theta: float, z: np.ndarray, reductions: tuple, start: int, workspace: Workspace):
-        return len(z), _column_mean(_error(kind, theta, z, reductions, start, out=z))
+        if kind is EstimatorKind.ML:
+            return len(z), _column_mean(z)
+        g = _shrunk_score(theta, z, reductions, start, cz := workspace.buffer("cell", z.shape))
+        return len(z), _column_mean(cz) - theta * g.mean()
 
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):
-        merge = _BatchedMerge(config.n_samples, _pooled_count_mean)
+        merge = _BatchedMerge(config.n_samples, lambda a, b: _pooled_mean(*a, *b)[:2])
         rows[i] = theta + sweep(config, [(functools.partial(chunk, float(theta)), merge.add,
                                           merge.total)], MEAN_FUNCTION_STREAM_BASE + i)[0][1]
     return rows

@@ -15,7 +15,7 @@ from scipy.stats import chi2, ncx2
 
 from steinsim import hyptest, mc
 from steinsim.assess import assess_moments
-from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
+from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_gaps
 from steinsim.hyptest import MU0, _statistics, power_table
 from steinsim.mc import DEFAULT_SEED, SimulationConfig
 
@@ -28,8 +28,9 @@ ALPHAS = (0.01, 0.05)
 
 # Tolerance of a JS quantity taken from the row scalars of z against the
 # reference from y = theta + z at bias-sized thetas, where both round alike:
-# the largest difference measured on one 4,096 x 14 chunk was 1.3e-15 for
-# the JS error (``mc._error``) and 2.7e-15 for the figure pass's shrinkage.
+# the largest difference measured was 2.2e-15 for the JS error c·z -
+# theta·g (``mc._shrunk_score``, on two 4,096 x 14 chunks) and 2.7e-15 for
+# the figure pass's shrinkage (on one).
 JS_ERROR_ATOL = 1e-14
 
 
@@ -54,12 +55,13 @@ def shared_stream_0(cells, config):
 
 def sweep_values(config, theta, fold, stream=0):
     """The per-chunk values of ``fold(y, start, workspace)`` over one
-    ``mc.sweep``, with ``y = theta + z`` formed read-only in each chunk's z,
-    taken in chunk order and concatenated."""
+    ``mc.sweep``, with ``y = theta + z`` formed read-only in an array of its
+    own, since the chunk's z is read-only, taken in chunk order and
+    concatenated."""
     parts = []
 
     def at_theta(z, reductions, start, workspace):
-        y = np.add(z, theta, out=z)
+        y = z + theta
         y.flags.writeable = False
         return fold(y, start, workspace)
 
@@ -78,12 +80,13 @@ def statistics(kind, y, index_offset=0):
 def estimate(kind, y):
     """Row-wise estimates of an (n, k) array, formed from y itself: y for
     ML, and c·y for JS with c = 1 - (k - 2) / ‖y‖² from ``einsum(y, y)``.
-    The passes take c from the row scalars of z instead (``mc._error``);
-    this is the reference they are checked against."""
+    The passes take c from the row scalars of z instead, and form c·z and
+    never y (``mc._shrunk_score``); this is the reference they are checked
+    against."""
     y = np.asarray(y, dtype=np.float64)
     if kind is EstimatorKind.ML:
         return y
-    return shrinkage_from_norms(np.einsum("ij,ij->i", y, y), y.shape[1])[:, None] * y
+    return (1.0 - shrinkage_gaps(np.einsum("ij,ij->i", y, y), y.shape[1]))[:, None] * y
 
 
 def ml_power_oracle(theta_alt, alpha, k, mu0=MU0):

@@ -582,6 +582,31 @@ def test_any_numerical_error_fails_only_its_report_in_all(tmp_path, monkeypatch,
     assert (out_dir / "table3_eigenvalues.json").exists()
 
 
+def test_a_failed_stream_0_sweep_is_entered_once_and_fails_every_report(
+        tmp_path, monkeypatch, capsys):
+    # the outcome of the one stream-0 sweep is cached, its numerical error
+    # too, so the five reports that read it do not sweep it again
+    entered = []
+    sweep = mc.sweep
+
+    def failing(config, passes, stream=0):
+        if stream != 0:
+            return sweep(config, passes, stream)
+        entered.append(stream)
+        raise estimators.ShrinkageDomainError(0.0, index=7)
+
+    monkeypatch.setattr(mc, "sweep", failing)
+    out_dir = tmp_path / "run"
+    code, _, _ = run(capsys, ["all", "--samples", "20000", "--output", str(out_dir)])
+    assert code == 2 and entered == [0]
+    failed = sorted(path.name for path in out_dir.glob("*.FAILED"))
+    assert failed == sorted(f"{name}.FAILED" for name in json.loads(
+        (out_dir / "manifest.json").read_text())["failures"]) and len(failed) == 5
+    assert {(out_dir / name).read_text() for name in failed} == {
+        "ShrinkageDomainError: squared norm 0.0 is too close to zero for shrinkage "
+        "at sample index 7\n"}
+
+
 def test_all_lets_programming_errors_propagate(tmp_path, monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise TypeError("not a numerical failure")

@@ -9,7 +9,7 @@ from steinsim.estimators import (
     EstimatorKind,
     ShrinkageDomainError,
     row_reductions,
-    shrinkage_from_norms,
+    shrinkage_gaps,
 )
 from steinsim.mc import SimulationConfig, tabulate_mean_function
 
@@ -29,7 +29,7 @@ def _js_formula(y):
 
 
 def _shrinkage_factor(y):
-    return float(shrinkage_from_norms(np.array([y @ y]), len(y))[0])
+    return 1.0 - float(shrinkage_gaps(np.array([y @ y]), len(y))[0])
 
 
 def test_ml_estimate_is_the_observation():
@@ -110,12 +110,12 @@ def test_js_batch_matches_single_and_reports_index():
     batch = estimate(EstimatorKind.JS, y)
     for i in (0, 17, 39):
         assert np.allclose(batch[i], _js_formula(y[i]), rtol=1e-14)
-    # a pass's error at theta = 0.5 on a row z = -0.5 * 1, whose y and
-    # ‖y‖² = Q + 2 theta S + k theta² are exactly 0, names that row's sample
+    # a pass's shrunk score at theta = 0.5 on a row z = -0.5 * 1, whose y
+    # and ‖y‖² = Q + 2 theta S + k theta² are exactly 0, names that row's sample
     z = rng.normal(size=(40, 14))
     z[23] = -0.5
     with pytest.raises(ShrinkageDomainError) as err:
-        mc._error(EstimatorKind.JS, 0.5, z, row_reductions(z), 1000, np.empty_like(z))
+        mc._shrunk_score(0.5, z, row_reductions(z), 1000, np.empty_like(z))
     assert err.value.index == 1023
 
 
@@ -128,16 +128,19 @@ def test_estimate_batch_dispatch():
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**43 - 1])
 def test_js_error_from_the_row_scalars_matches_the_reference(theta):
-    # mc._error takes c from ‖y‖² = Q + 2 theta S + k theta², the reference
-    # from einsum(y, y): the same bits at theta = 0, within JS_ERROR_ATOL at
+    # the JS error c·z - theta·g, with c·z and g = 1 - c from ‖y‖² = Q +
+    # 2 theta S + k theta² (mc._shrunk_score), against the reference from
+    # einsum(y, y): the same bits at theta = 0, within JS_ERROR_ATOL at
     # bias-sized thetas, and at large thetas no farther from a long-double
-    # reference than the reference path, since both errors are dominated by
-    # the rounding of y = theta + z
+    # reference than the reference path, whose error is dominated by the
+    # rounding of y = theta + z
     cfg = SimulationConfig(k=14, n_samples=2 * mc.CHUNK_SAMPLES, seed=31)
     for start in (0, mc.CHUNK_SAMPLES):
         z = mc.draw_block(cfg, start, mc.CHUNK_SAMPLES)
         reference = estimate(EstimatorKind.JS, z + theta) - theta
-        got = mc._error(EstimatorKind.JS, theta, z, row_reductions(z), start, np.empty_like(z))
+        got = np.empty_like(z)  # c·z, then c·z - theta·g
+        g = mc._shrunk_score(theta, z, row_reductions(z), start, got)
+        got -= theta * g[:, None]
         if theta == 0.0:
             assert got.tobytes() == reference.tobytes()
         elif theta < 10:
@@ -147,8 +150,6 @@ def test_js_error_from_the_row_scalars_matches_the_reference(theta):
             c = 1 - (cfg.k - 2) / np.einsum("ij,ij->i", y, y)
             exact = c[:, None] * y - np.longdouble(theta)
             assert np.abs(got - exact).max() <= np.abs(reference - exact).max()
-        assert mc._error(EstimatorKind.ML, theta, z, row_reductions(z), start,
-                         np.empty_like(z)) is z
 
 
 # ---------------------------------------------------------------------------

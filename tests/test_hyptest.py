@@ -16,7 +16,7 @@ from conftest import (
     sweep_values,
 )
 from steinsim import mc
-from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_from_norms
+from steinsim.estimators import EstimatorKind, row_reductions, shrinkage_gaps
 from steinsim.hyptest import (
     ALT_STREAM,
     MU0,
@@ -474,7 +474,7 @@ def test_paired_semitail_reads_the_pair_stream_across_chunks(full_calibrations, 
         y = theta + z
         assert np.array_equal(got_js, semitail(statistics(JS, y), full_calibrations[JS])), theta
         assert np.array_equal(got_ml, semitail(statistics(ML, y), full_calibrations[ML])), theta
-        reference = shrinkage_from_norms(np.einsum("ij,ij->i", y, y), 14)
+        reference = 1.0 - shrinkage_gaps(np.einsum("ij,ij->i", y, y), 14)
         assert np.abs(shrinkage - reference).max() <= JS_ERROR_ATOL, theta
         if theta > 10:
             exact_y = z.astype(np.longdouble) + np.longdouble(theta)

@@ -185,8 +185,8 @@ def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
 
 
 def test_a_mean_pass_holds_about_two_chunk_arrays():
-    # z and its words while the chunk is drawn; y and its estimate are
-    # written over z, so the rest is row vectors
+    # z and its words while the chunk is drawn, then z and the shrunk score
+    # c·z in the cell buffer; the rest is row vectors
     cfg = SimulationConfig(k=64, n_samples=2 * CHUNK_SAMPLES, seed=3)
     peak = _peak_bytes(lambda: tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0], cfg))
     assert peak <= 2.25 * CHUNK_SAMPLES * 64 * 8
@@ -194,7 +194,7 @@ def test_a_mean_pass_holds_about_two_chunk_arrays():
 
 def test_a_stream_0_pass_holds_one_cell_buffer_per_worker():
     # the ten cells that table1 and table3 share, on one worker: z, the
-    # cell buffer that holds each cell's y, estimate and error in turn, the
+    # cell buffer that holds each JS cell's shrunk score c·z in turn, the
     # centered buffer, and z's words while a chunk is drawn (16 words per
     # sample at k = 14), plus vectors and k x k moments
     cells = [(kind, theta) for kind in (EstimatorKind.JS, EstimatorKind.ML)
@@ -223,25 +223,37 @@ def test_a_sweep_builds_at_most_one_workspace_per_worker(monkeypatch, workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_sweep_folds_the_standard_normals_of_each_chunk(workers):
     # each fold sees draw_block's z bit for bit, and the row scalars of that
-    # z, even after the folds before it wrote over their z in the reused
-    # buffer; results reach take in chunk order, the shorter chunks too
+    # z, after the fold before it used the same workspace; results reach
+    # take in chunk order, the shorter chunks too
     cfg = SimulationConfig(k=3, n_samples=3 * CHUNK_SAMPLES + 123, seed=29,
                            n_workers=workers)
     taken = []
 
-    def overwriting(z, reductions, start, workspace):
-        seen = z.copy(), [r.copy() for r in reductions]
-        z[...] = np.nan
-        return seen
+    def seeing(z, reductions, start, workspace):
+        workspace.buffer("cell", z.shape)[...] = np.nan
+        return z.copy(), [r.copy() for r in reductions]
 
-    mc.sweep(cfg, [(overwriting, lambda start, seen: taken.append((start, *seen)),
-                    lambda: None)], stream=6)
-    assert [(start, len(z)) for start, z, _ in taken] == mc._chunk_ranges(cfg.n_samples)
+    mc.sweep(cfg, [(seeing, lambda start, seen: taken.append((start, *seen)), lambda: None)]
+             * 2, stream=6)
+    assert [(start, len(z)) for start, z, _ in taken[::2]] == mc._chunk_ranges(cfg.n_samples)
     for start, z, reductions in taken:
         drawn = draw_block(cfg, start, len(z), stream=6)
         assert np.array_equal(z, drawn), start
         for got, expected in zip(reductions, row_reductions(drawn), strict=True):
             assert got.tobytes() == expected.tobytes(), start
+
+
+@pytest.mark.parametrize("write", [
+    lambda z: z.__setitem__((0, 0), 0.0),
+    lambda z: np.add(z, 1.0, out=z),
+], ids=["item", "ufunc"])
+def test_a_fold_that_writes_z_raises(write):
+    # every fold gets a read-only view of the chunk's z, so no fold can
+    # change what a later fold of the same chunk reads
+    cfg = SimulationConfig(k=3, n_samples=100, seed=29)
+    with pytest.raises(ValueError, match="read-only"):
+        mc.sweep(cfg, [(lambda z, reductions, start, workspace: write(z),
+                        lambda start, result: None, lambda: None)])
 
 
 def test_block_straddling_chunk_sized_offsets():
@@ -524,6 +536,28 @@ def test_ml_cells_take_their_moments_from_the_score(workers):
         assert cell.err_sumsq == err_sumsq
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                    reason="np.longdouble is no wider than float64 here")
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**42, mc.THETA_LIMIT - 1])
+def test_js_moments_match_a_long_double_reference(theta):
+    # the reference error c·y - theta = z - g·z - theta·g·1, with g = (k - 2)
+    # / ‖y‖² and ‖y‖² = Q + 2 theta S + k theta², in long double: no term
+    # rounds y, so it keeps z's resolution at every theta below the bound
+    cfg = SimulationConfig(k=14, n_samples=CHUNK_SAMPLES, seed=5)
+    cell, = collect_cells([(EstimatorKind.JS, theta)], cfg)
+    z = draw_block(cfg, 0, CHUNK_SAMPLES).astype(np.longdouble)
+    at = np.longdouble(theta)
+    g = (cfg.k - 2) / (np.einsum("ij,ij->i", z, z) + 2 * at * z.sum(axis=1) + cfg.k * at * at)
+    err = z - g[:, None] * z - (at * g)[:, None]
+    centered = err - err.mean(axis=0)
+    norms = np.einsum("ij,ij->i", err, err)
+    pairs = [(cell.moments.mean_a, err.mean(axis=0)),
+             (cell.moments.m_aa, centered.T @ centered), (cell.moments.m_ab, centered.T @ z),
+             (cell.err_sum, norms.sum()), (cell.err_sumsq, (norms * norms).sum())]
+    for name, (got, exact) in zip(["mean_a", "m_aa", "m_ab", "sum", "sumsq"], pairs):
+        assert np.abs(got - exact).max() <= 2e-14 * np.abs(exact).max(), name
+
+
 @settings(derandomize=True, max_examples=40, deadline=None)
 @given(theta=st.floats(-mc.THETA_LIMIT, mc.THETA_LIMIT,
                        exclude_min=True, exclude_max=True))
@@ -604,7 +638,7 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
     # cells share the chunk's read-only z, their score, and the worker's
-    # workspace: each cell at a nonzero theta forms its y in the same y
+    # workspace: each JS cell writes its shrunk score c·z into the same cell
     # buffer, and the ML cells share the moments of z; neither that, nor a
     # duplicate cell, nor the order may change a bit of any cell
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
@@ -870,9 +904,9 @@ def test_mean_pass_draws_each_chunk_once_and_computes_no_moments(monkeypatch):
         draws.append((stream, start, count))
         return draw(config, start, count, stream, out)
 
-    def counting_from_batch(cls, a, b, out=None):
+    def counting_from_batch(cls, a, b, out=None, **kwargs):
         batches.append(len(a))
-        return from_batch(cls, a, b, out=out)
+        return from_batch(cls, a, b, out=out, **kwargs)
 
     monkeypatch.setattr(mc, "draw_block", counting_draw)
     monkeypatch.setattr(mc.StreamingMoments, "from_batch", classmethod(counting_from_batch))
@@ -896,9 +930,9 @@ def test_a_stream_0_pass_centers_every_batch_in_a_workspace_buffer(monkeypatch):
     outs = []
     from_batch = mc.StreamingMoments.from_batch.__func__
 
-    def recording(cls, a, b, out=None):
+    def recording(cls, a, b, out=None, **kwargs):
         outs.append((np.shape(a), None if out is None else out.shape))
-        return from_batch(cls, a, b, out=out)
+        return from_batch(cls, a, b, out=out, **kwargs)
 
     monkeypatch.setattr(mc.StreamingMoments, "from_batch", classmethod(recording))
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=2)
