@@ -52,13 +52,13 @@ def _statistics(kind: EstimatorKind, row_sum: np.ndarray, row_norm: np.ndarray,
     from S = Σ_j z_j and Q = ‖z‖² alone.
 
     With Σy = S + k·theta and ‖y‖² = Q + 2·theta·S + k·theta², the ML
-    statistic is Q + 2dS + kd² for d = theta - MU0, and the JS statistic,
-    with shrinkage c = 1 - (k - 2) / ‖y‖², is c²‖y‖² - 2c·MU0·Σy + k·MU0².
+    statistic is Q + 2dS + kd² for d = theta - MU0 (``shifted_norms`` at
+    d), and the JS statistic, with shrinkage c = 1 - (k - 2) / ‖y‖², is
+    c²‖y‖² - 2c·MU0·Σy + k·MU0².
     At theta = 0, ‖y‖² is Q bit for bit.
     """
     if kind is EstimatorKind.ML:
-        d = theta - MU0
-        return row_norm + (2.0 * d) * row_sum + k * d * d
+        return shifted_norms(row_sum, row_norm, theta - MU0, k)
     return _js_statistics(row_sum, row_norm, theta, k, index_offset)[0]
 
 

@@ -49,8 +49,9 @@ depends on chunking or worker count:
   pass that takes thetas checks them when it is built, before any draw.
 * theta bound: every cell needs ``|theta| < THETA_LIMIT = 2**43``, where
   ulp(theta) <= 2**-10 keeps y = theta + z within 1e-3 of z's unit scale;
-  no fold forms y, and below the bound a JS cell's moments and error sums
-  lie within 2e-14 relative of a long-double reference (``collect_cells``).
+  no fold forms y, and below the bound at k = 14 a JS cell's moments and
+  error sums lie within 2e-14 relative of a long-double reference
+  (``collect_cells``).
   The bound and finiteness have one check, ``check_thetas``, which every
   pass that takes thetas (the cells, the power pass, the figure pairs and
   the mean-function table) and the command line run before any draw; the
@@ -382,9 +383,9 @@ class Workspace:
     only for a larger request, so a short last chunk reuses the buffer of a
     full one, and a pass holds a fixed set of buffers per worker instead of
     fresh arrays per chunk.  A buffer holds whatever its last user wrote: z,
-    each JS cell's shrunk score c·z in ``cell``, or each batch that
-    ``StreamingMoments.from_batch`` centers into ``centered``.  Reusing
-    buffers changes no floating-point operation.
+    each JS cell's error in ``cell``, or each batch that ``from_batch``
+    centers into ``centered``.  Reusing buffers changes no floating-point
+    operation.
     """
 
     def __init__(self):
@@ -484,35 +485,14 @@ def _squared_error_sums(err_sq: np.ndarray) -> tuple[float, float]:
     return float(err_sq.sum()), float((err_sq * err_sq).sum())
 
 
-def _shrunk_score(theta: float, z: np.ndarray, reductions: tuple, start: int,
-                  out: np.ndarray) -> np.ndarray:
-    """Write the shrunk score c·z of the rows y = theta·1 + z into ``out``
-    and return their gaps g = (k - 2) / ‖y‖² = 1 - c, taken from z's row
-    scalars ``reductions``: the JS error c·y - theta is c·z - theta·g·1."""
+def _js_error(theta: float, z: np.ndarray, reductions: tuple, start: int,
+              out: np.ndarray) -> np.ndarray:
+    """Write the JS error e = c·y - theta·1 = c·z - theta·g·1 of the rows
+    y = theta·1 + z into ``out`` and return it, with the gaps g = (k - 2) /
+    ‖y‖² = 1 - c taken directly from z's row scalars ``reductions``."""
     g = shrinkage_gaps(shifted_norms(*reductions, theta, z.shape[1]), z.shape[1], start)
     np.multiply(z, (1.0 - g)[:, None], out=out)
-    return g
-
-
-def _js_moments(theta: float, z: np.ndarray, reductions: tuple, start: int,
-                workspace: Workspace, mean_z: np.ndarray) -> tuple:
-    """One chunk's moments and squared-error sums of the JS cell at theta.
-    With u_i = c_i z_i - mean(c z), left in ``centered`` by ``from_batch(c·z,
-    z)``, and d_i = mean(g) - g_i, the centered error is u_i + theta·d_i·1:
-    mean_a = mean(c z) - theta·mean(g), m_aa = uᵀu + theta(uᵀd 1ᵀ + 1 dᵀu) +
-    theta²(dᵀd) 11ᵀ, m_ab = uᵀz + theta·1 (zᵀd)ᵀ, and ‖e_i‖² = c_i² Q_i -
-    2·theta·c_i g_i S_i + k·theta² g_i²."""
-    cz, u = workspace.buffer("cell", z.shape), workspace.buffer("centered", z.shape)
-    g = _shrunk_score(theta, z, reductions, start, cz)
-    part = StreamingMoments.from_batch(cz, z, u, mean_b=mean_z)
-    d = (g_mean := g.mean()) - g
-    ud = np.dot(d, u)
-    m_aa = part.m_aa + theta * (ud[:, None] + ud) + theta * theta * np.dot(d, d)
-    c, (row_sum, row_norm) = 1.0 - g, reductions
-    err_sq = (c * c * row_norm - (2.0 * theta) * (c * g) * row_sum
-              + (z.shape[1] * theta * theta) * (g * g))
-    return (StreamingMoments(len(z), part.mean_a - theta * g_mean, m_aa, mean_z,
-                             part.m_ab + theta * np.dot(d, z)), *_squared_error_sums(err_sq))
+    return np.subtract(out, (theta * g)[:, None], out=out)
 
 
 def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
@@ -525,10 +505,11 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
     theta``, the chunk's draw.  A shift by theta changes no covariance, so
     ``mean_a`` is the cell's bias, ``mean_b`` is near 0, and neither the
     merge nor ``m_ab``, taken against the uncentered score
-    (``StreamingMoments.from_batch``), takes a residue of a large mean.  A
-    JS cell takes its moments from the shrunk score c·z and closed-form
-    theta terms (``_js_moments``), all against z's one column mean per
-    chunk; the ML error is z itself, so one ``from_batch(z, z)`` and Q serve
+    (``StreamingMoments.from_batch``), takes a residue of a large mean.  Each
+    cell's moments are its error's: a JS cell writes its error c·z -
+    theta·g·1 once (``_js_error``) and takes ``from_batch`` of it against z,
+    whose column mean is taken once per chunk, and the squared norms of its
+    rows; the ML error is z itself, so one ``from_batch(z, z)`` and Q serve
     every ML cell.  Chunk moments are merged as they are taken, in chunk
     order and in the batches of ``_batch_starts`` (Chan, Golub & LeVeque
     1979), so no cell depends on the worker count or on what else shares
@@ -541,12 +522,16 @@ def collect_cells(cells: Sequence[tuple[EstimatorKind, float]],
     any_ml = any(kind is EstimatorKind.ML for kind, _ in cells)
 
     def fold(z: np.ndarray, reductions: tuple, start: int, workspace: Workspace) -> list:
-        mean_z = _column_mean(z)
-        ml = (StreamingMoments.from_batch(z, z, workspace.buffer("centered", z.shape)),
+        mean_z, centered = _column_mean(z), workspace.buffer("centered", z.shape)
+        ml = (StreamingMoments.from_batch(z, z, centered),
               *_squared_error_sums(reductions[1])) if any_ml else None  # every ML cell's, error z
-        return [ml if kind is EstimatorKind.ML else
-                _js_moments(theta, z, reductions, start, workspace, mean_z)
-                for kind, theta in cells]
+
+        def js(theta: float) -> tuple:
+            e = _js_error(theta, z, reductions, start, workspace.buffer("cell", z.shape))
+            return (StreamingMoments.from_batch(e, z, centered, mean_b=mean_z),
+                    *_squared_error_sums(np.einsum("ij,ij->i", e, e)))
+
+        return [ml if kind is EstimatorKind.ML else js(theta) for kind, theta in cells]
 
     merges = [_BatchedMerge(config.n_samples, StreamingMoments.merge) for _ in cells]
     err_sums = [[0.0, 0.0] for _ in cells]
@@ -571,13 +556,13 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     Row ``i`` uses the dedicated stream ``MEAN_FUNCTION_STREAM_BASE + i``,
     so rows are mutually independent and reproducible individually.  Each
     row is a mean-only pass, alone on its stream: per chunk, the count and
-    the column mean of the errors, z for ML and ``_column_mean(c·z) -
-    theta·mean(g)`` for JS (``_shrunk_score``, into the worker's ``cell``
-    buffer), merged in the batches of ``collect_cells`` by ``_pooled_mean``,
-    as ``StreamingMoments.merge`` pools them.  The row is theta plus that
-    bias, so it equals the ``mean_a + theta`` of ``collect_cells`` on the
-    same stream bit for bit without computing any covariance.  The kind and
-    every grid value (finite, and below ``THETA_LIMIT``) are checked first.
+    the column mean of the errors, z for ML and for JS the error of
+    ``_js_error`` in the worker's ``cell`` buffer, merged in the batches of
+    ``collect_cells`` by ``_pooled_mean``, as ``StreamingMoments.merge``
+    pools them.  The row is theta plus that bias, so it equals the ``mean_a
+    + theta`` of ``collect_cells`` on the same stream bit for bit without
+    computing any covariance.  The kind and every grid value (finite, and
+    below ``THETA_LIMIT``) are checked first.
     """
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 1 or grid.size < 1:
@@ -589,8 +574,8 @@ def tabulate_mean_function(kind: EstimatorKind, grid,
     def chunk(theta: float, z: np.ndarray, reductions: tuple, start: int, workspace: Workspace):
         if kind is EstimatorKind.ML:
             return len(z), _column_mean(z)
-        g = _shrunk_score(theta, z, reductions, start, cz := workspace.buffer("cell", z.shape))
-        return len(z), _column_mean(cz) - theta * g.mean()
+        return len(z), _column_mean(_js_error(theta, z, reductions, start,
+                                              workspace.buffer("cell", z.shape)))
 
     rows = np.empty((grid.size, config.k))
     for i, theta in enumerate(grid):

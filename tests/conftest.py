@@ -29,7 +29,7 @@ ALPHAS = (0.01, 0.05)
 # Tolerance of a JS quantity taken from the row scalars of z against the
 # reference from y = theta + z at bias-sized thetas, where both round alike:
 # the largest difference measured was 2.2e-15 for the JS error c·z -
-# theta·g (``mc._shrunk_score``, on two 4,096 x 14 chunks) and 2.7e-15 for
+# theta·g·1 (``mc._js_error``, on two 4,096 x 14 chunks) and 2.7e-15 for
 # the figure pass's shrinkage (on one).
 JS_ERROR_ATOL = 1e-14
 
@@ -80,9 +80,9 @@ def statistics(kind, y, index_offset=0):
 def estimate(kind, y):
     """Row-wise estimates of an (n, k) array, formed from y itself: y for
     ML, and c·y for JS with c = 1 - (k - 2) / ‖y‖² from ``einsum(y, y)``.
-    The passes take c from the row scalars of z instead, and form c·z and
-    never y (``mc._shrunk_score``); this is the reference they are checked
-    against."""
+    The passes take c from the row scalars of z instead, and form the error
+    c·z - theta·g·1 and never y (``mc._js_error``); this is the reference
+    they are checked against."""
     y = np.asarray(y, dtype=np.float64)
     if kind is EstimatorKind.ML:
         return y

@@ -693,11 +693,13 @@ def test_the_chunk_size_changes_no_byte(tmp_path, monkeypatch, capsys, workers):
 
 
 def test_all_at_the_defaults_matches_its_pinned_digests(tmp_path, capsys):
-    # the paper's run itself, whose bytes the smaller pin above only samples
-    out_dir = tmp_path / "all"
-    code, _, _ = run(capsys, ["all", "--workers", "2", "--output", str(out_dir)])
-    assert code == 0
-    assert_pinned_digests(out_dir, DEFAULTS_SHA256)
+    # the paper's run itself, whose bytes the smaller pin above only samples,
+    # at one worker and at two
+    for workers in ("1", "2"):
+        out_dir = tmp_path / workers
+        code, _, _ = run(capsys, ["all", "--workers", workers, "--output", str(out_dir)])
+        assert code == 0, workers
+        assert_pinned_digests(out_dir, DEFAULTS_SHA256)
 
 
 def test_all_matches_the_pinned_digests_under_the_haswell_kernel(tmp_path):

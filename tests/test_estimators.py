@@ -110,12 +110,12 @@ def test_js_batch_matches_single_and_reports_index():
     batch = estimate(EstimatorKind.JS, y)
     for i in (0, 17, 39):
         assert np.allclose(batch[i], _js_formula(y[i]), rtol=1e-14)
-    # a pass's shrunk score at theta = 0.5 on a row z = -0.5 * 1, whose y
-    # and ‖y‖² = Q + 2 theta S + k theta² are exactly 0, names that row's sample
+    # a pass's JS error at theta = 0.5 on a row z = -0.5 * 1, whose y and
+    # ‖y‖² = Q + 2 theta S + k theta² are exactly 0, names that row's sample
     z = rng.normal(size=(40, 14))
     z[23] = -0.5
     with pytest.raises(ShrinkageDomainError) as err:
-        mc._shrunk_score(0.5, z, row_reductions(z), 1000, np.empty_like(z))
+        mc._js_error(0.5, z, row_reductions(z), 1000, np.empty_like(z))
     assert err.value.index == 1023
 
 
@@ -128,19 +128,16 @@ def test_estimate_batch_dispatch():
 
 @pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**43 - 1])
 def test_js_error_from_the_row_scalars_matches_the_reference(theta):
-    # the JS error c·z - theta·g, with c·z and g = 1 - c from ‖y‖² = Q +
-    # 2 theta S + k theta² (mc._shrunk_score), against the reference from
-    # einsum(y, y): the same bits at theta = 0, within JS_ERROR_ATOL at
-    # bias-sized thetas, and at large thetas no farther from a long-double
-    # reference than the reference path, whose error is dominated by the
-    # rounding of y = theta + z
+    # the JS error c·z - theta·g·1, with g = 1 - c from ‖y‖² = Q + 2 theta S
+    # + k theta² (mc._js_error), against the reference from einsum(y, y):
+    # the same bits at theta = 0, within JS_ERROR_ATOL at bias-sized thetas,
+    # and at large thetas no farther from a long-double reference than the
+    # reference path, whose error is dominated by the rounding of y = theta + z
     cfg = SimulationConfig(k=14, n_samples=2 * mc.CHUNK_SAMPLES, seed=31)
     for start in (0, mc.CHUNK_SAMPLES):
         z = mc.draw_block(cfg, start, mc.CHUNK_SAMPLES)
         reference = estimate(EstimatorKind.JS, z + theta) - theta
-        got = np.empty_like(z)  # c·z, then c·z - theta·g
-        g = mc._shrunk_score(theta, z, row_reductions(z), start, got)
-        got -= theta * g[:, None]
+        got = mc._js_error(theta, z, row_reductions(z), start, np.empty_like(z))
         if theta == 0.0:
             assert got.tobytes() == reference.tobytes()
         elif theta < 10:

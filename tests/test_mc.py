@@ -185,16 +185,16 @@ def test_a_chunk_draw_holds_its_result_and_one_block_of_words():
 
 
 def test_a_mean_pass_holds_about_two_chunk_arrays():
-    # z and its words while the chunk is drawn, then z and the shrunk score
-    # c·z in the cell buffer; the rest is row vectors
+    # z and its words while the chunk is drawn, then z and the JS error
+    # c·z - theta·g·1 in the cell buffer; the rest is row vectors
     cfg = SimulationConfig(k=64, n_samples=2 * CHUNK_SAMPLES, seed=3)
     peak = _peak_bytes(lambda: tabulate_mean_function(EstimatorKind.JS, [0.0, 1.0], cfg))
     assert peak <= 2.25 * CHUNK_SAMPLES * 64 * 8
 
 
 def test_a_stream_0_pass_holds_one_cell_buffer_per_worker():
-    # the ten cells that table1 and table3 share, on one worker: z, the
-    # cell buffer that holds each JS cell's shrunk score c·z in turn, the
+    # the ten cells that table1 and table3 share, on one worker: z, the cell
+    # buffer that holds each JS cell's error c·z - theta·g·1 in turn, the
     # centered buffer, and z's words while a chunk is drawn (16 words per
     # sample at k = 14), plus vectors and k x k moments
     cells = [(kind, theta) for kind in (EstimatorKind.JS, EstimatorKind.ML)
@@ -536,10 +536,11 @@ def test_ml_cells_take_their_moments_from_the_score(workers):
         assert cell.err_sumsq == err_sumsq
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
-                    reason="np.longdouble is no wider than float64 here")
-@pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**42, mc.THETA_LIMIT - 1])
-def test_js_moments_match_a_long_double_reference(theta):
+_NO_LONG_DOUBLE = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(np.float64).eps,
+                                     reason="np.longdouble is no wider than float64 here")
+
+
+def _assert_js_cell_matches_the_long_double_reference(theta):
     # the reference error c·y - theta = z - g·z - theta·g·1, with g = (k - 2)
     # / ‖y‖² and ‖y‖² = Q + 2 theta S + k theta², in long double: no term
     # rounds y, so it keeps z's resolution at every theta below the bound
@@ -556,6 +557,20 @@ def test_js_moments_match_a_long_double_reference(theta):
              (cell.err_sum, norms.sum()), (cell.err_sumsq, (norms * norms).sum())]
     for name, (got, exact) in zip(["mean_a", "m_aa", "m_ab", "sum", "sumsq"], pairs):
         assert np.abs(got - exact).max() <= 2e-14 * np.abs(exact).max(), name
+
+
+@_NO_LONG_DOUBLE
+@pytest.mark.parametrize("theta", [0.0, 0.5, 2.5, 1e3, 1e6, 2.0**42, mc.THETA_LIMIT - 1])
+def test_js_moments_match_a_long_double_reference(theta):
+    _assert_js_cell_matches_the_long_double_reference(theta)
+
+
+@_NO_LONG_DOUBLE
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(theta=st.floats(-mc.THETA_LIMIT, mc.THETA_LIMIT, exclude_min=True, exclude_max=True))
+def test_js_moments_match_a_long_double_reference_at_any_theta(theta):
+    # every theta below the bound, of either sign, as the contract states
+    _assert_js_cell_matches_the_long_double_reference(theta)
 
 
 @settings(derandomize=True, max_examples=40, deadline=None)
@@ -638,8 +653,8 @@ def test_shared_sweep_matches_one_cell_passes_bitwise(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_cells_sharing_a_theta_match_one_cell_passes_bitwise(workers):
     # cells share the chunk's read-only z, their score, and the worker's
-    # workspace: each JS cell writes its shrunk score c·z into the same cell
-    # buffer, and the ML cells share the moments of z; neither that, nor a
+    # workspace: each JS cell writes its error c·z - theta·g·1 into the same
+    # cell buffer, and the ML cells share the moments of z; neither that, nor a
     # duplicate cell, nor the order may change a bit of any cell
     cfg = _cfg(n_samples=CHUNK_SAMPLES + 4000, n_workers=workers)
     js, ml = EstimatorKind.JS, EstimatorKind.ML
